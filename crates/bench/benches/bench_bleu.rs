@@ -2,7 +2,7 @@
 //! (corpus scoring per pair) and Algorithm 2 (sentence scoring per window).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mdes_bleu::{corpus_bleu, sentence_bleu, BleuConfig};
+use mdes_bleu::{corpus_bleu, sentence_bleu, sentence_bleu_pre, BleuConfig, RefNgrams};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -20,6 +20,12 @@ fn bench_sentence(c: &mut Criterion) {
     let cfg = BleuConfig::sentence();
     c.bench_function("bleu/sentence_len20", |b| {
         b.iter(|| black_box(sentence_bleu(black_box(hyp), black_box(reference), &cfg)))
+    });
+    // Algorithm 2's form: the reference trie is built once per test window
+    // and shared by every model scored against it.
+    let pre = RefNgrams::new(reference, cfg.max_n);
+    c.bench_function("bleu/sentence_pre_len20", |b| {
+        b.iter(|| black_box(sentence_bleu_pre(black_box(hyp), black_box(&pre), &cfg)))
     });
 }
 

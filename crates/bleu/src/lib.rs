@@ -8,8 +8,24 @@
 //! sentence-level BLEU at test time (`f(i, j)`) is compared against it to
 //! detect broken relationships.
 //!
-//! Tokens are generic: anything `Eq + Hash + Clone` works, so the language
+//! Tokens are generic: anything `Ord + Clone` works, so the language
 //! pipeline can score word-id sentences without materializing strings.
+//!
+//! # How matches are counted
+//!
+//! The reference's distinct n-grams are stored as a sorted trie
+//! ([`RefNgrams`]): a node per distinct n-gram, holding its last token and
+//! its reference count, with each node's one-token extensions stored as a
+//! contiguous, token-sorted run. The hypothesis is never materialized into
+//! n-gram keys: from each start position the kernel walks down the trie one
+//! token at a time (a binary search over a short run per step) and stops at
+//! the first n-gram the reference lacks, since no longer n-gram from that
+//! position can then match either. Clipping counts the hypothesis
+//! occurrences of every reference node in a scratch buffer that lives on the
+//! stack while `max_n` plus the reference's distinct n-gram count is at most
+//! 256 (a 64-token reference at BLEU-4).
+//! The integer match statistics are those of the textbook per-order count
+//! maps, so the `f64` scores are too.
 //!
 //! # Example
 //!
@@ -25,8 +41,6 @@
 #![warn(missing_docs)]
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::hash::Hash;
 
 /// Smoothing applied to zero n-gram precision counts.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -69,46 +83,100 @@ impl BleuConfig {
     }
 }
 
-/// Counts n-grams of order `n` in `tokens`.
-fn ngram_counts<T: Eq + Hash + Clone>(tokens: &[T], n: usize) -> HashMap<Vec<T>, usize> {
-    let mut map = HashMap::new();
-    if tokens.len() >= n {
-        for w in tokens.windows(n) {
-            *map.entry(w.to_vec()).or_insert(0) += 1;
-        }
-    }
-    map
+/// Scratch words (`u32`) the matching kernel keeps on the stack: `max_n`
+/// per-order match counters plus one clipping counter per distinct
+/// reference n-gram. Larger references use a heap buffer instead.
+const STACK_WORDS: usize = 256;
+
+/// Number of n-grams of order `n` in a sentence of `len` tokens.
+fn ngram_total(len: usize, n: usize) -> u64 {
+    (len + 1).saturating_sub(n) as u64
 }
 
-/// Reference-side n-gram counts, precomputed once per reference sentence.
+/// Reference-side n-grams, precomputed once per reference sentence.
 ///
 /// Scoring one reference against many hypotheses (as Algorithm 2 does: every
 /// model targeting destination sensor `j` is scored against the same test
-/// sentence of `j`) recounts the reference n-grams on every call to
-/// [`BleuStats::update`]. Precomputing them here and scoring via
-/// [`sentence_bleu_pre`] or [`BleuStats::update_pre`] skips that work while
-/// producing exactly the same integer match statistics — and therefore
-/// bit-identical `f64` scores.
+/// sentence of `j`) would otherwise recount the reference n-grams on every
+/// call. Precomputing them here and scoring via [`sentence_bleu_pre`] or
+/// [`BleuStats::update_pre`] skips that work while producing exactly the
+/// same integer match statistics — and therefore bit-identical `f64`
+/// scores.
+///
+/// The n-grams form a trie of distinct n-grams: order `n` occupies nodes
+/// `level[n - 1]..level[n]`, sorted lexicographically by the full n-gram, so
+/// the extensions of one (n−1)-gram are a contiguous run sorted by their last
+/// token.
 #[derive(Clone, Debug)]
 pub struct RefNgrams<T> {
-    /// Counts per order; index 0 holds unigrams, up to `max_n`-grams.
-    counts: Vec<HashMap<Vec<T>, usize>>,
+    /// Last token of every node.
+    last: Vec<T>,
+    /// Occurrences of every node's n-gram in the reference (the clip cap).
+    count: Vec<u32>,
+    /// `level[k]` is the first node of order `k + 1`; `max_n + 1` entries.
+    level: Vec<u32>,
+    /// The one-token extensions of node `v` are nodes
+    /// `child[v]..child[v + 1]`; defined for every node below order `max_n`.
+    child: Vec<u32>,
     /// Reference length in tokens (for the brevity penalty).
     len: usize,
 }
 
-impl<T: Eq + Hash + Clone> RefNgrams<T> {
-    /// Precomputes counts for n-gram orders `1..=max_n` of `reference`.
+impl<T: Ord + Clone> RefNgrams<T> {
+    /// Precomputes the distinct n-grams of orders `1..=max_n` of `reference`.
     pub fn new(reference: &[T], max_n: usize) -> Self {
+        let mut last = Vec::new();
+        let mut count = Vec::new();
+        let mut level = vec![0u32];
+        let mut child = Vec::new();
+        let mut starts: Vec<usize> = Vec::new();
+        // One start offset per node of the current and the previous order.
+        let mut nodes: Vec<usize> = Vec::new();
+        let mut parents: Vec<usize> = Vec::new();
+        for n in 1..=max_n {
+            let gram = |s: usize| &reference[s..s + n];
+            starts.clear();
+            starts.extend(0..(reference.len() + 1).saturating_sub(n));
+            starts.sort_unstable_by(|&a, &b| gram(a).cmp(gram(b)));
+            nodes.clear();
+            for &s in &starts {
+                match nodes.last() {
+                    Some(&r) if gram(r) == gram(s) => *count.last_mut().expect("node") += 1,
+                    _ => {
+                        nodes.push(s);
+                        last.push(reference[s + n - 1].clone());
+                        count.push(1);
+                    }
+                }
+            }
+            // Both orders are sorted lexicographically, so one merge walk
+            // hands every (n-1)-gram its contiguous run of extensions.
+            let first = level[n - 1] as usize;
+            let mut j = 0;
+            for &p in &parents {
+                child.push((first + j) as u32);
+                while j < nodes.len() && gram(nodes[j])[..n - 1] == reference[p..p + n - 1] {
+                    j += 1;
+                }
+            }
+            level.push(last.len() as u32);
+            std::mem::swap(&mut parents, &mut nodes);
+        }
+        child.push(last.len() as u32);
         Self {
-            counts: (1..=max_n).map(|n| ngram_counts(reference, n)).collect(),
+            last,
+            count,
+            level,
+            child,
             len: reference.len(),
         }
     }
+}
 
+impl<T: Ord> RefNgrams<T> {
     /// The maximum n-gram order these counts cover.
     pub fn max_n(&self) -> usize {
-        self.counts.len()
+        self.level.len() - 1
     }
 
     /// Reference length in tokens.
@@ -119,6 +187,42 @@ impl<T: Eq + Hash + Clone> RefNgrams<T> {
     /// Whether the reference sentence is empty.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// Runs `f` on the clipped match count of every order `1..=max_n` of
+    /// `hyp` against this reference.
+    fn with_matches<R>(&self, hyp: &[T], f: impl FnOnce(&[u32]) -> R) -> R {
+        let max_n = self.max_n();
+        let need = max_n + self.last.len();
+        let mut stack = [0u32; STACK_WORDS];
+        let mut heap = Vec::new();
+        let scratch = if need <= STACK_WORDS {
+            &mut stack[..need]
+        } else {
+            heap.resize(need, 0);
+            &mut heap[..]
+        };
+        let (matched, uses) = scratch.split_at_mut(max_n);
+        if max_n > 0 {
+            let roots = self.level[1] as usize;
+            for start in 0..hyp.len() {
+                let (mut lo, mut hi) = (0, roots);
+                for (k, tok) in hyp[start..].iter().take(max_n).enumerate() {
+                    let Ok(off) = self.last[lo..hi].binary_search(tok) else {
+                        break;
+                    };
+                    let v = lo + off;
+                    uses[v] += 1;
+                    if uses[v] <= self.count[v] {
+                        matched[k] += 1;
+                    }
+                    if k + 1 < max_n {
+                        (lo, hi) = (self.child[v] as usize, self.child[v + 1] as usize);
+                    }
+                }
+            }
+        }
+        f(matched)
     }
 }
 
@@ -147,24 +251,8 @@ impl BleuStats {
     }
 
     /// Accumulates statistics for one hypothesis/reference pair.
-    pub fn update<T: Eq + Hash + Clone>(&mut self, hyp: &[T], reference: &[T]) {
-        let max_n = self.matched.len();
-        self.hyp_len += hyp.len() as u64;
-        self.ref_len += reference.len() as u64;
-        for n in 1..=max_n {
-            let hyp_counts = ngram_counts(hyp, n);
-            let ref_counts = ngram_counts(reference, n);
-            let mut matched = 0u64;
-            let mut total = 0u64;
-            for (gram, &c) in &hyp_counts {
-                total += c as u64;
-                if let Some(&rc) = ref_counts.get(gram) {
-                    matched += c.min(rc) as u64;
-                }
-            }
-            self.matched[n - 1] += matched;
-            self.total[n - 1] += total;
-        }
+    pub fn update<T: Ord + Clone>(&mut self, hyp: &[T], reference: &[T]) {
+        self.update_pre(hyp, &RefNgrams::new(reference, self.matched.len()));
     }
 
     /// Accumulates statistics for one hypothesis against a precomputed
@@ -175,29 +263,20 @@ impl BleuStats {
     /// # Panics
     ///
     /// Panics if `reference` was built with a different `max_n`.
-    pub fn update_pre<T: Eq + Hash + Clone>(&mut self, hyp: &[T], reference: &RefNgrams<T>) {
-        let max_n = self.matched.len();
+    pub fn update_pre<T: Ord>(&mut self, hyp: &[T], reference: &RefNgrams<T>) {
         assert_eq!(
             reference.max_n(),
-            max_n,
+            self.matched.len(),
             "reference n-grams precomputed for a different max_n"
         );
         self.hyp_len += hyp.len() as u64;
         self.ref_len += reference.len() as u64;
-        for n in 1..=max_n {
-            let hyp_counts = ngram_counts(hyp, n);
-            let ref_counts = &reference.counts[n - 1];
-            let mut matched = 0u64;
-            let mut total = 0u64;
-            for (gram, &c) in &hyp_counts {
-                total += c as u64;
-                if let Some(&rc) = ref_counts.get(gram) {
-                    matched += c.min(rc) as u64;
-                }
+        reference.with_matches(hyp, |matched| {
+            for (k, &m) in matched.iter().enumerate() {
+                self.matched[k] += u64::from(m);
+                self.total[k] += ngram_total(hyp.len(), k + 1);
             }
-            self.matched[n - 1] += matched;
-            self.total[n - 1] += total;
-        }
+        });
     }
 
     /// Merges statistics from another corpus chunk.
@@ -223,38 +302,53 @@ impl BleuStats {
 
     /// Final BLEU score in `[0, 100]` under the given smoothing.
     pub fn score(&self, smoothing: Smoothing) -> f64 {
-        let max_n = self.matched.len();
-        if self.hyp_len == 0 {
+        score_counts(
+            self.matched.iter().copied().zip(self.total.iter().copied()),
+            self.matched.len(),
+            self.hyp_len,
+            self.ref_len,
+            smoothing,
+        )
+    }
+}
+
+/// BLEU in `[0, 100]` from per-order `(matched, total)` counts of `max_n`
+/// orders plus the hypothesis and reference lengths.
+fn score_counts(
+    orders: impl Iterator<Item = (u64, u64)>,
+    max_n: usize,
+    hyp_len: u64,
+    ref_len: u64,
+    smoothing: Smoothing,
+) -> f64 {
+    if hyp_len == 0 {
+        return 0.0;
+    }
+    let mut log_sum = 0.0;
+    for (n, (matched, total)) in orders.enumerate() {
+        let (matched, total) = match smoothing {
+            Smoothing::AddOne if n > 0 => (matched as f64 + 1.0, total as f64 + 1.0),
+            _ => (matched as f64, total as f64),
+        };
+        let p = if total > 0.0 {
+            match smoothing {
+                Smoothing::Epsilon(eps) if matched == 0.0 => eps / total,
+                _ => matched / total,
+            }
+        } else {
+            0.0
+        };
+        if p <= 0.0 {
             return 0.0;
         }
-        let mut log_sum = 0.0;
-        for n in 0..max_n {
-            let (matched, total) = match smoothing {
-                Smoothing::AddOne if n > 0 => {
-                    (self.matched[n] as f64 + 1.0, self.total[n] as f64 + 1.0)
-                }
-                _ => (self.matched[n] as f64, self.total[n] as f64),
-            };
-            let p = if total > 0.0 {
-                match smoothing {
-                    Smoothing::Epsilon(eps) if matched == 0.0 => eps / total,
-                    _ => matched / total,
-                }
-            } else {
-                0.0
-            };
-            if p <= 0.0 {
-                return 0.0;
-            }
-            log_sum += p.ln() / max_n as f64;
-        }
-        let bp = if self.hyp_len >= self.ref_len {
-            1.0
-        } else {
-            (1.0 - self.ref_len as f64 / self.hyp_len as f64).exp()
-        };
-        100.0 * bp * log_sum.exp()
+        log_sum += p.ln() / max_n as f64;
     }
+    let bp = if hyp_len >= ref_len {
+        1.0
+    } else {
+        (1.0 - ref_len as f64 / hyp_len as f64).exp()
+    };
+    100.0 * bp * log_sum.exp()
 }
 
 /// Corpus-level BLEU of hypothesis sentences against one reference each.
@@ -265,11 +359,7 @@ impl BleuStats {
 /// # Panics
 ///
 /// Panics if `hyps.len() != refs.len()`.
-pub fn corpus_bleu<T: Eq + Hash + Clone>(
-    hyps: &[Vec<T>],
-    refs: &[Vec<T>],
-    cfg: &BleuConfig,
-) -> f64 {
+pub fn corpus_bleu<T: Ord + Clone>(hyps: &[Vec<T>], refs: &[Vec<T>], cfg: &BleuConfig) -> f64 {
     assert_eq!(
         hyps.len(),
         refs.len(),
@@ -284,26 +374,35 @@ pub fn corpus_bleu<T: Eq + Hash + Clone>(
 
 /// Sentence-level BLEU with the configured smoothing (use
 /// [`BleuConfig::sentence`] for the standard smoothed variant).
-pub fn sentence_bleu<T: Eq + Hash + Clone>(hyp: &[T], reference: &[T], cfg: &BleuConfig) -> f64 {
-    let mut stats = BleuStats::new(cfg.max_n);
-    stats.update(hyp, reference);
-    stats.score(cfg.smoothing)
+pub fn sentence_bleu<T: Ord + Clone>(hyp: &[T], reference: &[T], cfg: &BleuConfig) -> f64 {
+    sentence_bleu_pre(hyp, &RefNgrams::new(reference, cfg.max_n), cfg)
 }
 
 /// Sentence-level BLEU against a precomputed reference; bit-identical to
-/// [`sentence_bleu`] on the same reference tokens.
+/// [`sentence_bleu`] on the same reference tokens. Allocates nothing when
+/// `cfg.max_n` plus the reference's distinct n-gram count is at most 256.
 ///
 /// # Panics
 ///
 /// Panics if `reference` was built with a different `max_n` than `cfg.max_n`.
-pub fn sentence_bleu_pre<T: Eq + Hash + Clone>(
-    hyp: &[T],
-    reference: &RefNgrams<T>,
-    cfg: &BleuConfig,
-) -> f64 {
-    let mut stats = BleuStats::new(cfg.max_n);
-    stats.update_pre(hyp, reference);
-    stats.score(cfg.smoothing)
+pub fn sentence_bleu_pre<T: Ord>(hyp: &[T], reference: &RefNgrams<T>, cfg: &BleuConfig) -> f64 {
+    assert_eq!(
+        reference.max_n(),
+        cfg.max_n,
+        "reference n-grams precomputed for a different max_n"
+    );
+    reference.with_matches(hyp, |matched| {
+        score_counts(
+            matched
+                .iter()
+                .enumerate()
+                .map(|(k, &m)| (u64::from(m), ngram_total(hyp.len(), k + 1))),
+            cfg.max_n,
+            hyp.len() as u64,
+            reference.len() as u64,
+            cfg.smoothing,
+        )
+    })
 }
 
 #[cfg(test)]
@@ -567,6 +666,136 @@ mod tests {
         stats.update_pre(&[1u32, 2], &pre);
     }
 
+    /// The paper-literal kernel: one `HashMap<Vec<T>, usize>` per order and
+    /// side, a key per n-gram, and the score formula written out in full.
+    /// The trie kernel must reproduce its counts and scores exactly.
+    mod oracle {
+        use super::{BleuStats, Smoothing};
+        use std::collections::HashMap;
+        use std::hash::Hash;
+
+        fn ngram_counts<T: Eq + Hash + Clone>(tokens: &[T], n: usize) -> HashMap<Vec<T>, usize> {
+            let mut map = HashMap::new();
+            if tokens.len() >= n {
+                for w in tokens.windows(n) {
+                    *map.entry(w.to_vec()).or_insert(0) += 1;
+                }
+            }
+            map
+        }
+
+        pub fn update<T: Eq + Hash + Clone>(stats: &mut BleuStats, hyp: &[T], reference: &[T]) {
+            let max_n = stats.matched.len();
+            stats.hyp_len += hyp.len() as u64;
+            stats.ref_len += reference.len() as u64;
+            for n in 1..=max_n {
+                let hyp_counts = ngram_counts(hyp, n);
+                let ref_counts = ngram_counts(reference, n);
+                let mut matched = 0u64;
+                let mut total = 0u64;
+                for (gram, &c) in &hyp_counts {
+                    total += c as u64;
+                    if let Some(&rc) = ref_counts.get(gram) {
+                        matched += c.min(rc) as u64;
+                    }
+                }
+                stats.matched[n - 1] += matched;
+                stats.total[n - 1] += total;
+            }
+        }
+
+        pub fn score(stats: &BleuStats, smoothing: Smoothing) -> f64 {
+            let max_n = stats.matched.len();
+            if stats.hyp_len == 0 {
+                return 0.0;
+            }
+            let mut log_sum = 0.0;
+            for n in 0..max_n {
+                let (matched, total) = match smoothing {
+                    Smoothing::AddOne if n > 0 => {
+                        (stats.matched[n] as f64 + 1.0, stats.total[n] as f64 + 1.0)
+                    }
+                    _ => (stats.matched[n] as f64, stats.total[n] as f64),
+                };
+                let p = if total > 0.0 {
+                    match smoothing {
+                        Smoothing::Epsilon(eps) if matched == 0.0 => eps / total,
+                        _ => matched / total,
+                    }
+                } else {
+                    0.0
+                };
+                if p <= 0.0 {
+                    return 0.0;
+                }
+                log_sum += p.ln() / max_n as f64;
+            }
+            let bp = if stats.hyp_len >= stats.ref_len {
+                1.0
+            } else {
+                (1.0 - stats.ref_len as f64 / stats.hyp_len as f64).exp()
+            };
+            100.0 * bp * log_sum.exp()
+        }
+    }
+
+    const SMOOTHINGS: [Smoothing; 3] =
+        [Smoothing::None, Smoothing::AddOne, Smoothing::Epsilon(0.1)];
+
+    /// Checks every kernel entry point against the oracle on one pair.
+    fn assert_matches_oracle<T: Eq + std::hash::Hash + Ord + Clone + std::fmt::Debug>(
+        hyp: &[T],
+        reference: &[T],
+        max_n: usize,
+    ) {
+        let mut expected = BleuStats::new(max_n);
+        oracle::update(&mut expected, hyp, reference);
+        let mut direct = BleuStats::new(max_n);
+        direct.update(hyp, reference);
+        let pre = RefNgrams::new(reference, max_n);
+        let mut amortized = BleuStats::new(max_n);
+        amortized.update_pre(hyp, &pre);
+        assert_eq!(direct, expected, "update: hyp {hyp:?} ref {reference:?}");
+        assert_eq!(
+            amortized, expected,
+            "update_pre: hyp {hyp:?} ref {reference:?}"
+        );
+        for smoothing in SMOOTHINGS {
+            let cfg = BleuConfig { max_n, smoothing };
+            let want = oracle::score(&expected, smoothing).to_bits();
+            assert_eq!(direct.score(smoothing).to_bits(), want, "{smoothing:?}");
+            assert_eq!(sentence_bleu(hyp, reference, &cfg).to_bits(), want);
+            assert_eq!(sentence_bleu_pre(hyp, &pre, &cfg).to_bits(), want);
+        }
+    }
+
+    #[test]
+    fn kernel_matches_oracle_on_edge_cases() {
+        let cases: [(&[u32], &[u32]); 6] = [
+            (&[], &[]),
+            (&[], &[1, 2, 3]),
+            (&[1, 2, 3], &[]),
+            (&[7, 7, 7, 7, 7], &[7, 7, 1, 7]),
+            (&[1, 2], &[1, 2]),
+            (&[1, 2, 1, 2, 1, 2], &[2, 1, 2, 1]),
+        ];
+        for (h, r) in cases {
+            for max_n in 0..=7 {
+                assert_matches_oracle(h, r, max_n);
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_matches_oracle_beyond_the_stack_scratch() {
+        // 300 distinct tokens: 300 + 299 + 298 + 297 distinct n-grams, far
+        // past the stack scratch, so the heap fallback does the counting.
+        let reference: Vec<u32> = (0..300).collect();
+        let hyp: Vec<u32> = (0..300).map(|i| (i * 7) % 311).collect();
+        assert_matches_oracle(&hyp, &reference, 4);
+        assert_matches_oracle(&reference, &reference, 4);
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
@@ -623,6 +852,41 @@ mod tests {
                     merged.merge(&part);
                 }
                 prop_assert_eq!(whole, merged);
+            }
+
+            #[test]
+            fn kernel_matches_oracle_u32(h in proptest::collection::vec(0u32..5, 0..14),
+                                         r in proptest::collection::vec(0u32..5, 0..14),
+                                         max_n in 1usize..7) {
+                assert_matches_oracle(&h, &r, max_n);
+            }
+
+            #[test]
+            fn kernel_matches_oracle_str(h in proptest::collection::vec(0usize..4, 0..14),
+                                         r in proptest::collection::vec(0usize..4, 0..14),
+                                         max_n in 1usize..7) {
+                const WORDS: [&str; 4] = ["the", "cat", "on", "mat"];
+                let h: Vec<&str> = h.into_iter().map(|i| WORDS[i]).collect();
+                let r: Vec<&str> = r.into_iter().map(|i| WORDS[i]).collect();
+                assert_matches_oracle(&h, &r, max_n);
+            }
+
+            #[test]
+            fn corpus_matches_oracle(hs in proptest::collection::vec(token_seq(16), 1..6),
+                                     rs in proptest::collection::vec(token_seq(16), 1..6)) {
+                let n = hs.len().min(rs.len());
+                let (hs, rs) = (&hs[..n], &rs[..n]);
+                for smoothing in SMOOTHINGS {
+                    let cfg = BleuConfig { max_n: 4, smoothing };
+                    let mut expected = BleuStats::new(4);
+                    for (h, r) in hs.iter().zip(rs) {
+                        oracle::update(&mut expected, h, r);
+                    }
+                    prop_assert_eq!(
+                        corpus_bleu(hs, rs, &cfg).to_bits(),
+                        oracle::score(&expected, smoothing).to_bits()
+                    );
+                }
             }
         }
     }

@@ -254,8 +254,9 @@ impl ModelBank for TrainedGraph {
 /// byte-identical across strategies and thread counts: the merge always
 /// walks models in participating order.
 pub(crate) enum DetectStrategy<'a> {
-    /// Crossbeam worker pool (`cfg.threads`, 0 = all CPUs), one private
-    /// [`InferArena`] per worker — the batch/offline path.
+    /// Worker pool (`cfg.threads`, 0 = all CPUs), one private
+    /// [`InferArena`] per worker, on the calling thread when that is one
+    /// worker — the batch/offline path.
     Parallel,
     /// The calling thread, decoding through the supplied arena — used by a
     /// serving worker that is already one of many and must not nest pools.
@@ -387,50 +388,19 @@ pub(crate) fn detect_with_bank<B: ModelBank + ?Sized>(
             .collect()
     };
 
-    // Per-model detection is embarrassingly parallel: workers pull model
-    // indices from an atomic counter and each fills its own slot with
-    // per-window broken flags. The merge below walks slots in
+    // Per-model detection is embarrassingly parallel: each model fills its
+    // own slot with per-window broken flags. The merge below walks slots in
     // `participating` order, so scores, alert order and coverage are
     // byte-identical to a serial run at any thread count.
-    let slots: Vec<Option<Vec<bool>>> = match strategy {
-        DetectStrategy::Serial(arena) => (0..participating.len())
-            .map(|w| Some(eval(w, arena)))
-            .collect(),
-        DetectStrategy::Parallel => {
-            let slots: Mutex<Vec<Option<Vec<bool>>>> = Mutex::new(vec![None; participating.len()]);
-            let next = AtomicUsize::new(0);
-            let threads = if cfg.threads == 0 {
-                std::thread::available_parallelism()
-                    .map(|p| p.get())
-                    .unwrap_or(1)
-            } else {
-                cfg.threads
-            };
-            crossbeam::scope(|scope| {
-                for _ in 0..threads.max(1) {
-                    scope.spawn(|_| {
-                        let mut arena = InferArena::new();
-                        loop {
-                            let w = next.fetch_add(1, Ordering::Relaxed);
-                            if w >= participating.len() {
-                                break;
-                            }
-                            let broken = eval(w, &mut arena);
-                            slots.lock()[w] = Some(broken);
-                        }
-                    });
-                }
-            })
-            .expect("detection worker panicked");
-            slots.into_inner()
-        }
+    let slots: Vec<Vec<bool>> = match strategy {
+        DetectStrategy::Serial(arena) => (0..participating.len()).map(|w| eval(w, arena)).collect(),
+        DetectStrategy::Parallel => run_pool(participating.len(), cfg.threads, eval),
     };
 
     let mut alerts: Vec<Vec<(usize, usize)>> = vec![Vec::new(); count];
     for (w, &k) in participating.iter().enumerate() {
         let m = bank.meta(k);
-        let broken = slots[w].as_ref().expect("worker filled every slot");
-        for (t, &b) in broken.iter().enumerate() {
+        for (t, &b) in slots[w].iter().enumerate() {
             if b {
                 alerts[t].push((m.src, m.dst));
             }
@@ -452,6 +422,52 @@ pub(crate) fn detect_with_bank<B: ModelBank + ?Sized>(
     })
 }
 
+/// Runs `eval(i, arena)` for every `i < items` and returns the results in
+/// index order. `threads` workers (0 = all CPUs, never more than `items`)
+/// pull indices from a shared counter, each with a private [`InferArena`];
+/// a single worker runs the loop on the calling thread instead of spawning
+/// one. `eval` is pure given `i`, so the schedule cannot change results.
+fn run_pool<T: Send>(
+    items: usize,
+    threads: usize,
+    eval: impl Fn(usize, &mut InferArena) -> T + Sync,
+) -> Vec<T> {
+    let threads = if threads == 0 {
+        std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(1)
+    } else {
+        threads
+    };
+    if threads.clamp(1, items.max(1)) == 1 {
+        let mut arena = InferArena::new();
+        return (0..items).map(|i| eval(i, &mut arena)).collect();
+    }
+    let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..items).map(|_| None).collect());
+    let next = AtomicUsize::new(0);
+    crossbeam::scope(|scope| {
+        for _ in 0..threads.min(items) {
+            scope.spawn(|_| {
+                let mut arena = InferArena::new();
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= items {
+                        break;
+                    }
+                    let out = eval(i, &mut arena);
+                    slots.lock()[i] = Some(out);
+                }
+            });
+        }
+    })
+    .expect("detection worker panicked");
+    slots
+        .into_inner()
+        .into_iter()
+        .map(|slot| slot.expect("worker filled every slot"))
+        .collect()
+}
+
 /// One detection request of a cross-session batch: aligned test sentence
 /// sets plus the graph node indices to exclude (dropped sensors).
 pub(crate) struct DetectJob<'a> {
@@ -460,6 +476,10 @@ pub(crate) struct DetectJob<'a> {
     /// Graph node indices excluded from the participating set.
     pub excluded_sensors: &'a [usize],
 }
+
+/// Per-model output of the batched pool: one `(job index, broken flags)`
+/// entry for every session that pulled the model.
+type ModelFlags = Vec<(usize, Vec<bool>)>;
 
 /// Runs Algorithm 2 over many jobs against one shared bank, batching decode
 /// work *across* jobs: every window that needs model `k` — no matter which
@@ -477,10 +497,6 @@ pub(crate) struct DetectJob<'a> {
 /// parity tests), and the per-job merge below walks models in the same
 /// participating order. Per-job validation errors (misaligned corpora, no
 /// valid models) land in that job's slot without poisoning the others.
-/// Per-model output of the batched pool: one `(job index, broken flags)`
-/// entry for every session that pulled the model.
-type ModelFlags = Vec<(usize, Vec<bool>)>;
-
 pub(crate) fn detect_many_with_bank<B: ModelBank + ?Sized>(
     bank: &B,
     jobs: &[DetectJob<'_>],
@@ -650,40 +666,18 @@ pub(crate) fn detect_many_with_bank<B: ModelBank + ?Sized>(
 
     // Model-parallel over distinct models, exactly like `detect_with_bank`'s
     // pool — but each pull now serves every session wanting that model.
-    let slots: Mutex<Vec<Option<ModelFlags>>> = Mutex::new(vec![None; work.len()]);
-    let next = AtomicUsize::new(0);
-    let threads = if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-    } else {
-        threads
-    };
-    crossbeam::scope(|scope| {
-        for _ in 0..threads.clamp(1, work.len().max(1)) {
-            scope.spawn(|_| {
-                let mut arena = InferArena::new();
-                loop {
-                    let w = next.fetch_add(1, Ordering::Relaxed);
-                    if w >= work.len() {
-                        break;
-                    }
-                    let (k, js) = &work[w];
-                    let flags = eval(*k, js, &mut arena);
-                    slots.lock()[w] = Some(flags);
-                }
-            });
-        }
-    })
-    .expect("detection worker panicked");
+    let slots: Vec<ModelFlags> = run_pool(work.len(), threads, |w, arena| {
+        let (k, js) = &work[w];
+        eval(*k, js, arena)
+    });
 
     // Scatter the per-(model, job) flags, then merge each job in its own
     // participating order — the same walk `detect_with_bank` does.
     let mut flags_by_job: Vec<BTreeMap<usize, Vec<bool>>> =
         jobs.iter().map(|_| BTreeMap::new()).collect();
-    for (w, slot) in slots.into_inner().into_iter().enumerate() {
+    for (w, slot) in slots.into_iter().enumerate() {
         let k = work[w].0;
-        for (j, flags) in slot.expect("worker filled every slot") {
+        for (j, flags) in slot {
             flags_by_job[j].insert(k, flags);
         }
     }
@@ -1025,5 +1019,18 @@ mod tests {
         assert_eq!(dark.valid_models, 0);
         assert!(dark.scores.iter().all(|&s| s == 0.0));
         assert!(dark.alerts.iter().all(Vec::is_empty));
+    }
+
+    #[test]
+    fn one_worker_pool_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        // One worker, or more workers than items: nothing to spawn.
+        for (items, threads) in [(5, 1), (1, 4)] {
+            let ran_on = run_pool(items, threads, |_, _| std::thread::current().id());
+            assert_eq!(ran_on, vec![caller; items]);
+        }
+        // Several workers still fill every slot in index order.
+        assert_eq!(run_pool(6, 3, |i, _| i * i), vec![0, 1, 4, 9, 16, 25]);
+        assert!(run_pool(0, 2, |i, _| i).is_empty());
     }
 }

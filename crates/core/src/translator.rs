@@ -18,6 +18,7 @@ use crate::error::CoreError;
 use mdes_nn::{Seq2Seq, Seq2SeqConfig};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// A trained sentence translator from one sensor language to another.
 pub trait Translator: Send {
@@ -191,6 +192,10 @@ impl Default for NgramConfig {
 /// For target position `p`, candidate scores combine `P(tgt | src_p, p)`
 /// (channel) and `P(tgt | prev_tgt)` (language model), both with additive
 /// smoothing; decoding is greedy left-to-right.
+///
+/// The serialized form is the count tables alone. Decoding runs on
+/// lookup tables derived from them on first use, so the artifact bytes
+/// do not depend on them and loading an artifact does not pay for them.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct NgramTranslator {
     cfg: NgramConfig,
@@ -207,10 +212,179 @@ pub struct NgramTranslator {
     /// Target bigram counts.
     bigram: HashMap<u32, HashMap<u32, u32>>,
     tgt_len: usize,
+    #[serde(skip)]
+    tables: OnceLock<DecodeTables>,
+}
+
+/// A run of `(word, log-score)` entries in one of [`DecodeTables`]' flat
+/// arrays.
+#[derive(Clone, Copy, Debug)]
+struct Span {
+    start: u32,
+    end: u32,
+}
+
+impl Span {
+    fn of<'a>(&self, entries: &'a [(u32, f64)]) -> &'a [(u32, f64)] {
+        &entries[self.start as usize..self.end as usize]
+    }
+}
+
+/// The channel counts of one source word at one position: its candidate
+/// beam and the counts' total.
+#[derive(Clone, Copy, Debug)]
+struct ChanRow {
+    src: u32,
+    beam: Span,
+    /// Sum of the counts (for `log_likelihood`).
+    total: f64,
+}
+
+/// The bigram counts following one previous word: every following word
+/// with its log-score, and the log-score of a word the counts lack.
+#[derive(Clone, Copy, Debug)]
+struct LmRow {
+    prev: u32,
+    next: Span,
+    miss: f64,
+}
+
+/// Lookup tables derived from an [`NgramTranslator`]'s counts, with every
+/// log-score greedy decoding needs computed once. Rows are sorted by key
+/// and entries within an LM row by word, so decoding binary-searches
+/// instead of hashing.
+#[derive(Clone, Debug)]
+struct DecodeTables {
+    /// Per channel position, one row per source word seen there; its beam
+    /// is in `channel_top` order, with channel scores.
+    chan: Vec<Vec<ChanRow>>,
+    /// Per target position, the positional-marginal fallback beam.
+    fallback: Vec<Span>,
+    /// Totals of the positional marginals (for `log_likelihood`).
+    marginal_total: Vec<f64>,
+    /// Beam entries: `(candidate, channel log-score)`.
+    beams: Vec<(u32, f64)>,
+    /// One row per previous target word.
+    lm: Vec<LmRow>,
+    /// LM entries: `(word, bigram log-score)`.
+    lm_entries: Vec<(u32, f64)>,
+    /// Log-score of any word when no count table applies.
+    unseen: f64,
+}
+
+impl DecodeTables {
+    fn build(t: &NgramTranslator) -> Self {
+        let alpha = t.cfg.alpha;
+        let total = |m: &HashMap<u32, u32>| m.values().map(|&c| c as f64).sum::<f64>();
+        // Score of a word counted `c` times in table `m` of total `n`.
+        let score = |m: &HashMap<u32, u32>, n: f64, c: u32| {
+            log_score(f64::from(c), n, m.len().max(1) as f64, alpha)
+        };
+        let unseen = log_score(0.0, 0.0, 1.0, alpha);
+        let mut beams = Vec::new();
+        let mut push_beam = |words: &[u32], entry: &dyn Fn(u32) -> f64| {
+            let start = beams.len() as u32;
+            beams.extend(words.iter().map(|&w| (w, entry(w))));
+            Span {
+                start,
+                end: beams.len() as u32,
+            }
+        };
+        let chan = t
+            .channel
+            .iter()
+            .zip(&t.channel_top)
+            .map(|(counts, tops)| {
+                let mut rows: Vec<ChanRow> = counts
+                    .iter()
+                    .map(|(&src, m)| {
+                        let n = total(m);
+                        let beam = tops.get(&src).map_or(&[][..], Vec::as_slice);
+                        ChanRow {
+                            src,
+                            beam: push_beam(beam, &|w| {
+                                score(m, n, m.get(&w).copied().unwrap_or(0))
+                            }),
+                            total: n,
+                        }
+                    })
+                    .collect();
+                rows.sort_unstable_by_key(|r| r.src);
+                rows
+            })
+            .collect();
+        let fallback = t
+            .marginal_top
+            .iter()
+            .map(|words| push_beam(words, &|_| unseen))
+            .collect();
+        let mut lm_entries = Vec::new();
+        let mut lm: Vec<LmRow> = t
+            .bigram
+            .iter()
+            .map(|(&prev, m)| {
+                let n = total(m);
+                let start = lm_entries.len() as u32;
+                lm_entries.extend(m.iter().map(|(&w, &c)| (w, score(m, n, c))));
+                lm_entries[start as usize..].sort_unstable_by_key(|e| e.0);
+                LmRow {
+                    prev,
+                    next: Span {
+                        start,
+                        end: lm_entries.len() as u32,
+                    },
+                    miss: score(m, n, 0),
+                }
+            })
+            .collect();
+        lm.sort_unstable_by_key(|r| r.prev);
+        Self {
+            chan,
+            fallback,
+            marginal_total: t.marginal.iter().map(total).collect(),
+            beams,
+            lm,
+            lm_entries,
+            unseen,
+        }
+    }
+
+    /// The channel row of source word `src` at channel position `q`.
+    fn chan_row(&self, q: usize, src: u32) -> Option<&ChanRow> {
+        let rows = self.chan.get(q)?;
+        rows.binary_search_by_key(&src, |r| r.src)
+            .ok()
+            .map(|i| &rows[i])
+    }
+
+    /// The bigram row following previous word `prev`.
+    fn lm_row(&self, prev: u32) -> Option<&LmRow> {
+        self.lm
+            .binary_search_by_key(&prev, |r| r.prev)
+            .ok()
+            .map(|i| &self.lm[i])
+    }
+
+    fn approx_bytes(&self) -> usize {
+        self.chan.iter().map(Vec::len).sum::<usize>() * std::mem::size_of::<ChanRow>()
+            + self.lm.len() * std::mem::size_of::<LmRow>()
+            + (self.beams.len() + self.lm_entries.len()) * std::mem::size_of::<(u32, f64)>()
+            + self.fallback.len() * std::mem::size_of::<Span>()
+            + self.marginal_total.len() * std::mem::size_of::<f64>()
+    }
+}
+
+/// Additively smoothed log-probability of a word seen `c` times in a table
+/// of `n` total counts over `v` distinct words.
+fn log_score(c: f64, n: f64, v: f64, alpha: f64) -> f64 {
+    ((c + alpha) / (n + alpha * v)).ln()
 }
 
 impl NgramTranslator {
     /// Fits the count tables on aligned sentence pairs.
+    ///
+    /// Position tables are sized by the longest target sentence; source
+    /// positions align to target positions by the first pair's lengths.
     ///
     /// # Panics
     ///
@@ -221,27 +395,22 @@ impl NgramTranslator {
             !pairs.is_empty(),
             "ngram translator needs at least one pair"
         );
-        let tgt_len = pairs[0].1.len();
-        let src_len = pairs[0].0.len();
-        let positions = tgt_len.min(src_len).max(tgt_len);
-        let mut channel: Vec<HashMap<u32, HashMap<u32, u32>>> = vec![HashMap::new(); positions];
+        let tgt_len = pairs.iter().map(|(_, t)| t.len()).max().unwrap_or(0);
+        let (src_len, first_tgt_len) = (pairs[0].0.len(), pairs[0].1.len());
+        let mut channel: Vec<HashMap<u32, HashMap<u32, u32>>> = vec![HashMap::new(); tgt_len];
         let mut marginal: Vec<HashMap<u32, u32>> = vec![HashMap::new(); tgt_len];
         let mut bigram: HashMap<u32, HashMap<u32, u32>> = HashMap::new();
         for (src, tgt) in pairs {
             let mut prev: Option<u32> = None;
             for (p, &t) in tgt.iter().enumerate() {
                 // Align by relative position when lengths differ.
-                let sp = if tgt_len == src_len {
+                let sp = if first_tgt_len == src_len {
                     p
                 } else {
-                    p * src_len / tgt_len.max(1)
+                    p * src_len / first_tgt_len.max(1)
                 };
                 if let Some(&s) = src.get(sp) {
-                    *channel[p.min(positions - 1)]
-                        .entry(s)
-                        .or_default()
-                        .entry(t)
-                        .or_insert(0) += 1;
+                    *channel[p].entry(s).or_default().entry(t).or_insert(0) += 1;
                 }
                 *marginal[p].entry(t).or_insert(0) += 1;
                 if let Some(pr) = prev {
@@ -270,7 +439,32 @@ impl NgramTranslator {
             channel_top,
             bigram,
             tgt_len,
+            tables: OnceLock::new(),
         }
+    }
+
+    /// The decode tables, derived from the counts on first use.
+    fn tables(&self) -> &DecodeTables {
+        self.tables.get_or_init(|| DecodeTables::build(self))
+    }
+
+    /// Target position `p` clamped to the trained positions.
+    fn position(&self, p: usize) -> usize {
+        p.min(self.tgt_len.saturating_sub(1))
+    }
+
+    /// Source position aligned to target position `p` of `out_len`.
+    fn source_position(src_len: usize, p: usize, out_len: usize) -> usize {
+        if src_len == 0 {
+            0
+        } else {
+            (p * src_len / out_len.max(1)).min(src_len - 1)
+        }
+    }
+
+    /// Channel position of target position `mp` (`None` without channels).
+    fn channel_position(&self, mp: usize) -> Option<usize> {
+        Some(mp.min(self.channel.len().checked_sub(1)?))
     }
 
     /// Mean per-word natural-log likelihood of `tgt` given `src` under the
@@ -294,29 +488,24 @@ impl NgramTranslator {
         let v = tgt_vocab as f64;
         let mut total = 0.0;
         for (p, &t) in tgt.iter().enumerate() {
-            let mp = p.min(self.tgt_len.saturating_sub(1));
-            let sp = if src.is_empty() {
-                0
-            } else {
-                (p * src.len() / tgt.len().max(1)).min(src.len() - 1)
-            };
-            let counts = src
-                .get(sp)
-                .and_then(|sw| {
-                    self.channel
-                        .get(mp.min(self.channel.len().checked_sub(1)?))?
-                        .get(sw)
-                })
-                .filter(|m| !m.is_empty())
-                .or_else(|| self.marginal.get(mp));
+            let mp = self.position(p);
+            let sp = Self::source_position(src.len(), p, tgt.len());
+            let chan = src.get(sp).and_then(|&sw| {
+                let q = self.channel_position(mp)?;
+                let counts = self.channel[q].get(&sw).filter(|m| !m.is_empty())?;
+                Some((counts, self.tables().chan_row(q, sw)?.total))
+            });
+            let counts = chan.or_else(|| {
+                Some((
+                    self.marginal.get(mp)?,
+                    *self.tables().marginal_total.get(mp)?,
+                ))
+            });
             let (c, n) = match counts {
-                Some(m) => (
-                    *m.get(&t).unwrap_or(&0) as f64,
-                    m.values().map(|&c| c as f64).sum::<f64>(),
-                ),
+                Some((m, n)) => (*m.get(&t).unwrap_or(&0) as f64, n),
                 None => (0.0, 0.0),
             };
-            total += ((c + self.cfg.alpha) / (n + self.cfg.alpha * v)).ln();
+            total += log_score(c, n, v, self.cfg.alpha);
         }
         total / tgt.len() as f64
     }
@@ -339,9 +528,9 @@ impl NgramTranslator {
         100.0 * mean_ll.exp()
     }
 
-    /// Approximate heap footprint of the count tables in bytes (entry
-    /// counts times entry sizes; map overhead ignored). Used by the serving
-    /// layer to report shared-snapshot memory.
+    /// Approximate heap footprint of the count and decode tables in bytes
+    /// (entry counts times entry sizes; map overhead ignored). Used by the
+    /// serving layer to report shared-snapshot memory.
     pub fn approx_bytes(&self) -> usize {
         let pair = std::mem::size_of::<(u32, u32)>();
         let chan: usize = self
@@ -360,60 +549,48 @@ impl NgramTranslator {
                 .sum::<usize>())
             * std::mem::size_of::<u32>();
         let bigr: usize = self.bigram.values().map(|m| m.len() * pair).sum();
-        chan + marg + tops + bigr
-    }
-
-    fn score(&self, counts: Option<&HashMap<u32, u32>>, word: u32) -> f64 {
-        let (c, n, v) = match counts {
-            Some(m) => (
-                *m.get(&word).unwrap_or(&0) as f64,
-                m.values().map(|&c| c as f64).sum::<f64>(),
-                m.len().max(1) as f64,
-            ),
-            None => (0.0, 0.0, 1.0),
-        };
-        ((c + self.cfg.alpha) / (n + self.cfg.alpha * v)).ln()
+        chan + marg + tops + bigr + self.tables().approx_bytes()
     }
 }
 
 impl Translator for NgramTranslator {
     fn translate(&self, src: &[u32], out_len: usize) -> Vec<u32> {
+        let tables = self.tables();
+        let lm_weight = self.cfg.lm_weight;
         let mut out = Vec::with_capacity(out_len);
         let mut prev: Option<u32> = None;
         for p in 0..out_len {
-            let mp = p.min(self.tgt_len.saturating_sub(1));
-            let sp = if src.is_empty() {
-                0
-            } else {
-                (p * src.len() / out_len.max(1)).min(src.len() - 1)
-            };
-            let chan = src.get(sp).and_then(|s| {
-                self.channel
-                    .get(mp.min(self.channel.len().checked_sub(1)?))?
-                    .get(s)
-            });
-            // Candidates: precomputed channel beam if the source word was
-            // seen at this position, else the positional-marginal beam. The
-            // beams have a deterministic order (count-desc, then id), so
+            let mp = self.position(p);
+            // Candidates: the channel beam if the source word was seen at
+            // this position, else the positional-marginal beam. The beams
+            // have a deterministic order (count-desc, then id), so
             // tie-breaking does not depend on hash iteration order.
-            let chan_candidates = src.get(sp).and_then(|s| {
-                self.channel_top
-                    .get(mp.min(self.channel_top.len().checked_sub(1)?))?
-                    .get(s)
-            });
-            let candidates: &[u32] = match chan_candidates {
-                Some(c) if !c.is_empty() => c,
-                _ => self.marginal_top.get(mp).map(Vec::as_slice).unwrap_or(&[]),
+            let chan = src
+                .get(Self::source_position(src.len(), p, out_len))
+                .and_then(|&s| tables.chan_row(self.channel_position(mp)?, s));
+            let candidates = match (
+                chan.map(|r| r.beam.of(&tables.beams)),
+                tables.fallback.get(mp),
+            ) {
+                (Some(beam), _) if !beam.is_empty() => beam,
+                (_, Some(span)) => span.of(&tables.beams),
+                _ => &[],
             };
-            if candidates.is_empty() {
+            let Some(&first) = candidates.first() else {
                 out.push(0);
                 prev = Some(0);
                 continue;
-            }
-            let lm_counts = prev.and_then(|pr| self.bigram.get(&pr));
-            let mut best = (candidates[0], f64::NEG_INFINITY);
-            for &cand in candidates {
-                let s = self.score(chan, cand) + self.cfg.lm_weight * self.score(lm_counts, cand);
+            };
+            let (lm_next, lm_miss) = match prev.and_then(|pr| tables.lm_row(pr)) {
+                Some(row) => (row.next.of(&tables.lm_entries), row.miss),
+                None => (&[][..], tables.unseen),
+            };
+            let mut best = (first.0, f64::NEG_INFINITY);
+            for &(cand, chan_score) in candidates {
+                let lm_score = lm_next
+                    .binary_search_by_key(&cand, |e| e.0)
+                    .map_or(lm_miss, |i| lm_next[i].1);
+                let s = chan_score + lm_weight * lm_score;
                 if s > best.1 {
                     best = (cand, s);
                 }
@@ -581,5 +758,176 @@ mod tests {
         let t = NgramTranslator::fit(&pairs, &NgramConfig::default());
         let out = t.translate(&[3; 6], 6);
         assert_eq!(out, vec![7, 8, 7, 8, 7, 8]);
+    }
+
+    /// Greedy decoding straight from the count maps, re-summing every
+    /// table per candidate: the paper-literal scoring loop the decode
+    /// tables must reproduce word for word.
+    fn translate_oracle(t: &NgramTranslator, src: &[u32], out_len: usize) -> Vec<u32> {
+        let score = |counts: Option<&HashMap<u32, u32>>, word: u32| -> f64 {
+            let (c, n, v) = match counts {
+                Some(m) => (
+                    *m.get(&word).unwrap_or(&0) as f64,
+                    m.values().map(|&c| c as f64).sum::<f64>(),
+                    m.len().max(1) as f64,
+                ),
+                None => (0.0, 0.0, 1.0),
+            };
+            ((c + t.cfg.alpha) / (n + t.cfg.alpha * v)).ln()
+        };
+        let mut out = Vec::with_capacity(out_len);
+        let mut prev: Option<u32> = None;
+        for p in 0..out_len {
+            let mp = p.min(t.tgt_len.saturating_sub(1));
+            let sp = if src.is_empty() {
+                0
+            } else {
+                (p * src.len() / out_len.max(1)).min(src.len() - 1)
+            };
+            let chan = src.get(sp).and_then(|s| {
+                t.channel
+                    .get(mp.min(t.channel.len().checked_sub(1)?))?
+                    .get(s)
+            });
+            let chan_candidates = src.get(sp).and_then(|s| {
+                t.channel_top
+                    .get(mp.min(t.channel_top.len().checked_sub(1)?))?
+                    .get(s)
+            });
+            let candidates: &[u32] = match chan_candidates {
+                Some(c) if !c.is_empty() => c,
+                _ => t.marginal_top.get(mp).map(Vec::as_slice).unwrap_or(&[]),
+            };
+            if candidates.is_empty() {
+                out.push(0);
+                prev = Some(0);
+                continue;
+            }
+            let lm_counts = prev.and_then(|pr| t.bigram.get(&pr));
+            let mut best = (candidates[0], f64::NEG_INFINITY);
+            for &cand in candidates {
+                let s = score(chan, cand) + t.cfg.lm_weight * score(lm_counts, cand);
+                if s > best.1 {
+                    best = (cand, s);
+                }
+            }
+            out.push(best.0);
+            prev = Some(best.0);
+        }
+        out
+    }
+
+    /// `n` aligned pairs of the given lengths, drawn cyclically from `words`
+    /// (targets offset by 100 so the two vocabularies differ).
+    fn corpus(
+        words: &[u32],
+        n: usize,
+        src_len: usize,
+        tgt_len: usize,
+    ) -> Vec<(Vec<u32>, Vec<u32>)> {
+        let mut it = words.iter().copied().cycle();
+        (0..n)
+            .map(|_| {
+                let src = it.by_ref().take(src_len).collect();
+                let tgt = it.by_ref().take(tgt_len).map(|w| w + 100).collect();
+                (src, tgt)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn ngram_fit_sizes_tables_from_the_longest_target() {
+        // A later pair longer than the first used to index past the
+        // position tables sized from the first pair.
+        let pairs = vec![
+            (vec![2u32, 3, 4], vec![102u32, 103, 104]),
+            (vec![2u32, 3, 4, 5], vec![102u32, 103, 104, 105]),
+        ];
+        let t = train_translator(&TranslatorConfig::fast(), &pairs, 8, 108, 1).expect("train");
+        let AnyTranslator::Ngram(ngram) = &t else {
+            panic!("fast config trains an n-gram translator");
+        };
+        assert_eq!(ngram.tgt_len, 4);
+        assert_eq!(
+            t.translate(&[2, 3, 4, 5], 4),
+            translate_oracle(ngram, &[2, 3, 4, 5], 4)
+        );
+        assert_eq!(t.translate(&[2, 3, 4, 5], 4)[3], 105);
+    }
+
+    #[test]
+    fn ngram_serde_round_trip_decodes_identically() {
+        let words: Vec<u32> = (0..97u32).map(|i| (i * 7 + i / 3) % 9).collect();
+        let t = NgramTranslator::fit(&corpus(&words, 40, 6, 6), &NgramConfig::default());
+        let json = serde_json::to_string(&t).expect("serialize");
+        assert!(
+            !json.contains("tables"),
+            "derived tables leaked into the artifact"
+        );
+        let back: NgramTranslator = serde_json::from_str(&json).expect("deserialize");
+        assert_eq!(serde_json::to_string(&back).expect("re-serialize"), json);
+        for (k, src) in corpus(&words, 12, 6, 0).iter().map(|(s, _)| s).enumerate() {
+            for out_len in [1, 6, 9] {
+                let want = t.translate(src, out_len);
+                assert_eq!(
+                    back.translate(src, out_len),
+                    want,
+                    "sentence {k} len {out_len}"
+                );
+                assert_eq!(translate_oracle(&back, src, out_len), want);
+            }
+        }
+        assert_eq!(back.approx_bytes(), t.approx_bytes());
+        let held_out = corpus(&words[5..], 8, 6, 6);
+        let pairs: Vec<(&[u32], &[u32])> = held_out
+            .iter()
+            .map(|(s, g)| (s.as_slice(), g.as_slice()))
+            .collect();
+        assert_eq!(
+            back.likelihood_score(&pairs, 120).to_bits(),
+            t.likelihood_score(&pairs, 120).to_bits()
+        );
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #[test]
+            fn decode_tables_match_the_scoring_loop(
+                words in proptest::collection::vec(0u32..7, 1..60),
+                n in 1usize..25,
+                src_len in 1usize..8,
+                tgt_len in 1usize..8,
+                beam in 1usize..5,
+                lm_weight in 0.0..1.5f64,
+                query in proptest::collection::vec(0u32..10, 0..10),
+                out_len in 0usize..12,
+            ) {
+                let cfg = NgramConfig { alpha: 0.1, lm_weight, fallback_beam: beam };
+                let t = NgramTranslator::fit(&corpus(&words, n, src_len, tgt_len), &cfg);
+                // Words 7..10 never occur in the corpus: unseen sources.
+                prop_assert_eq!(t.translate(&query, out_len), translate_oracle(&t, &query, out_len));
+            }
+
+            #[test]
+            fn ragged_corpora_decode_like_the_scoring_loop(
+                words in proptest::collection::vec(0u32..5, 1..40),
+                lens in proptest::collection::vec((0usize..6, 0usize..6), 1..12),
+                query in proptest::collection::vec(0u32..6, 0..8),
+                out_len in 0usize..9,
+            ) {
+                let mut it = words.iter().copied().cycle();
+                let pairs: Vec<(Vec<u32>, Vec<u32>)> = lens
+                    .iter()
+                    .map(|&(s, g)| {
+                        (it.by_ref().take(s).collect(), it.by_ref().take(g).map(|w| w + 100).collect())
+                    })
+                    .collect();
+                let t = NgramTranslator::fit(&pairs, &NgramConfig::default());
+                prop_assert_eq!(t.translate(&query, out_len), translate_oracle(&t, &query, out_len));
+            }
+        }
     }
 }

@@ -11,11 +11,14 @@
 //! the fitted instance must agree too (for NMT that exercises every decoder
 //! weight of every pair model).
 
-use mdes::core::{detect, detect_excluding, Mdes, MdesConfig, TranslatorConfig};
+use mdes::core::{
+    detect, detect_excluding, snapshot_from_bytes, snapshot_to_bytes, GraphSnapshot, Mdes,
+    MdesConfig, TranslatorConfig,
+};
 use mdes::graph::ScoreRange;
 use mdes::lang::WindowConfig;
 use mdes::nn::Seq2SeqConfig;
-use mdes::synth::plant::{generate, PlantConfig};
+use mdes::synth::plant::{generate, PlantConfig, PlantData};
 
 struct FitOutput {
     /// The serialized multivariate relationship graph.
@@ -27,7 +30,7 @@ struct FitOutput {
 }
 
 /// Fits the same plant with the given thread count.
-fn fit_plant(threads: usize, translator: TranslatorConfig) -> FitOutput {
+fn fit_mdes(threads: usize, translator: TranslatorConfig) -> (Mdes, PlantData) {
     let plant = generate(&PlantConfig {
         n_sensors: 6,
         days: 8,
@@ -56,6 +59,11 @@ fn fit_plant(threads: usize, translator: TranslatorConfig) -> FitOutput {
         cfg,
     )
     .expect("fit");
+    (m, plant)
+}
+
+fn fit_plant(threads: usize, translator: TranslatorConfig) -> FitOutput {
+    let (m, plant) = fit_mdes(threads, translator);
     FitOutput {
         graph_json: serde_json::to_string(m.graph()).expect("serialize"),
         models: m
@@ -69,6 +77,51 @@ fn fit_plant(threads: usize, translator: TranslatorConfig) -> FitOutput {
             .expect("detect")
             .scores,
     }
+}
+
+/// 64-bit FNV-1a, a dependency-free digest for pinning bytes.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Pins the MDSN bytes of a small n-gram plant snapshot, and the anomaly
+/// scores and alerts it produces, to digests recorded before the n-gram
+/// translator gained derived decode tables and BLEU its trie kernel. The
+/// snapshot bytes carry every pair's dev corpus BLEU (Algorithm 1), so the
+/// first digest also pins corpus scoring; the tables are rebuilt on load and
+/// must never reach the artifact. The second pins Algorithm 2's decode and
+/// sentence BLEU, through the restored snapshot.
+#[test]
+fn ngram_snapshot_bytes_and_scores_are_pinned() {
+    let (m, plant) = fit_mdes(1, TranslatorConfig::fast());
+    let bytes = snapshot_to_bytes(&GraphSnapshot::freeze(&m)).expect("encode");
+    let restored = snapshot_from_bytes(&bytes).expect("decode");
+    assert_eq!(snapshot_to_bytes(&restored).expect("re-encode"), bytes);
+    let sets = m
+        .language()
+        .encode_segment(&plant.traces, plant.day_range(7))
+        .expect("encode");
+    let result = restored.detect_excluding(&sets, &[]).expect("detect");
+    assert_eq!(
+        result,
+        m.detect_range(&plant.traces, plant.day_range(7))
+            .expect("detect")
+    );
+    let mut score_bytes = Vec::new();
+    for (score, alerts) in result.scores.iter().zip(&result.alerts) {
+        score_bytes.extend_from_slice(&score.to_bits().to_le_bytes());
+        for &(src, dst) in alerts {
+            score_bytes.extend_from_slice(&(src as u64).to_le_bytes());
+            score_bytes.extend_from_slice(&(dst as u64).to_le_bytes());
+        }
+    }
+    assert_eq!((bytes.len(), fnv1a(&bytes)), (62134, 0xce00_4e10_a181_86b0));
+    assert_eq!(
+        (result.scores.len(), fnv1a(&score_bytes)),
+        (47, 0x9531_6a39_5802_9dda)
+    );
 }
 
 #[test]
