@@ -31,7 +31,7 @@
 //! module. Because each pair trains deterministically in isolation, a
 //! resumed sweep produces a graph identical to an uninterrupted one.
 
-use crate::checkpoint::{read_checkpoint, write_checkpoint, CheckpointConfig, CheckpointData};
+use crate::checkpoint::{self, CheckpointConfig, CheckpointWriter};
 use crate::error::CoreError;
 use crate::translator::{train_translator, AnyTranslator, Translator, TranslatorConfig};
 use mdes_bleu::{corpus_bleu, BleuConfig};
@@ -43,7 +43,6 @@ use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -408,46 +407,43 @@ pub(crate) fn sweep_pairs(
     sweep_span.field("pairs", total);
     let mut resumed = 0;
 
-    // Resume: prefill slots from a valid checkpoint at the configured path.
-    if let Some(ck) = &cfg.checkpoint {
-        let path = Path::new(&ck.path);
-        if path.exists() {
-            let data = read_checkpoint(path)?;
-            if data.fingerprint != fingerprint {
-                return Err(CoreError::Checkpoint {
-                    path: ck.path.clone(),
-                    detail: format!(
-                        "fingerprint mismatch: found {:#018x}, this sweep is {:#018x} \
-                         (checkpoint belongs to a different sweep; delete it to start over)",
-                        data.fingerprint, fingerprint
-                    ),
-                });
-            }
-            let index: HashMap<(usize, usize), usize> =
-                pairs.iter().enumerate().map(|(k, &p)| (p, k)).collect();
-            let mut slots = results.lock();
-            for m in data.models {
-                if let Some(&k) = index.get(&(m.src, m.dst)) {
-                    slots[k] = Some(PairOutcome::Model(Box::new(m)));
+    // Open (or create) the checkpoint before any pair trains, so a path
+    // that cannot be written fails the sweep up front; an existing file is
+    // resumed from and appended to.
+    let checkpoint = match &cfg.checkpoint {
+        Some(ck) => {
+            let (writer, data) = CheckpointWriter::open(ck, fingerprint)?;
+            let mut persisted = vec![false; total];
+            if let Some(data) = data {
+                let index: HashMap<(usize, usize), usize> =
+                    pairs.iter().enumerate().map(|(k, &p)| (p, k)).collect();
+                let mut slots = results.lock();
+                let outcomes = data
+                    .models
+                    .into_iter()
+                    .map(|m| ((m.src, m.dst), PairOutcome::Model(Box::new(m))))
+                    .chain(
+                        data.quarantined
+                            .into_iter()
+                            .map(|q| ((q.src, q.dst), PairOutcome::Quarantined(q))),
+                    );
+                for (pair, outcome) in outcomes {
+                    if let Some(&k) = index.get(&pair) {
+                        slots[k] = Some(outcome);
+                        persisted[k] = true;
+                    }
                 }
+                resumed = slots.iter().filter(|s| s.is_some()).count();
+                sweep_span.field("resumed", resumed);
+                mdes_obs::counter("algo1.pairs_resumed", resumed as u64);
             }
-            for q in data.quarantined {
-                if let Some(&k) = index.get(&(q.src, q.dst)) {
-                    slots[k] = Some(PairOutcome::Quarantined(q));
-                }
-            }
-            resumed = slots.iter().filter(|s| s.is_some()).count();
-            sweep_span.field("resumed", resumed);
-            mdes_obs::counter("algo1.pairs_resumed", resumed as u64);
+            Some(Mutex::new((writer, persisted)))
         }
-    }
+        None => None,
+    };
 
     let next = AtomicUsize::new(0);
     let failure: Mutex<Option<CoreError>> = Mutex::new(None);
-    // Serializes checkpoint file writes; snapshots are taken under the
-    // results lock, so writers racing on the same tmp path is the only
-    // hazard left.
-    let ckpt_io = Mutex::new(());
 
     let threads = if cfg.threads == 0 {
         std::thread::available_parallelism()
@@ -544,18 +540,25 @@ pub(crate) fn sweep_pairs(
                         }
                     }
                 };
-                let mut slots = results.lock();
-                slots[k] = Some(outcome);
-                if let Some(ck) = &cfg.checkpoint {
-                    let done = slots.iter().filter(|s| s.is_some()).count();
-                    if done % ck.every.max(1) == 0 {
-                        let snap = snapshot(&slots, fingerprint);
-                        drop(slots);
-                        // Periodic persistence is best-effort: an I/O hiccup
-                        // here must not kill an otherwise healthy sweep.
-                        let _io = ckpt_io.lock();
-                        let _ = write_checkpoint(Path::new(&ck.path), &snap);
+                // Each finished pair is encoded once, here, and appended;
+                // the writer syncs every `every` frames, best-effort.
+                let _ckpt_span = checkpoint
+                    .as_ref()
+                    .map(|_| mdes_obs::span("checkpoint.write"));
+                let frame = checkpoint.as_ref().map(|_| outcome_frame(&outcome));
+                results.lock()[k] = Some(outcome);
+                match (&checkpoint, frame) {
+                    (Some(ck), Some(Ok(frame))) => {
+                        let mut ck = ck.lock();
+                        ck.0.append(&frame);
+                        ck.1[k] = true;
                     }
+                    // Left unpersisted; the final flush retries the encode.
+                    (_, Some(Err(e))) => mdes_obs::event(
+                        "checkpoint.write_failed",
+                        &[("src", i.into()), ("dst", j.into()), ("error", e.into())],
+                    ),
+                    _ => {}
                 }
             });
         }
@@ -599,12 +602,24 @@ pub(crate) fn sweep_pairs(
         }
     }
 
-    if let Some(ck) = &cfg.checkpoint {
-        // Final write so the checkpoint reflects the completed sweep; unlike
-        // periodic writes this failure is surfaced — the caller asked for a
-        // durable artifact and silently lacking one defeats the point.
-        let snap = snapshot(&slots, fingerprint);
-        write_checkpoint(Path::new(&ck.path), &snap)?;
+    if let (Some(ck), Some(ck_cfg)) = (checkpoint, &cfg.checkpoint) {
+        // Final flush so the checkpoint holds the completed sweep: pairs
+        // whose periodic append never happened (a failed encode, a lost
+        // worker's quarantine) are appended now. Unlike periodic writes,
+        // failure here is surfaced — the caller asked for a durable
+        // artifact and silently lacking one defeats the point.
+        let _span = mdes_obs::span("checkpoint.write");
+        let (mut writer, persisted) = ck.into_inner();
+        for (slot, done) in slots.iter().zip(persisted) {
+            if let (Some(outcome), false) = (slot, done) {
+                let frame = outcome_frame(outcome).map_err(|detail| CoreError::Checkpoint {
+                    path: ck_cfg.path.clone(),
+                    detail,
+                })?;
+                writer.append(&frame);
+            }
+        }
+        writer.finish()?;
     }
     let trained = slots
         .iter()
@@ -660,20 +675,11 @@ pub(crate) fn assemble_graph(
     })
 }
 
-/// Clones the completed slots into checkpointable form, in slot order.
-fn snapshot(slots: &[Option<PairOutcome>], fingerprint: u64) -> CheckpointData {
-    let mut models = Vec::new();
-    let mut quarantined = Vec::new();
-    for outcome in slots.iter().flatten() {
-        match outcome {
-            PairOutcome::Model(m) => models.push((**m).clone()),
-            PairOutcome::Quarantined(q) => quarantined.push(q.clone()),
-        }
-    }
-    CheckpointData {
-        fingerprint,
-        models,
-        quarantined,
+/// Encodes one sweep outcome as an MDCK frame.
+fn outcome_frame(outcome: &PairOutcome) -> Result<Vec<u8>, String> {
+    match outcome {
+        PairOutcome::Model(m) => checkpoint::model_frame(m),
+        PairOutcome::Quarantined(q) => checkpoint::quarantined_frame(q),
     }
 }
 
@@ -1208,7 +1214,7 @@ mod tests {
             ..GraphBuildConfig::default()
         };
         assert!(build_graph(&p, &train, &dev, &interrupted).is_err());
-        let partial = read_checkpoint(&path).expect("partial checkpoint");
+        let partial = crate::checkpoint::read_checkpoint(&path).expect("partial checkpoint");
         assert!(!partial.models.is_empty() && partial.models.len() < 6);
 
         // Resume without the chaos hook: only the missing pairs train.
@@ -1232,9 +1238,9 @@ mod tests {
     fn mismatched_checkpoint_is_rejected() {
         let (p, train, dev, _) = setup();
         let path = ckpt_path("mismatch");
-        write_checkpoint(
+        crate::checkpoint::write_checkpoint(
             &path,
-            &CheckpointData {
+            &crate::checkpoint::CheckpointData {
                 fingerprint: 0x1234,
                 models: Vec::new(),
                 quarantined: Vec::new(),
@@ -1255,5 +1261,30 @@ mod tests {
             other => panic!("expected Checkpoint error, got {other:?}"),
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn unwritable_checkpoint_fails_before_any_pair_trains() {
+        let (p, train, dev, _) = setup();
+        let path = std::env::temp_dir()
+            .join(format!("mdes_sweep_no_such_dir_{}", std::process::id()))
+            .join("sweep.mdck");
+        let cfg = GraphBuildConfig {
+            threads: 1,
+            checkpoint: Some(CheckpointConfig {
+                path: path.display().to_string(),
+                every: 1,
+            }),
+            // Had any worker started, this would end the sweep with
+            // `WorkerLost` instead.
+            chaos_lose_worker_pairs: vec![(0, 1)],
+            ..GraphBuildConfig::default()
+        };
+        match build_graph(&p, &train, &dev, &cfg) {
+            Err(CoreError::Checkpoint { detail, .. }) => {
+                assert!(detail.contains("create tmp failed"), "{detail}");
+            }
+            other => panic!("expected an up-front Checkpoint error, got {other:?}"),
+        }
     }
 }

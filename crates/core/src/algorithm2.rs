@@ -186,8 +186,8 @@ pub(crate) struct PairMeta {
 }
 
 /// A source of pair models for Algorithm 2 — the single detection entry
-/// point's view of either a training-side [`TrainedGraph`] (tape-backed
-/// translators with per-model caches) or a frozen
+/// point's view of either a training-side [`TrainedGraph`] (frozen
+/// translators, each decoding through its own arena) or a frozen
 /// [`GraphSnapshot`](crate::serve::GraphSnapshot) (spec-only translators
 /// decoded through a caller-supplied [`InferArena`]).
 pub(crate) trait ModelBank: Sync {

@@ -2,9 +2,10 @@
 //! sessions.
 //!
 //! Training state and serving state are different things. A fitted [`Mdes`]
-//! carries everything Algorithm 1 needed — autodiff tapes, optimizer
-//! moments, per-model inference caches — while the online phase only ever
-//! *decodes*. This module splits the two:
+//! keeps what Algorithm 1 produced — per-pair frozen weights with a private
+//! decode arena each, plus the training-side bookkeeping — while the online
+//! phase only ever *decodes*, many streams at a time. This module splits
+//! the two:
 //!
 //! * [`GraphSnapshot`] — an immutable, serializable serving artifact frozen
 //!   from a fitted model: packed weights ([`mdes_nn::ModelSpec`]) per pair,
@@ -48,10 +49,12 @@ use std::sync::Arc;
 /// A frozen neural pair translator: just the packed weights, decoded through
 /// a caller-supplied [`InferArena`].
 ///
-/// Replicates [`NmtTranslator`](crate::translator::NmtTranslator) semantics
-/// exactly, including the deterministic degenerate translation (`vec![0]`)
-/// on malformed input, so frozen detection scores are bit-identical to the
-/// training-side path.
+/// This is also what a trained
+/// [`NmtTranslator`](crate::translator::NmtTranslator) decodes through, so
+/// frozen detection scores are bit-identical to the training-side path;
+/// malformed input (empty, ragged or out-of-vocabulary sentences) degrades
+/// to the deterministic translation `vec![0; out_len]`, as the live
+/// `Seq2Seq` does.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct FrozenNmt {
     spec: ModelSpec,
@@ -111,8 +114,7 @@ impl FrozenNmt {
     }
 
     /// Translates a batch; a malformed batch falls back to the per-sentence
-    /// path, sentence by sentence, exactly like
-    /// [`NmtTranslator::translate_batch`](crate::translator::NmtTranslator).
+    /// path, sentence by sentence.
     pub fn translate_batch(
         &self,
         srcs: &[&[u32]],
@@ -150,7 +152,7 @@ impl FrozenTranslator {
     pub fn freeze(translator: &AnyTranslator) -> Self {
         match translator {
             AnyTranslator::Ngram(t) => FrozenTranslator::Ngram(t.clone()),
-            AnyTranslator::Nmt(t) => FrozenTranslator::Nmt(FrozenNmt::new(t.model().freeze())),
+            AnyTranslator::Nmt(t) => FrozenTranslator::Nmt(t.frozen().clone()),
         }
     }
 
@@ -2562,7 +2564,7 @@ mod tests {
 
             /// Grafting any subset of refits (possibly none) yields an
             /// artifact whose valid index matches a recomputation from the
-            /// merged model table, and which round-trips MDSN v2 byte-
+            /// merged model table, and which round-trips MDSN byte-
             /// identically. The zero-subset graft equals the source.
             #[test]
             fn graft_revalidates_and_round_trips(

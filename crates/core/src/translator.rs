@@ -15,10 +15,11 @@
 //!   NMT scores.
 
 use crate::error::CoreError;
-use mdes_nn::{Seq2Seq, Seq2SeqConfig};
+use crate::serve::FrozenNmt;
+use mdes_nn::{InferArena, ModelSpec, Seq2Seq, Seq2SeqConfig};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
 /// A trained sentence translator from one sensor language to another.
 pub trait Translator: Send {
@@ -59,6 +60,10 @@ impl TranslatorConfig {
 }
 
 /// A trained translator of either family, serializable for persistence.
+// As with `FrozenTranslator`: both variants are fixed headers over
+// heap-owned tables and weights, one per pair model; boxing the neural one
+// would add an indirection on every decode to save a few hundred bytes.
+#[allow(clippy::large_enum_variant)]
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub enum AnyTranslator {
     /// Statistical position-aligned model.
@@ -115,51 +120,62 @@ pub fn train_translator(
                 .collect();
             let mut model = Seq2Seq::new(src_vocab, tgt_vocab, bos as usize, c.clone());
             model.fit(&usize_pairs)?;
-            Ok(AnyTranslator::Nmt(NmtTranslator { model }))
+            // The trained pair is its weights: the tape, gradients and Adam
+            // moments go with `model` here.
+            Ok(AnyTranslator::Nmt(NmtTranslator::new(model.freeze())))
         }
     }
 }
 
-/// Neural translator wrapping [`Seq2Seq`].
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// Neural translator: the frozen weights of a trained [`Seq2Seq`], decoded
+/// through a private inference arena.
+///
+/// Decoding runs exactly the path [`Seq2Seq::translate_batch`] takes — the
+/// tape-free engine over [`Seq2Seq::freeze`]d weights — so dev BLEU and
+/// detection scores are bit-identical to decoding the live model.
+#[derive(Debug, Serialize, Deserialize)]
 pub struct NmtTranslator {
-    model: Seq2Seq,
+    frozen: FrozenNmt,
+    /// Decode scratch, rebuilt empty on clone or deserialization.
+    #[serde(skip)]
+    arena: Mutex<InferArena>,
 }
 
 impl NmtTranslator {
-    /// The wrapped model.
-    pub fn model(&self) -> &Seq2Seq {
-        &self.model
+    fn new(spec: ModelSpec) -> Self {
+        Self {
+            frozen: FrozenNmt::new(spec),
+            arena: Mutex::default(),
+        }
+    }
+
+    /// The frozen weights, for freezing into a serving artifact.
+    pub(crate) fn frozen(&self) -> &FrozenNmt {
+        &self.frozen
     }
 }
 
+impl Clone for NmtTranslator {
+    fn clone(&self) -> Self {
+        Self {
+            frozen: self.frozen.clone(),
+            arena: Mutex::default(),
+        }
+    }
+}
+
+// A panic mid-decode cannot leave the arena invalid: every decode reshapes
+// the scratch buffers it uses before reading them, so a poisoned lock is
+// recovered.
 impl Translator for NmtTranslator {
     fn translate(&self, src: &[u32], out_len: usize) -> Vec<u32> {
-        let src: Vec<usize> = src.iter().map(|&w| w as usize).collect();
-        match self.model.translate(&src, out_len) {
-            Ok(out) => out.into_iter().map(|w| w as u32).collect(),
-            // Inference errors only arise from malformed input (empty/ragged
-            // sentences); surface a deterministic degenerate translation.
-            Err(_) => vec![0; out_len],
-        }
+        let mut arena = self.arena.lock().unwrap_or_else(|e| e.into_inner());
+        self.frozen.translate(src, out_len, &mut arena)
     }
 
     fn translate_batch(&self, srcs: &[&[u32]], out_len: usize) -> Vec<Vec<u32>> {
-        let usize_srcs: Vec<Vec<usize>> = srcs
-            .iter()
-            .map(|s| s.iter().map(|&w| w as usize).collect())
-            .collect();
-        let refs: Vec<&[usize]> = usize_srcs.iter().map(Vec::as_slice).collect();
-        match self.model.translate_batch(&refs, out_len) {
-            Ok(outs) => outs
-                .into_iter()
-                .map(|o| o.into_iter().map(|w| w as u32).collect())
-                .collect(),
-            // Batch decoding requires equal-length sentences; on malformed
-            // input fall back to the per-sentence path, which degrades to a
-            // deterministic degenerate translation sentence by sentence.
-            Err(_) => srcs.iter().map(|s| self.translate(s, out_len)).collect(),
-        }
+        let mut arena = self.arena.lock().unwrap_or_else(|e| e.into_inner());
+        self.frozen.translate_batch(srcs, out_len, &mut arena)
     }
 }
 

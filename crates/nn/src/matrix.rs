@@ -6,7 +6,7 @@
 //! row-major order.
 
 use rand::Rng;
-use serde::{Content, DeError, Deserialize, Serialize};
+use serde::{Content, DeError, Deserialize, Serialize, Tensor};
 
 /// A dense row-major matrix of `f32` values.
 ///
@@ -25,35 +25,86 @@ pub struct Matrix {
 }
 
 impl Serialize for Matrix {
+    /// `{rows, cols, data}`, with `data` one packed [`Tensor`] node: JSON
+    /// renders it as the same float array as before, and binary artifacts
+    /// lift it out as a raw little-endian section.
     fn to_content(&self) -> Content {
         Content::Map(vec![
             ("rows".to_owned(), self.rows.to_content()),
             ("cols".to_owned(), self.cols.to_content()),
-            ("data".to_owned(), self.data.to_content()),
+            (
+                "data".to_owned(),
+                Tensor::from_f32(vec![self.rows, self.cols], &self.data).into(),
+            ),
         ])
     }
 }
 
 impl Deserialize for Matrix {
-    /// Hand-written (identical wire format to the old derived impl) so the
-    /// shape is *validated* against the payload: a crafted or corrupted
-    /// artifact whose `data` length disagrees with `rows * cols` is rejected
+    /// Hand-written so the shape is *validated* against the payload: a
+    /// crafted or corrupted artifact whose `data` disagrees with
+    /// `rows x cols` (length, tensor shape or element type) is rejected
     /// here instead of panicking later inside a kernel's row indexing.
     fn from_content(content: &Content) -> Result<Self, DeError> {
         let rows: usize = serde::__field(content, "rows")?;
         let cols: usize = serde::__field(content, "cols")?;
-        let data: Vec<f32> = serde::__field(content, "data")?;
-        let elems = rows
-            .checked_mul(cols)
-            .ok_or_else(|| DeError::custom("matrix shape overflows"))?;
-        if data.len() != elems {
-            return Err(DeError::custom(format!(
-                "matrix {rows}x{cols} carries {} values",
-                data.len()
-            )));
-        }
+        let data = tensor_field(content, "data", &[rows, cols], Tensor::to_f32)?;
         Ok(Matrix { rows, cols, data })
     }
+}
+
+/// Reads the numeric array under `key`, expected to hold a tensor of
+/// `shape`: either a packed [`Content::Tensor`] (decoded with `unpack`,
+/// which answers `None` for the wrong element type) or — from JSON and from
+/// artifacts that predate packed tensors — a plain array with exactly as
+/// many elements.
+pub(crate) fn tensor_field<T: Deserialize>(
+    content: &Content,
+    key: &str,
+    shape: &[usize],
+    unpack: impl Fn(&Tensor) -> Option<Vec<T>>,
+) -> Result<Vec<T>, DeError> {
+    let Content::Map(entries) = content else {
+        return Err(DeError::mismatch("object", content));
+    };
+    let value = entries
+        .iter()
+        .find(|(k, _)| k == key)
+        .map(|(_, v)| v)
+        .ok_or_else(|| DeError::missing_field(key))?;
+    let dims = shape
+        .iter()
+        .map(ToString::to_string)
+        .collect::<Vec<_>>()
+        .join("x");
+    let elems = shape
+        .iter()
+        .try_fold(1usize, |acc, &d| acc.checked_mul(d))
+        .ok_or_else(|| DeError::custom(format!("`{key}` shape {dims} overflows")))?;
+    let values = match value {
+        Content::Tensor(t) => {
+            if t.shape() != shape {
+                return Err(DeError::custom(format!(
+                    "`{key}` tensor has shape {:?}, expected {dims}",
+                    t.shape()
+                )));
+            }
+            unpack(t).ok_or_else(|| {
+                DeError::custom(format!(
+                    "`{key}` tensor has element type {}",
+                    t.dtype().name()
+                ))
+            })?
+        }
+        other => Vec::<T>::from_content(other)?,
+    };
+    if values.len() != elems {
+        return Err(DeError::custom(format!(
+            "`{key}` of shape {dims} carries {} values",
+            values.len()
+        )));
+    }
+    Ok(values)
 }
 
 impl Matrix {
@@ -986,6 +1037,25 @@ mod tests {
         ]);
         let err = Matrix::from_content(&lying).expect_err("short payload");
         assert!(err.to_string().contains("2x3"));
+        // A packed tensor must agree with the declared shape and be f32.
+        let with_data = |data: Tensor| {
+            Content::Map(vec![
+                ("rows".to_owned(), 2usize.to_content()),
+                ("cols".to_owned(), 3usize.to_content()),
+                ("data".to_owned(), data.into()),
+            ])
+        };
+        let transposed = with_data(Tensor::from_f32(vec![3, 2], &[1.0; 6]));
+        assert!(Matrix::from_content(&transposed).is_err());
+        let wrong_type = with_data(Tensor::from_i8(vec![2, 3], &[1; 6]));
+        assert!(Matrix::from_content(&wrong_type).is_err());
+        // Legacy float arrays still deserialize.
+        let legacy = Content::Map(vec![
+            ("rows".to_owned(), 2usize.to_content()),
+            ("cols".to_owned(), 3usize.to_content()),
+            ("data".to_owned(), vec![1.0f32; 6].to_content()),
+        ]);
+        assert_eq!(Matrix::from_content(&legacy).expect("legacy"), m);
     }
 
     #[test]

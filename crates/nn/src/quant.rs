@@ -35,9 +35,9 @@
 //! windows are batched. Cross-session batching in `push_opt_many` relies on
 //! this.
 
-use crate::matrix::Matrix;
+use crate::matrix::{tensor_field, Matrix};
 use crate::NnError;
-use serde::{Content, DeError, Deserialize, Serialize};
+use serde::{Content, DeError, Deserialize, Serialize, Tensor};
 
 /// Weight encoding of a frozen artifact.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -336,13 +336,18 @@ impl QMatrix {
 // --- serde: F32 must stay byte-compatible with a bare `Matrix` -------------
 
 impl Serialize for QMatrix {
+    /// Weight arrays serialize as packed [`Tensor`] nodes, like
+    /// [`Matrix`]'s; the int8 scales are an `f32` tensor of shape `[rows]`.
     fn to_content(&self) -> Content {
         match self {
             QMatrix::F32(m) => m.to_content(),
             QMatrix::F16 { rows, cols, data } => Content::Map(vec![
                 ("rows".to_owned(), rows.to_content()),
                 ("cols".to_owned(), cols.to_content()),
-                ("f16".to_owned(), data.to_content()),
+                (
+                    "f16".to_owned(),
+                    Tensor::from_f16_bits(vec![*rows, *cols], data).into(),
+                ),
             ]),
             QMatrix::Int8 {
                 rows,
@@ -352,8 +357,14 @@ impl Serialize for QMatrix {
             } => Content::Map(vec![
                 ("rows".to_owned(), rows.to_content()),
                 ("cols".to_owned(), cols.to_content()),
-                ("scales".to_owned(), scales.to_content()),
-                ("i8".to_owned(), data.to_content()),
+                (
+                    "scales".to_owned(),
+                    Tensor::from_f32(vec![*rows], scales).into(),
+                ),
+                (
+                    "i8".to_owned(),
+                    Tensor::from_i8(vec![*rows, *cols], data).into(),
+                ),
             ]),
         }
     }
@@ -367,19 +378,9 @@ impl Deserialize for QMatrix {
         let has = |k: &str| entries.iter().any(|(key, _)| key == k);
         let rows: usize = serde::__field(content, "rows")?;
         let cols: usize = serde::__field(content, "cols")?;
-        let elems = rows
-            .checked_mul(cols)
-            .ok_or_else(|| DeError::custom("matrix shape overflows"))?;
         if has("i8") {
-            let scales: Vec<f32> = serde::__field(content, "scales")?;
-            let data: Vec<i8> = serde::__field(content, "i8")?;
-            if scales.len() != rows || data.len() != elems {
-                return Err(DeError::custom(format!(
-                    "int8 matrix {rows}x{cols} has {} scales / {} values",
-                    scales.len(),
-                    data.len()
-                )));
-            }
+            let scales = tensor_field(content, "scales", &[rows], Tensor::to_f32)?;
+            let data = tensor_field(content, "i8", &[rows, cols], Tensor::to_i8)?;
             if let Some(&bad) = scales.iter().find(|s| !s.is_finite()) {
                 return Err(DeError::custom(format!("non-finite int8 scale {bad}")));
             }
@@ -391,13 +392,7 @@ impl Deserialize for QMatrix {
             });
         }
         if has("f16") {
-            let data: Vec<u16> = serde::__field(content, "f16")?;
-            if data.len() != elems {
-                return Err(DeError::custom(format!(
-                    "f16 matrix {rows}x{cols} has {} values",
-                    data.len()
-                )));
-            }
+            let data = tensor_field(content, "f16", &[rows, cols], Tensor::to_f16_bits)?;
             // Inf/NaN bit patterns (exponent field all ones) cannot come
             // from `f32_to_f16` and would silently decode to wrong finite
             // values through the multiply trick.

@@ -25,6 +25,7 @@
 //! stopped feeding it ([`ProtoError::TimedOut`] once `frame_timeout`
 //! elapses without the frame completing).
 
+use mdes_core::checkpoint::fnv1a_parts;
 use std::io::{ErrorKind, Read, Write};
 use std::time::{Duration, Instant};
 
@@ -38,28 +39,13 @@ pub const HEADER_LEN: usize = 4 + 2 + 1 + 4 + 8;
 /// more is rejected with [`ProtoError::Oversized`] before any allocation.
 pub const DEFAULT_MAX_PAYLOAD: usize = 1 << 20;
 
-/// FNV-1a 64-bit — the same checksum the checkpoint layer uses.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_update(0xcbf2_9ce4_8422_2325u64, bytes)
-}
-
-/// Continues an FNV-1a hash over more bytes.
-fn fnv1a_update(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 /// The frame checksum: FNV-1a over kind byte + length LE bytes + payload,
 /// so a single corrupted bit anywhere past the version field is caught
 /// (magic and version are validated by their own typed checks). A checksum
 /// over the payload alone would let a bit flip turn one valid kind byte
 /// into another undetected.
 fn frame_checksum(kind: u8, payload: &[u8]) -> u64 {
-    let mut h = fnv1a(&[kind]);
-    h = fnv1a_update(h, &(payload.len() as u32).to_le_bytes());
-    fnv1a_update(h, payload)
+    fnv1a_parts(&[&[kind], &(payload.len() as u32).to_le_bytes(), payload])
 }
 
 /// Frame kinds. Values below 16 are client → server, 16 and up are
@@ -444,6 +430,17 @@ mod tests {
                 ReadOutcome::Eof
             );
         }
+    }
+
+    #[test]
+    fn checksum_bytes_are_pinned() {
+        // FNV-1a over kind ‖ u32 LE length ‖ payload, as MDSV v1 has always
+        // written it: the trailing 8 header bytes of a PushBatch "abc" frame.
+        let bytes = encode_frame(FrameKind::PushBatch, b"abc");
+        assert_eq!(
+            bytes[HEADER_LEN - 8..HEADER_LEN],
+            0x0e90_13b1_78f6_b0dfu64.to_le_bytes()
+        );
     }
 
     #[test]

@@ -1,0 +1,327 @@
+//! Identity pins for trained neural pair models.
+//!
+//! A small four-sensor plant is fitted with a tiny seq2seq translator, and
+//! two digests are pinned: an FNV-1a digest over the `to_bits` of every
+//! frozen tensor of every pair model, and a digest over the anomaly scores
+//! and alerts of the held-out anomalous day. Both must hold on each of the
+//! four paths a trained pair travels:
+//!
+//! 1. the in-memory `TrainedGraph` straight out of `Mdes::fit`;
+//! 2. an MDCK checkpointed sharded sweep that is killed mid-way and resumed;
+//! 3. an MDSN round trip of the frozen snapshot;
+//! 4. streamed serving through a `ServingEngine`.
+//!
+//! The digests were recorded before trained models dropped their training
+//! state and before artifacts moved to binary tensor sections, so they also
+//! pin that neither change moved a single weight or score bit.
+
+use mdes::core::{
+    build_graph_sharded, snapshot_from_bytes, snapshot_to_bytes, CoreError, FrozenTranslator,
+    GraphBuildConfig, GraphSnapshot, Mdes, MdesConfig, ServingEngine, ShardedSweepConfig,
+    TranslatorConfig,
+};
+use mdes::graph::ScoreRange;
+use mdes::lang::WindowConfig;
+use mdes::nn::{Matrix, ModelSpec, PackedCell, QMatrix, Seq2SeqConfig};
+use mdes::synth::plant::{generate, PlantConfig, PlantData};
+use std::path::PathBuf;
+
+/// Pinned digest over every frozen tensor of every pair model. The
+/// training kernels of the fast and `reference-kernels` builds round
+/// differently in low bits (their scores agree), so each build pins its own.
+#[cfg(not(feature = "reference-kernels"))]
+const TENSOR_DIGEST: u64 = 0x5b70_657a_1055_fbf8;
+#[cfg(feature = "reference-kernels")]
+const TENSOR_DIGEST: u64 = 0xb5ff_9fbf_5942_db1a;
+/// Pinned digest over the anomalous day's scores and alerts.
+const SCORE_DIGEST: (usize, u64) = (47, 0xe49e_80f3_e2a0_486b);
+
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    fn matrix(&mut self, m: &Matrix) {
+        self.u64(m.rows() as u64);
+        self.u64(m.cols() as u64);
+        for &x in m.data() {
+            self.bytes(&x.to_bits().to_le_bytes());
+        }
+    }
+
+    fn qmatrix(&mut self, q: &QMatrix) {
+        match q {
+            QMatrix::F32(m) => self.matrix(m),
+            other => panic!("unexpected quantized weight {:?}", other.mode()),
+        }
+    }
+
+    fn spec(&mut self, s: &ModelSpec) {
+        self.qmatrix(&s.src_emb);
+        self.qmatrix(&s.tgt_emb);
+        for cell in s.encoder.iter().chain(&s.decoder) {
+            match cell {
+                PackedCell::Lstm { w, b, hidden } => {
+                    self.qmatrix(w);
+                    self.matrix(b);
+                    self.u64(*hidden as u64);
+                }
+                PackedCell::Gru {
+                    w_gates,
+                    b_gates,
+                    w_cand,
+                    b_cand,
+                    hidden,
+                } => {
+                    self.qmatrix(w_gates);
+                    self.matrix(b_gates);
+                    self.qmatrix(w_cand);
+                    self.matrix(b_cand);
+                    self.u64(*hidden as u64);
+                }
+            }
+        }
+        if let Some(w_a) = &s.w_a {
+            self.qmatrix(w_a);
+        }
+        self.qmatrix(&s.w_c);
+        self.matrix(&s.b_c);
+        self.qmatrix(&s.w_out);
+        self.matrix(&s.b_out);
+        self.u64(s.hidden as u64);
+        self.u64(u64::from(s.input_feeding));
+        self.u64(s.bos as u64);
+    }
+}
+
+/// Digest over `(src, dst, spec)` of every pair, in pair order.
+fn tensor_digest<'a>(specs: impl IntoIterator<Item = (usize, usize, &'a ModelSpec)>) -> u64 {
+    let mut h = Fnv::new();
+    let mut n = 0;
+    for (src, dst, spec) in specs {
+        h.u64(src as u64);
+        h.u64(dst as u64);
+        h.spec(spec);
+        n += 1;
+    }
+    assert!(n > 0, "the plant must train neural pair models");
+    h.0
+}
+
+/// Digest over one score and its alerts per window.
+fn score_digest<'a>(
+    windows: impl IntoIterator<Item = (f64, &'a [(usize, usize)])>,
+) -> (usize, u64) {
+    let mut h = Fnv::new();
+    let mut n = 0;
+    for (score, alerts) in windows {
+        h.u64(score.to_bits());
+        for &(src, dst) in alerts {
+            h.u64(src as u64);
+            h.u64(dst as u64);
+        }
+        n += 1;
+    }
+    (n, h.0)
+}
+
+fn plant() -> PlantData {
+    generate(&PlantConfig {
+        n_sensors: 4,
+        days: 8,
+        minutes_per_day: 288,
+        n_components: 2,
+        anomaly_days: vec![7],
+        precursor_days: vec![],
+        ..PlantConfig::default()
+    })
+}
+
+fn config() -> MdesConfig {
+    let mut cfg = MdesConfig {
+        window: WindowConfig {
+            word_len: 5,
+            word_stride: 1,
+            sent_len: 6,
+            sent_stride: 6,
+        },
+        ..MdesConfig::default()
+    };
+    cfg.build = GraphBuildConfig {
+        translator: TranslatorConfig::Nmt(Seq2SeqConfig {
+            embed_dim: 6,
+            hidden: 6,
+            train_steps: 20,
+            ..Seq2SeqConfig::default()
+        }),
+        threads: 1,
+        ..GraphBuildConfig::default()
+    };
+    cfg.detection.valid_range = ScoreRange::closed(0.0, 100.0);
+    cfg
+}
+
+fn fit(plant: &PlantData) -> Mdes {
+    Mdes::fit(
+        &plant.traces,
+        plant.days_range(1, 3),
+        plant.days_range(4, 5),
+        config(),
+    )
+    .expect("fit")
+}
+
+/// The frozen tensors of an in-memory trained graph, frozen straight from
+/// its pair translators.
+fn trained_specs(m: &Mdes) -> Vec<(usize, usize, ModelSpec)> {
+    snapshot_specs(&GraphSnapshot::freeze(m))
+        .into_iter()
+        .map(|(src, dst, spec)| (src, dst, spec.clone()))
+        .collect()
+}
+
+fn snapshot_specs(s: &GraphSnapshot) -> Vec<(usize, usize, &ModelSpec)> {
+    s.models()
+        .iter()
+        .map(|p| match p.translator() {
+            FrozenTranslator::Nmt(t) => (p.src, p.dst, t.spec()),
+            FrozenTranslator::Ngram(_) => panic!("expected a neural pair model"),
+        })
+        .collect()
+}
+
+fn batch_digest(m: &Mdes, plant: &PlantData) -> (usize, u64) {
+    let r = m
+        .detect_range(&plant.traces, plant.day_range(7))
+        .expect("detect");
+    score_digest(
+        r.scores
+            .iter()
+            .copied()
+            .zip(r.alerts.iter().map(Vec::as_slice)),
+    )
+}
+
+fn ckpt_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("mdes_nmt_identity_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+#[test]
+fn in_memory_trained_graph_is_pinned() {
+    let plant = plant();
+    let m = fit(&plant);
+    let specs = trained_specs(&m);
+    assert_eq!(
+        tensor_digest(specs.iter().map(|(s, d, spec)| (*s, *d, spec))),
+        TENSOR_DIGEST
+    );
+    assert_eq!(batch_digest(&m, &plant), SCORE_DIGEST);
+}
+
+#[test]
+fn mdck_kill_and_resume_is_pinned() {
+    let plant = plant();
+    let m = fit(&plant);
+    let n = m.language().sensor_count();
+    let pairs: Vec<(usize, usize)> = (0..n)
+        .flat_map(|i| (0..n).map(move |j| (i, j)))
+        .filter(|(i, j)| i != j)
+        .collect();
+    let dir = ckpt_dir("resume");
+    let mut cfg = ShardedSweepConfig {
+        build: config().build,
+        pairs_per_shard: 4,
+        checkpoint_dir: Some(dir.to_string_lossy().into_owned()),
+        checkpoint_every: 1,
+    };
+    let (train, dev) = (plant.days_range(1, 3), plant.days_range(4, 5));
+    cfg.build.chaos_lose_worker_pairs = vec![pairs[6]];
+    let err = build_graph_sharded(
+        m.language(),
+        &plant.traces,
+        train.clone(),
+        dev.clone(),
+        &pairs,
+        &cfg,
+    )
+    .expect_err("a lost worker fails the sweep");
+    assert!(matches!(err, CoreError::WorkerLost { .. }), "{err:?}");
+    cfg.build.chaos_lose_worker_pairs.clear();
+    let (trained, report) =
+        build_graph_sharded(m.language(), &plant.traces, train, dev, &pairs, &cfg).expect("resume");
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(report.resumed >= 4 && report.resumed < pairs.len());
+    let resumed = Mdes::from_parts(config(), m.language().clone(), trained).expect("from_parts");
+    let specs = trained_specs(&resumed);
+    assert_eq!(
+        tensor_digest(specs.iter().map(|(s, d, spec)| (*s, *d, spec))),
+        TENSOR_DIGEST
+    );
+    assert_eq!(batch_digest(&resumed, &plant), SCORE_DIGEST);
+}
+
+#[test]
+fn mdsn_round_trip_is_pinned() {
+    let plant = plant();
+    let m = fit(&plant);
+    let bytes = snapshot_to_bytes(&GraphSnapshot::freeze(&m)).expect("encode");
+    let restored = snapshot_from_bytes(&bytes).expect("decode");
+    assert_eq!(snapshot_to_bytes(&restored).expect("re-encode"), bytes);
+    assert_eq!(tensor_digest(snapshot_specs(&restored)), TENSOR_DIGEST);
+    let sets = m
+        .language()
+        .encode_segment(&plant.traces, plant.day_range(7))
+        .expect("encode");
+    let r = restored.detect_excluding(&sets, &[]).expect("detect");
+    assert_eq!(
+        score_digest(
+            r.scores
+                .iter()
+                .copied()
+                .zip(r.alerts.iter().map(Vec::as_slice))
+        ),
+        SCORE_DIGEST
+    );
+}
+
+#[test]
+fn streamed_serving_is_pinned() {
+    let plant = plant();
+    let m = fit(&plant);
+    let bytes = snapshot_to_bytes(&GraphSnapshot::freeze(&m)).expect("encode");
+    let engine = ServingEngine::new(snapshot_from_bytes(&bytes).expect("decode"));
+    assert_eq!(
+        tensor_digest(snapshot_specs(&engine.snapshot())),
+        TENSOR_DIGEST
+    );
+    let mut session = engine.open_session(plant.traces.len()).expect("session");
+    let mut windows = Vec::new();
+    for t in plant.day_range(7) {
+        let sample: Vec<Option<String>> = plant
+            .traces
+            .iter()
+            .map(|tr| Some(tr.events[t].clone()))
+            .collect();
+        if let Some(d) = engine.push_opt(&mut session, &sample).expect("push") {
+            windows.push(d);
+        }
+    }
+    assert_eq!(
+        score_digest(windows.iter().map(|d| (d.score, d.alerts.as_slice()))),
+        SCORE_DIGEST
+    );
+}

@@ -86,13 +86,34 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
+/// The same plant's artifact as the MDSN v2 writer produced it: one JSON
+/// payload. Kept as a read-compatibility fixture for the legacy reader.
+const NGRAM_PLANT_V2: &[u8] = include_bytes!("fixtures/ngram_plant_v2.mdsn");
+
+/// Digest over every window's score bits and alerts.
+fn score_digest(result: &mdes::core::DetectionResult) -> (usize, u64) {
+    let mut score_bytes = Vec::new();
+    for (score, alerts) in result.scores.iter().zip(&result.alerts) {
+        score_bytes.extend_from_slice(&score.to_bits().to_le_bytes());
+        for &(src, dst) in alerts {
+            score_bytes.extend_from_slice(&(src as u64).to_le_bytes());
+            score_bytes.extend_from_slice(&(dst as u64).to_le_bytes());
+        }
+    }
+    (result.scores.len(), fnv1a(&score_bytes))
+}
+
 /// Pins the MDSN bytes of a small n-gram plant snapshot, and the anomaly
 /// scores and alerts it produces, to digests recorded before the n-gram
 /// translator gained derived decode tables and BLEU its trie kernel. The
 /// snapshot bytes carry every pair's dev corpus BLEU (Algorithm 1), so the
-/// first digest also pins corpus scoring; the tables are rebuilt on load and
-/// must never reach the artifact. The second pins Algorithm 2's decode and
-/// sentence BLEU, through the restored snapshot.
+/// byte digests also pin corpus scoring; the tables are rebuilt on load and
+/// must never reach the artifact. The score digest pins Algorithm 2's
+/// decode and sentence BLEU, through the restored snapshot.
+///
+/// Two byte pins: the v3 layout this build writes, and the v2 bytes the
+/// previous layout wrote for the same fit — committed as a fixture, which
+/// must still decode to the same artifact and the same scores.
 #[test]
 fn ngram_snapshot_bytes_and_scores_are_pinned() {
     let (m, plant) = fit_mdes(1, TranslatorConfig::fast());
@@ -109,19 +130,20 @@ fn ngram_snapshot_bytes_and_scores_are_pinned() {
         m.detect_range(&plant.traces, plant.day_range(7))
             .expect("detect")
     );
-    let mut score_bytes = Vec::new();
-    for (score, alerts) in result.scores.iter().zip(&result.alerts) {
-        score_bytes.extend_from_slice(&score.to_bits().to_le_bytes());
-        for &(src, dst) in alerts {
-            score_bytes.extend_from_slice(&(src as u64).to_le_bytes());
-            score_bytes.extend_from_slice(&(dst as u64).to_le_bytes());
-        }
-    }
-    assert_eq!((bytes.len(), fnv1a(&bytes)), (62134, 0xce00_4e10_a181_86b0));
+    // v3 pin.
+    assert_eq!((bytes.len(), fnv1a(&bytes)), (62142, 0xe0d5_fdcb_48ed_e9f8));
+    assert_eq!(score_digest(&result), (47, 0x9531_6a39_5802_9dda));
+
+    // v2 pin: the fixture is the parent layout's bytes, and it decodes to
+    // the artifact v3 encodes and to the same scores.
     assert_eq!(
-        (result.scores.len(), fnv1a(&score_bytes)),
-        (47, 0x9531_6a39_5802_9dda)
+        (NGRAM_PLANT_V2.len(), fnv1a(NGRAM_PLANT_V2)),
+        (62134, 0xce00_4e10_a181_86b0)
     );
+    let legacy = snapshot_from_bytes(NGRAM_PLANT_V2).expect("v2 decode");
+    assert_eq!(snapshot_to_bytes(&legacy).expect("encode"), bytes);
+    let legacy_result = legacy.detect_excluding(&sets, &[]).expect("detect");
+    assert_eq!(score_digest(&legacy_result), (47, 0x9531_6a39_5802_9dda));
 }
 
 #[test]
