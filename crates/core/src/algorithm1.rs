@@ -3,9 +3,9 @@
 //! For every ordered sensor pair `(i, j)` a directional translator is
 //! trained on time-aligned training sentences and scored with corpus BLEU on
 //! the development set; the score becomes edge `i -> j` of the
-//! [`RelGraph`]. The sweep is embarrassingly parallel and runs on a small
-//! thread pool (crossbeam scoped threads pulling pair indices from an atomic
-//! counter).
+//! [`RelGraph`]. The sweep is embarrassingly parallel and runs on the
+//! crate's scoped worker pool (`std::thread::scope` workers pulling pair
+//! indices from an atomic counter).
 //!
 //! # Fault tolerance
 //!
@@ -33,17 +33,16 @@
 
 use crate::checkpoint::{self, CheckpointConfig, CheckpointWriter};
 use crate::error::CoreError;
+use crate::pool::{self, lock, panic_message, OneWorker};
 use crate::translator::{train_translator, AnyTranslator, Translator, TranslatorConfig};
 use mdes_bleu::{corpus_bleu, BleuConfig};
 use mdes_graph::RelGraph;
 use mdes_lang::{LanguagePipeline, SentenceSet, Vocab};
 use mdes_nn::NnError;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::any::Any;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// Odd constant (2^64 / φ) used to derive retry seeds; spreads successive
@@ -401,7 +400,7 @@ pub(crate) fn sweep_pairs(
     }
     let total = pairs.len();
 
-    let results: Mutex<Vec<Option<PairOutcome>>> = Mutex::new((0..total).map(|_| None).collect());
+    let mut slots: Vec<Option<PairOutcome>> = (0..total).map(|_| None).collect();
     let mut sweep_span = mdes_obs::span("algo1.sweep");
     sweep_span.field("sensors", n);
     sweep_span.field("pairs", total);
@@ -417,7 +416,6 @@ pub(crate) fn sweep_pairs(
             if let Some(data) = data {
                 let index: HashMap<(usize, usize), usize> =
                     pairs.iter().enumerate().map(|(k, &p)| (p, k)).collect();
-                let mut slots = results.lock();
                 let outcomes = data
                     .models
                     .into_iter()
@@ -442,143 +440,137 @@ pub(crate) fn sweep_pairs(
         None => None,
     };
 
-    let next = AtomicUsize::new(0);
+    // Pairs restored from the checkpoint are not retrained; the pool runs
+    // the rest. An item yields `None` once a `FailFast` failure stops the
+    // sweep.
+    let todo: Vec<usize> = (0..total).filter(|&k| slots[k].is_none()).collect();
     let failure: Mutex<Option<CoreError>> = Mutex::new(None);
-
-    let threads = if cfg.threads == 0 {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-    } else {
-        cfg.threads
-    };
-
-    let scope_result = crossbeam::scope(|scope| {
-        for _ in 0..threads.max(1) {
-            scope.spawn(|_| loop {
-                let k = next.fetch_add(1, Ordering::Relaxed);
-                if k >= pairs.len() || failure.lock().is_some() {
-                    break;
+    let run = pool::run(
+        todo.len(),
+        cfg.threads,
+        OneWorker::Spawned,
+        || (),
+        |_, t| {
+            if lock(&failure).is_some() {
+                return None;
+            }
+            let k = todo[t];
+            let (i, j) = pairs[k];
+            if cfg.chaos_lose_worker_pairs.contains(&(i, j)) {
+                // Deliberately OUTSIDE the catch_unwind below: simulates a panic
+                // in merge/checkpoint plumbing, killing this worker with the
+                // pair claimed but no outcome recorded.
+                panic!("chaos: worker lost outside pair isolation at ({i} -> {j})");
+            }
+            let mut pair_span = mdes_obs::span("algo1.pair");
+            pair_span.field("src", i);
+            pair_span.field("dst", j);
+            let attempt = catch_unwind(AssertUnwindSafe(|| {
+                if cfg.chaos_fail_pairs.contains(&(i, j)) {
+                    panic!("chaos: injected worker failure for pair ({i} -> {j})");
                 }
-                if results.lock()[k].is_some() {
-                    continue; // restored from checkpoint
+                train_pair_with_retries(pipeline, train_sets, dev_sets, i, j, cfg)
+            }));
+            let outcome = match attempt {
+                Ok((Ok(model), retries)) => {
+                    pair_span.field("outcome", "trained");
+                    pair_span.field("retries", retries);
+                    pair_span.field("score", model.train_score);
+                    mdes_obs::counter("algo1.pairs_trained", 1);
+                    mdes_obs::counter("algo1.retries", retries as u64);
+                    PairOutcome::Model(Box::new(model))
                 }
-                let (i, j) = pairs[k];
-                if cfg.chaos_lose_worker_pairs.contains(&(i, j)) {
-                    // Deliberately OUTSIDE the catch_unwind below: simulates
-                    // a panic in merge/checkpoint plumbing, killing this
-                    // worker with the pair claimed but no outcome recorded.
-                    panic!("chaos: worker lost outside pair isolation at ({i} -> {j})");
-                }
-                let mut pair_span = mdes_obs::span("algo1.pair");
-                pair_span.field("src", i);
-                pair_span.field("dst", j);
-                let attempt = catch_unwind(AssertUnwindSafe(|| {
-                    if cfg.chaos_fail_pairs.contains(&(i, j)) {
-                        panic!("chaos: injected worker failure for pair ({i} -> {j})");
-                    }
-                    train_pair_with_retries(pipeline, train_sets, dev_sets, i, j, cfg)
-                }));
-                let outcome = match attempt {
-                    Ok((Ok(model), retries)) => {
-                        pair_span.field("outcome", "trained");
-                        pair_span.field("retries", retries);
-                        pair_span.field("score", model.train_score);
-                        mdes_obs::counter("algo1.pairs_trained", 1);
-                        mdes_obs::counter("algo1.retries", retries as u64);
-                        PairOutcome::Model(Box::new(model))
-                    }
-                    Ok((Err(e), retries)) => {
-                        pair_span.field("retries", retries);
-                        mdes_obs::counter("algo1.retries", retries as u64);
-                        match cfg.policy {
-                            FailurePolicy::FailFast => {
-                                pair_span.field("outcome", "failfast");
-                                *failure.lock() = Some(CoreError::PairQuarantined {
-                                    src: i,
-                                    dst: j,
-                                    detail: e.to_string(),
-                                    source: Some(Box::new(e)),
-                                });
-                                break;
-                            }
-                            FailurePolicy::Degrade { .. } => {
-                                pair_span.field("outcome", "quarantined");
-                                mdes_obs::counter("algo1.pairs_quarantined", 1);
-                                PairOutcome::Quarantined(QuarantinedPair {
-                                    src: i,
-                                    dst: j,
-                                    error: e.to_string(),
-                                    retries,
-                                })
-                            }
+                Ok((Err(e), retries)) => {
+                    pair_span.field("retries", retries);
+                    mdes_obs::counter("algo1.retries", retries as u64);
+                    match cfg.policy {
+                        FailurePolicy::FailFast => {
+                            pair_span.field("outcome", "failfast");
+                            *lock(&failure) = Some(CoreError::PairQuarantined {
+                                src: i,
+                                dst: j,
+                                detail: e.to_string(),
+                                source: Some(Box::new(e)),
+                            });
+                            return None;
+                        }
+                        FailurePolicy::Degrade { .. } => {
+                            pair_span.field("outcome", "quarantined");
+                            mdes_obs::counter("algo1.pairs_quarantined", 1);
+                            PairOutcome::Quarantined(QuarantinedPair {
+                                src: i,
+                                dst: j,
+                                error: e.to_string(),
+                                retries,
+                            })
                         }
                     }
-                    Err(payload) => {
-                        let detail = format!("worker panicked: {}", panic_message(&*payload));
-                        match cfg.policy {
-                            FailurePolicy::FailFast => {
-                                pair_span.field("outcome", "failfast");
-                                *failure.lock() = Some(CoreError::PairQuarantined {
-                                    src: i,
-                                    dst: j,
-                                    detail,
-                                    source: None,
-                                });
-                                break;
-                            }
-                            FailurePolicy::Degrade { .. } => {
-                                pair_span.field("outcome", "quarantined");
-                                mdes_obs::counter("algo1.pairs_quarantined", 1);
-                                PairOutcome::Quarantined(QuarantinedPair {
-                                    src: i,
-                                    dst: j,
-                                    error: detail,
-                                    retries: 0,
-                                })
-                            }
+                }
+                Err(payload) => {
+                    let detail = format!("worker panicked: {}", panic_message(&*payload));
+                    match cfg.policy {
+                        FailurePolicy::FailFast => {
+                            pair_span.field("outcome", "failfast");
+                            *lock(&failure) = Some(CoreError::PairQuarantined {
+                                src: i,
+                                dst: j,
+                                detail,
+                                source: None,
+                            });
+                            return None;
+                        }
+                        FailurePolicy::Degrade { .. } => {
+                            pair_span.field("outcome", "quarantined");
+                            mdes_obs::counter("algo1.pairs_quarantined", 1);
+                            PairOutcome::Quarantined(QuarantinedPair {
+                                src: i,
+                                dst: j,
+                                error: detail,
+                                retries: 0,
+                            })
                         }
                     }
-                };
-                // Each finished pair is encoded once, here, and appended;
-                // the writer syncs every `every` frames, best-effort.
-                let _ckpt_span = checkpoint
-                    .as_ref()
-                    .map(|_| mdes_obs::span("checkpoint.write"));
-                let frame = checkpoint.as_ref().map(|_| outcome_frame(&outcome));
-                results.lock()[k] = Some(outcome);
-                match (&checkpoint, frame) {
-                    (Some(ck), Some(Ok(frame))) => {
-                        let mut ck = ck.lock();
+                }
+            };
+            // Each finished pair is encoded once, here, and appended; the
+            // writer syncs every `every` frames, best-effort.
+            if let Some(ck) = &checkpoint {
+                let _ckpt_span = mdes_obs::span("checkpoint.write");
+                match outcome_frame(&outcome) {
+                    Ok(frame) => {
+                        let mut ck = lock(ck);
                         ck.0.append(&frame);
                         ck.1[k] = true;
                     }
                     // Left unpersisted; the final flush retries the encode.
-                    (_, Some(Err(e))) => mdes_obs::event(
+                    Err(e) => mdes_obs::event(
                         "checkpoint.write_failed",
                         &[("src", i.into()), ("dst", j.into()), ("error", e.into())],
                     ),
-                    _ => {}
                 }
-            });
-        }
-    });
+            }
+            Some(outcome)
+        },
+    );
 
     // Typed per-pair FailFast failures win over a lost worker: they carry
     // the offending pair and the underlying error.
-    if let Some(e) = failure.into_inner() {
+    if let Some(e) = lock(&failure).take() {
         return Err(e);
     }
 
-    let mut slots = results.into_inner();
-    if let Err(payload) = scope_result {
+    let (done, lost) = match run {
+        Ok(done) => (done.into_iter().map(Some).collect(), None),
+        Err(lost) => (lost.slots, Some(lost.detail)),
+    };
+    for (k, outcome) in todo.into_iter().zip(done) {
+        slots[k] = outcome.flatten();
+    }
+    if let Some(message) = lost {
         // A panic escaped between catch_unwind boundaries (slot merge,
         // checkpoint plumbing, a chaos injection), so at least one worker
         // died with pairs unclaimed or claimed-but-unrecorded.
-        let detail = format!(
-            "worker panicked outside pair isolation: {}",
-            panic_message(&*payload)
-        );
+        let detail = format!("worker panicked outside pair isolation: {message}");
         mdes_obs::counter("algo1.workers_lost", 1);
         let lost = slots.iter().filter(|s| s.is_none()).count();
         match cfg.policy {
@@ -609,7 +601,7 @@ pub(crate) fn sweep_pairs(
         // failure here is surfaced — the caller asked for a durable
         // artifact and silently lacking one defeats the point.
         let _span = mdes_obs::span("checkpoint.write");
-        let (mut writer, persisted) = ck.into_inner();
+        let (mut writer, persisted) = ck.into_inner().unwrap_or_else(PoisonError::into_inner);
         for (slot, done) in slots.iter().zip(persisted) {
             if let (Some(outcome), false) = (slot, done) {
                 let frame = outcome_frame(outcome).map_err(|detail| CoreError::Checkpoint {
@@ -716,17 +708,8 @@ pub(crate) fn sweep_fingerprint(
     crate::checkpoint::fnv1a(&bytes)
 }
 
-fn panic_message(payload: &(dyn Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
-}
-
-fn validate_alignment(sets: &[SentenceSet], n: usize) -> Result<(), CoreError> {
+/// Checks that `sets` holds `n` non-empty corpora of equal length.
+pub(crate) fn validate_alignment(sets: &[SentenceSet], n: usize) -> Result<(), CoreError> {
     if sets.len() != n {
         return Err(CoreError::MisalignedCorpora {
             expected: n,

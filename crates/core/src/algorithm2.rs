@@ -8,16 +8,15 @@
 //! anomaly score `a_t` is the fraction of valid relationships broken at `t`,
 //! and the alert set `W_t` lists the broken pairs for diagnosis.
 
-use crate::algorithm1::TrainedGraph;
+use crate::algorithm1::{validate_alignment, TrainedGraph};
 use crate::error::CoreError;
+use crate::pool::{self, OneWorker};
 use mdes_bleu::{sentence_bleu_pre, BleuConfig, RefNgrams};
 use mdes_graph::ScoreRange;
 use mdes_lang::SentenceSet;
 use mdes_nn::InferArena;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// How a broken relationship is decided from the test score `f(i, j)`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
@@ -157,20 +156,21 @@ pub fn detect(
 ///
 /// As [`detect`]: empty/misaligned corpora, or no model in the validity
 /// range *before* exclusions ([`CoreError::NoValidModels`] — a broken
-/// configuration, not a degraded plant).
+/// configuration, not a degraded plant). A panicking decode worker is
+/// [`CoreError::WorkerLost`].
 pub fn detect_excluding(
     trained: &TrainedGraph,
     test_sets: &[SentenceSet],
     cfg: &DetectionConfig,
     excluded_sensors: &[usize],
 ) -> Result<DetectionResult, CoreError> {
-    detect_with_bank(
-        trained,
+    let job = DetectJob {
         test_sets,
-        cfg,
         excluded_sensors,
-        DetectStrategy::Parallel,
-    )
+    };
+    detect_many_with_bank(trained, &[job], cfg, cfg.threads)
+        .pop()
+        .expect("one result per job")
 }
 
 /// Just enough of a pair model for thresholding and alert attribution.
@@ -185,8 +185,7 @@ pub(crate) struct PairMeta {
     pub dev_floor: f64,
 }
 
-/// A source of pair models for Algorithm 2 — the single detection entry
-/// point's view of either a training-side [`TrainedGraph`] (frozen
+/// A source of pair models for Algorithm 2 — the driver's view of either a training-side [`TrainedGraph`] (frozen
 /// translators, each decoding through its own arena) or a frozen
 /// [`GraphSnapshot`](crate::serve::GraphSnapshot) (spec-only translators
 /// decoded through a caller-supplied [`InferArena`]).
@@ -201,7 +200,7 @@ pub(crate) trait ModelBank: Sync {
     fn meta(&self, k: usize) -> PairMeta;
 
     /// The precomputed valid-model index, if this bank froze one at build
-    /// time; `None` makes [`detect_with_bank`] filter on
+    /// time; `None` makes [`detect_many_with_bank`] filter on
     /// `cfg.valid_range` per call.
     fn frozen_valid(&self) -> Option<&[usize]>;
 
@@ -250,224 +249,6 @@ impl ModelBank for TrainedGraph {
     }
 }
 
-/// How [`detect_with_bank`] schedules the per-model loop. Results are
-/// byte-identical across strategies and thread counts: the merge always
-/// walks models in participating order.
-pub(crate) enum DetectStrategy<'a> {
-    /// Worker pool (`cfg.threads`, 0 = all CPUs), one private
-    /// [`InferArena`] per worker, on the calling thread when that is one
-    /// worker — the batch/offline path.
-    Parallel,
-    /// The calling thread, decoding through the supplied arena — used by a
-    /// serving worker that is already one of many and must not nest pools.
-    Serial(&'a mut InferArena),
-}
-
-/// The single snapshot-aware Algorithm 2 entry point. [`detect`],
-/// [`detect_excluding`], [`Mdes::detect_range`](crate::Mdes::detect_range)
-/// and the serving layer ([`crate::serve`]) all route through here.
-pub(crate) fn detect_with_bank<B: ModelBank + ?Sized>(
-    bank: &B,
-    test_sets: &[SentenceSet],
-    cfg: &DetectionConfig,
-    excluded_sensors: &[usize],
-    strategy: DetectStrategy<'_>,
-) -> Result<DetectionResult, CoreError> {
-    let n = bank.node_count();
-    if test_sets.len() != n {
-        return Err(CoreError::MisalignedCorpora {
-            expected: n,
-            found: test_sets.len(),
-        });
-    }
-    let count = test_sets.first().map_or(0, SentenceSet::len);
-    if count == 0 {
-        return Err(CoreError::EmptyCorpus);
-    }
-    for s in test_sets {
-        if s.len() != count {
-            return Err(CoreError::MisalignedCorpora {
-                expected: count,
-                found: s.len(),
-            });
-        }
-    }
-    let valid: Vec<usize> = match bank.frozen_valid() {
-        Some(v) => v.to_vec(),
-        None => (0..bank.model_count())
-            .filter(|&k| cfg.valid_range.contains(bank.meta(k).train_score))
-            .collect(),
-    };
-    if valid.is_empty() {
-        return Err(CoreError::NoValidModels);
-    }
-    let participating: Vec<usize> = valid
-        .iter()
-        .copied()
-        .filter(|&k| {
-            let m = bank.meta(k);
-            !excluded_sensors.contains(&m.src) && !excluded_sensors.contains(&m.dst)
-        })
-        .collect();
-    let coverage = participating.len() as f64 / valid.len() as f64;
-    let mut detect_span = mdes_obs::span("algo2.detect");
-    detect_span.field("windows", count);
-    detect_span.field("valid", valid.len());
-    detect_span.field("participating", participating.len());
-    detect_span.field("excluded", excluded_sensors.len());
-    mdes_obs::counter("algo2.windows", count as u64);
-    mdes_obs::counter("algo2.evaluations", (participating.len() * count) as u64);
-    if participating.is_empty() {
-        return Ok(DetectionResult {
-            scores: vec![0.0; count],
-            alerts: vec![Vec::new(); count],
-            starts: test_sets[0].starts.clone(),
-            valid_models: 0,
-            coverage,
-        });
-    }
-
-    // Every model targeting destination sensor `j` scores its hypotheses
-    // against the same test sentences of `j`, so the reference-side n-gram
-    // counts are shared: precompute them once per participating destination
-    // instead of once per (model, window) BLEU call.
-    let mut ref_grams: Vec<Option<Vec<RefNgrams<u32>>>> = vec![None; n];
-    for &k in &participating {
-        let dst = bank.meta(k).dst;
-        if ref_grams[dst].is_none() {
-            ref_grams[dst] = Some(
-                test_sets[dst]
-                    .sentences
-                    .iter()
-                    .map(|r| RefNgrams::new(r, cfg.bleu.max_n))
-                    .collect(),
-            );
-        }
-    }
-
-    // Per-window broken flags of one participating model; pure given the
-    // bank, so the scheduling strategy below cannot change results.
-    let eval = |w: usize, arena: &mut InferArena| -> Vec<bool> {
-        let k = participating[w];
-        let m = bank.meta(k);
-        let refs = &test_sets[m.dst].sentences;
-        let grams = ref_grams[m.dst].as_deref().expect("precomputed above");
-        let srcs: Vec<&[u32]> = test_sets[m.src]
-            .sentences
-            .iter()
-            .map(Vec::as_slice)
-            .collect();
-        // Group windows by required output length so ragged segments still
-        // decode in batches (one GEMM per step per group for the NMT
-        // family) instead of window-at-a-time. Uniform segments form a
-        // single group covering everything.
-        let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (t, r) in refs.iter().enumerate() {
-            groups.entry(r.len()).or_default().push(t);
-        }
-        let mut hyps: Vec<Vec<u32>> = vec![Vec::new(); count];
-        let decode_timer = mdes_obs::timer("algo2.model_decode_us");
-        for (&out_len, rows) in &groups {
-            let batch: Vec<&[u32]> = rows.iter().map(|&t| srcs[t]).collect();
-            mdes_obs::observe("algo2.batch_size", batch.len() as f64);
-            for (&t, h) in rows
-                .iter()
-                .zip(bank.decode_batch(k, &batch, out_len, arena))
-            {
-                hyps[t] = h;
-            }
-        }
-        drop(decode_timer);
-        let threshold = match cfg.rule {
-            BrokenRule::CorpusScore => m.train_score,
-            BrokenRule::DevQuantileFloor => m.dev_floor,
-        };
-        hyps.iter()
-            .zip(grams)
-            .map(|(hyp, g)| sentence_bleu_pre(hyp, g, &cfg.bleu) < threshold - cfg.margin)
-            .collect()
-    };
-
-    // Per-model detection is embarrassingly parallel: each model fills its
-    // own slot with per-window broken flags. The merge below walks slots in
-    // `participating` order, so scores, alert order and coverage are
-    // byte-identical to a serial run at any thread count.
-    let slots: Vec<Vec<bool>> = match strategy {
-        DetectStrategy::Serial(arena) => (0..participating.len()).map(|w| eval(w, arena)).collect(),
-        DetectStrategy::Parallel => run_pool(participating.len(), cfg.threads, eval),
-    };
-
-    let mut alerts: Vec<Vec<(usize, usize)>> = vec![Vec::new(); count];
-    for (w, &k) in participating.iter().enumerate() {
-        let m = bank.meta(k);
-        for (t, &b) in slots[w].iter().enumerate() {
-            if b {
-                alerts[t].push((m.src, m.dst));
-            }
-        }
-    }
-    let scores: Vec<f64> = alerts
-        .iter()
-        .map(|b| b.len() as f64 / participating.len() as f64)
-        .collect();
-    let broken: usize = alerts.iter().map(Vec::len).sum();
-    detect_span.field("broken", broken);
-    mdes_obs::counter("algo2.broken", broken as u64);
-    Ok(DetectionResult {
-        scores,
-        alerts,
-        starts: test_sets[0].starts.clone(),
-        valid_models: participating.len(),
-        coverage,
-    })
-}
-
-/// Runs `eval(i, arena)` for every `i < items` and returns the results in
-/// index order. `threads` workers (0 = all CPUs, never more than `items`)
-/// pull indices from a shared counter, each with a private [`InferArena`];
-/// a single worker runs the loop on the calling thread instead of spawning
-/// one. `eval` is pure given `i`, so the schedule cannot change results.
-fn run_pool<T: Send>(
-    items: usize,
-    threads: usize,
-    eval: impl Fn(usize, &mut InferArena) -> T + Sync,
-) -> Vec<T> {
-    let threads = if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-    } else {
-        threads
-    };
-    if threads.clamp(1, items.max(1)) == 1 {
-        let mut arena = InferArena::new();
-        return (0..items).map(|i| eval(i, &mut arena)).collect();
-    }
-    let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..items).map(|_| None).collect());
-    let next = AtomicUsize::new(0);
-    crossbeam::scope(|scope| {
-        for _ in 0..threads.min(items) {
-            scope.spawn(|_| {
-                let mut arena = InferArena::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= items {
-                        break;
-                    }
-                    let out = eval(i, &mut arena);
-                    slots.lock()[i] = Some(out);
-                }
-            });
-        }
-    })
-    .expect("detection worker panicked");
-    slots
-        .into_inner()
-        .into_iter()
-        .map(|slot| slot.expect("worker filled every slot"))
-        .collect()
-}
-
 /// One detection request of a cross-session batch: aligned test sentence
 /// sets plus the graph node indices to exclude (dropped sensors).
 pub(crate) struct DetectJob<'a> {
@@ -477,26 +258,27 @@ pub(crate) struct DetectJob<'a> {
     pub excluded_sensors: &'a [usize],
 }
 
-/// Per-model output of the batched pool: one `(job index, broken flags)`
-/// entry for every session that pulled the model.
-type ModelFlags = Vec<(usize, Vec<bool>)>;
-
-/// Runs Algorithm 2 over many jobs against one shared bank, batching decode
-/// work *across* jobs: every window that needs model `k` — no matter which
-/// job it came from — is gathered, grouped by `(source length, output
-/// length)` and decoded in one `decode_batch` call. For the NMT family that
-/// turns B same-shape decode steps from B stream sessions into one GEMM per
-/// step instead of B, which is where serving throughput goes at high stream
-/// counts.
+/// The Algorithm 2 driver: runs detection for many jobs against one shared
+/// bank. [`detect`], [`detect_excluding`],
+/// [`GraphSnapshot::detect_excluding`](crate::serve::GraphSnapshot::detect_excluding)
+/// and the serving layer's pushes are all calls into it, most with one job.
 ///
-/// Result `j` is exactly what
-/// [`detect_with_bank`]`(bank, jobs[j].test_sets, cfg, jobs[j].excluded_sensors, _)`
-/// would return — bit-identical, because every GEMM output element is an
-/// independent accumulation chain (batch invariance, pinned by
-/// `mdes-nn`'s `quantized_matmul_is_batch_invariant` and the serving
-/// parity tests), and the per-job merge below walks models in the same
-/// participating order. Per-job validation errors (misaligned corpora, no
-/// valid models) land in that job's slot without poisoning the others.
+/// Decode work is batched *across* jobs: every window that needs model `k`
+/// — no matter which job it came from — is gathered, grouped by `(source
+/// length, output length)` and decoded in one `decode_batch` call. For the
+/// NMT family that turns B same-shape decode steps from B stream sessions
+/// into one GEMM per step instead of B, which is where serving throughput
+/// goes at high stream counts. The distinct models are spread over
+/// `threads` pool workers (0 = all CPUs), one private [`InferArena`] each.
+///
+/// Result `j` does not depend on the other jobs or the thread count: every
+/// GEMM output element is an independent accumulation chain (batch
+/// invariance, pinned by `mdes-nn`'s `quantized_matmul_is_batch_invariant`
+/// and `tests/algorithm2_oracle.rs`), and each job's merge walks its models
+/// in participating order. Per-job validation errors (misaligned corpora, no
+/// valid models) land in that job's slot without poisoning the others; a
+/// panicking decode gives every job still awaiting decode
+/// [`CoreError::WorkerLost`].
 pub(crate) fn detect_many_with_bank<B: ModelBank + ?Sized>(
     bank: &B,
     jobs: &[DetectJob<'_>],
@@ -517,34 +299,19 @@ pub(crate) fn detect_many_with_bank<B: ModelBank + ?Sized>(
         participating: Vec<usize>,
         coverage: f64,
         ref_grams: Vec<Option<Vec<RefNgrams<u32>>>>,
+        span: mdes_obs::Span,
     }
 
     let mut results: Vec<Option<Result<DetectionResult, CoreError>>> =
         jobs.iter().map(|_| None).collect();
-    let mut spans: Vec<Option<mdes_obs::Span>> = jobs.iter().map(|_| None).collect();
     let mut preps: Vec<Option<Prep>> = jobs.iter().map(|_| None).collect();
 
     for (j, job) in jobs.iter().enumerate() {
-        // Same validation, in the same order, as `detect_with_bank`.
-        if job.test_sets.len() != n {
-            results[j] = Some(Err(CoreError::MisalignedCorpora {
-                expected: n,
-                found: job.test_sets.len(),
-            }));
+        if let Err(e) = validate_alignment(job.test_sets, n) {
+            results[j] = Some(Err(e));
             continue;
         }
-        let count = job.test_sets.first().map_or(0, SentenceSet::len);
-        if count == 0 {
-            results[j] = Some(Err(CoreError::EmptyCorpus));
-            continue;
-        }
-        if let Some(s) = job.test_sets.iter().find(|s| s.len() != count) {
-            results[j] = Some(Err(CoreError::MisalignedCorpora {
-                expected: count,
-                found: s.len(),
-            }));
-            continue;
-        }
+        let count = job.test_sets[0].len();
         if valid.is_empty() {
             results[j] = Some(Err(CoreError::NoValidModels));
             continue;
@@ -588,12 +355,12 @@ pub(crate) fn detect_many_with_bank<B: ModelBank + ?Sized>(
                 );
             }
         }
-        spans[j] = Some(span);
         preps[j] = Some(Prep {
             count,
             participating,
             coverage,
             ref_grams,
+            span,
         });
     }
 
@@ -610,69 +377,86 @@ pub(crate) fn detect_many_with_bank<B: ModelBank + ?Sized>(
     }
     let work: Vec<(usize, Vec<usize>)> = model_jobs.into_iter().collect();
 
-    // Evaluates one model against every job that needs it: per-job broken
-    // flags, decoded through shared `(src_len, out_len)` batches. Pure
-    // given the bank, so scheduling cannot change results.
-    let eval = |k: usize, js: &[usize], arena: &mut InferArena| -> Vec<(usize, Vec<bool>)> {
-        let m = bank.meta(k);
-        // Group windows of every job by decode shape. Fixed window configs
-        // (the online case) put all B jobs' windows in the same group.
-        let mut groups: BTreeMap<(usize, usize), Vec<(usize, usize)>> = BTreeMap::new();
-        let mut hyps: BTreeMap<usize, Vec<Vec<u32>>> = BTreeMap::new();
-        for &j in js {
-            let sets = jobs[j].test_sets;
-            for (t, r) in sets[m.dst].sentences.iter().enumerate() {
-                let src_len = sets[m.src].sentences[t].len();
-                groups.entry((src_len, r.len())).or_default().push((j, t));
+    // Model-parallel over distinct models; each pull evaluates one model
+    // against every job that needs it and yields `(job, broken flags)` per
+    // job, decoded through shared `(src_len, out_len)` batches. Pure given
+    // the bank, so scheduling cannot change results.
+    let run = pool::run(
+        work.len(),
+        threads,
+        OneWorker::OnCaller,
+        InferArena::new,
+        |arena, w| {
+            let (k, js) = (work[w].0, &work[w].1);
+            let m = bank.meta(k);
+            // Group windows of every job by decode shape. Fixed window configs
+            // (the online case) put all B jobs' windows in the same group.
+            let mut groups: BTreeMap<(usize, usize), Vec<(usize, usize)>> = BTreeMap::new();
+            let mut hyps: BTreeMap<usize, Vec<Vec<u32>>> = BTreeMap::new();
+            for &j in js {
+                let sets = jobs[j].test_sets;
+                for (t, r) in sets[m.dst].sentences.iter().enumerate() {
+                    let src_len = sets[m.src].sentences[t].len();
+                    groups.entry((src_len, r.len())).or_default().push((j, t));
+                }
+                hyps.insert(
+                    j,
+                    vec![Vec::new(); preps[j].as_ref().expect("live job").count],
+                );
             }
-            hyps.insert(
-                j,
-                vec![Vec::new(); preps[j].as_ref().expect("live job").count],
-            );
-        }
-        let decode_timer = mdes_obs::timer("algo2.model_decode_us");
-        for ((_, out_len), entries) in &groups {
-            let batch: Vec<&[u32]> = entries
-                .iter()
-                .map(|&(j, t)| jobs[j].test_sets[m.src].sentences[t].as_slice())
-                .collect();
-            mdes_obs::observe("algo2.batch_size", batch.len() as f64);
-            for (&(j, t), h) in entries
-                .iter()
-                .zip(bank.decode_batch(k, &batch, *out_len, arena))
-            {
-                hyps.get_mut(&j).expect("inserted above")[t] = h;
-            }
-        }
-        drop(decode_timer);
-        let threshold = match cfg.rule {
-            BrokenRule::CorpusScore => m.train_score,
-            BrokenRule::DevQuantileFloor => m.dev_floor,
-        };
-        js.iter()
-            .map(|&j| {
-                let grams = preps[j].as_ref().expect("live job").ref_grams[m.dst]
-                    .as_deref()
-                    .expect("precomputed above");
-                let flags = hyps[&j]
+            let decode_timer = mdes_obs::timer("algo2.model_decode_us");
+            for ((_, out_len), entries) in &groups {
+                let batch: Vec<&[u32]> = entries
                     .iter()
-                    .zip(grams)
-                    .map(|(hyp, g)| sentence_bleu_pre(hyp, g, &cfg.bleu) < threshold - cfg.margin)
+                    .map(|&(j, t)| jobs[j].test_sets[m.src].sentences[t].as_slice())
                     .collect();
-                (j, flags)
-            })
-            .collect()
+                mdes_obs::observe("algo2.batch_size", batch.len() as f64);
+                for (&(j, t), h) in entries
+                    .iter()
+                    .zip(bank.decode_batch(k, &batch, *out_len, arena))
+                {
+                    hyps.get_mut(&j).expect("inserted above")[t] = h;
+                }
+            }
+            drop(decode_timer);
+            let threshold = match cfg.rule {
+                BrokenRule::CorpusScore => m.train_score,
+                BrokenRule::DevQuantileFloor => m.dev_floor,
+            };
+            js.iter()
+                .map(|&j| {
+                    let grams = preps[j].as_ref().expect("live job").ref_grams[m.dst]
+                        .as_deref()
+                        .expect("precomputed above");
+                    let flags: Vec<bool> = hyps[&j]
+                        .iter()
+                        .zip(grams)
+                        .map(|(hyp, g)| {
+                            sentence_bleu_pre(hyp, g, &cfg.bleu) < threshold - cfg.margin
+                        })
+                        .collect();
+                    (j, flags)
+                })
+                .collect::<Vec<_>>()
+        },
+    );
+    let slots = match run {
+        Ok(slots) => slots,
+        Err(lost) => {
+            for (result, prep) in results.iter_mut().zip(&preps) {
+                if prep.is_some() {
+                    *result = Some(Err(lost.error()));
+                }
+            }
+            return results
+                .into_iter()
+                .map(|r| r.expect("every job resolved"))
+                .collect();
+        }
     };
 
-    // Model-parallel over distinct models, exactly like `detect_with_bank`'s
-    // pool — but each pull now serves every session wanting that model.
-    let slots: Vec<ModelFlags> = run_pool(work.len(), threads, |w, arena| {
-        let (k, js) = &work[w];
-        eval(*k, js, arena)
-    });
-
     // Scatter the per-(model, job) flags, then merge each job in its own
-    // participating order — the same walk `detect_with_bank` does.
+    // participating order.
     let mut flags_by_job: Vec<BTreeMap<usize, Vec<bool>>> =
         jobs.iter().map(|_| BTreeMap::new()).collect();
     for (w, slot) in slots.into_iter().enumerate() {
@@ -682,7 +466,7 @@ pub(crate) fn detect_many_with_bank<B: ModelBank + ?Sized>(
         }
     }
     for (j, prep) in preps.into_iter().enumerate() {
-        let Some(p) = prep else { continue };
+        let Some(mut p) = prep else { continue };
         let mut alerts: Vec<Vec<(usize, usize)>> = vec![Vec::new(); p.count];
         for &k in &p.participating {
             let m = bank.meta(k);
@@ -698,9 +482,7 @@ pub(crate) fn detect_many_with_bank<B: ModelBank + ?Sized>(
             .map(|b| b.len() as f64 / p.participating.len() as f64)
             .collect();
         let broken: usize = alerts.iter().map(Vec::len).sum();
-        if let Some(span) = spans[j].as_mut() {
-            span.field("broken", broken);
-        }
+        p.span.field("broken", broken);
         mdes_obs::counter("algo2.broken", broken as u64);
         results[j] = Some(Ok(DetectionResult {
             scores,
@@ -948,19 +730,168 @@ mod tests {
         ];
         for threads in [1, 4] {
             let many = detect_many_with_bank(&trained, &jobs, &cfg, threads);
-            assert_eq!(
-                many[0].as_ref().expect("job a"),
-                &detect(&trained, &a, &cfg).expect("lone a")
-            );
-            assert_eq!(
-                many[1].as_ref().expect("job b"),
-                &detect_excluding(&trained, &b, &cfg, &excl).expect("lone b")
-            );
-            assert_eq!(
-                many[2].as_ref().expect("job c"),
-                &detect(&trained, &c, &cfg).expect("lone c")
-            );
+            for (j, job) in jobs[..3].iter().enumerate() {
+                let got = many[j].as_ref().expect("live job");
+                let (scores, alerts) = oracle(&trained, job.test_sets, &cfg, job.excluded_sensors);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&got.scores),
+                    bits(&scores),
+                    "job {j} at {threads} threads"
+                );
+                assert_eq!(got.alerts, alerts, "job {j} at {threads} threads");
+            }
             assert!(matches!(many[3], Err(CoreError::MisalignedCorpora { .. })));
+        }
+    }
+
+    /// Algorithm 2 as the paper states it, one window and one valid pair at
+    /// a time: single-sentence translate, plain sentence BLEU, broken when
+    /// `f < threshold - margin`, `a_t` = broken / participating.
+    fn oracle(
+        trained: &TrainedGraph,
+        sets: &[SentenceSet],
+        cfg: &DetectionConfig,
+        excluded: &[usize],
+    ) -> (Vec<f64>, Vec<Vec<(usize, usize)>>) {
+        let live: Vec<_> = trained
+            .models()
+            .iter()
+            .filter(|m| cfg.valid_range.contains(m.train_score))
+            .filter(|m| !excluded.contains(&m.src) && !excluded.contains(&m.dst))
+            .collect();
+        (0..sets[0].len())
+            .map(|t| {
+                let broken: Vec<(usize, usize)> = live
+                    .iter()
+                    .filter(|m| {
+                        let reference = &sets[m.dst].sentences[t];
+                        let hyp = m.translate(&sets[m.src].sentences[t], reference.len());
+                        let threshold = match cfg.rule {
+                            BrokenRule::CorpusScore => m.train_score,
+                            BrokenRule::DevQuantileFloor => m.dev_floor,
+                        };
+                        mdes_bleu::sentence_bleu(&hyp, reference, &cfg.bleu)
+                            < threshold - cfg.margin
+                    })
+                    .map(|m| (m.src, m.dst))
+                    .collect();
+                let score = if live.is_empty() {
+                    0.0
+                } else {
+                    broken.len() as f64 / live.len() as f64
+                };
+                (score, broken)
+            })
+            .unzip()
+    }
+
+    /// A bank over a trained graph whose decode panics for one model.
+    struct PanickingBank<'a> {
+        inner: &'a TrainedGraph,
+        bad: usize,
+    }
+
+    impl ModelBank for PanickingBank<'_> {
+        fn node_count(&self) -> usize {
+            self.inner.node_count()
+        }
+
+        fn model_count(&self) -> usize {
+            self.inner.model_count()
+        }
+
+        fn meta(&self, k: usize) -> PairMeta {
+            self.inner.meta(k)
+        }
+
+        fn frozen_valid(&self) -> Option<&[usize]> {
+            None
+        }
+
+        fn decode_batch(
+            &self,
+            k: usize,
+            srcs: &[&[u32]],
+            out_len: usize,
+            arena: &mut InferArena,
+        ) -> Vec<Vec<u32>> {
+            assert!(k != self.bad, "decode of model {k} exploded");
+            self.inner.decode_batch(k, srcs, out_len, arena)
+        }
+    }
+
+    #[test]
+    fn a_panicking_decode_is_a_typed_error_for_every_live_job() {
+        let n = 600;
+        let mk = |phase: usize| -> RawTrace {
+            let events = (0..n)
+                .map(|t| {
+                    if ((t + phase) / 5).is_multiple_of(2) {
+                        "on"
+                    } else {
+                        "off"
+                    }
+                    .to_owned()
+                })
+                .collect();
+            RawTrace::new(format!("p{phase}"), events)
+        };
+        let traces = vec![mk(0), mk(2), mk(4)];
+        let wcfg = WindowConfig {
+            word_len: 4,
+            word_stride: 1,
+            sent_len: 5,
+            sent_stride: 5,
+        };
+        let p = LanguagePipeline::fit(&traces, 0..300, wcfg).expect("fit");
+        let train = p.encode_segment(&traces, 0..300).expect("train");
+        let dev = p.encode_segment(&traces, 300..450).expect("dev");
+        let test = p.encode_segment(&traces, 450..600).expect("test");
+        let trained = build_graph(&p, &train, &dev, &GraphBuildConfig::default()).expect("build");
+        let cfg = DetectionConfig {
+            valid_range: ScoreRange::closed(60.0, 100.0),
+            ..DetectionConfig::default()
+        };
+        let bad = (0..trained.model_count())
+            .find(|&k| cfg.valid_range.contains(trained.meta(k).train_score))
+            .expect("a valid model");
+        let bank = PanickingBank {
+            inner: &trained,
+            bad,
+        };
+        let jobs = [
+            DetectJob {
+                test_sets: &test,
+                excluded_sensors: &[],
+            },
+            DetectJob {
+                test_sets: &test,
+                excluded_sensors: &[2],
+            },
+            // Misaligned and fully excluded jobs never reach decode.
+            DetectJob {
+                test_sets: &test[..2],
+                excluded_sensors: &[],
+            },
+            DetectJob {
+                test_sets: &test,
+                excluded_sensors: &[0, 1, 2],
+            },
+        ];
+        for threads in [1, 4] {
+            let many = detect_many_with_bank(&bank, &jobs, &cfg, threads);
+            for result in &many[..2] {
+                match result {
+                    Err(CoreError::WorkerLost { lost, detail }) => {
+                        assert!(*lost >= 1, "{lost}");
+                        assert!(detail.contains("exploded"), "{detail}");
+                    }
+                    other => panic!("expected WorkerLost at {threads} threads, got {other:?}"),
+                }
+            }
+            assert!(matches!(many[2], Err(CoreError::MisalignedCorpora { .. })));
+            assert_eq!(many[3].as_ref().expect("dark job").coverage, 0.0);
         }
     }
 
@@ -1019,18 +950,5 @@ mod tests {
         assert_eq!(dark.valid_models, 0);
         assert!(dark.scores.iter().all(|&s| s == 0.0));
         assert!(dark.alerts.iter().all(Vec::is_empty));
-    }
-
-    #[test]
-    fn one_worker_pool_runs_on_the_calling_thread() {
-        let caller = std::thread::current().id();
-        // One worker, or more workers than items: nothing to spawn.
-        for (items, threads) in [(5, 1), (1, 4)] {
-            let ran_on = run_pool(items, threads, |_, _| std::thread::current().id());
-            assert_eq!(ran_on, vec![caller; items]);
-        }
-        // Several workers still fill every slot in index order.
-        assert_eq!(run_pool(6, 3, |i, _| i * i), vec![0, 1, 4, 9, 16, 25]);
-        assert!(run_pool(0, 2, |i, _| i).is_empty());
     }
 }

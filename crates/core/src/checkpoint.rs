@@ -1461,6 +1461,9 @@ mod tests {
         }
     }
 
+    /// An in-place edit of a record's JSON header and tensor section.
+    type Edit = dyn Fn(&mut Content, &mut Vec<u8>);
+
     /// Crafted, checksum-valid section references: every one must end in a
     /// typed error before any slice is taken out of bounds.
     #[test]
@@ -1475,7 +1478,7 @@ mod tests {
         // Sanity: an unedited re-seal decodes.
         assert!(craft(&int8, &|_, _| {}).is_ok());
 
-        let cases: Vec<(&str, &[u8], Box<dyn Fn(&mut Content, &mut Vec<u8>)>)> = vec![
+        let cases: Vec<(&str, &[u8], Box<Edit>)> = vec![
             (
                 "offset + len overflows",
                 &int8,
@@ -1528,7 +1531,7 @@ mod tests {
                     for r in tensor_refs(h) {
                         let dtype: String = get(r, "dtype");
                         let shape: Vec<usize> = get(r, "shape");
-                        if dtype == "i8" && shape[1] % 2 == 0 {
+                        if dtype == "i8" && shape[1].is_multiple_of(2) {
                             set(r, "dtype", "f16".to_content());
                             set(r, "shape", vec![shape[0], shape[1] / 2].to_content());
                             return;

@@ -52,14 +52,19 @@ pub enum CoreError {
         /// Human-readable failure description (panic payload or error text).
         detail: String,
     },
-    /// A sweep worker thread died *outside* the per-pair panic isolation —
-    /// a panic escaped between [`std::panic::catch_unwind`] boundaries (slot
-    /// merge, checkpoint plumbing) — so its claimed pairs never produced an
-    /// outcome. Under [`FailurePolicy::FailFast`](crate::algorithm1::FailurePolicy)
-    /// the sweep aborts with this error; under `Degrade` the orphaned pairs
-    /// are quarantined instead and the sweep completes.
+    /// A worker of the crate's pool died: a panic escaped the item it was
+    /// running, so that item never produced an outcome. In the Algorithm 1
+    /// sweep this means a panic *outside* the per-pair
+    /// [`std::panic::catch_unwind`] isolation (slot merge, checkpoint
+    /// plumbing); under
+    /// [`FailurePolicy::FailFast`](crate::algorithm1::FailurePolicy) the
+    /// sweep aborts with this error, under `Degrade` the orphaned pairs are
+    /// quarantined instead and the sweep completes. In Algorithm 2 (a
+    /// panicking decode) every job of the round gets this error; in the
+    /// prescreen the whole screen does.
     WorkerLost {
-        /// Pairs left without an outcome when the worker pool was joined.
+        /// Work items (sweep pairs, detection models, prescreen pairs) left
+        /// without an outcome when the worker pool was joined.
         lost: usize,
         /// Panic payload text of the first lost worker.
         detail: String,
@@ -171,8 +176,7 @@ impl fmt::Display for CoreError {
             CoreError::WorkerLost { lost, detail } => {
                 write!(
                     f,
-                    "sweep worker lost outside pair isolation ({lost} pair(s) without an \
-                     outcome): {detail}"
+                    "worker lost ({lost} item(s) without an outcome): {detail}"
                 )
             }
             CoreError::TooManyFailedPairs { failed, total } => {

@@ -62,6 +62,7 @@ mod error;
 pub mod lifecycle;
 pub mod online;
 mod pipeline;
+mod pool;
 pub mod prescreen;
 pub mod serve;
 pub mod sharded;

@@ -105,7 +105,9 @@ impl OnlineMonitor {
     /// Returns [`CoreError::WidthMismatch`] if `width` is smaller than the
     /// largest original sensor index the model references.
     pub fn try_new(mdes: Mdes, width: usize) -> Result<Self, CoreError> {
-        let engine = ServingEngine::new(GraphSnapshot::freeze(&mdes));
+        // Pushes detect on the engine's threads; keep the model's setting.
+        let engine = ServingEngine::new(GraphSnapshot::freeze(&mdes))
+            .with_threads(mdes.config().detection.threads);
         let session = engine.open_session(width)?;
         Ok(Self {
             mdes,

@@ -21,13 +21,12 @@
 //! cheap next to the N² n-gram fits.
 
 use crate::error::CoreError;
+use crate::pool::{self, OneWorker};
 use crate::translator::{NgramConfig, NgramTranslator, Translator};
 use mdes_bleu::{corpus_bleu, BleuConfig};
 use mdes_graph::ScoreRange;
 use mdes_lang::{LanguagePipeline, RawTrace, SentenceSet};
-use parking_lot::Mutex;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Configuration of the n-gram prescreen stage.
 #[derive(Clone, Debug)]
@@ -143,7 +142,8 @@ impl PrescreenResult {
 /// # Errors
 ///
 /// Returns [`CoreError::TooFewSensors`] for fewer than two surviving
-/// sensors and propagates encoding errors (bad ranges, segments too short).
+/// sensors, propagates encoding errors (bad ranges, segments too short),
+/// and returns [`CoreError::WorkerLost`] if a scoring worker panics.
 pub fn prescreen_pairs(
     pipeline: &LanguagePipeline,
     traces: &[RawTrace],
@@ -193,14 +193,6 @@ pub fn prescreen_pairs(
             .sum()
     };
 
-    let threads = if cfg.threads == 0 {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-    } else {
-        cfg.threads
-    };
-
     let mut ranked: Vec<PrescreenedPair> = Vec::new();
     let mut peak_bytes = 0usize;
     for (sb, src_range) in blocks.iter().enumerate() {
@@ -221,33 +213,27 @@ pub fn prescreen_pairs(
                 .flat_map(|i| dst_range.clone().map(move |j| (i, j)))
                 .filter(|(i, j)| i != j)
                 .collect();
-            let scores: Mutex<Vec<Option<f64>>> = Mutex::new(vec![None; pairs.len()]);
-            let next = AtomicUsize::new(0);
-            crossbeam::scope(|scope| {
-                for _ in 0..threads.max(1) {
-                    scope.spawn(|_| loop {
-                        let k = next.fetch_add(1, Ordering::Relaxed);
-                        if k >= pairs.len() {
-                            break;
-                        }
-                        let (i, j) = pairs[k];
-                        let (src_train, src_dev) = &src_corpora[i - src_range.start];
-                        let (dst_train, dst_dev) = &dst_ref[j - dst_range.start];
-                        let predicted = predict_score(
-                            src_train,
-                            src_dev,
-                            dst_train,
-                            dst_dev,
-                            pipeline.config().sent_len,
-                            cfg,
-                        );
-                        scores.lock()[k] = Some(predicted);
-                    });
-                }
-            })
-            .expect("prescreen scoring does not panic");
-            for (k, score) in scores.into_inner().into_iter().enumerate() {
-                let predicted = score.expect("every pair scored");
+            let scores = pool::run(
+                pairs.len(),
+                cfg.threads,
+                OneWorker::OnCaller,
+                || (),
+                |_, k| {
+                    let (i, j) = pairs[k];
+                    let (src_train, src_dev) = &src_corpora[i - src_range.start];
+                    let (dst_train, dst_dev) = &dst_ref[j - dst_range.start];
+                    predict_score(
+                        src_train,
+                        src_dev,
+                        dst_train,
+                        dst_dev,
+                        pipeline.config().sent_len,
+                        cfg,
+                    )
+                },
+            )
+            .map_err(|lost| lost.error())?;
+            for (k, predicted) in scores.into_iter().enumerate() {
                 if cfg.keeps(predicted) {
                     let (src, dst) = pairs[k];
                     ranked.push(PrescreenedPair {

@@ -19,32 +19,31 @@
 //!   degradation counters. Sessions are cheap (a few hundred bytes plus the
 //!   buffered records), so N concurrent streams cost one shared snapshot
 //!   plus N sessions instead of N full model copies;
-//! * [`ServingEngine`] — multiplexes many sessions over the crossbeam
-//!   worker pool with one scratch [`InferArena`] per worker
-//!   ([`ServingEngine::push_opt_many`]).
+//! * [`ServingEngine`] — multiplexes many sessions over the crate's worker
+//!   pool with one scratch [`InferArena`] per worker
+//!   ([`ServingEngine::push_opt_many`]; a single [`ServingEngine::push_opt`]
+//!   is a one-session call into it).
 //!
 //! The frozen decode path is bit-identical to the training-side path: the
 //! same kernels run in the same order over the same packed weights (pinned
 //! by `mdes-nn/tests/infer_parity.rs` and `tests/serving.rs`).
 
 use crate::algorithm2::{
-    detect_many_with_bank, detect_with_bank, DetectJob, DetectStrategy, DetectionConfig,
-    DetectionResult,
+    detect_many_with_bank, DetectJob, DetectionConfig, DetectionResult, ModelBank, PairMeta,
 };
-use crate::algorithm2::{ModelBank, PairMeta};
 use crate::error::CoreError;
 use crate::lifecycle::ScoreDist;
 use crate::online::{DegradationConfig, OnlineDetection};
 use crate::pipeline::Mdes;
+use crate::pool::lock;
 use crate::translator::{AnyTranslator, NgramTranslator, Translator};
 use mdes_graph::RelGraph;
 use mdes_lang::{LanguagePipeline, RawTrace, SentenceSet, MISSING_RECORD};
 use mdes_nn::{InferArena, ModelSpec, QuantMode, QuantReport};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// A frozen neural pair translator: just the packed weights, decoded through
 /// a caller-supplied [`InferArena`].
@@ -728,7 +727,7 @@ impl GraphSnapshot {
 
     /// Runs Algorithm 2 on aligned test sentence sets against this
     /// snapshot, excluding `excluded_sensors` (graph node indices), on the
-    /// crossbeam worker pool.
+    /// worker pool (`detection().threads` workers).
     ///
     /// Bit-identical to
     /// [`detect_excluding`](crate::algorithm2::detect_excluding) over the
@@ -743,42 +742,13 @@ impl GraphSnapshot {
         test_sets: &[SentenceSet],
         excluded_sensors: &[usize],
     ) -> Result<DetectionResult, CoreError> {
-        detect_with_bank(
-            self,
+        let job = DetectJob {
             test_sets,
-            &self.detection,
             excluded_sensors,
-            DetectStrategy::Parallel,
-        )
-    }
-
-    /// Serial detection on the calling thread through `arena` — used by
-    /// serving workers that are already one of many.
-    pub(crate) fn detect_serial(
-        &self,
-        test_sets: &[SentenceSet],
-        excluded_sensors: &[usize],
-        arena: &mut InferArena,
-    ) -> Result<DetectionResult, CoreError> {
-        detect_with_bank(
-            self,
-            test_sets,
-            &self.detection,
-            excluded_sensors,
-            DetectStrategy::Serial(arena),
-        )
-    }
-
-    /// Cross-session batched detection: one Algorithm 2 round over many
-    /// jobs, decoding same-shape windows from different jobs in shared
-    /// batches (see [`detect_many_with_bank`]). Used by
-    /// [`ServingEngine::push_opt_many`].
-    pub(crate) fn detect_many(
-        &self,
-        jobs: &[DetectJob<'_>],
-        threads: usize,
-    ) -> Vec<Result<DetectionResult, CoreError>> {
-        detect_many_with_bank(self, jobs, &self.detection, threads)
+        };
+        detect_many_with_bank(self, &[job], &self.detection, self.detection.threads)
+            .pop()
+            .expect("one result per job")
     }
 }
 
@@ -957,7 +927,7 @@ impl ModelStore {
 
     /// The snapshot currently being served.
     pub fn current(&self) -> Arc<GraphSnapshot> {
-        self.current.lock().clone()
+        lock(&self.current).clone()
     }
 
     /// Monotonic version of the current snapshot (bumped by each publish).
@@ -992,14 +962,14 @@ impl ModelStore {
     fn publish_inner(&self, snapshot: GraphSnapshot) -> Result<u64, CoreError> {
         // Holding the canary lock across the swap keeps the incumbent fixed
         // for the whole comparison a concurrent `start_canary` would pin.
-        let canary = self.canary.lock();
+        let canary = lock(&self.canary);
         if canary.is_some() {
             return Err(CoreError::Canary {
                 detail: "a canary is active; cancel it or let it decide before publishing"
                     .to_owned(),
             });
         }
-        let mut current = self.current.lock();
+        let mut current = lock(&self.current);
         Self::validate_compatible(&current, &snapshot)?;
         let models = snapshot.models.len();
         let valid = snapshot.valid.len();
@@ -1096,14 +1066,14 @@ impl ModelStore {
                     .to_owned(),
             });
         }
-        let mut canary = self.canary.lock();
+        let mut canary = lock(&self.canary);
         if canary.is_some() {
             return Err(CoreError::Canary {
                 detail: "a canary is already active".to_owned(),
             });
         }
         {
-            let current = self.current.lock();
+            let current = lock(&self.current);
             Self::validate_compatible(&current, &candidate)?;
         }
         let models = candidate.models.len();
@@ -1131,7 +1101,7 @@ impl ModelStore {
     /// active. The collected samples are discarded and
     /// [`CanaryStatus::last_decision`] is left untouched.
     pub fn cancel_canary(&self) -> bool {
-        let cancelled = self.canary.lock().take().is_some();
+        let cancelled = lock(&self.canary).take().is_some();
         if cancelled {
             mdes_obs::event("serve.canary_cancelled", &[]);
         }
@@ -1140,8 +1110,8 @@ impl ModelStore {
 
     /// The canary machinery's current state, for the admin plane.
     pub fn canary_status(&self) -> CanaryStatus {
-        let canary = self.canary.lock();
-        let last_decision = *self.last_decision.lock();
+        let canary = lock(&self.canary);
+        let last_decision = *lock(&self.last_decision);
         match &*canary {
             Some(st) => CanaryStatus {
                 active: true,
@@ -1163,8 +1133,7 @@ impl ModelStore {
     /// The active candidate and routing fraction, if a canary is running —
     /// read once per engine tick, like [`ModelStore::current`].
     fn canary_arm(&self) -> Option<(Arc<GraphSnapshot>, f64)> {
-        self.canary
-            .lock()
+        lock(&self.canary)
             .as_ref()
             .map(|st| (Arc::clone(&st.candidate), st.cfg.fraction))
     }
@@ -1177,7 +1146,7 @@ impl ModelStore {
         if pairs.is_empty() {
             return;
         }
-        let mut canary = self.canary.lock();
+        let mut canary = lock(&self.canary);
         let Some(st) = canary.as_mut() else {
             return;
         };
@@ -1199,7 +1168,7 @@ impl ModelStore {
         // rolls back instead of promoting.
         let promote = mean_delta <= st.cfg.max_mean_delta && p95_delta <= st.cfg.max_p95_delta;
         let decision = if promote {
-            let mut current = self.current.lock();
+            let mut current = lock(&self.current);
             let models = st.candidate.models.len();
             let valid = st.candidate.valid.len();
             *current = Arc::clone(&st.candidate);
@@ -1227,7 +1196,7 @@ impl ModelStore {
             }
         };
         drop(canary);
-        *self.last_decision.lock() = Some(decision);
+        *lock(&self.last_decision) = Some(decision);
         match decision {
             CanaryDecision::Promoted { version, .. } => mdes_obs::event(
                 "serve.canary_promoted",
@@ -1488,7 +1457,8 @@ pub struct ServingEngine {
     /// Next session route key; sequential keys hash to a uniform canary
     /// routing (see [`canary_routed`]).
     route_keys: Arc<AtomicU64>,
-    /// Worker threads for [`ServingEngine::push_opt_many`] (0 = all CPUs).
+    /// Worker threads for [`ServingEngine::push_opt`] and
+    /// [`ServingEngine::push_opt_many`] (0 = all CPUs).
     threads: usize,
 }
 
@@ -1615,9 +1585,10 @@ impl ServingEngine {
     /// [`OnlineMonitor::push_opt`](crate::online::OnlineMonitor::push_opt)
     /// for the degradation semantics, which are identical.
     ///
-    /// The completed window is scored against the snapshot served *at
-    /// completion time*: a [`ModelStore::publish`] between pushes applies
-    /// from the first window completed after it.
+    /// A one-session [`ServingEngine::push_opt_many`] call. The completed
+    /// window is scored against the snapshot served when the push starts:
+    /// a [`ModelStore::publish`] between pushes applies from the first
+    /// window completed after it.
     ///
     /// # Errors
     ///
@@ -1628,7 +1599,12 @@ impl ServingEngine {
         session: &mut StreamSession,
         records: &[Option<String>],
     ) -> Result<Option<OnlineDetection>, CoreError> {
-        self.push_one(session, records, None, None)
+        self.push_opt_many(
+            std::slice::from_mut(session),
+            std::slice::from_ref(&records),
+        )
+        .pop()
+        .expect("one result per session")
     }
 
     /// Pushes one sample into each of `sessions` (sample `i` into session
@@ -1650,10 +1626,10 @@ impl ServingEngine {
     /// # Panics
     ///
     /// Panics if `sessions` and `samples` have different lengths.
-    pub fn push_opt_many(
+    pub fn push_opt_many<S: AsRef<[Option<String>]>>(
         &self,
         sessions: &mut [StreamSession],
-        samples: &[Vec<Option<String>>],
+        samples: &[S],
     ) -> Vec<Result<Option<OnlineDetection>, CoreError>> {
         assert_eq!(
             sessions.len(),
@@ -1686,7 +1662,7 @@ impl ServingEngine {
             .collect();
         let mut completing: Vec<Completing> = Vec::new();
         for (i, (session, sample)) in sessions.iter_mut().zip(samples).enumerate() {
-            match session.absorb(sample) {
+            match session.absorb(sample.as_ref()) {
                 Err(e) => results[i] = Some(Err(e)),
                 Ok(false) => results[i] = Some(Ok(None)),
                 Ok(true) => {
@@ -1731,7 +1707,8 @@ impl ServingEngine {
                 excluded_sensors: &c.excluded,
             })
             .collect();
-        let detections = snapshot.detect_many(&jobs, self.threads);
+        let detections =
+            detect_many_with_bank(&*snapshot, &jobs, &snapshot.detection, self.threads);
 
         // Shadow round — during a canary, routed sessions' windows are also
         // scored against the candidate (read once per tick, like the
@@ -1752,7 +1729,12 @@ impl ServingEngine {
                         excluded_sensors: &completing[k].excluded,
                     })
                     .collect();
-                let shadow = candidate.detect_many(&shadow_jobs, self.threads);
+                let shadow = detect_many_with_bank(
+                    &*candidate,
+                    &shadow_jobs,
+                    &candidate.detection,
+                    self.threads,
+                );
                 let paired: Vec<(f64, f64)> = routed
                     .iter()
                     .zip(shadow)
@@ -1789,73 +1771,6 @@ impl ServingEngine {
             .into_iter()
             .map(|r| r.expect("every session resolved"))
             .collect()
-    }
-
-    /// The shared push body. `snapshot` pins the artifact for a batch call
-    /// (`None` = read the store at window completion); `arena` selects
-    /// serial in-worker detection (`None` = the model-parallel pool).
-    fn push_one(
-        &self,
-        session: &mut StreamSession,
-        records: &[Option<String>],
-        snapshot: Option<&GraphSnapshot>,
-        arena: Option<&mut InferArena>,
-    ) -> Result<Option<OnlineDetection>, CoreError> {
-        let _push_timer = mdes_obs::timer("serve.push_us");
-        if !session.absorb(records)? {
-            return Ok(None);
-        }
-        // Buffering pushes above stay cheap; the span covers only the
-        // expensive window-completing path (encode + detect).
-        let mut push_span = mdes_obs::span("online.push");
-        mdes_obs::counter("online.windows", 1);
-        let owned;
-        let snap = match snapshot {
-            Some(s) => s,
-            None => {
-                owned = self.store.current();
-                &owned
-            }
-        };
-        session.refill_scratch();
-        let sets = snap
-            .language()
-            .encode_segment(&session.scratch_traces, 0..session.window)?;
-        // Dropped sensors are tracked by original index; detection excludes
-        // by graph node index, so translate through each language's source.
-        let dropped = session.dropped_sensors();
-        let excluded: Vec<usize> = snap
-            .language()
-            .languages()
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| dropped.contains(&l.source_index))
-            .map(|(node, _)| node)
-            .collect();
-        let result = match arena {
-            Some(a) => snap.detect_serial(&sets, &excluded, a)?,
-            None => snap.detect_excluding(&sets, &excluded)?,
-        };
-        // Shadow-score this window against an active canary candidate; the
-        // emitted result below stays the incumbent's either way.
-        if let Some((candidate, fraction)) = self.store.canary_arm() {
-            if canary_routed(session.route_key, fraction) {
-                if let Ok(shadow) = candidate.detect_excluding(&sets, &excluded) {
-                    self.store
-                        .record_canary(&[(result.scores[0], shadow.scores[0])]);
-                }
-            }
-        }
-        push_span.field("sample_index", session.seen - 1);
-        push_span.field("score", result.scores[0]);
-        push_span.field("coverage", result.coverage);
-        Ok(Some(OnlineDetection {
-            sample_index: session.seen - 1,
-            score: result.scores[0],
-            alerts: result.alerts.into_iter().next().unwrap_or_default(),
-            coverage: result.coverage,
-            dropped_sensors: dropped,
-        }))
     }
 }
 
@@ -1954,12 +1869,6 @@ mod tests {
             .expect("legacy detect");
         let frozen = snap.detect_excluding(&sets, &[]).expect("frozen detect");
         assert_eq!(legacy, frozen);
-        // Serial strategy through one arena: still identical.
-        let mut arena = InferArena::new();
-        let serial = snap
-            .detect_serial(&sets, &[], &mut arena)
-            .expect("serial detect");
-        assert_eq!(legacy, serial);
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //!   NMT scores.
 
 use crate::error::CoreError;
+use crate::pool::lock;
 use crate::serve::FrozenNmt;
 use mdes_nn::{InferArena, ModelSpec, Seq2Seq, Seq2SeqConfig};
 use serde::{Deserialize, Serialize};
@@ -165,16 +166,16 @@ impl Clone for NmtTranslator {
 }
 
 // A panic mid-decode cannot leave the arena invalid: every decode reshapes
-// the scratch buffers it uses before reading them, so a poisoned lock is
-// recovered.
+// the scratch buffers it uses before reading them, so `lock` recovers a
+// poisoned lock.
 impl Translator for NmtTranslator {
     fn translate(&self, src: &[u32], out_len: usize) -> Vec<u32> {
-        let mut arena = self.arena.lock().unwrap_or_else(|e| e.into_inner());
+        let mut arena = lock(&self.arena);
         self.frozen.translate(src, out_len, &mut arena)
     }
 
     fn translate_batch(&self, srcs: &[&[u32]], out_len: usize) -> Vec<Vec<u32>> {
-        let mut arena = self.arena.lock().unwrap_or_else(|e| e.into_inner());
+        let mut arena = lock(&self.arena);
         self.frozen.translate_batch(srcs, out_len, &mut arena)
     }
 }

@@ -4,8 +4,10 @@
 //! Std-only (no async runtime): `std::net` listeners, one reader + one
 //! writer thread per ingest connection, and a single scoring pump that
 //! batches queued samples through `ServingEngine::push_opt_many` — the
-//! same crossbeam fan-out an in-process host uses, so network-served
-//! scores are byte-identical to in-process ones.
+//! same worker-pool fan-out an in-process host uses, so network-served
+//! scores are byte-identical to in-process ones. A panicking decode comes
+//! back from that call as a typed `CoreError::WorkerLost` reply for the
+//! round's sessions; it does not end the pump.
 //!
 //! Two planes:
 //!

@@ -125,7 +125,7 @@ impl ConnHandle {
     fn new(capacity: usize) -> Self {
         Self {
             alive: AtomicBool::new(true),
-            capacity: capacity.max(1),
+            capacity,
             q: Mutex::new(Outbound {
                 frames: VecDeque::new(),
                 reserved: 0,
@@ -333,8 +333,23 @@ impl Drop for ServerHandle {
 ///
 /// # Errors
 ///
-/// Returns the I/O error if either listener fails to bind.
+/// Returns [`io::ErrorKind::InvalidInput`] if `queue_capacity`,
+/// `outbound_capacity` or `pump_batch` is zero (every push would be `Busy`,
+/// every reply skipped, or no sample ever scored), and the I/O error if
+/// either listener fails to bind.
 pub fn start(engine: ServingEngine, cfg: ServeConfig) -> io::Result<ServerHandle> {
+    for (name, value) in [
+        ("queue_capacity", cfg.queue_capacity),
+        ("outbound_capacity", cfg.outbound_capacity),
+        ("pump_batch", cfg.pump_batch),
+    ] {
+        if value == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("ServeConfig::{name} must be at least 1"),
+            ));
+        }
+    }
     let listener = TcpListener::bind(&cfg.addr)?;
     let addr = listener.local_addr()?;
     let admin_listener = match &cfg.admin_addr {

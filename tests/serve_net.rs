@@ -16,7 +16,9 @@
 //! - a snapshot that fails validation is rejected and the live model
 //!   keeps serving the original scores;
 //! - the admin plane answers `ping`/`stats`/`sessions`/`evict` in the
-//!   documented `"| "`-data + status-line shape.
+//!   documented `"| "`-data + status-line shape;
+//! - a zero queue capacity, reply capacity or pump batch is refused at
+//!   start instead of wedging the daemon.
 
 use mdes::core::serve::{GraphSnapshot, ServingEngine, StreamSession};
 use mdes::core::{snapshot_to_bytes, Mdes, MdesConfig, OnlineDetection};
@@ -287,6 +289,35 @@ fn network_scores_are_bit_identical_to_in_process() {
 
     assert_bit_identical(&served, &reference);
     server.stop();
+}
+
+/// `start` must refuse a config that `tweak` leaves with a zero capacity.
+fn assert_refused_at_start(tweak: impl FnOnce(&mut ServeConfig)) {
+    let (m, _) = fitted();
+    let mut cfg = test_config();
+    tweak(&mut cfg);
+    let err = start(ServingEngine::new(GraphSnapshot::freeze(&m)), cfg)
+        .err()
+        .expect("a zero capacity is refused");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+}
+
+#[test]
+fn zero_queue_capacity_is_refused_at_start() {
+    // Every push would answer `Busy`.
+    assert_refused_at_start(|c| c.queue_capacity = 0);
+}
+
+#[test]
+fn zero_outbound_capacity_is_refused_at_start() {
+    // No reply could ever be queued.
+    assert_refused_at_start(|c| c.outbound_capacity = 0);
+}
+
+#[test]
+fn zero_pump_batch_is_refused_at_start() {
+    // The pump would never claim a sample.
+    assert_refused_at_start(|c| c.pump_batch = 0);
 }
 
 #[test]
