@@ -72,14 +72,6 @@ fn bench_lstm_step(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
-    // The pre-fusion two-GEMM step, kept as the before side of the pair.
-    c.bench_function("lstm/step_batch8_hidden32_unfused", |bench| {
-        bench.iter_batched(
-            setup,
-            |(mut tape, bound, state, x)| black_box(bound.step_unfused(&mut tape, x, state)),
-            BatchSize::SmallInput,
-        )
-    });
     // Steady-state recurrence on one reused tape: 16 fused steps plus the
     // recycling backward pass, the shape of a seq2seq training iteration.
     c.bench_function("lstm/forward_backward_16steps", |bench| {
@@ -131,6 +123,42 @@ fn bench_seq2seq(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
+
+    // One training step (a `fit` of one step on a fresh model) at the pair
+    // model shapes of the mdesbench `fit_fleet` and `stream_nmt` workloads.
+    for (name, cfg, len) in [
+        (
+            "seq2seq/train_step_fleet",
+            Seq2SeqConfig {
+                embed_dim: 8,
+                hidden: 8,
+                batch_size: 4,
+                train_steps: 1,
+                ..Seq2SeqConfig::default()
+            },
+            10,
+        ),
+        (
+            "seq2seq/train_step_stream",
+            Seq2SeqConfig {
+                train_steps: 1,
+                ..Seq2SeqConfig::default()
+            },
+            6,
+        ),
+    ] {
+        let corpus = shifted_corpus(32, len, 12);
+        c.bench_function(name, |bench| {
+            bench.iter_batched(
+                || Seq2Seq::new(12, 12, 1, cfg.clone()),
+                |mut model| {
+                    model.fit(black_box(&corpus)).expect("fit");
+                    black_box(model)
+                },
+                BatchSize::SmallInput,
+            )
+        });
+    }
 
     let mut trained = Seq2Seq::new(
         12,

@@ -94,7 +94,9 @@ pub struct ShardedSweepReport {
 ///
 /// Returns [`CoreError::TooFewSensors`] for fewer than two surviving
 /// sensors, [`CoreError::NoValidModels`] for an empty pair list (an
-/// over-aggressive prescreen), corpus/encoding errors per shard, and the
+/// over-aggressive prescreen), [`CoreError::Nn`] for an out-of-range
+/// translator configuration (before any pair trains), corpus/encoding
+/// errors per shard, and the
 /// same failure-policy and checkpoint errors as [`build_graph`]
 /// (`crate::algorithm1::build_graph`) — including
 /// [`CoreError::Checkpoint`] when a shard file's fingerprint belongs to a
@@ -119,6 +121,7 @@ pub fn build_graph_sharded(
     if pairs.is_empty() {
         return Err(CoreError::NoValidModels);
     }
+    cfg.build.translator.validate()?;
     for &(i, j) in pairs {
         assert!(
             i < n && j < n && i != j,

@@ -38,6 +38,16 @@ pub enum NnError {
     /// non-finite values as saturated finite ones), so quantization refuses
     /// the model instead of producing a silently-wrong artifact.
     NonFiniteWeight,
+    /// A [`Seq2SeqConfig`](crate::Seq2SeqConfig) hyper-parameter is out of
+    /// range (a zero dimension, a dropout probability outside `[0, 1)`, or a
+    /// learning rate or gradient clip that is not finite and positive), so
+    /// no model can be trained with it.
+    InvalidConfig {
+        /// The offending field.
+        field: &'static str,
+        /// Its value and the range it must lie in.
+        detail: String,
+    },
 }
 
 impl fmt::Display for NnError {
@@ -59,6 +69,9 @@ impl fmt::Display for NnError {
             }
             NnError::NonFiniteWeight => {
                 write!(f, "non-finite weight offered for quantization")
+            }
+            NnError::InvalidConfig { field, detail } => {
+                write!(f, "invalid seq2seq config: {field} {detail}")
             }
         }
     }
@@ -82,6 +95,10 @@ mod tests {
             NnError::EmptySequence,
             NnError::Diverged { step: 7 },
             NnError::NonFiniteWeight,
+            NnError::InvalidConfig {
+                field: "dropout",
+                detail: "1 must be in [0, 1)".into(),
+            },
         ];
         for e in errs {
             let s = e.to_string();

@@ -4,9 +4,9 @@
 //! which records an op node, allocates (or pools) an output buffer, and keeps
 //! backprop bookkeeping for every operation. None of that is needed at
 //! serving time: online detection (Algorithm 2) only ever runs forward. This
-//! module re-implements the forward pass — embedding lookup, fused-gate
-//! LSTM/GRU steps, Luong attention, and the output projection — against a
-//! reusable per-context scratch arena:
+//! module runs the forward pass — embedding lookup, fused-gate LSTM/GRU
+//! steps, Luong attention, and the output projection — against a reusable
+//! per-context scratch arena:
 //!
 //! * weights are packed **once** per model into a [`ModelSpec`] (the
 //!   `[wx; wh]` fused-GEMM operands that the tape re-concatenates on every
@@ -15,19 +15,19 @@
 //!   step performs no heap allocation in the steady state (the first call at
 //!   a given batch/sequence shape sizes the arena; later calls reuse it).
 //!
-//! **Bit parity.** The engine is not "close to" the tape — it is exactly the
-//! tape's forward arithmetic, op for op: GEMMs go through
-//! [`Matrix::matmul_into`] (which routes to `reference-kernels` under that
-//! feature, same as the tape), nonlinearities through
-//! [`crate::matrix::sigmoid_slice`] / [`crate::matrix::tanh_slice`] applied to
-//! the same contiguous buffers the tape slices out, and reductions (softmax,
-//! attention scores, state updates) replicate the tape's loop order and
-//! rounding sequence. The tape path stays compiled as the parity oracle
+//! **Bit parity.** The engine is not "close to" the tape — it runs the
+//! tape's forward arithmetic: GEMMs go through [`Matrix::matmul_into`]
+//! (which routes to `reference-kernels` under that feature, same as the
+//! tape), and the gate activations, LSTM/GRU state updates and attention
+//! (scores, softmax, context) are the very kernels the tape's fused cell and
+//! attention ops call (the crate's `kernels` module). The tape path stays
+//! compiled as the parity oracle
 //! (`Seq2Seq::translate_batch_tape` and friends, mirroring
 //! [`crate::reference`]), and `tests/infer_parity.rs` asserts bit-identical
 //! output under both kernel families.
 
-use crate::matrix::{sigmoid_slice, tanh_slice, Matrix};
+use crate::kernels::{self, GRU_GATES, LSTM_GATES};
+use crate::matrix::{tanh_slice, Matrix};
 use crate::quant::{QMatrix, QuantMode, QuantReport};
 use crate::NnError;
 use serde::{Deserialize, Serialize};
@@ -336,22 +336,13 @@ struct Scratch {
     xh: Matrix,
     /// Gate pre-activations, `B x 4H` (LSTM) or `B x 2H` (GRU).
     z: Matrix,
-    /// Contiguous copy of one gate block before its nonlinearity (mirrors the
-    /// tape's `slice_cols`, so the activation kernels see the same buffer
-    /// extents as on the tape).
+    /// Contiguous copy of one gate block before its nonlinearity; the GRU
+    /// candidate pre-activation.
     gate_pre: Matrix,
-    /// Activated gates: i/f/g/o for LSTM; ga = r, gb = z for GRU.
-    ga: Matrix,
-    /// See [`Scratch::ga`].
-    gb: Matrix,
-    /// See [`Scratch::ga`].
-    gc: Matrix,
-    /// See [`Scratch::ga`].
-    go: Matrix,
+    /// Activated gates, stacked `[i; f; g; o]` (LSTM) or `[r; z]` (GRU).
+    gates: Matrix,
     /// `tanh(c)` (LSTM) / candidate state (GRU).
     tc: Matrix,
-    /// `r ⊙ h` (GRU only).
-    rh: Matrix,
     /// Attention query `h_t W_a` (General attention only).
     query: Matrix,
     /// Attention scores, then weights after in-place softmax, `B x S`.
@@ -557,135 +548,55 @@ impl InferCtx {
 
 /// Advances every layer of a packed stack one step, updating `state` in
 /// place. Layer 0 consumes `scr.x`; layer `l` consumes layer `l - 1`'s fresh
-/// hidden state, exactly like the tape's stack step.
+/// hidden state, exactly like the tape's stack step. The gate activations
+/// and state updates are the tape cell ops' own kernels.
 fn step_stack(layers: &[PackedCell], scr: &mut Scratch, state: &mut InferState) {
     let Scratch {
         x,
         xh,
         z,
         gate_pre,
-        ga,
-        gb,
-        gc,
-        go,
+        gates,
         tc,
-        rh,
         ..
     } = scr;
     for (l, cell) in layers.iter().enumerate() {
-        let batch = state.h[l].rows();
+        let (done, rest) = state.h.split_at_mut(l);
+        let input: &Matrix = if l == 0 { x } else { &done[l - 1] };
+        let h = &mut rest[0];
+        let (batch, hd) = h.shape();
+        shape_to(xh, batch, input.cols() + hd);
+        kernels::concat_cols_into(input, h, xh);
+        shape_to(gate_pre, batch, hd);
         match cell {
-            PackedCell::Lstm { w, b, hidden } => {
-                let hd = *hidden;
-                let in_dim = w.rows() - hd;
-                // xh = [input | h] — the tape's concat_cols.
-                shape_to(xh, batch, in_dim + hd);
-                for r in 0..batch {
-                    let input_row = if l == 0 {
-                        x.row(r)
-                    } else {
-                        state.h[l - 1].row(r)
-                    };
-                    let row = xh.row_mut(r);
-                    row[..in_dim].copy_from_slice(input_row);
-                    row[in_dim..].copy_from_slice(state.h[l].row(r));
-                }
+            PackedCell::Lstm { w, b, .. } => {
                 shape_to(z, batch, 4 * hd);
                 xh.matmul_q_into(w, z);
-                add_row_inplace(z, b);
-                // Gate blocks copied out contiguously (the tape's
-                // slice_cols), then activated whole-buffer like the tape.
-                copy_cols(z, 0, hd, gate_pre);
-                shape_to(ga, batch, hd);
-                sigmoid_slice(gate_pre.data(), ga.data_mut());
-                copy_cols(z, hd, hd, gate_pre);
-                shape_to(gb, batch, hd);
-                sigmoid_slice(gate_pre.data(), gb.data_mut());
-                copy_cols(z, 2 * hd, hd, gate_pre);
-                shape_to(gc, batch, hd);
-                tanh_slice(gate_pre.data(), gc.data_mut());
-                copy_cols(z, 3 * hd, hd, gate_pre);
-                shape_to(go, batch, hd);
-                sigmoid_slice(gate_pre.data(), go.data_mut());
-                // c' = f ⊙ c + i ⊙ g, h' = o ⊙ tanh(c'), rounding exactly as
-                // the tape's hadamard/add sequence.
-                let cd = state.c[l].data_mut();
-                let (id, fd, gd) = (ga.data(), gb.data(), gc.data());
-                for e in 0..cd.len() {
-                    let fc = fd[e] * cd[e];
-                    let ig = id[e] * gd[e];
-                    cd[e] = fc + ig;
-                }
+                kernels::add_row_inplace(z, b);
+                shape_to(gates, 4 * batch, hd);
+                kernels::activate_gates(z, LSTM_GATES, gate_pre.data_mut(), gates.data_mut());
+                kernels::lstm_cell(gates.data(), state.c[l].data_mut());
                 shape_to(tc, batch, hd);
-                tanh_slice(state.c[l].data(), tc.data_mut());
-                let hd_out = state.h[l].data_mut();
-                let (od, td) = (go.data(), tc.data());
-                for e in 0..hd_out.len() {
-                    hd_out[e] = od[e] * td[e];
-                }
+                kernels::lstm_hidden(gates.data(), state.c[l].data(), tc.data_mut(), h.data_mut());
             }
             PackedCell::Gru {
                 w_gates,
                 b_gates,
                 w_cand,
                 b_cand,
-                hidden,
+                ..
             } => {
-                let hd = *hidden;
-                let in_dim = w_gates.rows() - hd;
-                shape_to(xh, batch, in_dim + hd);
-                for r in 0..batch {
-                    let input_row = if l == 0 {
-                        x.row(r)
-                    } else {
-                        state.h[l - 1].row(r)
-                    };
-                    let row = xh.row_mut(r);
-                    row[..in_dim].copy_from_slice(input_row);
-                    row[in_dim..].copy_from_slice(state.h[l].row(r));
-                }
                 shape_to(z, batch, 2 * hd);
                 xh.matmul_q_into(w_gates, z);
-                add_row_inplace(z, b_gates);
-                copy_cols(z, 0, hd, gate_pre);
-                shape_to(ga, batch, hd); // r
-                sigmoid_slice(gate_pre.data(), ga.data_mut());
-                copy_cols(z, hd, hd, gate_pre);
-                shape_to(gb, batch, hd); // z
-                sigmoid_slice(gate_pre.data(), gb.data_mut());
-                // rh = r ⊙ h, then the candidate GEMM over [x | rh].
-                shape_to(rh, batch, hd);
-                {
-                    let (rd, hd_in, out) = (ga.data(), state.h[l].data(), rh.data_mut());
-                    for e in 0..out.len() {
-                        out[e] = rd[e] * hd_in[e];
-                    }
-                }
-                for r in 0..batch {
-                    let input_row = if l == 0 {
-                        x.row(r)
-                    } else {
-                        state.h[l - 1].row(r)
-                    };
-                    let row = xh.row_mut(r);
-                    row[..in_dim].copy_from_slice(input_row);
-                    row[in_dim..].copy_from_slice(rh.row(r));
-                }
-                shape_to(gate_pre, batch, hd);
+                kernels::add_row_inplace(z, b_gates);
+                shape_to(gates, 2 * batch, hd);
+                kernels::activate_gates(z, GRU_GATES, gate_pre.data_mut(), gates.data_mut());
+                kernels::gru_candidate_input(input, h, gates.data(), xh);
                 xh.matmul_q_into(w_cand, gate_pre);
-                add_row_inplace(gate_pre, b_cand);
+                kernels::add_row_inplace(gate_pre, b_cand);
                 shape_to(tc, batch, hd);
                 tanh_slice(gate_pre.data(), tc.data_mut());
-                // h' = z ⊙ (h - c) + c, with the tape's scale/add rounding:
-                // h - c is computed as h + (-1 · c), and IEEE negation is
-                // bit-identical to multiplying by -1.
-                let hd_out = state.h[l].data_mut();
-                let (zd, cd) = (gb.data(), tc.data());
-                for e in 0..hd_out.len() {
-                    let h_minus_c = hd_out[e] + (-cd[e]);
-                    let gated = zd[e] * h_minus_c;
-                    hd_out[e] = gated + cd[e];
-                }
+                kernels::gru_blend(gates.data(), tc.data(), h.data_mut());
             }
         }
     }
@@ -693,7 +604,8 @@ fn step_stack(layers: &[PackedCell], scr: &mut Scratch, state: &mut InferState) 
 
 /// Luong attention and output projection over the encoder states, writing
 /// the attentional hidden state into `state.att` and logits into
-/// `scr.logits`. Mirrors the tape's `decode_step` tail op for op.
+/// `scr.logits`. Mirrors the tape's `decode_step` tail op for op; the
+/// attention itself is the tape attention op's kernel.
 fn attend(spec: &ModelSpec, scr: &mut Scratch, state: &mut InferState, enc_hs: &[Matrix]) {
     let hd = spec.hidden;
     let InferState {
@@ -718,63 +630,20 @@ fn attend(spec: &ModelSpec, scr: &mut Scratch, state: &mut InferState, enc_hs: &
         }
         None => h_top,
     };
-    // score(h_t, h_s) per encoder state — the tape's row_dot, with the same
-    // left-to-right summation.
-    let steps = enc_hs.len();
-    shape_to(scores, batch, steps);
-    for (s, hs) in enc_hs.iter().enumerate() {
-        for r in 0..batch {
-            let d: f32 = q.row(r).iter().zip(hs.row(r)).map(|(&x, &y)| x * y).sum();
-            scores.set(r, s, d);
-        }
-    }
-    // In-place softmax, replicating the tape's loop (max-subtract, std exp,
-    // sum in iteration order, divide).
-    for r in 0..batch {
-        let row = scores.row_mut(r);
-        let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0;
-        for v in row.iter_mut() {
-            *v = (*v - max).exp();
-            sum += *v;
-        }
-        for v in row.iter_mut() {
-            *v /= sum;
-        }
-    }
-    // context = Σ_s weight_s · h_s, accumulated in encoder-state order like
-    // the tape's mul_col/add fold.
+    shape_to(scores, batch, enc_hs.len());
     shape_to(ctx, batch, hd);
-    for (s, hs) in enc_hs.iter().enumerate() {
-        for r in 0..batch {
-            let w = scores.get(r, s);
-            let crow = ctx.row_mut(r);
-            if s == 0 {
-                for (o, &v) in crow.iter_mut().zip(hs.row(r)) {
-                    *o = v * w;
-                }
-            } else {
-                for (o, &v) in crow.iter_mut().zip(hs.row(r)) {
-                    *o += v * w;
-                }
-            }
-        }
-    }
+    kernels::attention(q, enc_hs.iter(), scores, ctx);
     shape_to(cat, batch, 2 * hd);
-    for r in 0..batch {
-        let row = cat.row_mut(r);
-        row[..hd].copy_from_slice(ctx.row(r));
-        row[hd..].copy_from_slice(h_top.row(r));
-    }
+    kernels::concat_cols_into(ctx, h_top, cat);
     shape_to(att_pre, batch, hd);
     cat.matmul_q_into(&spec.w_c, att_pre);
-    add_row_inplace(att_pre, &spec.b_c);
+    kernels::add_row_inplace(att_pre, &spec.b_c);
     shape_to(att, batch, hd);
     tanh_slice(att_pre.data(), att.data_mut());
     *has_att = true;
     shape_to(logits, batch, spec.w_out.cols());
     att.matmul_q_into(&spec.w_out, logits);
-    add_row_inplace(logits, &spec.b_out);
+    kernels::add_row_inplace(logits, &spec.b_out);
 }
 
 /// Resizes `m` to `rows x cols`, reusing its allocation when capacity
@@ -791,26 +660,6 @@ fn shape_to(m: &mut Matrix, rows: usize, cols: usize) {
 fn assign(dst: &mut Matrix, src: &Matrix) {
     shape_to(dst, src.rows(), src.cols());
     dst.data_mut().copy_from_slice(src.data());
-}
-
-/// In-place row-broadcast bias add — the tape's `add_row` values.
-fn add_row_inplace(m: &mut Matrix, bias: &Matrix) {
-    debug_assert_eq!(bias.shape(), (1, m.cols()));
-    for r in 0..m.rows() {
-        for (o, &b) in m.row_mut(r).iter_mut().zip(bias.row(0)) {
-            *o += b;
-        }
-    }
-}
-
-/// Copies columns `[start, start + width)` of `src` into `dst` — the tape's
-/// `slice_cols`.
-fn copy_cols(src: &Matrix, start: usize, width: usize, dst: &mut Matrix) {
-    shape_to(dst, src.rows(), width);
-    for r in 0..src.rows() {
-        dst.row_mut(r)
-            .copy_from_slice(&src.row(r)[start..start + width]);
-    }
 }
 
 /// Lazily-built, serialization-skipped cache of a model's [`InferCtx`].

@@ -37,6 +37,7 @@
 mod error;
 pub mod gru;
 pub mod infer;
+mod kernels;
 pub mod lstm;
 pub mod matrix;
 pub mod optim;

@@ -85,6 +85,42 @@ pub struct Seq2SeqConfig {
     pub seed: u64,
 }
 
+impl Seq2SeqConfig {
+    /// Checks that a model can be trained with this configuration.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::InvalidConfig`] naming the first offending field:
+    /// a zero `embed_dim`, `hidden`, `layers` or `batch_size`; a `dropout`
+    /// outside `[0, 1)` (NaN included); or a `learning_rate` or `grad_clip`
+    /// that is not finite and positive.
+    pub fn validate(&self) -> Result<(), NnError> {
+        let invalid = |field, detail: String| Err(NnError::InvalidConfig { field, detail });
+        for (field, value) in [
+            ("embed_dim", self.embed_dim),
+            ("hidden", self.hidden),
+            ("layers", self.layers),
+            ("batch_size", self.batch_size),
+        ] {
+            if value == 0 {
+                return invalid(field, "0 must be positive".into());
+            }
+        }
+        if !(0.0..1.0).contains(&self.dropout) {
+            return invalid("dropout", format!("{} must be in [0, 1)", self.dropout));
+        }
+        for (field, value) in [
+            ("learning_rate", self.learning_rate),
+            ("grad_clip", self.grad_clip),
+        ] {
+            if !(value.is_finite() && value > 0.0) {
+                return invalid(field, format!("{value} must be finite and positive"));
+            }
+        }
+        Ok(())
+    }
+}
+
 impl Default for Seq2SeqConfig {
     fn default() -> Self {
         Self {
@@ -401,7 +437,7 @@ impl Seq2Seq {
         if self.cfg.input_feeding {
             let feed = match prev_att {
                 Some(h) => h,
-                None => tape.leaf(Matrix::zeros(prev_tokens.len(), self.cfg.hidden)),
+                None => tape.zeros(prev_tokens.len(), self.cfg.hidden),
             };
             x = tape.concat_cols(x, feed);
         }
@@ -416,22 +452,7 @@ impl Seq2Seq {
             Some(w_a) => tape.matmul(h_top, w_a),
             None => h_top,
         };
-        let score_cols: Vec<TensorId> = enc_hs.iter().map(|&hs| tape.row_dot(query, hs)).collect();
-        let mut scores = score_cols[0];
-        for &c in &score_cols[1..] {
-            scores = tape.concat_cols(scores, c);
-        }
-        let weights = tape.softmax(scores);
-        let mut context: Option<TensorId> = None;
-        for (s, &hs) in enc_hs.iter().enumerate() {
-            let w_col = tape.slice_cols(weights, s, 1);
-            let part = tape.mul_col(hs, w_col);
-            context = Some(match context {
-                Some(acc) => tape.add(acc, part),
-                None => part,
-            });
-        }
-        let context = context.expect("attention over at least one encoder state");
+        let context = tape.attention(query, enc_hs);
 
         let cat = tape.concat_cols(context, h_top);
         let mut h_att = tape.matmul(cat, bound.w_c);
@@ -491,14 +512,17 @@ impl Seq2Seq {
     ///
     /// # Errors
     ///
-    /// Returns an error if `pairs` is empty, any sentence is empty, lengths
-    /// are inconsistent, or a token is out of vocabulary. Returns
+    /// Returns [`NnError::InvalidConfig`] if the configuration is out of
+    /// range ([`Seq2SeqConfig::validate`]). Returns an error if `pairs` is
+    /// empty, any sentence is empty, lengths are inconsistent, or a token is
+    /// out of vocabulary. Returns
     /// [`NnError::Diverged`] as soon as a step's loss is NaN or infinite —
     /// the parameters are corrupted past that point, so training stops
     /// immediately instead of burning the remaining steps; callers should
     /// discard the model and retrain (typically re-seeded, with a lower
     /// learning rate).
     pub fn fit(&mut self, pairs: &[(Vec<usize>, Vec<usize>)]) -> Result<Vec<f32>, NnError> {
+        self.cfg.validate()?;
         self.validate(pairs)?;
         let mut span = mdes_obs::span("nn.fit");
         span.field("steps", self.cfg.train_steps);
@@ -1044,6 +1068,85 @@ mod tests {
             matches!(r, Err(NnError::Diverged { .. })),
             "expected divergence, got {r:?}"
         );
+    }
+
+    /// One training step of the `fit_fleet` benchmark's pair model (embed 8,
+    /// hidden 8, batch 4, sentences of 10 words) records 207 tape nodes:
+    /// 3 per LSTM step and 1 per attention step.
+    #[test]
+    fn fleet_shaped_train_step_records_at_most_210_nodes() {
+        let corpus = shifted_corpus(8, 10, 12);
+        let mut model = Seq2Seq::new(
+            12,
+            12,
+            1,
+            Seq2SeqConfig {
+                embed_dim: 8,
+                hidden: 8,
+                batch_size: 4,
+                ..Seq2SeqConfig::default()
+            },
+        );
+        let src: Vec<&[usize]> = corpus[..4].iter().map(|p| p.0.as_slice()).collect();
+        let tgt: Vec<&[usize]> = corpus[..4].iter().map(|p| p.1.as_slice()).collect();
+        let mut tape = Tape::new();
+        let mut rng = StdRng::seed_from_u64(1);
+        let loss = model.train_batch(&mut tape, &src, &tgt, &mut rng);
+        assert!(loss.is_finite());
+        assert!(tape.len() <= 210, "{} tape nodes", tape.len());
+    }
+
+    #[test]
+    fn fit_rejects_an_out_of_range_config() {
+        let corpus = shifted_corpus(4, 3, 6);
+        for (field, cfg) in [
+            (
+                "dropout",
+                Seq2SeqConfig {
+                    dropout: 1.0,
+                    ..tiny_config()
+                },
+            ),
+            (
+                "dropout",
+                Seq2SeqConfig {
+                    dropout: f32::NAN,
+                    ..tiny_config()
+                },
+            ),
+            (
+                "learning_rate",
+                Seq2SeqConfig {
+                    learning_rate: -0.01,
+                    ..tiny_config()
+                },
+            ),
+            (
+                "grad_clip",
+                Seq2SeqConfig {
+                    grad_clip: f32::INFINITY,
+                    ..tiny_config()
+                },
+            ),
+        ] {
+            let mut model = Seq2Seq::new(6, 6, 1, cfg);
+            match model.fit(&corpus) {
+                Err(NnError::InvalidConfig { field: f, .. }) => assert_eq!(f, field),
+                other => panic!("expected InvalidConfig for {field}, got {other:?}"),
+            }
+        }
+        let zero_dim = Seq2SeqConfig {
+            embed_dim: 0,
+            ..tiny_config()
+        };
+        assert!(matches!(
+            zero_dim.validate(),
+            Err(NnError::InvalidConfig {
+                field: "embed_dim",
+                ..
+            })
+        ));
+        assert_eq!(tiny_config().validate(), Ok(()));
     }
 
     #[test]

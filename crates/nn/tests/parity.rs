@@ -1,15 +1,14 @@
-//! Parity + property harness guarding the fast GEMM and fused-gate kernels.
+//! Parity + property harness guarding the fast GEMM and activation kernels.
 //!
 //! The blocked kernels in `matrix.rs` accumulate every output element in
 //! ascending shared-index order, so they must match the naive loops in
 //! [`mdes_nn::reference`] *bit for bit* on any input — the proptests below
-//! assert exact equality over random shapes and values. Gate fusion
-//! (`step` vs `step_unfused`) does reorder the sum over `[x | h]`, so the
-//! recurrent parity tests use a `1e-5` tolerance instead, and a
-//! finite-difference gradcheck pins down the fused backward pass.
+//! assert exact equality over random shapes and values. A finite-difference
+//! gradcheck pins down the fused-gate LSTM backward pass. (The `1e-5`
+//! parity of the fused-gate GEMM against the two-GEMM step lives in the
+//! `lstm` and `gru` unit tests, next to that test-only oracle.)
 
-use mdes_nn::gru::GruLayer;
-use mdes_nn::lstm::{LstmLayer, LstmState};
+use mdes_nn::lstm::LstmLayer;
 use mdes_nn::{reference, Matrix, ParamSet, Tape};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -25,15 +24,6 @@ fn random_matrix(rows: usize, cols: usize, rng: &mut StdRng) -> Matrix {
             rng.gen_range(-2.0f32..2.0)
         }
     })
-}
-
-fn max_abs_diff(a: &Matrix, b: &Matrix) -> f32 {
-    assert_eq!(a.shape(), b.shape());
-    a.data()
-        .iter()
-        .zip(b.data())
-        .map(|(x, y)| (x - y).abs())
-        .fold(0.0, f32::max)
 }
 
 proptest! {
@@ -76,46 +66,6 @@ proptest! {
         let fast = a.matmul_nt(&b);
         let naive = reference::matmul_nt(&a, &b);
         prop_assert_eq!(fast.data(), naive.data(), "matmul_nt diverged at {}x{}x{}", m, c, n);
-    }
-
-    /// Fused LSTM step vs the two-GEMM oracle: `h` and `c` within `1e-5`.
-    #[test]
-    fn lstm_fused_step_matches_unfused(
-        batch in 1usize..=6, input in 1usize..=8, hidden in 1usize..=8, seed in 0u64..1 << 32,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut params = ParamSet::new();
-        let layer = LstmLayer::new(&mut params, input, hidden, &mut rng);
-        let mut tape = Tape::new();
-        let bound = layer.bind(&mut tape, &params);
-        let x = tape.leaf(random_matrix(batch, input, &mut rng));
-        let h0 = tape.leaf(random_matrix(batch, hidden, &mut rng));
-        let c0 = tape.leaf(random_matrix(batch, hidden, &mut rng));
-        let state = LstmState { h: h0, c: c0 };
-        let fused = bound.step(&mut tape, x, state);
-        let oracle = bound.step_unfused(&mut tape, x, state);
-        let dh = max_abs_diff(tape.value(fused.h), tape.value(oracle.h));
-        let dc = max_abs_diff(tape.value(fused.c), tape.value(oracle.c));
-        prop_assert!(dh <= 1e-5, "fused h diverged by {dh}");
-        prop_assert!(dc <= 1e-5, "fused c diverged by {dc}");
-    }
-
-    /// Fused GRU step vs the three-GEMM oracle: `h` within `1e-5`.
-    #[test]
-    fn gru_fused_step_matches_unfused(
-        batch in 1usize..=6, input in 1usize..=8, hidden in 1usize..=8, seed in 0u64..1 << 32,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut params = ParamSet::new();
-        let layer = GruLayer::new(&mut params, input, hidden, &mut rng);
-        let mut tape = Tape::new();
-        let bound = layer.bind(&mut tape, &params);
-        let x = tape.leaf(random_matrix(batch, input, &mut rng));
-        let h0 = tape.leaf(random_matrix(batch, hidden, &mut rng));
-        let fused = bound.step(&mut tape, x, h0);
-        let oracle = bound.step_unfused(&mut tape, x, h0);
-        let dh = max_abs_diff(tape.value(fused), tape.value(oracle));
-        prop_assert!(dh <= 1e-5, "fused GRU h diverged by {dh}");
     }
 }
 
