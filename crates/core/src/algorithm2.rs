@@ -185,10 +185,10 @@ pub(crate) struct PairMeta {
     pub dev_floor: f64,
 }
 
-/// A source of pair models for Algorithm 2 — the driver's view of either a training-side [`TrainedGraph`] (frozen
-/// translators, each decoding through its own arena) or a frozen
-/// [`GraphSnapshot`](crate::serve::GraphSnapshot) (spec-only translators
-/// decoded through a caller-supplied [`InferArena`]).
+/// A source of pair models for Algorithm 2 — the driver's view of either a
+/// training-side [`TrainedGraph`] or a frozen
+/// [`GraphSnapshot`](crate::serve::GraphSnapshot). Both decode neural pairs
+/// through the worker's [`InferArena`].
 pub(crate) trait ModelBank: Sync {
     /// Number of graph nodes (aligned corpora expected per detect call).
     fn node_count(&self) -> usize;
@@ -204,8 +204,8 @@ pub(crate) trait ModelBank: Sync {
     /// `cfg.valid_range` per call.
     fn frozen_valid(&self) -> Option<&[usize]>;
 
-    /// Decodes a batch of source sentences with model `k`. Banks whose
-    /// translators carry their own scratch state may ignore `arena`.
+    /// Decodes a batch of source sentences with model `k`, through `arena`
+    /// for the neural family.
     fn decode_batch(
         &self,
         k: usize,
@@ -243,9 +243,11 @@ impl ModelBank for TrainedGraph {
         k: usize,
         srcs: &[&[u32]],
         out_len: usize,
-        _arena: &mut InferArena,
+        arena: &mut InferArena,
     ) -> Vec<Vec<u32>> {
-        self.models()[k].translate_batch(srcs, out_len)
+        self.models()[k]
+            .translator()
+            .translate_batch_in(srcs, out_len, arena)
     }
 }
 
