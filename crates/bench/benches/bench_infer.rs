@@ -164,8 +164,53 @@ fn bench_quantized_sweep(c: &mut Criterion) {
     }
 }
 
+/// Frozen decode at the two benchmark serving shapes, through one shared
+/// arena with `u32` tokens as a serving worker decodes: the neural stream
+/// snapshot (embed and hidden 32, six-word windows) at a lone window and at
+/// the decode batch of about three that cross-session batching reaches,
+/// and the fleet's tiny pair models (embed and hidden 8, ten-word windows)
+/// at a batch of two.
+fn bench_serving_shapes(c: &mut Criterion) {
+    use mdes_nn::InferArena;
+    let vocab = 24;
+    let mut arena = InferArena::new();
+    for (dim, words, batch) in [(32, 6, 1), (32, 6, 3), (8, 10, 2)] {
+        let cfg = Seq2SeqConfig {
+            embed_dim: dim,
+            hidden: dim,
+            ..Seq2SeqConfig::default()
+        };
+        let spec = Seq2Seq::new(vocab, vocab, 0, cfg).freeze();
+        let sentences: Vec<Vec<u32>> = random_sentences(batch, words, vocab, 17)
+            .into_iter()
+            .map(|s| s.into_iter().map(|t| t as u32).collect())
+            .collect();
+        let srcs: Vec<&[u32]> = sentences.iter().map(Vec::as_slice).collect();
+        black_box(arena.translate_batch(&spec, &srcs, words));
+        c.bench_function(
+            &format!("infer/serve_h{dim}_len{words}_b{batch}"),
+            |bench| bench.iter(|| black_box(arena.translate_batch(black_box(&spec), &srcs, words))),
+        );
+    }
+}
+
+/// The gate activations over one LSTM step's gate width at the stream
+/// shape (4 x 32 values), across the range trained pre-activations span.
+fn bench_activations(c: &mut Criterion) {
+    let xs: Vec<f32> = (0..128).map(|i| (i as f32 - 64.0) * 0.125).collect();
+    let mut out = vec![0.0f32; xs.len()];
+    c.bench_function("activation/sigmoid_slice_128", |bench| {
+        bench.iter(|| mdes_nn::matrix::sigmoid_slice(black_box(&xs), &mut out))
+    });
+    c.bench_function("activation/tanh_slice_128", |bench| {
+        bench.iter(|| mdes_nn::matrix::tanh_slice(black_box(&xs), &mut out))
+    });
+}
+
 criterion_group!(
     benches,
+    bench_serving_shapes,
+    bench_activations,
     bench_greedy,
     bench_batched,
     bench_beam,

@@ -48,6 +48,17 @@ pub enum NnError {
         /// Its value and the range it must lie in.
         detail: String,
     },
+    /// A frozen [`ModelSpec`](crate::ModelSpec) is internally inconsistent
+    /// (a weight of the wrong shape, an empty or mixed layer stack, a
+    /// begin-of-sentence token outside the target vocabulary), so decoding
+    /// it would index out of bounds. Reported by
+    /// [`ModelSpec::validate`](crate::ModelSpec::validate).
+    MalformedSpec {
+        /// The offending field, e.g. `decoder[0].w` or `bos`.
+        field: String,
+        /// What it holds and what it must hold.
+        detail: String,
+    },
 }
 
 impl fmt::Display for NnError {
@@ -72,6 +83,9 @@ impl fmt::Display for NnError {
             }
             NnError::InvalidConfig { field, detail } => {
                 write!(f, "invalid seq2seq config: {field} {detail}")
+            }
+            NnError::MalformedSpec { field, detail } => {
+                write!(f, "malformed model spec: {field} {detail}")
             }
         }
     }
@@ -98,6 +112,10 @@ mod tests {
             NnError::InvalidConfig {
                 field: "dropout",
                 detail: "1 must be in [0, 1)".into(),
+            },
+            NnError::MalformedSpec {
+                field: "bos".into(),
+                detail: "is 9, not below the target vocabulary 4".into(),
             },
         ];
         for e in errs {

@@ -14,7 +14,7 @@
 //! blocks, one per gate (`[i; f; g; o]` for the LSTM, `[r; z]` for the GRU),
 //! instead of the GEMM's `B x nH` column blocks.
 
-use crate::matrix::{sigmoid_slice, tanh_slice, Matrix};
+use crate::matrix::{sigmoid_kernel, tanh_kernel, tanh_slice, Matrix};
 
 /// Nonlinearity applied to one gate block.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -53,23 +53,61 @@ pub(crate) fn add_row_inplace(m: &mut Matrix, bias: &Matrix) {
 }
 
 /// Activates the gate pre-activations `z` (`B x nH`, one column block per
-/// entry of `acts`) into `gates` (`n` stacked `B x H` blocks). Each block is
-/// first copied out contiguously into `pre` (`B x H` elements), so the
-/// activation kernels run over whole `B x H` buffers.
+/// entry of `acts`) into `gates` (`n` stacked `B x H` blocks), reading each
+/// gate block straight out of its row of `z`. One AVX2-dispatched pass
+/// covers every gate of every row; the per-element arithmetic is that of
+/// [`sigmoid_slice`](crate::matrix::sigmoid_slice) and
+/// [`tanh_slice`](crate::matrix::tanh_slice), and under
+/// `reference-kernels` their libm oracles.
 #[inline]
-pub(crate) fn activate_gates(z: &Matrix, acts: &[Act], pre: &mut [f32], gates: &mut [f32]) {
+pub(crate) fn activate_gates(z: &Matrix, acts: &[Act], gates: &mut [f32]) {
+    debug_assert_eq!(gates.len(), z.data().len());
+    if cfg!(feature = "reference-kernels") {
+        return gate_pass(
+            z,
+            acts,
+            gates,
+            crate::reference::sigmoid_slice,
+            crate::reference::tanh_slice,
+        );
+    }
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: guarded by the runtime AVX2 check; the function has no
+        // other preconditions.
+        return unsafe { activate_gates_avx2(z, acts, gates) };
+    }
+    gate_pass(z, acts, gates, sigmoid_kernel, tanh_kernel);
+}
+
+/// [`activate_gates`]' fast kernels compiled with AVX2 enabled, so the
+/// activation blocks inline here and vectorize 8-wide.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn activate_gates_avx2(z: &Matrix, acts: &[Act], gates: &mut [f32]) {
+    gate_pass(z, acts, gates, sigmoid_kernel, tanh_kernel);
+}
+
+#[inline(always)]
+fn gate_pass(
+    z: &Matrix,
+    acts: &[Act],
+    gates: &mut [f32],
+    sigmoid: impl Fn(&[f32], &mut [f32]),
+    tanh: impl Fn(&[f32], &mut [f32]),
+) {
     let batch = z.rows();
     let hidden = z.cols() / acts.len();
     let block = batch * hidden;
-    debug_assert_eq!(pre.len(), block);
-    debug_assert_eq!(gates.len(), acts.len() * block);
-    for (k, (act, out)) in acts.iter().zip(gates.chunks_exact_mut(block)).enumerate() {
-        for (r, dst) in pre.chunks_exact_mut(hidden).enumerate() {
-            dst.copy_from_slice(&z.row(r)[k * hidden..(k + 1) * hidden]);
-        }
-        match act {
-            Act::Sigmoid => sigmoid_slice(pre, out),
-            Act::Tanh => tanh_slice(pre, out),
+    for r in 0..batch {
+        let row = z.row(r);
+        for (k, act) in acts.iter().enumerate() {
+            let src = &row[k * hidden..(k + 1) * hidden];
+            let dst = &mut gates[k * block + r * hidden..k * block + (r + 1) * hidden];
+            match act {
+                Act::Sigmoid => sigmoid(src, dst),
+                Act::Tanh => tanh(src, dst),
+            }
         }
     }
 }
@@ -141,12 +179,7 @@ pub(crate) fn attention<'a>(
     ctx: &mut Matrix,
 ) {
     let batch = q.rows();
-    for (s, hs) in keys.clone().enumerate() {
-        for r in 0..batch {
-            let d: f32 = q.row(r).iter().zip(hs.row(r)).map(|(&x, &y)| x * y).sum();
-            weights.set(r, s, d);
-        }
-    }
+    attention_scores(q, keys.clone(), weights);
     softmax_rows(weights);
     for (s, hs) in keys.enumerate() {
         for r in 0..batch {
@@ -165,6 +198,60 @@ pub(crate) fn attention<'a>(
     }
 }
 
+/// Keys whose score chains [`attention_scores`] runs side by side.
+const SCORE_CHAINS: usize = 4;
+
+/// The dot score `q_r · key_s` of every row `r` and key `s`, into `scores`
+/// (`B x S`). Each score is one strictly ordered chain that starts where
+/// `Iterator::sum` over `f32` starts (`-0.0`) and adds the products in
+/// ascending element order, exactly as `.map(|(x, y)| x * y).sum()` does;
+/// [`SCORE_CHAINS`] keys' chains are interleaved so the adds of one hide
+/// the latency of another.
+#[inline]
+fn attention_scores<'a>(q: &Matrix, keys: impl Iterator<Item = &'a Matrix>, scores: &mut Matrix) {
+    let batch = q.rows();
+    let mut keys = keys.fuse();
+    let mut s = 0;
+    loop {
+        let group: [Option<&Matrix>; SCORE_CHAINS] = std::array::from_fn(|_| keys.next());
+        match group {
+            [Some(k0), Some(k1), Some(k2), Some(k3)] => {
+                for r in 0..batch {
+                    let d = dot_chains(q.row(r), [k0.row(r), k1.row(r), k2.row(r), k3.row(r)]);
+                    for (l, v) in d.into_iter().enumerate() {
+                        scores.set(r, s + l, v);
+                    }
+                }
+                s += SCORE_CHAINS;
+            }
+            tail => {
+                for hs in tail.into_iter().flatten() {
+                    for r in 0..batch {
+                        let [d] = dot_chains(q.row(r), [hs.row(r)]);
+                        scores.set(r, s, d);
+                    }
+                    s += 1;
+                }
+                return;
+            }
+        }
+    }
+}
+
+/// `L` dot products of `q` with the rows `ks`, one strictly ordered chain
+/// each (see [`attention_scores`]).
+#[inline(always)]
+fn dot_chains<const L: usize>(q: &[f32], ks: [&[f32]; L]) -> [f32; L] {
+    let ks = ks.map(|k| &k[..q.len()]);
+    let mut acc = [-0.0f32; L];
+    for (e, &x) in q.iter().enumerate() {
+        for (a, k) in acc.iter_mut().zip(&ks) {
+            *a += x * k[e];
+        }
+    }
+    acc
+}
+
 /// Row-wise softmax in place: max-subtract, exponentiate and sum in
 /// iteration order, divide.
 #[inline]
@@ -179,6 +266,82 @@ pub(crate) fn softmax_rows(m: &mut Matrix) {
         }
         for x in row.iter_mut() {
             *x /= sum;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The score loop as first written: one `Iterator::sum` per key and row.
+    fn scores_oracle(q: &Matrix, keys: &[Matrix]) -> Matrix {
+        let mut out = Matrix::zeros(q.rows(), keys.len());
+        for (s, hs) in keys.iter().enumerate() {
+            for r in 0..q.rows() {
+                let d: f32 = q.row(r).iter().zip(hs.row(r)).map(|(&x, &y)| x * y).sum();
+                out.set(r, s, d);
+            }
+        }
+        out
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.data().iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn scores(q: &Matrix, keys: &[Matrix]) -> Matrix {
+        let mut out = Matrix::zeros(q.rows(), keys.len());
+        attention_scores(q, keys.iter(), &mut out);
+        out
+    }
+
+    #[test]
+    fn score_chains_start_where_sum_starts() {
+        // Every product is -0.0, so only the chain's start value decides
+        // the sign of the score.
+        let q = Matrix::from_vec(1, 3, vec![0.0; 3]);
+        let keys: Vec<Matrix> = (0..5)
+            .map(|_| Matrix::from_vec(1, 3, vec![-1.0; 3]))
+            .collect();
+        let want = scores_oracle(&q, &keys);
+        assert!(want.get(0, 0).is_sign_negative());
+        assert_eq!(bits(&scores(&q, &keys)), bits(&want));
+    }
+
+    /// An element value from a `(kind, value)` draw: signed zeros and
+    /// magnitudes far apart, so any reordering of a chain's adds would show
+    /// in the rounding.
+    fn element((kind, v): (u8, f32)) -> f32 {
+        match kind {
+            0 => 0.0,
+            1 => -0.0,
+            2 => v * 1e6,
+            3 => v * 1e-6,
+            _ => v,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Interleaved score chains are bit-identical to the per-key
+        /// `.sum()` loop, at every key count around the chain group size.
+        #[test]
+        fn interleaved_scores_match_sum(
+            batch in 1usize..=4,
+            hidden in 1usize..=40,
+            keys in 1usize..=11,
+            draws in proptest::collection::vec((0u8..5, -1.0f32..1.0), 4 * 40 * 12),
+        ) {
+            let mut vals = draws.into_iter().map(element);
+            let mut take = |rows, cols| {
+                Matrix::from_vec(rows, cols, vals.by_ref().take(rows * cols).collect())
+            };
+            let q = take(batch, hidden);
+            let keys: Vec<Matrix> = (0..keys).map(|_| take(batch, hidden)).collect();
+            prop_assert_eq!(bits(&scores(&q, &keys)), bits(&scores_oracle(&q, &keys)));
         }
     }
 }

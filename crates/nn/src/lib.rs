@@ -48,7 +48,7 @@ pub mod tape;
 
 pub use error::NnError;
 pub use gru::{GruLayer, GruStack};
-pub use infer::{InferArena, InferCtx, InferState, ModelSpec, PackedCell};
+pub use infer::{InferArena, InferCtx, InferState, ModelSpec, PackedCell, Token};
 pub use lstm::{LstmLayer, LstmStack};
 pub use matrix::Matrix;
 pub use optim::{Adam, Sgd};

@@ -233,9 +233,9 @@ impl Matrix {
 
     /// Matrix product `self * other`.
     ///
-    /// Uses a register-blocked 4×4 micro-kernel (four output rows, four
-    /// accumulated `other` rows per pass) with unrolled, branch-free inner
-    /// loops that the compiler can vectorize. Build with
+    /// Uses register tiles (four output rows by sixteen columns, and tiles
+    /// of their own height for the last one to three rows) with unrolled,
+    /// branch-free inner loops that the compiler can vectorize. Build with
     /// `--features reference-kernels` to route through the original naive
     /// loops in [`crate::reference`] instead.
     ///
@@ -319,7 +319,6 @@ impl Matrix {
             *out = crate::reference::matmul(self, other);
             return;
         }
-        out.data.fill(0.0);
         gemm_nn(
             self.rows,
             self.cols,
@@ -527,10 +526,12 @@ impl Matrix {
 // strictly ascending shared-index order, and dropping the `== 0.0` skip is
 // exact for finite inputs (`x + 0.0 * y == x`). The speedup comes from
 // register blocking (a 4-row × 16-column accumulator tile lives in registers
-// across the whole shared dimension), branch-free unrolled inner loops the
-// compiler can keep vectorized, and — for the `nt` case, where a true dot
-// product cannot be vectorized without reassociating — sixteen independent
-// scalar chains that hide the floating-point add latency.
+// across the whole shared dimension; in `a * b`, the one to three rows a
+// decode batch leaves over get tiles of their own height), branch-free
+// unrolled inner loops the compiler can keep vectorized, and — for the `nt`
+// case, where a true dot product cannot be vectorized without reassociating
+// — sixteen independent scalar chains that hide the floating-point add
+// latency.
 
 /// Output rows held in registers per micro-kernel pass.
 const MR: usize = 4;
@@ -555,9 +556,9 @@ fn fast_matmul_nt(a: &Matrix, b: &Matrix) -> Matrix {
     out
 }
 
-/// `out += a * b` where `a` is `m x k`, `b` is `k x n`, `out` is `m x n`
-/// (zeroed by the caller). Dispatches to an AVX2-compiled clone of the
-/// kernel when the CPU supports it.
+/// `out = a * b` where `a` is `m x k`, `b` is `k x n`, `out` is `m x n`.
+/// Dispatches to an AVX2-compiled clone of the kernel when the CPU
+/// supports it.
 fn gemm_nn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
@@ -629,8 +630,8 @@ mod avx2 {
 /// Element-wise logistic sigmoid of `src` into `dst`.
 ///
 /// The fast path evaluates `1 / (1 + e^-x)` with the polynomial
-/// [`exp_approx`], which vectorizes 8-wide under AVX2; absolute error stays
-/// below `1e-7` (see the accuracy test in this module). Build with
+/// [`exp_approx`], eight lanes per AVX2 instruction when the host has it;
+/// it stays within `1e-6` of libm (pinned by `tests/parity.rs`). Build with
 /// `--features reference-kernels` to route through the libm-exact
 /// [`crate::reference::sigmoid_slice`] instead.
 ///
@@ -675,15 +676,17 @@ pub fn tanh_slice(src: &[f32], dst: &mut [f32]) {
     tanh_kernel(src, dst);
 }
 
+/// Sigmoid body shared by every dispatch tier; see [`sigmoid_slice`].
 #[inline(always)]
-fn sigmoid_kernel(src: &[f32], dst: &mut [f32]) {
+pub(crate) fn sigmoid_kernel(src: &[f32], dst: &mut [f32]) {
     for (o, &x) in dst.iter_mut().zip(src) {
         *o = 1.0 / (1.0 + exp_approx(-x));
     }
 }
 
+/// Tanh body shared by every dispatch tier; see [`tanh_slice`].
 #[inline(always)]
-fn tanh_kernel(src: &[f32], dst: &mut [f32]) {
+pub(crate) fn tanh_kernel(src: &[f32], dst: &mut [f32]) {
     for (o, &x) in dst.iter_mut().zip(src) {
         // Clamp the doubled argument so `t` stays finite: beyond |x| = 8.5
         // f32 tanh is within one ulp of +/-1 anyway.
@@ -695,8 +698,9 @@ fn tanh_kernel(src: &[f32], dst: &mut [f32]) {
 /// Branch-free polynomial `e^x` (the Cephes `expf` scheme): split
 /// `x = n ln 2 + r`, evaluate a degree-6 polynomial on `r` and scale by
 /// `2^n` through exponent bits. Maximum relative error is about `2e-7`
-/// over the clamped range. `inline(always)` so the loops above inline into
-/// the AVX2-attributed wrappers and vectorize; every lane computes an
+/// over the clamped range. Every operation is one vector instruction
+/// (clamp, multiply, add, round-down, integer add and shift), so the
+/// activation loops run whole in vector registers; every lane computes an
 /// independent element with the same operations, so scalar and vector
 /// evaluation produce identical bits.
 #[inline(always)]
@@ -705,6 +709,9 @@ fn exp_approx(x: f32) -> f32 {
     // High/low split of ln 2 keeps the range reduction exact in f32.
     const LN2_HI: f32 = 0.693_359_375;
     const LN2_LO: f32 = -2.121_944_4e-4;
+    // 1.5 * 2^23: adding it to an integral float below 2^22 in magnitude
+    // leaves that integer, two's complement, in the low mantissa bits.
+    const MAGIC: f32 = 12_582_912.0;
     let x = x.clamp(-87.3, 88.7);
     let n = (x * std::f32::consts::LOG2_E + 0.5).floor();
     let r = x - n * LN2_HI - n * LN2_LO;
@@ -717,59 +724,103 @@ fn exp_approx(x: f32) -> f32 {
     let p = p * (r * r) + r + 1.0;
     // 2^n assembled directly in the exponent field; n is in [-126, 128]
     // after the clamp (n = 128 overflows to +inf, matching exp overflow).
-    let scale = f32::from_bits(((n as i32 + 127) << 23) as u32);
+    // The magic add reads n out exactly, in one vector add. A saturating
+    // `n as i32` has no AVX2 instruction and compiles to a scalar convert,
+    // two compares and two selects per lane. For a NaN `x`, `p` is NaN
+    // and the product below keeps `p`'s NaN whatever `scale` is.
+    let n_bits = (n + MAGIC).to_bits().wrapping_sub(MAGIC.to_bits());
+    let scale = f32::from_bits(n_bits.wrapping_add(127) << 23);
     p * scale
 }
 
-/// `out += a * b` where `a` is `m x k`, `b` is `k x n`, `out` is `m x n`
-/// (zeroed by the caller). `inline(always)` so the body inlines into the
-/// AVX2-attributed wrappers above and gets vectorized with their features.
+/// `out = a * b` where `a` is `m x k`, `b` is `k x n`, `out` is `m x n`.
+/// Every output element is written exactly once, from a register tile, so
+/// `out` need not be zeroed. Full four-row panels come first; the last one
+/// to three rows (every row of a decode batch below four) get a tile of
+/// their own height instead of a rank-1 loop over the whole output row.
+/// `inline(always)` so the body inlines into the AVX2-attributed wrappers
+/// above and gets vectorized with their features.
 #[inline(always)]
 fn kernel_nn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
     let mut i = 0;
     while i + MR <= m {
-        let mut j = 0;
-        while j + NR <= n {
-            let mut acc = [[0.0f32; NR]; MR];
-            for p in 0..k {
-                let bp = &b[p * n + j..p * n + j + NR];
-                for (r, acc_r) in acc.iter_mut().enumerate() {
-                    let a_rp = a[(i + r) * k + p];
-                    for (av, &bv) in acc_r.iter_mut().zip(bp) {
-                        *av += a_rp * bv;
-                    }
-                }
-            }
-            for (r, acc_r) in acc.iter().enumerate() {
-                out[(i + r) * n + j..(i + r) * n + j + NR].copy_from_slice(acc_r);
-            }
-            j += NR;
-        }
-        if j < n {
-            // Narrow column tail: rank-1 updates, still ascending in `p`.
-            for p in 0..k {
-                let bp = &b[p * n + j..(p + 1) * n];
-                for r in 0..MR {
-                    let a_rp = a[(i + r) * k + p];
-                    let or = &mut out[(i + r) * n + j..(i + r + 1) * n];
-                    for (o, &bv) in or.iter_mut().zip(bp) {
-                        *o += a_rp * bv;
-                    }
-                }
-            }
-        }
+        panel_nn::<MR, NR>(i, k, n, a, b, out);
         i += MR;
     }
-    while i < m {
-        for p in 0..k {
-            let a_ip = a[i * k + p];
-            let bp = &b[p * n..(p + 1) * n];
-            let or = &mut out[i * n..(i + 1) * n];
-            for (o, &bv) in or.iter_mut().zip(bp) {
-                *o += a_ip * bv;
+    // One- and two-row tails hold as many accumulators as a four-row tile
+    // by widening the tile instead.
+    match m - i {
+        3 => panel_nn::<3, NR>(i, k, n, a, b, out),
+        2 => panel_nn::<2, { 2 * NR }>(i, k, n, a, b, out),
+        1 => panel_nn::<1, { 4 * NR }>(i, k, n, a, b, out),
+        _ => {}
+    }
+}
+
+/// Rows `i..i + R` of [`kernel_nn`]: `C`-wide register tiles across the
+/// columns, then the narrow column tail in halving widths down to 4 and
+/// single columns.
+#[inline(always)]
+fn panel_nn<const R: usize, const C: usize>(
+    i: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+) {
+    let mut j = 0;
+    while j + C <= n {
+        tile_nn::<R, C>(i, j, k, n, a, b, out);
+        j += C;
+    }
+    if C > 32 && j + 32 <= n {
+        tile_nn::<R, 32>(i, j, k, n, a, b, out);
+        j += 32;
+    }
+    if C > 16 && j + 16 <= n {
+        tile_nn::<R, 16>(i, j, k, n, a, b, out);
+        j += 16;
+    }
+    if C > 8 && j + 8 <= n {
+        tile_nn::<R, 8>(i, j, k, n, a, b, out);
+        j += 8;
+    }
+    if C > 4 && j + 4 <= n {
+        tile_nn::<R, 4>(i, j, k, n, a, b, out);
+        j += 4;
+    }
+    while j < n {
+        tile_nn::<R, 1>(i, j, k, n, a, b, out);
+        j += 1;
+    }
+}
+
+/// One `R x C` output tile at `(i, j)`, accumulated in registers across the
+/// whole shared dimension in ascending `p` and stored once.
+#[inline(always)]
+fn tile_nn<const R: usize, const C: usize>(
+    i: usize,
+    j: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+) {
+    let a_rows: [&[f32]; R] = std::array::from_fn(|r| &a[(i + r) * k..(i + r + 1) * k]);
+    let mut acc = [[0.0f32; C]; R];
+    for p in 0..k {
+        let bp = &b[p * n + j..p * n + j + C];
+        for (acc_r, a_r) in acc.iter_mut().zip(&a_rows) {
+            let a_rp = a_r[p];
+            for (av, &bv) in acc_r.iter_mut().zip(bp) {
+                *av += a_rp * bv;
             }
         }
-        i += 1;
+    }
+    for (r, acc_r) in acc.iter().enumerate() {
+        out[(i + r) * n + j..(i + r) * n + j + C].copy_from_slice(acc_r);
     }
 }
 
@@ -974,8 +1025,10 @@ mod tests {
     #[test]
     fn fast_kernels_bit_identical_to_reference_on_odd_shapes() {
         let mut rng = StdRng::seed_from_u64(42);
-        // Shapes straddling the 4x16 tile boundaries, plus degenerate ones.
-        for &(m, k, n) in &[
+        // Shapes straddling the tile boundaries, plus degenerate ones: every
+        // row count from one to two full four-row panels plus a tail, at
+        // widths around the 4-, 8-, 16-, 32- and 64-column tiles.
+        let mut shapes = vec![
             (1, 1, 1),
             (3, 5, 7),
             (4, 4, 16),
@@ -983,7 +1036,15 @@ mod tests {
             (8, 2, 33),
             (0, 3, 4),
             (6, 0, 5),
-        ] {
+        ];
+        for m in 1..=9 {
+            for n in [
+                1, 3, 4, 5, 8, 12, 15, 16, 17, 24, 31, 32, 33, 47, 63, 64, 65, 100,
+            ] {
+                shapes.push((m, 64, n));
+            }
+        }
+        for &(m, k, n) in &shapes {
             let a = Matrix::uniform(m, k, 1.0, &mut rng);
             let b = Matrix::uniform(k, n, 1.0, &mut rng);
             assert_eq!(
@@ -1003,6 +1064,128 @@ mod tests {
                 crate::reference::matmul_nt(&a, &bt),
                 "{m}x{k}x{n} nt"
             );
+        }
+    }
+
+    #[test]
+    fn matmul_is_batch_invariant() {
+        // Row r of a batch product must carry the same bits as row r
+        // multiplied alone: a window decodes to the same scores whichever
+        // sessions share its decode batch.
+        let mut rng = StdRng::seed_from_u64(12);
+        for n in [8, 24, 32, 100, 128] {
+            let w = Matrix::uniform(64, n, 1.0, &mut rng);
+            for m in 1..=9 {
+                let a = Matrix::uniform(m, 64, 1.0, &mut rng);
+                let mut batch = Matrix::zeros(m, n);
+                a.matmul_into(&w, &mut batch);
+                for r in 0..m {
+                    let single = Matrix::from_vec(1, 64, a.row(r).to_vec());
+                    let mut alone = Matrix::zeros(1, n);
+                    single.matmul_into(&w, &mut alone);
+                    let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(alone.row(0)), bits(batch.row(r)), "{m}x64x{n} row {r}");
+                }
+            }
+        }
+    }
+
+    /// The activation formulas as first written, with the saturating
+    /// `n as i32` exponent: the oracle the vectorizable kernels must match
+    /// bit for bit.
+    #[allow(clippy::excessive_precision)]
+    fn exp_oracle(x: f32) -> f32 {
+        const LN2_HI: f32 = 0.693_359_375;
+        const LN2_LO: f32 = -2.121_944_4e-4;
+        let x = x.clamp(-87.3, 88.7);
+        let n = (x * std::f32::consts::LOG2_E + 0.5).floor();
+        let r = x - n * LN2_HI - n * LN2_LO;
+        let mut p = 1.987_569_1e-4;
+        p = p * r + 1.398_199_9e-3;
+        p = p * r + 8.333_452e-3;
+        p = p * r + 4.166_579_6e-2;
+        p = p * r + 1.666_666_6e-1;
+        p = p * r + 0.5;
+        let p = p * (r * r) + r + 1.0;
+        let scale = f32::from_bits(((n as i32 + 127) << 23) as u32);
+        p * scale
+    }
+
+    fn sigmoid_oracle(x: f32) -> f32 {
+        1.0 / (1.0 + exp_oracle(-x))
+    }
+
+    fn tanh_oracle(x: f32) -> f32 {
+        let t = exp_oracle((2.0 * x).clamp(-17.0, 17.0));
+        (t - 1.0) / (t + 1.0)
+    }
+
+    /// Every 256th f32 bit pattern, plus the values where the formulas
+    /// change regime: signed zeros, infinities, NaNs with several payloads,
+    /// subnormals, the `exp` and `tanh` clamp edges and their neighbours.
+    fn activation_probe_values() -> Vec<f32> {
+        let mut xs: Vec<f32> = (0..=u32::MAX >> 8)
+            .map(|i| f32::from_bits(i << 8))
+            .collect();
+        let next = |x: f32, d: i32| f32::from_bits((x.to_bits() as i32 + d) as u32);
+        for edge in [87.3f32, 88.7, 8.5, 17.0] {
+            for x in [edge, -edge] {
+                xs.extend([next(x, -1), x, next(x, 1)]);
+            }
+        }
+        xs.extend([
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7fc0_0001),
+            f32::from_bits(0x7fc0_01ff),
+            f32::from_bits(0xffc0_0100),
+            f32::from_bits(0x7f80_0001),
+            f32::from_bits(1),
+            f32::from_bits(0x8000_0001),
+            f32::from_bits(0x007f_ffff),
+            f32::from_bits(0x807f_ffff),
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::MAX,
+            f32::MIN,
+        ]);
+        xs
+    }
+
+    fn assert_bits_match(name: &str, xs: &[f32], got: &[f32], want: impl Fn(f32) -> f32) {
+        for (&x, &g) in xs.iter().zip(got) {
+            let w = want(x);
+            assert_eq!(
+                g.to_bits(),
+                w.to_bits(),
+                "{name}({x:e} = {:#010x}): {g:e} vs oracle {w:e}",
+                x.to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn activations_bit_identical_to_scalar_oracle() {
+        let xs = activation_probe_values();
+        let exp: Vec<f32> = xs.iter().map(|&x| exp_approx(x)).collect();
+        assert_bits_match("exp_approx", &xs, &exp, exp_oracle);
+        let mut out = vec![0.0f32; xs.len()];
+        sigmoid_kernel(&xs, &mut out);
+        assert_bits_match("sigmoid", &xs, &out, sigmoid_oracle);
+        tanh_kernel(&xs, &mut out);
+        assert_bits_match("tanh", &xs, &out, tanh_oracle);
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: guarded by the runtime AVX2 check.
+            unsafe { avx2::sigmoid_slice(&xs, &mut out) };
+            assert_bits_match("sigmoid avx2", &xs, &out, sigmoid_oracle);
+            // SAFETY: as above.
+            unsafe { avx2::tanh_slice(&xs, &mut out) };
+            assert_bits_match("tanh avx2", &xs, &out, tanh_oracle);
         }
     }
 

@@ -664,54 +664,90 @@ fn kernel_qi8<const FMA: bool, const AVX: bool>(
     q: &[i8],
     out: &mut [f32],
 ) {
+    kernel_q::<FMA>(
+        m,
+        k,
+        n,
+        a,
+        out,
+        #[inline(always)]
+        |p, j, bv| deq_i8_tile::<AVX>(scales[p], &q[p * n + j..p * n + j + QNR], bv),
+        #[inline(always)]
+        |p, j| scales[p] * q[p * n + j] as f32,
+    );
+}
+
+/// The quantized GEMM body shared by both encodings: `out += a · W` where
+/// `tile(p, j, bv)` dequantizes `W[p][j..j + QNR]` into `bv` and
+/// `weight(p, j)` dequantizes one element, with the same bits. Full
+/// [`QMR`]-row panels come first; the last one to three rows (every row of
+/// a decode batch below four) get a panel of their own height instead of a
+/// rank-1 loop over the whole output row. `out` zeroed by caller.
+#[inline(always)]
+fn kernel_q<const FMA: bool>(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    out: &mut [f32],
+    tile: impl Fn(usize, usize, &mut [f32; QNR]),
+    weight: impl Fn(usize, usize) -> f32,
+) {
     let mut i = 0;
     while i + QMR <= m {
-        let mut j = 0;
-        while j + QNR <= n {
-            let mut acc = [[0.0f32; QNR]; QMR];
-            for p in 0..k {
-                let s = scales[p];
-                let qp = &q[p * n + j..p * n + j + QNR];
-                let mut bv = [0.0f32; QNR];
-                deq_i8_tile::<AVX>(s, qp, &mut bv);
-                for (r, acc_r) in acc.iter_mut().enumerate() {
-                    let a_rp = a[(i + r) * k + p];
-                    for (av, &b) in acc_r.iter_mut().zip(&bv) {
-                        *av = acc_step::<FMA>(*av, a_rp, b);
-                    }
-                }
-            }
-            for (r, acc_r) in acc.iter().enumerate() {
-                out[(i + r) * n + j..(i + r) * n + j + QNR].copy_from_slice(acc_r);
-            }
-            j += QNR;
-        }
-        if j < n {
-            for p in 0..k {
-                let s = scales[p];
-                let qp = &q[p * n + j..(p + 1) * n];
-                for r in 0..QMR {
-                    let a_rp = a[(i + r) * k + p];
-                    let or = &mut out[(i + r) * n + j..(i + r + 1) * n];
-                    for (o, &qv) in or.iter_mut().zip(qp) {
-                        *o = acc_step::<FMA>(*o, a_rp, s * qv as f32);
-                    }
-                }
-            }
-        }
+        panel_q::<QMR, FMA>(i, k, n, a, out, &tile, &weight);
         i += QMR;
     }
-    while i < m {
+    match m - i {
+        3 => panel_q::<3, FMA>(i, k, n, a, out, &tile, &weight),
+        2 => panel_q::<2, FMA>(i, k, n, a, out, &tile, &weight),
+        1 => panel_q::<1, FMA>(i, k, n, a, out, &tile, &weight),
+        _ => {}
+    }
+}
+
+/// Rows `i..i + R` of [`kernel_q`]: `R x QNR` register tiles across the
+/// columns, then rank-1 updates over the narrow column tail, every output
+/// element accumulated in ascending `p`.
+#[inline(always)]
+fn panel_q<const R: usize, const FMA: bool>(
+    i: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    out: &mut [f32],
+    tile: &impl Fn(usize, usize, &mut [f32; QNR]),
+    weight: &impl Fn(usize, usize) -> f32,
+) {
+    let a_rows: [&[f32]; R] = std::array::from_fn(|r| &a[(i + r) * k..(i + r + 1) * k]);
+    let mut j = 0;
+    while j + QNR <= n {
+        let mut acc = [[0.0f32; QNR]; R];
         for p in 0..k {
-            let a_ip = a[i * k + p];
-            let s = scales[p];
-            let qp = &q[p * n..(p + 1) * n];
-            let or = &mut out[i * n..(i + 1) * n];
-            for (o, &qv) in or.iter_mut().zip(qp) {
-                *o = acc_step::<FMA>(*o, a_ip, s * qv as f32);
+            let mut bv = [0.0f32; QNR];
+            tile(p, j, &mut bv);
+            for (acc_r, a_r) in acc.iter_mut().zip(&a_rows) {
+                let a_rp = a_r[p];
+                for (av, &b) in acc_r.iter_mut().zip(&bv) {
+                    *av = acc_step::<FMA>(*av, a_rp, b);
+                }
             }
         }
-        i += 1;
+        for (r, acc_r) in acc.iter().enumerate() {
+            out[(i + r) * n + j..(i + r) * n + j + QNR].copy_from_slice(acc_r);
+        }
+        j += QNR;
+    }
+    if j < n {
+        for p in 0..k {
+            for (r, a_r) in a_rows.iter().enumerate() {
+                let a_rp = a_r[p];
+                let or = &mut out[(i + r) * n + j..(i + r + 1) * n];
+                for (jj, o) in (j..n).zip(or) {
+                    *o = acc_step::<FMA>(*o, a_rp, weight(p, jj));
+                }
+            }
+        }
     }
 }
 
@@ -754,52 +790,17 @@ fn kernel_qf16<const FMA: bool, const F16C: bool>(
     h: &[u16],
     out: &mut [f32],
 ) {
-    let mut i = 0;
-    while i + QMR <= m {
-        let mut j = 0;
-        while j + QNR <= n {
-            let mut acc = [[0.0f32; QNR]; QMR];
-            for p in 0..k {
-                let hp = &h[p * n + j..p * n + j + QNR];
-                let mut bv = [0.0f32; QNR];
-                deq_f16_tile::<F16C>(hp, &mut bv);
-                for (r, acc_r) in acc.iter_mut().enumerate() {
-                    let a_rp = a[(i + r) * k + p];
-                    for (av, &b) in acc_r.iter_mut().zip(&bv) {
-                        *av = acc_step::<FMA>(*av, a_rp, b);
-                    }
-                }
-            }
-            for (r, acc_r) in acc.iter().enumerate() {
-                out[(i + r) * n + j..(i + r) * n + j + QNR].copy_from_slice(acc_r);
-            }
-            j += QNR;
-        }
-        if j < n {
-            for p in 0..k {
-                let hp = &h[p * n + j..(p + 1) * n];
-                for r in 0..QMR {
-                    let a_rp = a[(i + r) * k + p];
-                    let or = &mut out[(i + r) * n + j..(i + r + 1) * n];
-                    for (o, &hv) in or.iter_mut().zip(hp) {
-                        *o = acc_step::<FMA>(*o, a_rp, f16_to_f32(hv));
-                    }
-                }
-            }
-        }
-        i += QMR;
-    }
-    while i < m {
-        for p in 0..k {
-            let a_ip = a[i * k + p];
-            let hp = &h[p * n..(p + 1) * n];
-            let or = &mut out[i * n..(i + 1) * n];
-            for (o, &hv) in or.iter_mut().zip(hp) {
-                *o = acc_step::<FMA>(*o, a_ip, f16_to_f32(hv));
-            }
-        }
-        i += 1;
-    }
+    kernel_q::<FMA>(
+        m,
+        k,
+        n,
+        a,
+        out,
+        #[inline(always)]
+        |p, j, bv| deq_f16_tile::<F16C>(&h[p * n + j..p * n + j + QNR], bv),
+        #[inline(always)]
+        |p, j| f16_to_f32(h[p * n + j]),
+    );
 }
 
 #[cfg(test)]
@@ -976,6 +977,103 @@ mod tests {
                 let mut one = Matrix::zeros(1, 41);
                 single.matmul_q_into(&q, &mut one);
                 assert_eq!(one.row(0), full.row(r), "{mode} row {r}");
+            }
+        }
+    }
+
+    /// Each dispatch tier of the quantized kernels against its own
+    /// per-element oracle: one chain per output element in ascending `p`,
+    /// with the tier's accumulate step (fused under FMA, which `mul_add`
+    /// rounds identically in software) over the same dequantized weight.
+    /// Covers every row count through two four-row panels plus a tail and
+    /// widths around the 32-column tile.
+    #[test]
+    fn every_tier_matches_its_per_element_oracle() {
+        fn oracle<const FMA: bool>(
+            m: usize,
+            k: usize,
+            n: usize,
+            a: &[f32],
+            w: impl Fn(usize, usize) -> f32,
+        ) -> Vec<u32> {
+            let mut out = Vec::with_capacity(m * n);
+            for i in 0..m {
+                for j in 0..n {
+                    let acc =
+                        (0..k).fold(0.0f32, |acc, p| acc_step::<FMA>(acc, a[i * k + p], w(p, j)));
+                    out.push(acc.to_bits());
+                }
+            }
+            out
+        }
+        type I8Tier = fn(usize, usize, usize, &[f32], &[f32], &[i8], &mut [f32]);
+        type F16Tier = fn(usize, usize, usize, &[f32], &[u16], &mut [f32]);
+        let mut i8_tiers: Vec<(&str, bool, I8Tier)> =
+            vec![("i8 scalar", false, kernel_qi8::<false, false>)];
+        let mut f16_tiers: Vec<(&str, bool, F16Tier)> =
+            vec![("f16 scalar", false, kernel_qf16::<false, false>)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::is_x86_feature_detected as has;
+            if has!("avx2") {
+                // SAFETY: each wrapper runs only after its runtime feature
+                // check; the closures are called nowhere else.
+                i8_tiers.push(("i8 avx2", false, |m, k, n, a, s, q, o| unsafe {
+                    qavx::qgemm_i8(m, k, n, a, s, q, o)
+                }));
+                f16_tiers.push(("f16 avx2", false, |m, k, n, a, h, o| unsafe {
+                    qavx::qgemm_f16(m, k, n, a, h, o)
+                }));
+            }
+            if has!("avx2") && has!("fma") {
+                // SAFETY: as above.
+                i8_tiers.push(("i8 fma", true, |m, k, n, a, s, q, o| unsafe {
+                    qavx::qgemm_i8_fma(m, k, n, a, s, q, o)
+                }));
+                f16_tiers.push(("f16 fma", true, |m, k, n, a, h, o| unsafe {
+                    qavx::qgemm_f16_fma(m, k, n, a, h, o)
+                }));
+            }
+            if has!("avx2") && has!("fma") && has!("f16c") {
+                // SAFETY: as above.
+                f16_tiers.push(("f16 fma+f16c", true, |m, k, n, a, h, o| unsafe {
+                    qavx::qgemm_f16_fma_f16c(m, k, n, a, h, o)
+                }));
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(44);
+        for m in 1..=9 {
+            for &(k, n) in &[(1, 5), (17, 31), (17, 32), (40, 33), (23, 64), (8, 70)] {
+                let a = Matrix::uniform(m, k, 1.0, &mut rng);
+                let w = Matrix::uniform(k, n, 1.5, &mut rng);
+                let Ok(QMatrix::Int8 { scales, data, .. }) = QMatrix::quantize(&w, QuantMode::Int8)
+                else {
+                    unreachable!("int8 encoding");
+                };
+                let Ok(QMatrix::F16 { data: h, .. }) = QMatrix::quantize(&w, QuantMode::F16) else {
+                    unreachable!("f16 encoding");
+                };
+                let deq_i8 = |p: usize, j: usize| scales[p] * data[p * n + j] as f32;
+                let deq_f16 = |p: usize, j: usize| f16_to_f32(h[p * n + j]);
+                let want = |fma: bool, deq: &dyn Fn(usize, usize) -> f32| {
+                    if fma {
+                        oracle::<true>(m, k, n, a.data(), deq)
+                    } else {
+                        oracle::<false>(m, k, n, a.data(), deq)
+                    }
+                };
+                for &(name, fma, tier) in &i8_tiers {
+                    let mut out = vec![0.0f32; m * n];
+                    tier(m, k, n, a.data(), &scales, &data, &mut out);
+                    let got: Vec<u32> = out.iter().map(|x| x.to_bits()).collect();
+                    assert_eq!(got, want(fma, &deq_i8), "{name} {m}x{k}x{n}");
+                }
+                for &(name, fma, tier) in &f16_tiers {
+                    let mut out = vec![0.0f32; m * n];
+                    tier(m, k, n, a.data(), &h, &mut out);
+                    let got: Vec<u32> = out.iter().map(|x| x.to_bits()).collect();
+                    assert_eq!(got, want(fma, &deq_f16), "{name} {m}x{k}x{n}");
+                }
             }
         }
     }

@@ -487,7 +487,7 @@ impl Tape {
     /// Logistic sigmoid, element-wise.
     ///
     /// Routes through [`crate::matrix::sigmoid_slice`], whose vectorized
-    /// polynomial fast path stays within `1e-7` of the libm-exact reference
+    /// polynomial fast path stays within `1e-6` of the libm-exact reference
     /// (`--features reference-kernels` restores the latter).
     #[cfg(test)]
     pub fn sigmoid(&mut self, a: TensorId) -> TensorId {
@@ -864,10 +864,8 @@ impl Tape {
         let mut z = self.pooled_scratch(batch, width);
         xh.matmul_into(self.value(w), &mut z);
         kernels::add_row_inplace(&mut z, self.value(b));
-        let mut pre = self.pool.scratch(batch * hd);
         let mut gates = self.pooled_scratch(acts.len() * batch, hd);
-        kernels::activate_gates(&z, acts, &mut pre, gates.data_mut());
-        self.pool.put(pre);
+        kernels::activate_gates(&z, acts, gates.data_mut());
         self.pool.put(z.into_data());
         self.push(
             gates,
