@@ -8,7 +8,7 @@
 //! `--features reference-kernels` in CI so both kernel families are checked
 //! against the oracle.
 
-use mdes_nn::{AttentionKind, CellKind, InferArena, ModelSpec, Seq2Seq, Seq2SeqConfig};
+use mdes_nn::{AttentionKind, CellKind, InferArena, InferState, ModelSpec, Seq2Seq, Seq2SeqConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -219,6 +219,59 @@ fn frozen_spec_roundtrip_matches_tape_exactly() {
             let engine = arena.translate_batch(&restored, &srcs, 5);
             let tape = model.translate_batch_tape(&srcs, 5).expect("tape");
             assert_eq!(engine, tape, "frozen decode diverged from the tape");
+        }
+    }
+}
+
+/// Every decode step's logits for window r carry the same bits whether r is
+/// decoded alone or inside a batch of up to five (the batch sizes serving
+/// reaches, across the GEMM's one- to four-row tiles): cross-session
+/// batching must never change a score.
+#[test]
+fn decode_logits_are_batch_invariant() {
+    let mut rng = StdRng::seed_from_u64(29);
+    let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for (i, (cell, attention, feeding)) in [
+        (CellKind::Lstm, AttentionKind::Dot, false),
+        (CellKind::Gru, AttentionKind::General, true),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let spec = build_model(9, cell, attention, feeding, 2, 200 + i as u64).freeze();
+        for batch in 1..=5 {
+            let sentences: Vec<Vec<usize>> = (0..batch)
+                .map(|_| random_sentence(6, 9, &mut rng))
+                .collect();
+            let prevs: Vec<Vec<usize>> = (0..4)
+                .map(|_| random_sentence(batch, 9, &mut rng))
+                .collect();
+            // Per-step logits of each row, decoded with the given windows.
+            let decode = |rows: &[usize]| {
+                let mut arena = InferArena::new();
+                let srcs: Vec<&[usize]> = rows.iter().map(|&r| sentences[r].as_slice()).collect();
+                arena.encode(&spec, &srcs);
+                let mut state = InferState::default();
+                arena.start_state(&mut state);
+                let mut steps = Vec::new();
+                for prev in &prevs {
+                    let prev: Vec<usize> = rows.iter().map(|&r| prev[r]).collect();
+                    arena.decode_step(&spec, &prev, &mut state);
+                    steps.push(
+                        (0..rows.len())
+                            .map(|b| bits(arena.logits().row(b)))
+                            .collect::<Vec<_>>(),
+                    );
+                }
+                steps
+            };
+            let together = decode(&(0..batch).collect::<Vec<_>>());
+            for r in 0..batch {
+                let alone = decode(&[r]);
+                for (t, (a, b)) in alone.iter().zip(&together).enumerate() {
+                    assert_eq!(a[0], b[r], "{cell:?} batch {batch} row {r} step {t}");
+                }
+            }
         }
     }
 }
