@@ -1,11 +1,10 @@
-//! Micro-benchmarks of the tape-free inference engine against the tape
-//! oracle it replaced: greedy single-sentence decoding, batched decoding and
-//! beam search, on a paper-scale model. The `*_tape` entries are the before
-//! side of each pair (bit-identical output, see
-//! `crates/nn/tests/infer_parity.rs`).
+//! Micro-benchmarks of the tape-free inference engine, the crate's only
+//! decoder: greedy single-sentence decoding, batched decoding and beam
+//! search of a frozen paper-scale model through an `InferArena`, then the
+//! quantized encodings, the serving shapes and the gate activations.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mdes_nn::{Seq2Seq, Seq2SeqConfig};
+use mdes_nn::{InferArena, Seq2Seq, Seq2SeqConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -30,59 +29,40 @@ fn random_sentences(n: usize, len: usize, vocab: usize, seed: u64) -> Vec<Vec<us
 
 fn bench_greedy(c: &mut Criterion) {
     let vocab = 24;
-    let model = paper_scale_model(vocab);
+    let spec = paper_scale_model(vocab).freeze();
     let src = random_sentences(1, 10, vocab, 7).remove(0);
-    // Warm the packed-weight cache so the engine side measures the
-    // steady-state push, not the one-off context build.
-    black_box(model.translate(&src, 10).expect("warm"));
+    let mut arena = InferArena::new();
+    // Size the arena first so the entry measures the steady-state push.
+    black_box(arena.translate_batch(&spec, &[src.as_slice()], 10));
     c.bench_function("infer/greedy_len10", |bench| {
-        bench.iter(|| black_box(model.translate(black_box(&src), 10).expect("engine")))
-    });
-    c.bench_function("infer/greedy_len10_tape", |bench| {
-        bench.iter(|| black_box(model.translate_tape(black_box(&src), 10).expect("tape")))
+        bench.iter(|| black_box(arena.translate_batch(&spec, &[black_box(src.as_slice())], 10)))
     });
 }
 
 fn bench_batched(c: &mut Criterion) {
     let vocab = 24;
-    let model = paper_scale_model(vocab);
+    let spec = paper_scale_model(vocab).freeze();
     let sentences = random_sentences(16, 10, vocab, 8);
     let srcs: Vec<&[usize]> = sentences.iter().map(Vec::as_slice).collect();
-    black_box(model.translate_batch(&srcs, 10).expect("warm"));
+    let mut arena = InferArena::new();
+    black_box(arena.translate_batch(&spec, &srcs, 10));
     c.bench_function("infer/batch16_len10", |bench| {
-        bench.iter(|| black_box(model.translate_batch(black_box(&srcs), 10).expect("engine")))
-    });
-    c.bench_function("infer/batch16_len10_tape", |bench| {
-        bench.iter(|| {
-            black_box(
-                model
-                    .translate_batch_tape(black_box(&srcs), 10)
-                    .expect("tape"),
-            )
-        })
+        bench.iter(|| black_box(arena.translate_batch(&spec, black_box(&srcs), 10)))
     });
 }
 
 fn bench_beam(c: &mut Criterion) {
     let vocab = 24;
-    let model = paper_scale_model(vocab);
+    let spec = paper_scale_model(vocab).freeze();
     let src = random_sentences(1, 10, vocab, 9).remove(0);
-    black_box(model.translate_beam(&src, 10, 3).expect("warm"));
+    let mut arena = InferArena::new();
+    black_box(arena.translate_beam(&spec, &src, 10, 3).expect("warm"));
     c.bench_function("infer/beam3_len10", |bench| {
         bench.iter(|| {
             black_box(
-                model
-                    .translate_beam(black_box(&src), 10, 3)
-                    .expect("engine"),
-            )
-        })
-    });
-    c.bench_function("infer/beam3_len10_tape", |bench| {
-        bench.iter(|| {
-            black_box(
-                model
-                    .translate_beam_tape(black_box(&src), 10, 3)
-                    .expect("tape"),
+                arena
+                    .translate_beam(&spec, black_box(&src), 10, 3)
+                    .expect("beam"),
             )
         })
     });
@@ -93,7 +73,7 @@ fn bench_beam(c: &mut Criterion) {
 /// record carries the resident weight footprint, so one `BENCH_infer.json`
 /// shows the size/speed trade of f16/int8 against the f32 baseline.
 fn bench_quantized(c: &mut Criterion) {
-    use mdes_nn::{InferArena, QuantMode};
+    use mdes_nn::QuantMode;
     let vocab = 24;
     let model = paper_scale_model(vocab);
     let spec = model.freeze();
@@ -122,7 +102,7 @@ fn bench_quantized(c: &mut Criterion) {
 /// quartering (int8) the weight bytes is a bandwidth win here, not just a
 /// disk-size win — this is where the measured decode speedup shows up.
 fn bench_quantized_sweep(c: &mut Criterion) {
-    use mdes_nn::{InferArena, QuantMode};
+    use mdes_nn::QuantMode;
     let vocab = 32;
     let models = 24;
     let cfg = Seq2SeqConfig {
@@ -171,7 +151,6 @@ fn bench_quantized_sweep(c: &mut Criterion) {
 /// and the fleet's tiny pair models (embed and hidden 8, ten-word windows)
 /// at a batch of two.
 fn bench_serving_shapes(c: &mut Criterion) {
-    use mdes_nn::InferArena;
     let vocab = 24;
     let mut arena = InferArena::new();
     for (dim, words, batch) in [(32, 6, 1), (32, 6, 3), (8, 10, 2)] {

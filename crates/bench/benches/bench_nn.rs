@@ -2,7 +2,7 @@
 //! seq2seq training steps and greedy decoding.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use mdes_nn::{Matrix, Seq2Seq, Seq2SeqConfig};
+use mdes_nn::{InferArena, Matrix, Seq2Seq, Seq2SeqConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -170,9 +170,12 @@ fn bench_seq2seq(c: &mut Criterion) {
         },
     );
     trained.fit(&corpus).expect("fit");
+    let spec = trained.freeze();
     let src = corpus[0].0.clone();
+    let mut arena = InferArena::new();
+    black_box(arena.translate_batch(&spec, &[src.as_slice()], 8));
     c.bench_function("seq2seq/greedy_decode_len8", |bench| {
-        bench.iter(|| black_box(trained.translate(black_box(&src), 8).expect("translate")))
+        bench.iter(|| black_box(arena.translate_batch(&spec, &[black_box(src.as_slice())], 8)))
     });
 }
 

@@ -27,7 +27,7 @@
 //!   only if too many pairs die ([`CoreError::TooManyFailedPairs`]).
 //!
 //! Long sweeps can additionally persist progress via
-//! [`GraphBuildConfig::checkpoint`]; see the [`checkpoint`](crate::checkpoint)
+//! [`GraphBuildConfig::checkpoint`]; see the [`checkpoint`]
 //! module. Because each pair trains deterministically in isolation, a
 //! resumed sweep produces a graph identical to an uninterrupted one.
 

@@ -10,9 +10,8 @@
 //!
 //! Since the serving split, the monitor is a convenience wrapper over the
 //! real machinery in [`crate::serve`]: it freezes the fitted model into a
-//! [`GraphSnapshot`](crate::serve::GraphSnapshot), starts a private
-//! [`ServingEngine`](crate::serve::ServingEngine) and opens one
-//! [`StreamSession`](crate::serve::StreamSession). Monitoring many streams —
+//! [`GraphSnapshot`], starts a private [`ServingEngine`] and opens one
+//! [`StreamSession`]. Monitoring many streams —
 //! or hot-swapping a retrained model under a live stream — is what the
 //! engine API is for; use it directly.
 //!

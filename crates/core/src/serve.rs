@@ -24,9 +24,10 @@
 //!   ([`ServingEngine::push_opt_many`]; a single [`ServingEngine::push_opt`]
 //!   is a one-session call into it).
 //!
-//! The frozen decode path is bit-identical to the training-side path: the
-//! same kernels run in the same order over the same packed weights (pinned
-//! by `mdes-nn/tests/infer_parity.rs` and `tests/serving.rs`).
+//! The frozen decode path is the training-side path: a trained neural pair
+//! decodes its frozen spec through the same [`FrozenNmt`], so the same
+//! kernels run in the same order over the same packed weights (pinned by
+//! `tests/serving.rs`).
 
 use crate::algorithm2::{
     detect_many_with_bank, DetectJob, DetectionConfig, DetectionResult, ModelBank, PairMeta,
@@ -50,10 +51,11 @@ use std::sync::{Arc, Mutex};
 ///
 /// This is also what a trained
 /// [`NmtTranslator`](crate::translator::NmtTranslator) decodes through, so
-/// frozen detection scores are bit-identical to the training-side path;
-/// malformed input (empty, ragged or out-of-vocabulary sentences) degrades
-/// to the deterministic translation `vec![0; out_len]`, as the live
-/// `Seq2Seq` does.
+/// frozen detection scores are bit-identical to the training-side path.
+/// Where [`ModelSpec::check_src`] refuses a request with an error, this
+/// wrapper degrades instead: a malformed sentence (empty or out of
+/// vocabulary) decodes to the deterministic translation `vec![0; out_len]`,
+/// and a batch that cannot decode as one is decoded sentence by sentence.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct FrozenNmt {
     spec: ModelSpec,
@@ -76,21 +78,10 @@ impl FrozenNmt {
         Ok((Self { spec }, report))
     }
 
-    /// Mirrors `Seq2Seq::validate_src`: batched decoding needs a non-empty,
-    /// non-ragged batch of non-empty sentences with in-vocabulary tokens.
-    fn batch_valid(&self, srcs: &[&[u32]], out_len: usize) -> bool {
-        if srcs.is_empty() || out_len == 0 || srcs[0].is_empty() {
-            return false;
-        }
-        let len = srcs[0].len();
-        srcs.iter()
-            .all(|s| s.len() == len && s.iter().all(|&t| (t as usize) < self.spec.src_vocab()))
-    }
-
     /// Translates one source sentence; malformed input degrades to the
-    /// deterministic degenerate translation, as the training-side path does.
+    /// deterministic degenerate translation `vec![0; out_len]`.
     pub fn translate(&self, src: &[u32], out_len: usize, arena: &mut InferArena) -> Vec<u32> {
-        if self.batch_valid(&[src], out_len) {
+        if self.spec.check_src(&[src], out_len).is_ok() {
             arena
                 .translate_batch(&self.spec, &[src], out_len)
                 .pop()
@@ -108,7 +99,7 @@ impl FrozenNmt {
         out_len: usize,
         arena: &mut InferArena,
     ) -> Vec<Vec<u32>> {
-        if self.batch_valid(srcs, out_len) {
+        if self.spec.check_src(srcs, out_len).is_ok() {
             arena.translate_batch(&self.spec, srcs, out_len)
         } else {
             srcs.iter()
@@ -1627,7 +1618,7 @@ impl ServingEngine {
     ///
     /// Sessions that complete a window on this tick are detected *together*
     /// in one cross-session Algorithm 2 round
-    /// ([`detect_many_with_bank`]): every window needing pair model `k` is
+    /// (`detect_many_with_bank`): every window needing pair model `k` is
     /// decoded in shared `(shape)`-keyed batches, so B streams completing
     /// the same-shaped window cost one GEMM per decode step instead of B.
     /// Batch invariance of the kernels (including the quantized family)
@@ -1851,6 +1842,47 @@ mod tests {
         cfg.detection.margin = 5.0;
         let m = Mdes::fit(&traces, 0..300, 300..450, cfg).expect("fit");
         (m, traces)
+    }
+
+    /// Malformed input never reaches the decode kernels: an out-of-vocabulary
+    /// sentence decodes to `vec![0; out_len]`, a batch that cannot decode as
+    /// one returns each row's single-sentence translation, and `out_len == 0`
+    /// gives empty rows.
+    #[test]
+    fn frozen_nmt_falls_back_per_sentence_on_malformed_input() {
+        let cfg = mdes_nn::Seq2SeqConfig {
+            embed_dim: 4,
+            hidden: 5,
+            ..mdes_nn::Seq2SeqConfig::default()
+        };
+        let t = FrozenNmt::new(mdes_nn::Seq2Seq::new(6, 7, 1, cfg).freeze());
+        let mut arena = InferArena::new();
+        let alone = |src: &[u32], arena: &mut InferArena| {
+            arena
+                .translate_batch(t.spec(), &[src], 4)
+                .pop()
+                .expect("one row")
+        };
+        let (a, b, short): (&[u32], &[u32], &[u32]) = (&[1, 2, 3], &[5, 0, 4], &[2, 2]);
+        let oov: &[u32] = &[1, 6, 3];
+        assert_eq!(t.translate(oov, 4, &mut arena), vec![0; 4]);
+        assert_eq!(t.translate(&[], 4, &mut arena), vec![0; 4]);
+        let want = vec![alone(a, &mut arena), alone(b, &mut arena)];
+        assert_eq!(t.translate_batch(&[a, b], 4, &mut arena), want);
+        for batch in [vec![a, short, b], vec![a, oov, b]] {
+            let rows = t.translate_batch(&batch, 4, &mut arena);
+            let expected: Vec<Vec<u32>> = batch
+                .iter()
+                .map(|s| t.translate(s, 4, &mut arena))
+                .collect();
+            assert_eq!(rows, expected);
+            assert_eq!((&rows[0], &rows[2]), (&want[0], &want[1]));
+        }
+        assert_eq!(
+            t.translate_batch(&[a, b], 0, &mut arena),
+            vec![Vec::<u32>::new(); 2]
+        );
+        assert!(t.translate(a, 0, &mut arena).is_empty());
     }
 
     #[test]
@@ -2173,24 +2205,22 @@ mod tests {
         snap.graft(vec![bad]).expect("graft sabotage")
     }
 
-    /// The neural snapshot with one pair model's begin-of-sentence token
-    /// moved past its target vocabulary: intact bytes, impossible weights.
-    fn malformed_neural() -> (GraphSnapshot, GraphSnapshot) {
-        let (m, _) = neural_fitted();
-        let good = GraphSnapshot::freeze(&m);
+    /// A copy of `good` whose pair model 1 has its weights edited by `edit`:
+    /// intact bytes, impossible weights.
+    fn malformed(good: &GraphSnapshot, edit: impl FnOnce(&mut ModelSpec)) -> GraphSnapshot {
         let mut bad = good.clone();
         let FrozenTranslator::Nmt(t) = &mut bad.models[1].translator else {
             panic!("neural fixture");
         };
-        t.spec.bos = t.spec.tgt_vocab() + 5;
-        (good, bad)
+        edit(&mut t.spec);
+        bad
     }
 
-    fn assert_names_bos(result: Result<impl std::fmt::Debug, CoreError>) {
+    fn assert_names(field: &str, result: Result<impl std::fmt::Debug, CoreError>) {
         match result {
             Err(CoreError::IncompatibleSnapshot { detail }) => {
                 assert!(
-                    detail.contains("pair model 1") && detail.contains("bos"),
+                    detail.contains("pair model 1") && detail.contains(field),
                     "{detail}"
                 );
             }
@@ -2200,17 +2230,37 @@ mod tests {
 
     #[test]
     fn malformed_pair_model_is_refused_at_load_publish_canary_and_graft() {
-        let (good, bad) = malformed_neural();
+        let (m, _) = neural_fitted();
+        let good = GraphSnapshot::freeze(&m);
         good.validate_models()
             .expect("frozen models are well formed");
-        let bytes = crate::checkpoint::snapshot_to_bytes(&bad).expect("encode");
-        assert_names_bos(crate::checkpoint::snapshot_from_bytes(&bytes));
-        let store = ModelStore::new(good.clone());
-        assert_names_bos(store.publish(bad.clone()));
-        assert_names_bos(store.start_canary(bad.clone(), CanaryConfig::default()));
-        assert_eq!(store.version(), 1, "nothing refused may go live");
-        assert!(!store.canary_status().active);
-        assert_names_bos(good.graft(vec![bad.models()[1].clone()]));
+        let cases: [(&str, GraphSnapshot); 2] = [
+            // Begin-of-sentence token past the target vocabulary.
+            ("bos", malformed(&good, |s| s.bos = s.tgt_vocab() + 5)),
+            // One table re-encoded int8 under f32 weights elsewhere: the
+            // model would report f32 and go live with no calibration record.
+            (
+                "src_emb",
+                malformed(&good, |s| {
+                    s.src_emb =
+                        mdes_nn::QMatrix::quantize(&s.src_emb.dequantize(), QuantMode::Int8)
+                            .expect("finite weights");
+                }),
+            ),
+        ];
+        for (field, bad) in cases {
+            let bytes = crate::checkpoint::snapshot_to_bytes(&bad).expect("encode");
+            assert_names(field, crate::checkpoint::snapshot_from_bytes(&bytes));
+            let store = ModelStore::new(good.clone());
+            assert_names(field, store.publish(bad.clone()));
+            assert_names(
+                field,
+                store.start_canary(bad.clone(), CanaryConfig::default()),
+            );
+            assert_eq!(store.version(), 1, "nothing refused may go live");
+            assert!(!store.canary_status().active);
+            assert_names(field, good.graft(vec![bad.models()[1].clone()]));
+        }
     }
 
     #[test]

@@ -21,7 +21,8 @@
 //!
 //! Because each pair trains deterministically in isolation, a resumed
 //! sharded run produces a graph byte-identical to an uninterrupted one, and
-//! a sharded run over all pairs equals a monolithic [`build_graph`]
+//! a sharded run over all pairs equals a monolithic
+//! [`build_graph`](crate::algorithm1::build_graph)
 //! (modulo per-model wall-clock timings).
 
 use crate::algorithm1::{
@@ -97,8 +98,8 @@ pub struct ShardedSweepReport {
 /// over-aggressive prescreen), [`CoreError::Nn`] for an out-of-range
 /// translator configuration (before any pair trains), corpus/encoding
 /// errors per shard, and the
-/// same failure-policy and checkpoint errors as [`build_graph`]
-/// (`crate::algorithm1::build_graph`) — including
+/// same failure-policy and checkpoint errors as
+/// [`build_graph`](crate::algorithm1::build_graph) — including
 /// [`CoreError::Checkpoint`] when a shard file's fingerprint belongs to a
 /// different pair selection.
 ///

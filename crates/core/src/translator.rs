@@ -166,9 +166,9 @@ pub fn train_translator(
 /// through a private inference arena ([`Translator`]) or a caller's
 /// (bulk decodes inside the crate).
 ///
-/// Decoding runs exactly the path [`Seq2Seq::translate_batch`] takes — the
-/// tape-free engine over [`Seq2Seq::freeze`]d weights — so dev BLEU and
-/// detection scores are bit-identical to decoding the live model.
+/// Decoding runs the tape-free engine over [`Seq2Seq::freeze`]d weights
+/// through [`FrozenNmt`], exactly the path a serving snapshot's pair model
+/// takes, so dev BLEU and detection scores are bit-identical to serving.
 #[derive(Debug, Serialize, Deserialize)]
 pub struct NmtTranslator {
     frozen: FrozenNmt,

@@ -1,37 +1,36 @@
 //! Tape-free inference engine for the seq2seq model.
 //!
-//! [`crate::Seq2Seq`]'s training path runs on the autodiff [`crate::tape::Tape`],
-//! which records an op node, allocates (or pools) an output buffer, and keeps
+//! [`crate::Seq2Seq`] trains on the autodiff [`crate::tape::Tape`], which
+//! records an op node, allocates (or pools) an output buffer, and keeps
 //! backprop bookkeeping for every operation. None of that is needed at
 //! serving time: online detection (Algorithm 2) only ever runs forward. This
-//! module runs the forward pass — embedding lookup, fused-gate LSTM/GRU
-//! steps, Luong attention, and the output projection — against a reusable
-//! per-context scratch arena:
+//! module is the crate's only decoder. It runs the forward pass — embedding
+//! lookup, fused-gate LSTM/GRU steps, Luong attention, and the output
+//! projection — against a reusable scratch arena:
 //!
-//! * weights are packed **once** per model into a [`ModelSpec`] (the
-//!   `[wx; wh]` fused-GEMM operands that the tape re-concatenates on every
-//!   bind), and
-//! * every intermediate lives in a pre-sized [`InferCtx`] buffer, so a decode
-//!   step performs no heap allocation in the steady state (the first call at
-//!   a given batch/sequence shape sizes the arena; later calls reuse it).
+//! * weights are packed **once** per model into a [`ModelSpec`] by
+//!   [`crate::Seq2Seq::freeze`] (the `[wx; wh]` fused-GEMM operands that the
+//!   tape re-concatenates on every bind), and
+//! * every intermediate lives in a pre-sized [`InferArena`] buffer, so a
+//!   decode step performs no heap allocation in the steady state (the first
+//!   call at a given batch/sequence shape sizes the arena; later calls reuse
+//!   it).
 //!
 //! **Bit parity.** The engine is not "close to" the tape — it runs the
 //! tape's forward arithmetic: GEMMs go through [`Matrix::matmul_into`]
 //! (which routes to `reference-kernels` under that feature, same as the
 //! tape), and the gate activations, LSTM/GRU state updates and attention
 //! (scores, softmax, context) are the very kernels the tape's fused cell and
-//! attention ops call (the crate's `kernels` module). The tape path stays
-//! compiled as the parity oracle
-//! (`Seq2Seq::translate_batch_tape` and friends, mirroring
-//! [`crate::reference`]), and `tests/infer_parity.rs` asserts bit-identical
-//! output under both kernel families.
+//! attention ops call (the crate's `kernels` module). The tape forward pass
+//! is kept only as a test-build parity oracle in `seq2seq`'s unit tests,
+//! which assert bit-identical greedy, batched and beam output under both
+//! kernel families.
 
 use crate::kernels::{self, GRU_GATES, LSTM_GATES};
 use crate::matrix::{tanh_slice, Matrix};
 use crate::quant::{QMatrix, QuantMode, QuantReport};
 use crate::NnError;
 use serde::{Deserialize, Serialize};
-use std::sync::Mutex;
 
 /// Forward-only packed weights of one recurrent layer.
 ///
@@ -149,8 +148,8 @@ pub fn pack_rows(top: &Matrix, bottom: &Matrix) -> Matrix {
 /// A `ModelSpec` is the model's *frozen serving artifact*: produced by
 /// [`crate::Seq2Seq::freeze`], it carries no tape, optimizer moments or
 /// gradient buffers, serializes compactly, and decodes bit-identically to
-/// the tape oracle through an [`InferArena`] (pinned by
-/// `tests/infer_parity.rs`).
+/// the training tape's forward pass through an [`InferArena`] (pinned by
+/// the tape-oracle tests in `seq2seq`).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ModelSpec {
     /// Source embedding table, `src_vocab x E`.
@@ -194,10 +193,13 @@ impl ModelSpec {
     /// Checks that the weights fit together: embedding widths against the
     /// first layers' packed rows, packed rows = layer input + hidden, gate
     /// and bias widths per cell kind, `w_a` `H x H`, `w_c` `2H x H`,
-    /// `w_out` `H x V` with `V` the target vocabulary, `bos < V`, and
+    /// `w_out` `H x V` with `V` the target vocabulary, `bos < V`,
     /// non-empty encoder and decoder stacks of one cell kind, one depth and
-    /// one hidden size. The decode kernels index by these shapes without
-    /// re-checking them, so a spec from outside ([`Seq2Seq::freeze`]
+    /// one hidden size, and one weight encoding across every weight matrix
+    /// (both embeddings, every packed cell matrix, `w_a`, `w_c` and
+    /// `w_out`). The decode kernels index by these shapes without
+    /// re-checking them, and [`ModelSpec::quant_mode`] reads the encoding
+    /// off `w_out` alone, so a spec from outside ([`Seq2Seq::freeze`]
     /// always passes) must pass this before it decodes.
     ///
     /// [`Seq2Seq::freeze`]: crate::Seq2Seq::freeze
@@ -219,6 +221,16 @@ impl ModelSpec {
                 )
             }
         };
+        // A weight matrix needs its shape and the spec's one encoding.
+        let mode = self.w_out.mode();
+        let weight = |w: &QMatrix, want: (usize, usize), field: &dyn Fn() -> String| {
+            shape(w.shape(), want, field)?;
+            if w.mode() == mode {
+                Ok(())
+            } else {
+                bad(field(), format!("is {}, but w_out is {mode}", w.mode()))
+            }
+        };
         let hd = self.hidden;
         let vocab = self.tgt_vocab();
         if hd == 0 {
@@ -230,6 +242,9 @@ impl ModelSpec {
                 format!("is {}, not below the target vocabulary {vocab}", self.bos),
             );
         }
+        // Embedding widths are checked against the first layers below.
+        weight(&self.src_emb, self.src_emb.shape(), &|| "src_emb".into())?;
+        weight(&self.tgt_emb, self.tgt_emb.shape(), &|| "tgt_emb".into())?;
         if self.encoder.len() != self.decoder.len() {
             return bad(
                 "decoder".into(),
@@ -259,7 +274,7 @@ impl ModelSpec {
                 let rows = if l == 0 { first_in } else { hd } + hd;
                 match cell {
                     PackedCell::Lstm { w, b, .. } => {
-                        shape(w.shape(), (rows, 4 * hd), &|| at("w"))?;
+                        weight(w, (rows, 4 * hd), &|| at("w"))?;
                         shape(b.shape(), (1, 4 * hd), &|| at("b"))?;
                     }
                     PackedCell::Gru {
@@ -269,20 +284,20 @@ impl ModelSpec {
                         b_cand,
                         ..
                     } => {
-                        shape(w_gates.shape(), (rows, 2 * hd), &|| at("w_gates"))?;
+                        weight(w_gates, (rows, 2 * hd), &|| at("w_gates"))?;
                         shape(b_gates.shape(), (1, 2 * hd), &|| at("b_gates"))?;
-                        shape(w_cand.shape(), (rows, hd), &|| at("w_cand"))?;
+                        weight(w_cand, (rows, hd), &|| at("w_cand"))?;
                         shape(b_cand.shape(), (1, hd), &|| at("b_cand"))?;
                     }
                 }
             }
         }
         if let Some(w_a) = &self.w_a {
-            shape(w_a.shape(), (hd, hd), &|| "w_a".into())?;
+            weight(w_a, (hd, hd), &|| "w_a".into())?;
         }
-        shape(self.w_c.shape(), (2 * hd, hd), &|| "w_c".into())?;
+        weight(&self.w_c, (2 * hd, hd), &|| "w_c".into())?;
         shape(self.b_c.shape(), (1, hd), &|| "b_c".into())?;
-        shape(self.w_out.shape(), (hd, vocab), &|| "w_out".into())?;
+        weight(&self.w_out, (hd, vocab), &|| "w_out".into())?;
         shape(self.b_out.shape(), (1, vocab), &|| "b_out".into())
     }
 
@@ -310,12 +325,45 @@ impl ModelSpec {
     /// The weight encoding of this artifact.
     ///
     /// Weights are only ever re-encoded together (by [`ModelSpec::quantize`]),
-    /// so the output projection's mode speaks for all of them; a debug
-    /// assertion checks the invariant on the embedding tables.
+    /// and [`ModelSpec::validate`] refuses a spec that mixes encodings, so
+    /// the output projection's mode speaks for all of them.
     pub fn quant_mode(&self) -> QuantMode {
-        debug_assert_eq!(self.w_out.mode(), self.src_emb.mode());
-        debug_assert_eq!(self.w_out.mode(), self.tgt_emb.mode());
         self.w_out.mode()
+    }
+
+    /// Checks a decode request before [`InferArena::translate_batch`], which
+    /// indexes embedding tables without re-checking.
+    ///
+    /// # Errors
+    ///
+    /// [`NnError::EmptyCorpus`] for an empty batch,
+    /// [`NnError::EmptySequence`] for an empty first sentence or a zero
+    /// `out_len`, then, row by row, [`NnError::RaggedSequences`] for a
+    /// sentence unlike the first in length and [`NnError::TokenOutOfRange`]
+    /// for a token outside the source vocabulary.
+    pub fn check_src<T: Token>(&self, srcs: &[&[T]], out_len: usize) -> Result<(), NnError> {
+        let Some(first) = srcs.first() else {
+            return Err(NnError::EmptyCorpus);
+        };
+        if out_len == 0 || first.is_empty() {
+            return Err(NnError::EmptySequence);
+        }
+        let vocab = self.src_vocab();
+        for s in srcs {
+            if s.len() != first.len() {
+                return Err(NnError::RaggedSequences {
+                    expected: first.len(),
+                    found: s.len(),
+                });
+            }
+            if let Some(tok) = s.iter().find(|t| t.index() >= vocab) {
+                return Err(NnError::TokenOutOfRange {
+                    token: tok.index(),
+                    vocab,
+                });
+            }
+        }
+        Ok(())
     }
 
     /// Re-encodes every weight matrix in `mode` (via f32 if already
@@ -457,9 +505,8 @@ struct Scratch {
 /// One arena can serve any number of models sequentially — a serving worker
 /// holds one arena and decodes whichever pair model the scheduler hands it,
 /// instead of every model (or every stream) owning a private scratch set.
-/// Callers must validate tokens/shapes first (as
-/// [`crate::Seq2Seq::translate_batch`] does) — the engine indexes embedding
-/// tables directly.
+/// Callers must validate tokens/shapes first ([`ModelSpec::check_src`]) —
+/// the engine indexes embedding tables directly.
 #[derive(Debug, Default)]
 pub struct InferArena {
     /// Per-step top-layer encoder hidden states; `enc_len` entries are live.
@@ -549,10 +596,9 @@ impl InferArena {
         &self.scratch.logits
     }
 
-    /// Greedy batched translation with `spec`'s weights — the engine-side
-    /// body of [`crate::Seq2Seq::translate_batch`]. Inputs must be
-    /// pre-validated. Tokens come in and go out as `T`, so a caller holding
-    /// `u32` ids decodes without converting the batch.
+    /// Greedy batched translation with `spec`'s weights. Inputs must pass
+    /// [`ModelSpec::check_src`]. Tokens come in and go out as `T`, so a
+    /// caller holding `u32` ids decodes without converting the batch.
     pub fn translate_batch<T: Token>(
         &mut self,
         spec: &ModelSpec,
@@ -580,6 +626,83 @@ impl InferArena {
         self.prev = prev;
         out
     }
+
+    /// Beam-search translation of a single source sentence with `spec`'s
+    /// weights: keeps the `beam_width` highest-log-probability hypotheses at
+    /// each step and returns the best complete one. `beam_width = 1` is
+    /// equivalent to greedy decoding.
+    ///
+    /// # Errors
+    ///
+    /// [`NnError::EmptySequence`] when `beam_width` is zero; otherwise any
+    /// error [`ModelSpec::check_src`] reports for `src`.
+    pub fn translate_beam(
+        &mut self,
+        spec: &ModelSpec,
+        src: &[usize],
+        out_len: usize,
+        beam_width: usize,
+    ) -> Result<Vec<usize>, NnError> {
+        if beam_width == 0 {
+            return Err(NnError::EmptySequence);
+        }
+        spec.check_src(&[src], out_len)?;
+        self.encode(spec, &[src]);
+        struct Hyp {
+            tokens: Vec<usize>,
+            logp: f64,
+            state: InferState,
+        }
+        let mut start = InferState::default();
+        self.start_state(&mut start);
+        let mut beam = vec![Hyp {
+            tokens: Vec::new(),
+            logp: 0.0,
+            state: start,
+        }];
+        for _ in 0..out_len {
+            let mut candidates: Vec<Hyp> = Vec::with_capacity(beam.len() * beam_width);
+            for hyp in &beam {
+                let prev = *hyp.tokens.last().unwrap_or(&spec.bos);
+                let mut state = hyp.state.clone();
+                self.decode_step(spec, &[prev], &mut state);
+                let log_probs = row_log_softmax(self.logits().row(0));
+                for &(tok, lp) in top_k(&log_probs, beam_width).iter() {
+                    let mut tokens = hyp.tokens.clone();
+                    tokens.push(tok);
+                    candidates.push(Hyp {
+                        tokens,
+                        logp: hyp.logp + lp,
+                        state: state.clone(),
+                    });
+                }
+            }
+            candidates.sort_by(|a, b| b.logp.total_cmp(&a.logp));
+            candidates.truncate(beam_width);
+            beam = candidates;
+        }
+        Ok(beam.into_iter().next().expect("beam is never empty").tokens)
+    }
+}
+
+/// Row log-softmax in f64 for numerically stable beam scoring.
+pub(crate) fn row_log_softmax(row: &[f32]) -> Vec<f64> {
+    let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max) as f64;
+    let log_z: f64 = row
+        .iter()
+        .map(|&v| ((v as f64) - max).exp())
+        .sum::<f64>()
+        .ln()
+        + max;
+    row.iter().map(|&v| v as f64 - log_z).collect()
+}
+
+/// Indices and values of the `k` largest entries, descending.
+pub(crate) fn top_k(values: &[f64], k: usize) -> Vec<(usize, f64)> {
+    let mut idx: Vec<(usize, f64)> = values.iter().copied().enumerate().collect();
+    idx.sort_by(|a, b| b.1.total_cmp(&a.1));
+    idx.truncate(k.max(1));
+    idx
 }
 
 /// A token id the engine decodes: an index into an embedding table. The
@@ -611,65 +734,6 @@ impl Token for u32 {
     #[inline]
     fn from_index(index: usize) -> Self {
         u32::try_from(index).expect("vocabulary index fits in u32")
-    }
-}
-
-/// A per-model inference context: packed weights plus a private
-/// [`InferArena`].
-///
-/// Create once per trained model ([`InferCtx::new`]) and reuse across decode
-/// steps and across pushes. This is the training-side convenience wrapper
-/// used by [`crate::Seq2Seq`]'s cached engine; serving paths that multiplex
-/// many models over few workers hold [`InferArena`]s directly and pass each
-/// model's [`ModelSpec`] per call.
-#[derive(Debug)]
-pub struct InferCtx {
-    spec: ModelSpec,
-    arena: InferArena,
-}
-
-impl InferCtx {
-    /// Builds a context around pre-packed weights.
-    pub fn new(spec: ModelSpec) -> Self {
-        Self {
-            spec,
-            arena: InferArena::new(),
-        }
-    }
-
-    /// The packed model weights.
-    pub fn spec(&self) -> &ModelSpec {
-        &self.spec
-    }
-
-    /// Encodes a batch of equal-length source sentences, leaving the
-    /// per-step top-layer hidden states and the final state in the context.
-    pub fn encode(&mut self, srcs: &[&[usize]]) {
-        self.arena.encode(&self.spec, srcs);
-    }
-
-    /// Copies the encoder final state into `out` (reusing its buffers) as
-    /// the decoder's initial state.
-    pub fn start_state(&self, out: &mut InferState) {
-        self.arena.start_state(out);
-    }
-
-    /// One decoder step over the most recently encoded batch: embeds `prev`,
-    /// advances the stack, attends, and leaves the logits in the context
-    /// ([`InferCtx::logits`]). `state` is updated in place.
-    pub fn decode_step(&mut self, prev: &[usize], state: &mut InferState) {
-        self.arena.decode_step(&self.spec, prev, state);
-    }
-
-    /// Logits of the last [`InferCtx::decode_step`], `B x V`.
-    pub fn logits(&self) -> &Matrix {
-        self.arena.logits()
-    }
-
-    /// Greedy batched translation — the engine-side body of
-    /// [`crate::Seq2Seq::translate_batch`]. Inputs must be pre-validated.
-    pub fn translate_batch(&mut self, srcs: &[&[usize]], out_len: usize) -> Vec<Vec<usize>> {
-        self.arena.translate_batch(&self.spec, srcs, out_len)
     }
 }
 
@@ -789,63 +853,6 @@ fn assign(dst: &mut Matrix, src: &Matrix) {
     dst.data_mut().copy_from_slice(src.data());
 }
 
-/// Lazily-built, serialization-skipped cache of a model's [`InferCtx`].
-///
-/// Stored inside [`crate::Seq2Seq`] behind `#[serde(skip)]`: a cloned or
-/// deserialized model starts with an empty cache and rebuilds the context on
-/// first use; training clears it (the packed weights would be stale).
-/// The interior mutex makes cached inference available through `&self` and
-/// keeps the model `Sync` for parallel detection.
-#[derive(Default)]
-pub struct InferCache(Mutex<Option<Box<InferCtx>>>);
-
-impl InferCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Runs `f` against the cached context, building it with `build` on
-    /// first use.
-    pub fn with<R>(
-        &self,
-        build: impl FnOnce() -> InferCtx,
-        f: impl FnOnce(&mut InferCtx) -> R,
-    ) -> R {
-        let mut guard = self.0.lock().unwrap_or_else(|e| e.into_inner());
-        if mdes_obs::enabled() {
-            mdes_obs::counter(
-                if guard.is_some() {
-                    "infer.cache_hit"
-                } else {
-                    "infer.cache_miss"
-                },
-                1,
-            );
-        }
-        f(guard.get_or_insert_with(|| Box::new(build())))
-    }
-
-    /// Drops the cached context (call after any parameter update).
-    pub fn clear(&self) {
-        *self.0.lock().unwrap_or_else(|e| e.into_inner()) = None;
-    }
-}
-
-impl Clone for InferCache {
-    /// Cloning a model does not clone the cache — the clone rebuilds lazily.
-    fn clone(&self) -> Self {
-        Self::new()
-    }
-}
-
-impl std::fmt::Debug for InferCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let built = self.0.lock().map(|g| g.is_some()).unwrap_or(false);
-        f.debug_struct("InferCache").field("built", &built).finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -885,6 +892,10 @@ mod tests {
         crate::Seq2Seq::new(7, 6, 2, cfg).freeze()
     }
 
+    fn int8(w: &QMatrix) -> QMatrix {
+        QMatrix::quantize(&w.dequantize(), QuantMode::Int8).expect("finite weights")
+    }
+
     fn field_of(spec: &ModelSpec) -> String {
         match spec.validate() {
             Err(NnError::MalformedSpec { field, .. }) => field,
@@ -912,7 +923,7 @@ mod tests {
         let lstm = frozen(CellKind::Lstm, AttentionKind::General, true);
         let gru = frozen(CellKind::Gru, AttentionKind::Dot, false);
         type Edit = fn(&mut ModelSpec);
-        let cases: [(&ModelSpec, Edit, &str); 14] = [
+        let cases: [(&ModelSpec, Edit, &str); 19] = [
             (&lstm, |s| s.bos = 6 + 5, "bos"),
             (&lstm, |s| s.hidden = 0, "hidden"),
             (
@@ -971,6 +982,21 @@ mod tests {
                 },
                 "decoder[1]",
             ),
+            // One weight re-encoded alone: the spec would report f32 and
+            // decode int8 weights.
+            (&lstm, |s| s.src_emb = int8(&s.src_emb), "src_emb"),
+            (&lstm, |s| s.tgt_emb = int8(&s.tgt_emb), "tgt_emb"),
+            (&lstm, |s| s.w_c = int8(&s.w_c), "w_c"),
+            (&lstm, |s| s.w_a = s.w_a.as_ref().map(int8), "w_a"),
+            (
+                &gru,
+                |s| {
+                    if let PackedCell::Gru { w_gates, .. } = &mut s.encoder[0] {
+                        *w_gates = int8(w_gates);
+                    }
+                },
+                "encoder[0].w_gates",
+            ),
         ];
         for (base, edit, field) in cases {
             let mut spec = base.clone();
@@ -983,29 +1009,88 @@ mod tests {
             *hidden = 4;
         }
         assert_eq!(field_of(&spec), "encoder[1].hidden");
+        // Every weight in one other encoding is consistent; only `w_out`
+        // re-encoded is named against the first weight checked.
+        let (q, _) = lstm.quantize(QuantMode::Int8).expect("quantize");
+        q.validate().expect("one encoding throughout");
+        let mut spec = lstm.clone();
+        spec.w_out = int8(&spec.w_out);
+        assert_eq!(field_of(&spec), "src_emb");
+        let mut spec = gru.clone();
+        if let PackedCell::Gru { w_cand, .. } = &mut spec.decoder[1] {
+            *w_cand = int8(w_cand);
+        }
+        assert_eq!(field_of(&spec), "decoder[1].w_cand");
     }
 
     #[test]
-    fn infer_cache_clone_is_empty_and_clear_drops() {
-        let cache = InferCache::new();
-        let spec = ModelSpec {
-            src_emb: QMatrix::F32(Matrix::zeros(2, 2)),
-            tgt_emb: QMatrix::F32(Matrix::zeros(2, 2)),
-            encoder: vec![],
-            decoder: vec![],
-            w_a: None,
-            w_c: QMatrix::F32(Matrix::zeros(4, 2)),
-            b_c: Matrix::zeros(1, 2),
-            w_out: QMatrix::F32(Matrix::zeros(2, 2)),
-            b_out: Matrix::zeros(1, 2),
-            hidden: 2,
-            input_feeding: false,
-            bos: 0,
-        };
-        cache.with(|| InferCtx::new(spec), |_| ());
-        assert!(format!("{cache:?}").contains("true"));
-        assert!(format!("{:?}", cache.clone()).contains("false"));
-        cache.clear();
-        assert!(format!("{cache:?}").contains("false"));
+    fn check_src_reports_each_malformed_request() {
+        let spec = frozen(crate::CellKind::Lstm, crate::AttentionKind::Dot, false);
+        let (a, b): (&[usize], &[usize]) = (&[1, 2, 3], &[6, 0, 4]);
+        assert_eq!(spec.check_src(&[a, b], 4), Ok(()));
+        assert_eq!(spec.check_src(&[&[1u32, 6][..]], 1), Ok(()));
+        let cases: [(&[&[usize]], usize, NnError); 6] = [
+            (&[], 4, NnError::EmptyCorpus),
+            (&[&[], &[]], 4, NnError::EmptySequence),
+            (&[a], 0, NnError::EmptySequence),
+            (
+                &[a, &[1, 2], b],
+                4,
+                NnError::RaggedSequences {
+                    expected: 3,
+                    found: 2,
+                },
+            ),
+            (
+                &[a, &[1, 7, 2]],
+                4,
+                NnError::TokenOutOfRange { token: 7, vocab: 7 },
+            ),
+            // Rows are checked in order: an out-of-vocabulary token is
+            // reported before a later ragged sentence.
+            (
+                &[&[9, 1, 1], &[1]],
+                4,
+                NnError::TokenOutOfRange { token: 9, vocab: 7 },
+            ),
+        ];
+        for (srcs, out_len, want) in cases {
+            assert_eq!(spec.check_src(srcs, out_len), Err(want), "{srcs:?}");
+        }
+        assert_eq!(
+            spec.check_src(&[&[3u32, 7][..]], 2),
+            Err(NnError::TokenOutOfRange { token: 7, vocab: 7 })
+        );
+    }
+
+    #[test]
+    fn beam_zero_rejected() {
+        let spec = frozen(crate::CellKind::Lstm, crate::AttentionKind::Dot, false);
+        let mut arena = InferArena::new();
+        assert_eq!(
+            arena.translate_beam(&spec, &[1, 2], 2, 0),
+            Err(NnError::EmptySequence)
+        );
+        assert_eq!(
+            arena.translate_beam(&spec, &[1, 9], 2, 1),
+            Err(NnError::TokenOutOfRange { token: 9, vocab: 7 })
+        );
+    }
+
+    #[test]
+    fn log_softmax_normalizes() {
+        let row = vec![1.0f32, 2.0, 3.0];
+        let lp = row_log_softmax(&row);
+        let sum: f64 = lp.iter().map(|v| v.exp()).sum();
+        assert!((sum - 1.0).abs() < 1e-9);
+        assert!(lp[2] > lp[1] && lp[1] > lp[0]);
+    }
+
+    #[test]
+    fn top_k_returns_descending() {
+        let v = vec![0.1, 0.9, 0.5, 0.7];
+        let t = top_k(&v, 2);
+        assert_eq!(t[0].0, 1);
+        assert_eq!(t[1].0, 3);
     }
 }

@@ -8,15 +8,18 @@
 //! * [`Tape`] / [`ParamSet`] — define-by-run reverse-mode autodiff,
 //! * [`LstmLayer`] / [`LstmStack`] — LSTM recurrences on the tape,
 //! * [`Adam`] / [`Sgd`] — optimizers,
-//! * [`Seq2Seq`] — encoder–decoder LSTM with Luong global attention, teacher
-//!   forcing and greedy decoding.
+//! * [`Seq2Seq`] — encoder–decoder LSTM with Luong global attention,
+//!   trained with teacher forcing,
+//! * [`InferArena`] — the tape-free decoder: greedy or beam translation of a
+//!   frozen [`ModelSpec`].
 //!
 //! # Example
 //!
-//! Train a tiny model that learns to shift every token by one:
+//! Train a tiny model that learns to shift every token by one, freeze it,
+//! and decode the frozen weights:
 //!
 //! ```
-//! use mdes_nn::{Seq2Seq, Seq2SeqConfig};
+//! use mdes_nn::{InferArena, Seq2Seq, Seq2SeqConfig};
 //!
 //! # fn main() -> Result<(), mdes_nn::NnError> {
 //! let pairs = vec![
@@ -26,8 +29,11 @@
 //! let cfg = Seq2SeqConfig { train_steps: 30, ..Seq2SeqConfig::default() };
 //! let mut model = Seq2Seq::new(6, 6, 1, cfg);
 //! model.fit(&pairs)?;
-//! let hyp = model.translate(&[2, 3, 4], 3)?;
-//! assert_eq!(hyp.len(), 3);
+//! let spec = model.freeze();
+//! let src: &[usize] = &[2, 3, 4];
+//! spec.check_src(&[src], 3)?;
+//! let hyps = InferArena::new().translate_batch(&spec, &[src], 3);
+//! assert_eq!(hyps[0].len(), 3);
 //! # Ok(())
 //! # }
 //! ```
@@ -48,7 +54,7 @@ pub mod tape;
 
 pub use error::NnError;
 pub use gru::{GruLayer, GruStack};
-pub use infer::{InferArena, InferCtx, InferState, ModelSpec, PackedCell, Token};
+pub use infer::{InferArena, InferState, ModelSpec, PackedCell, Token};
 pub use lstm::{LstmLayer, LstmStack};
 pub use matrix::Matrix;
 pub use optim::{Adam, Sgd};

@@ -630,7 +630,7 @@ mod avx2 {
 /// Element-wise logistic sigmoid of `src` into `dst`.
 ///
 /// The fast path evaluates `1 / (1 + e^-x)` with the polynomial
-/// [`exp_approx`], eight lanes per AVX2 instruction when the host has it;
+/// `exp_approx`, eight lanes per AVX2 instruction when the host has it;
 /// it stays within `1e-6` of libm (pinned by `tests/parity.rs`). Build with
 /// `--features reference-kernels` to route through the libm-exact
 /// [`crate::reference::sigmoid_slice`] instead.
@@ -655,7 +655,7 @@ pub fn sigmoid_slice(src: &[f32], dst: &mut [f32]) {
 /// Element-wise hyperbolic tangent of `src` into `dst`.
 ///
 /// Fast path: `tanh x = (e^2x - 1) / (e^2x + 1)` on the polynomial
-/// [`exp_approx`], absolute error below `1e-6` (worst near saturation).
+/// `exp_approx`, absolute error below `1e-6` (worst near saturation).
 /// Build with `--features reference-kernels` for libm
 /// [`crate::reference::tanh_slice`].
 ///

@@ -4,9 +4,9 @@
 //! Manning, 2015): a recurrent encoder maps the source sentence to a
 //! sequence of hidden states; a recurrent decoder, initialized from the
 //! encoder's final state, attends over those states and produces one target
-//! token per step. Training uses teacher forcing and Adam; inference is
-//! greedy by default with optional beam search
-//! ([`Seq2Seq::translate_beam`]).
+//! token per step. Training uses teacher forcing and Adam. A trained model
+//! is its weights: [`Seq2Seq::freeze`] packs them into a [`ModelSpec`], and
+//! [`crate::InferArena`] decodes that spec, greedily or by beam search.
 //!
 //! Configurable axes (all from Luong et al.):
 //!
@@ -19,7 +19,7 @@
 
 use crate::error::NnError;
 use crate::gru::{BoundGruStack, GruStack};
-use crate::infer::{InferCache, InferCtx, InferState, ModelSpec, PackedCell};
+use crate::infer::{ModelSpec, PackedCell};
 use crate::lstm::{BoundStack, LstmStack, LstmState};
 use crate::matrix::Matrix;
 use crate::optim::Adam;
@@ -253,10 +253,6 @@ pub struct Seq2Seq {
     b_c: usize,
     w_out: usize,
     b_out: usize,
-    /// Cached tape-free inference context; rebuilt lazily after training,
-    /// cloning, or deserialization (see [`InferCache`]).
-    #[serde(skip)]
-    infer: InferCache,
 }
 
 /// Tape-bound parameter handles, valid for one forward pass.
@@ -346,30 +342,7 @@ impl Seq2Seq {
             b_c,
             w_out,
             b_out,
-            infer: InferCache::new(),
         }
-    }
-
-    /// The model configuration.
-    pub fn config(&self) -> &Seq2SeqConfig {
-        &self.cfg
-    }
-
-    /// Source vocabulary size.
-    pub fn src_vocab(&self) -> usize {
-        self.src_vocab
-    }
-
-    /// Target vocabulary size.
-    pub fn tgt_vocab(&self) -> usize {
-        self.tgt_vocab
-    }
-
-    /// Total number of scalar parameters.
-    pub fn parameter_count(&self) -> usize {
-        (0..self.params.len())
-            .map(|i| self.params.value(i).data().len())
-            .sum()
     }
 
     fn bind(&self, tape: &mut Tape) -> Bound {
@@ -526,9 +499,6 @@ impl Seq2Seq {
         self.validate(pairs)?;
         let mut span = mdes_obs::span("nn.fit");
         span.field("steps", self.cfg.train_steps);
-        // Parameters are about to change; any packed inference weights are
-        // stale from here on.
-        self.infer.clear();
         let mut rng = StdRng::seed_from_u64(self.cfg.seed.wrapping_add(1));
         let mut losses = Vec::with_capacity(self.cfg.train_steps);
         // One tape for the whole run: every step replays the same op sequence,
@@ -595,38 +565,14 @@ impl Seq2Seq {
         Ok(())
     }
 
-    fn validate_src(&self, srcs: &[&[usize]], out_len: usize) -> Result<(), NnError> {
-        if srcs.is_empty() {
-            return Err(NnError::EmptyCorpus);
-        }
-        if out_len == 0 || srcs[0].is_empty() {
-            return Err(NnError::EmptySequence);
-        }
-        let src_len = srcs[0].len();
-        for s in srcs {
-            if s.len() != src_len {
-                return Err(NnError::RaggedSequences {
-                    expected: src_len,
-                    found: s.len(),
-                });
-            }
-            if let Some(&tok) = s.iter().find(|&&tok| tok >= self.src_vocab) {
-                return Err(NnError::TokenOutOfRange {
-                    token: tok,
-                    vocab: self.src_vocab,
-                });
-            }
-        }
-        Ok(())
-    }
-
     /// Freezes the current parameters into a serving artifact.
     ///
     /// The returned [`ModelSpec`] carries only packed weights — no tape,
     /// optimizer moments or gradient buffers — serializes compactly, and
-    /// decodes bit-identically to the tape oracle through an
-    /// [`crate::infer::InferArena`] (pinned by `tests/infer_parity.rs`).
-    /// This is the artifact serving layers deploy and hot-swap.
+    /// decodes through an [`crate::InferArena`] bit-identically to this
+    /// model's tape forward pass (pinned by the tape-oracle tests below).
+    /// It is the only way to decode a trained model, and the artifact
+    /// serving layers deploy and hot-swap.
     pub fn freeze(&self) -> ModelSpec {
         use crate::QMatrix;
         ModelSpec {
@@ -644,44 +590,16 @@ impl Seq2Seq {
             bos: self.bos,
         }
     }
+}
 
-    /// Runs `f` against this model's cached inference context, packing the
-    /// weights on first use.
-    fn with_infer<R>(&self, f: impl FnOnce(&mut InferCtx) -> R) -> R {
-        self.infer.with(|| InferCtx::new(self.freeze()), f)
-    }
-
-    /// Greedily translates a batch of equal-length source sentences into
-    /// sentences of `out_len` tokens each, on the tape-free inference
-    /// engine ([`crate::infer`]). Output is bit-identical to
-    /// [`Seq2Seq::translate_batch_tape`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `srcs` is empty, sentences are empty or ragged, a
-    /// token is out of vocabulary, or `out_len` is zero.
-    pub fn translate_batch(
-        &self,
-        srcs: &[&[usize]],
-        out_len: usize,
-    ) -> Result<Vec<Vec<usize>>, NnError> {
-        self.validate_src(srcs, out_len)?;
-        Ok(self.with_infer(|ctx| ctx.translate_batch(srcs, out_len)))
-    }
-
-    /// Batched greedy translation on the autodiff tape, kept compiled as the
-    /// parity oracle for the inference engine (the same pattern as
-    /// [`crate::reference`] for the fast kernels).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Seq2Seq::translate_batch`].
-    pub fn translate_batch_tape(
-        &self,
-        srcs: &[&[usize]],
-        out_len: usize,
-    ) -> Result<Vec<Vec<usize>>, NnError> {
-        self.validate_src(srcs, out_len)?;
+#[cfg(test)]
+/// The tape forward pass as a decoder: the parity oracle for
+/// [`crate::InferArena`], compiled into test builds only (the same pattern
+/// as [`crate::reference`] for the fast kernels). Inputs must pass
+/// [`ModelSpec::check_src`].
+impl Seq2Seq {
+    /// Batched greedy translation on the autodiff tape.
+    fn translate_batch_tape(&self, srcs: &[&[usize]], out_len: usize) -> Vec<Vec<usize>> {
         let batch = srcs.len();
         let mut tape = Tape::new();
         let bound = self.bind(&mut tape);
@@ -704,108 +622,20 @@ impl Seq2Seq {
                 .map(|o| *o.last().expect("pushed above"))
                 .collect();
         }
-        Ok(out)
+        out
     }
 
-    /// Greedily translates a single source sentence (engine path).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Seq2Seq::translate_batch`].
-    pub fn translate(&self, src: &[usize], out_len: usize) -> Result<Vec<usize>, NnError> {
-        Ok(self
-            .translate_batch(&[src], out_len)?
+    /// Single-sentence greedy translation on the tape.
+    fn translate_tape(&self, src: &[usize], out_len: usize) -> Vec<usize> {
+        self.translate_batch_tape(&[src], out_len)
             .pop()
-            .expect("one output per input"))
+            .expect("one output per input")
     }
 
-    /// Single-sentence greedy translation on the tape oracle.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Seq2Seq::translate_batch`].
-    pub fn translate_tape(&self, src: &[usize], out_len: usize) -> Result<Vec<usize>, NnError> {
-        Ok(self
-            .translate_batch_tape(&[src], out_len)?
-            .pop()
-            .expect("one output per input"))
-    }
-
-    /// Beam-search translation of a single source sentence: keeps the
-    /// `beam_width` highest-log-probability hypotheses at each step and
-    /// returns the best complete one. `beam_width = 1` is equivalent to
-    /// greedy decoding. Runs on the tape-free inference engine; output is
-    /// bit-identical to [`Seq2Seq::translate_beam_tape`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Seq2Seq::translate_batch`], plus
-    /// [`NnError::EmptySequence`] when `beam_width` is zero.
-    pub fn translate_beam(
-        &self,
-        src: &[usize],
-        out_len: usize,
-        beam_width: usize,
-    ) -> Result<Vec<usize>, NnError> {
-        if beam_width == 0 {
-            return Err(NnError::EmptySequence);
-        }
-        self.validate_src(&[src], out_len)?;
-        Ok(self.with_infer(|ctx| {
-            ctx.encode(&[src]);
-            struct Hyp {
-                tokens: Vec<usize>,
-                logp: f64,
-                state: InferState,
-            }
-            let mut start = InferState::default();
-            ctx.start_state(&mut start);
-            let mut beam = vec![Hyp {
-                tokens: Vec::new(),
-                logp: 0.0,
-                state: start,
-            }];
-            for _ in 0..out_len {
-                let mut candidates: Vec<Hyp> = Vec::with_capacity(beam.len() * beam_width);
-                for hyp in &beam {
-                    let prev = *hyp.tokens.last().unwrap_or(&self.bos);
-                    let mut state = hyp.state.clone();
-                    ctx.decode_step(&[prev], &mut state);
-                    let log_probs = row_log_softmax(ctx.logits().row(0));
-                    for &(tok, lp) in top_k(&log_probs, beam_width).iter() {
-                        let mut tokens = hyp.tokens.clone();
-                        tokens.push(tok);
-                        candidates.push(Hyp {
-                            tokens,
-                            logp: hyp.logp + lp,
-                            state: state.clone(),
-                        });
-                    }
-                }
-                candidates.sort_by(|a, b| b.logp.total_cmp(&a.logp));
-                candidates.truncate(beam_width);
-                beam = candidates;
-            }
-            beam.into_iter().next().expect("beam is never empty").tokens
-        }))
-    }
-
-    /// Beam-search translation on the autodiff tape, kept compiled as the
-    /// parity oracle for the engine's beam path.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Seq2Seq::translate_beam`].
-    pub fn translate_beam_tape(
-        &self,
-        src: &[usize],
-        out_len: usize,
-        beam_width: usize,
-    ) -> Result<Vec<usize>, NnError> {
-        if beam_width == 0 {
-            return Err(NnError::EmptySequence);
-        }
-        self.validate_src(&[src], out_len)?;
+    /// Beam-search translation on the tape: the oracle for
+    /// [`crate::InferArena::translate_beam`].
+    fn translate_beam_tape(&self, src: &[usize], out_len: usize, beam_width: usize) -> Vec<usize> {
+        assert!(beam_width > 0, "beam width must be positive");
         let mut tape = Tape::new();
         let bound = self.bind(&mut tape);
         let (enc_hs, final_state) = self.encode(&mut tape, &bound, &[src], None);
@@ -835,8 +665,8 @@ impl Seq2Seq {
                     &enc_hs,
                     None,
                 );
-                let log_probs = row_log_softmax(tape.value(logits).row(0));
-                for &(tok, lp) in top_k(&log_probs, beam_width).iter() {
+                let log_probs = crate::infer::row_log_softmax(tape.value(logits).row(0));
+                for &(tok, lp) in crate::infer::top_k(&log_probs, beam_width).iter() {
                     let mut tokens = hyp.tokens.clone();
                     tokens.push(tok);
                     candidates.push(Hyp {
@@ -851,33 +681,15 @@ impl Seq2Seq {
             candidates.truncate(beam_width);
             beam = candidates;
         }
-        Ok(beam.into_iter().next().expect("beam is never empty").tokens)
+        beam.into_iter().next().expect("beam is never empty").tokens
     }
-}
-
-/// Row log-softmax in f64 for numerically stable beam scoring.
-fn row_log_softmax(row: &[f32]) -> Vec<f64> {
-    let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max) as f64;
-    let log_z: f64 = row
-        .iter()
-        .map(|&v| ((v as f64) - max).exp())
-        .sum::<f64>()
-        .ln()
-        + max;
-    row.iter().map(|&v| v as f64 - log_z).collect()
-}
-
-/// Indices and values of the `k` largest entries, descending.
-fn top_k(values: &[f64], k: usize) -> Vec<(usize, f64)> {
-    let mut idx: Vec<(usize, f64)> = values.iter().copied().enumerate().collect();
-    idx.sort_by(|a, b| b.1.total_cmp(&a.1));
-    idx.truncate(k.max(1));
-    idx
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::InferArena;
+    use proptest::prelude::*;
 
     /// Builds a toy corpus where the target is the source with every token
     /// shifted by one (mod vocab) — learnable by a tiny model.
@@ -907,11 +719,28 @@ mod tests {
         }
     }
 
+    /// Greedy decode of one sentence the production way: frozen spec,
+    /// checked input, arena.
+    fn decode(
+        spec: &ModelSpec,
+        arena: &mut InferArena,
+        src: &[usize],
+        out_len: usize,
+    ) -> Vec<usize> {
+        spec.check_src(&[src], out_len).expect("valid input");
+        arena
+            .translate_batch(spec, &[src], out_len)
+            .pop()
+            .expect("one output per input")
+    }
+
     fn accuracy(model: &Seq2Seq, corpus: &[(Vec<usize>, Vec<usize>)]) -> f32 {
+        let spec = model.freeze();
+        let mut arena = InferArena::new();
         let mut correct = 0;
         let mut total = 0;
         for (src, tgt) in corpus.iter().take(10) {
-            let hyp = model.translate(src, tgt.len()).expect("translate");
+            let hyp = decode(&spec, &mut arena, src, tgt.len());
             correct += hyp.iter().zip(tgt).filter(|(a, b)| a == b).count();
             total += tgt.len();
         }
@@ -944,7 +773,7 @@ mod tests {
                 ..tiny_config()
             },
         );
-        assert!(model.parameter_count() < lstm.parameter_count());
+        assert!(model.freeze().approx_bytes() < lstm.freeze().approx_bytes());
         model.fit(&corpus).expect("fit");
         let acc = accuracy(&model, &corpus);
         assert!(acc > 0.6, "gru accuracy too low: {acc}");
@@ -1010,9 +839,11 @@ mod tests {
         cfg.train_steps = 40;
         let mut model = Seq2Seq::new(6, 6, 1, cfg);
         model.fit(&corpus).expect("fit");
+        let spec = model.freeze();
+        let mut arena = InferArena::new();
         for (src, _) in corpus.iter().take(5) {
-            let greedy = model.translate(src, 4).expect("greedy");
-            let beam = model.translate_beam(src, 4, 1).expect("beam");
+            let greedy = decode(&spec, &mut arena, src, 4);
+            let beam = arena.translate_beam(&spec, src, 4, 1).expect("beam");
             assert_eq!(greedy, beam);
         }
     }
@@ -1027,18 +858,11 @@ mod tests {
         cfg.train_steps = 40;
         let mut model = Seq2Seq::new(6, 6, 1, cfg);
         model.fit(&corpus).expect("fit");
-        let out = model.translate_beam(&corpus[0].0, 4, 4).expect("beam");
+        let out = InferArena::new()
+            .translate_beam(&model.freeze(), &corpus[0].0, 4, 4)
+            .expect("beam");
         assert_eq!(out.len(), 4);
         assert!(out.iter().all(|&t| t < 6));
-    }
-
-    #[test]
-    fn beam_zero_rejected() {
-        let model = Seq2Seq::new(4, 4, 0, tiny_config());
-        assert_eq!(
-            model.translate_beam(&[1, 2], 2, 0),
-            Err(NnError::EmptySequence)
-        );
     }
 
     #[test]
@@ -1048,7 +872,7 @@ mod tests {
         cfg.train_steps = 5;
         let mut model = Seq2Seq::new(6, 6, 1, cfg);
         model.fit(&corpus).expect("fit");
-        let out = model.translate(&corpus[0].0, 7).expect("translate");
+        let out = decode(&model.freeze(), &mut InferArena::new(), &corpus[0].0, 7);
         assert_eq!(out.len(), 7);
         assert!(out.iter().all(|&t| t < 6));
     }
@@ -1179,12 +1003,6 @@ mod tests {
     }
 
     #[test]
-    fn translate_rejects_zero_length_output() {
-        let model = Seq2Seq::new(4, 4, 0, tiny_config());
-        assert_eq!(model.translate(&[1, 2], 0), Err(NnError::EmptySequence));
-    }
-
-    #[test]
     fn deterministic_given_seed() {
         let corpus = shifted_corpus(10, 4, 6);
         let mut cfg = tiny_config();
@@ -1194,10 +1012,7 @@ mod tests {
         let la = a.fit(&corpus).expect("fit a");
         let lb = b.fit(&corpus).expect("fit b");
         assert_eq!(la, lb);
-        assert_eq!(
-            a.translate(&corpus[0].0, 4).expect("ta"),
-            b.translate(&corpus[0].0, 4).expect("tb")
-        );
+        assert_eq!(a.freeze(), b.freeze());
     }
 
     #[test]
@@ -1209,26 +1024,232 @@ mod tests {
         model.fit(&corpus).expect("fit");
         let json = serde_json::to_string(&model).expect("serialize");
         let restored: Seq2Seq = serde_json::from_str(&json).expect("deserialize");
+        let mut arena = InferArena::new();
         assert_eq!(
-            model.translate(&corpus[1].0, 4).expect("orig"),
-            restored.translate(&corpus[1].0, 4).expect("restored")
+            decode(&model.freeze(), &mut arena, &corpus[1].0, 4),
+            decode(&restored.freeze(), &mut arena, &corpus[1].0, 4)
         );
     }
 
-    #[test]
-    fn log_softmax_normalizes() {
-        let row = vec![1.0f32, 2.0, 3.0];
-        let lp = row_log_softmax(&row);
-        let sum: f64 = lp.iter().map(|v| v.exp()).sum();
-        assert!((sum - 1.0).abs() < 1e-9);
-        assert!(lp[2] > lp[1] && lp[1] > lp[0]);
+    // Tape-oracle parity: the arena must decode a frozen spec bit for bit as
+    // the tape forward pass does — not approximately — on any configuration:
+    // both cell families, both attention kinds, input feeding on/off,
+    // stacked layers, greedy single, greedy batched, and beam decoding. Unit
+    // tests also run under `--features reference-kernels`, so both kernel
+    // families are checked against the oracle.
+
+    /// A model with xavier-initialized (untrained) weights — parity is a
+    /// property of the arithmetic, not of the weight values, and skipping
+    /// `fit` keeps the proptest cases fast.
+    fn build_model(
+        vocab: usize,
+        cell: CellKind,
+        attention: AttentionKind,
+        input_feeding: bool,
+        layers: usize,
+        seed: u64,
+    ) -> Seq2Seq {
+        let cfg = Seq2SeqConfig {
+            embed_dim: 6,
+            hidden: 7,
+            layers,
+            cell,
+            attention,
+            input_feeding,
+            seed,
+            ..Seq2SeqConfig::default()
+        };
+        Seq2Seq::new(vocab, vocab, 0, cfg)
     }
 
+    fn random_sentence(len: usize, vocab: usize, rng: &mut StdRng) -> Vec<usize> {
+        (0..len).map(|_| rng.gen_range(0..vocab)).collect()
+    }
+
+    fn cell_from(flag: u8) -> CellKind {
+        if flag != 0 {
+            CellKind::Gru
+        } else {
+            CellKind::Lstm
+        }
+    }
+
+    fn attention_from(flag: u8) -> AttentionKind {
+        if flag != 0 {
+            AttentionKind::General
+        } else {
+            AttentionKind::Dot
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Greedy single-sentence decoding: arena bit-identical to the tape.
+        /// Two rounds per case so the second run exercises the warm scratch
+        /// arena, not just a fresh one.
+        #[test]
+        fn greedy_matches_tape_exactly(
+            gru in 0u8..=1,
+            general in 0u8..=1,
+            feeding in 0u8..=1,
+            layers in 1usize..=2,
+            src_len in 1usize..=6,
+            out_len in 1usize..=6,
+            vocab in 3usize..=9,
+            seed in 0u64..1 << 32,
+        ) {
+            let model = build_model(vocab, cell_from(gru), attention_from(general), feeding != 0, layers, seed);
+            let spec = model.freeze();
+            let mut arena = InferArena::new();
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xabcd);
+            for _ in 0..2 {
+                let src = random_sentence(src_len, vocab, &mut rng);
+                let engine = decode(&spec, &mut arena, &src, out_len);
+                prop_assert_eq!(engine, model.translate_tape(&src, out_len));
+            }
+        }
+
+        /// Batched greedy decoding: arena bit-identical to the tape,
+        /// including batch-size changes between calls on the same arena.
+        #[test]
+        fn batched_matches_tape_exactly(
+            gru in 0u8..=1,
+            general in 0u8..=1,
+            feeding in 0u8..=1,
+            layers in 1usize..=2,
+            src_len in 1usize..=5,
+            out_len in 1usize..=5,
+            batch in 1usize..=4,
+            vocab in 3usize..=9,
+            seed in 0u64..1 << 32,
+        ) {
+            let model = build_model(vocab, cell_from(gru), attention_from(general), feeding != 0, layers, seed);
+            let spec = model.freeze();
+            let mut arena = InferArena::new();
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x1234);
+            for round in 0..2 {
+                let b = if round == 0 { batch } else { (batch % 4) + 1 };
+                let sentences: Vec<Vec<usize>> =
+                    (0..b).map(|_| random_sentence(src_len, vocab, &mut rng)).collect();
+                let srcs: Vec<&[usize]> = sentences.iter().map(Vec::as_slice).collect();
+                spec.check_src(&srcs, out_len).expect("valid input");
+                let engine = arena.translate_batch(&spec, &srcs, out_len);
+                prop_assert_eq!(engine, model.translate_batch_tape(&srcs, out_len));
+            }
+        }
+
+        /// Beam decoding: arena bit-identical to the tape at widths 1–3.
+        #[test]
+        fn beam_matches_tape_exactly(
+            gru in 0u8..=1,
+            general in 0u8..=1,
+            feeding in 0u8..=1,
+            layers in 1usize..=2,
+            src_len in 1usize..=5,
+            out_len in 1usize..=5,
+            beam_width in 1usize..=3,
+            vocab in 3usize..=9,
+            seed in 0u64..1 << 32,
+        ) {
+            let model = build_model(vocab, cell_from(gru), attention_from(general), feeding != 0, layers, seed);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x5678);
+            let src = random_sentence(src_len, vocab, &mut rng);
+            let engine = InferArena::new()
+                .translate_beam(&model.freeze(), &src, out_len, beam_width)
+                .expect("engine");
+            prop_assert_eq!(engine, model.translate_beam_tape(&src, out_len, beam_width));
+        }
+    }
+
+    /// Training changes the weights, so a spec frozen before a refit is
+    /// stale: the spec frozen after it must decode as the refitted tape does.
     #[test]
-    fn top_k_returns_descending() {
-        let v = vec![0.1, 0.9, 0.5, 0.7];
-        let t = top_k(&v, 2);
-        assert_eq!(t[0].0, 1);
-        assert_eq!(t[1].0, 3);
+    fn refreeze_after_refit_matches_tape() {
+        let pairs: Vec<(Vec<usize>, Vec<usize>)> = {
+            let mut rng = StdRng::seed_from_u64(3);
+            (0..20)
+                .map(|_| {
+                    let src: Vec<usize> = (0..4).map(|_| rng.gen_range(1..6)).collect();
+                    let tgt: Vec<usize> = src.iter().map(|&t| (t + 1) % 6).collect();
+                    (src, tgt)
+                })
+                .collect()
+        };
+        let cfg = Seq2SeqConfig {
+            embed_dim: 8,
+            hidden: 8,
+            train_steps: 15,
+            ..Seq2SeqConfig::default()
+        };
+        let mut model = Seq2Seq::new(6, 6, 0, cfg);
+        model.fit(&pairs).expect("fit");
+        let first = model.freeze();
+        let mut arena = InferArena::new();
+        let src = &pairs[0].0;
+        let before = decode(&first, &mut arena, src, 4);
+        assert_eq!(before, model.translate_tape(src, 4));
+        model.fit(&pairs).expect("refit");
+        let second = model.freeze();
+        assert_ne!(first, second, "the refit must move the weights");
+        assert_eq!(
+            decode(&second, &mut arena, src, 4),
+            model.translate_tape(src, 4),
+            "the spec frozen after the refit diverged from the tape"
+        );
+    }
+
+    /// A deserialized model freezes to the same spec, which decodes as the
+    /// original's tape does.
+    #[test]
+    fn serde_roundtrip_engine_matches_tape() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let model = build_model(7, CellKind::Lstm, AttentionKind::General, true, 2, 42);
+        let src = random_sentence(5, 7, &mut rng);
+        let json = serde_json::to_string(&model).expect("serialize");
+        let restored: Seq2Seq = serde_json::from_str(&json).expect("deserialize");
+        let spec = restored.freeze();
+        assert_eq!(spec, model.freeze());
+        let engine = decode(&spec, &mut InferArena::new(), &src, 5);
+        assert_eq!(engine, model.translate_tape(&src, 5));
+        assert_eq!(engine, restored.translate_tape(&src, 5));
+    }
+
+    /// A frozen `ModelSpec`, round-tripped through serde and decoded through
+    /// a cold shared `InferArena`, must stay bit-identical to the tape
+    /// oracle — this is the serving-artifact contract, checked across both
+    /// cell families and both attention kinds.
+    #[test]
+    fn frozen_spec_roundtrip_matches_tape_exactly() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut arena = InferArena::new();
+        for (i, (cell, attention, feeding)) in [
+            (CellKind::Lstm, AttentionKind::Dot, false),
+            (CellKind::Lstm, AttentionKind::General, true),
+            (CellKind::Gru, AttentionKind::Dot, true),
+            (CellKind::Gru, AttentionKind::General, false),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let model = build_model(8, cell, attention, feeding, 2, 100 + i as u64);
+            let spec = model.freeze();
+            let json = serde_json::to_string(&spec).expect("serialize spec");
+            let restored: ModelSpec = serde_json::from_str(&json).expect("deserialize spec");
+            assert_eq!(spec, restored, "freeze artifact must round-trip exactly");
+            assert_eq!(restored.src_vocab(), 8);
+            assert_eq!(restored.tgt_vocab(), 8);
+            assert!(restored.approx_bytes() > 0);
+            for _ in 0..2 {
+                let sentences: Vec<Vec<usize>> =
+                    (0..3).map(|_| random_sentence(4, 8, &mut rng)).collect();
+                let srcs: Vec<&[usize]> = sentences.iter().map(Vec::as_slice).collect();
+                // The same warm arena serves every spec in turn, as a serving
+                // worker would.
+                let engine = arena.translate_batch(&restored, &srcs, 5);
+                let tape = model.translate_batch_tape(&srcs, 5);
+                assert_eq!(engine, tape, "frozen decode diverged from the tape");
+            }
+        }
     }
 }

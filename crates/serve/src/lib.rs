@@ -15,7 +15,7 @@
 //!   (magic/version/kind/len/FNV-1a checksum, mirroring the MDCK/MDSN
 //!   checkpoint framing) carrying session open/close, batched pushes with
 //!   explicit `Busy` backpressure, and bit-exact score replies.
-//! * **Admin** ([`admin`]) — a line-based text plane: session listing,
+//! * **Admin** (the `admin` module) — a line-based text plane: session listing,
 //!   stats, the mdes-obs report, forced eviction, validated snapshot
 //!   upload (`publish`) that hot-swaps the model without dropping
 //!   buffered windows, and daemon shutdown.
