@@ -79,7 +79,8 @@ fn main() {
     // One serving configuration: M staggered streams (so the workers never
     // decode byte-identical windows in lockstep) pushed through
     // `push_opt_many`, timing every multiplexed push. Returns the per-push
-    // latency samples (ns), per-stream detection counts and session bytes.
+    // latency samples (ns), per-stream detection counts, session bytes and
+    // the bytes the served snapshot's translation memo grew to.
     let run_config = |data: &mdes_synth::plant::PlantData,
                       snap: &GraphSnapshot,
                       streams: usize,
@@ -116,7 +117,12 @@ fn main() {
             "every stream must keep emitting detections"
         );
         let session_bytes: usize = sessions.iter().map(StreamSession::approx_bytes).sum();
-        (latencies, detections, session_bytes)
+        (
+            latencies,
+            detections,
+            session_bytes,
+            engine.snapshot().memo_bytes(),
+        )
     };
 
     let mut rows: Vec<Vec<String>> = Vec::new();
@@ -124,7 +130,9 @@ fn main() {
     let mut prev_per_stream = f64::INFINITY;
     for &streams in stream_counts {
         let started = Instant::now();
-        let (latencies, detections, session_bytes) = run_config(&plant, &snapshot, streams, ticks);
+        // The n-gram family decodes without a memo, so none grows here.
+        let (latencies, detections, session_bytes, _) =
+            run_config(&plant, &snapshot, streams, ticks);
         let secs = started.elapsed().as_secs_f64();
 
         let total = shared_bytes + session_bytes;
@@ -198,29 +206,32 @@ fn main() {
 
     let largest = *stream_counts.last().expect("non-empty sweep");
     let started = Instant::now();
-    let (f32_lat, _, f32_session_bytes) = run_config(&neural_plant, &nsnap, largest, ticks);
+    let (f32_lat, _, f32_session_bytes, f32_memo) =
+        run_config(&neural_plant, &nsnap, largest, ticks);
     let f32_secs = started.elapsed().as_secs_f64();
     records.push(BenchRecord::from_samples(
         &format!("serving/push_{largest}streams_neural_f32"),
         &f32_lat,
-        Some((f32_bytes + f32_session_bytes) as u64),
+        Some((f32_bytes + f32_memo + f32_session_bytes) as u64),
     ));
     let started = Instant::now();
-    let (q_lat, _, q_session_bytes) = run_config(&neural_plant, &qsnap, largest, ticks);
+    let (q_lat, _, q_session_bytes, q_memo) = run_config(&neural_plant, &qsnap, largest, ticks);
     let q_secs = started.elapsed().as_secs_f64();
     records.push(BenchRecord::from_samples(
         &format!("serving/push_{largest}streams_neural_int8"),
         &q_lat,
-        Some((q_bytes + q_session_bytes) as u64),
+        Some((q_bytes + q_memo + q_session_bytes) as u64),
     ));
     eprintln!(
         "neural serving at {largest} streams: int8 {:.0} samples/s vs f32 {:.0} \
-         ({:.2}x), snapshot {:.1} KiB vs {:.1} KiB",
+         ({:.2}x), snapshot {:.1} KiB + memo {:.1} KiB shared vs {:.1} KiB + {:.1} KiB",
         (largest * ticks) as f64 / q_secs,
         (largest * ticks) as f64 / f32_secs,
         f32_secs / q_secs,
         q_bytes as f64 / 1024.0,
+        q_memo as f64 / 1024.0,
         f32_bytes as f64 / 1024.0,
+        f32_memo as f64 / 1024.0,
     );
 
     let json_path = write_json("BENCH_serving.json", &records);

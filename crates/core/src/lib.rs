@@ -60,6 +60,7 @@ pub mod checkpoint;
 pub mod diagnosis;
 mod error;
 pub mod lifecycle;
+mod memo;
 pub mod online;
 mod pipeline;
 mod pool;

@@ -11,7 +11,9 @@
 //!   from a fitted model: packed weights ([`mdes_nn::ModelSpec`]) per pair,
 //!   the vocab tables of the language pipeline, and the
 //!   `ScoreRange`-filtered valid-model index, computed once instead of per
-//!   detection call;
+//!   detection call. Each value also memoizes its neural pair models'
+//!   translations, so a repeated source sentence decodes once per
+//!   snapshot ([`GraphSnapshot::memo_bytes`]);
 //! * [`ModelStore`] — an atomically swappable `Arc<GraphSnapshot>` holder:
 //!   [`ModelStore::publish`] deploys a retrained graph mid-stream without
 //!   dropping a single buffered window;
@@ -34,6 +36,8 @@ use crate::algorithm2::{
 };
 use crate::error::CoreError;
 use crate::lifecycle::ScoreDist;
+use crate::memo::TranslationMemo;
+pub use crate::memo::MEMO_ENTRIES_PER_MODEL;
 use crate::online::{DegradationConfig, OnlineDetection};
 use crate::pipeline::Mdes;
 use crate::pool::lock;
@@ -297,6 +301,13 @@ pub struct QuantCalibration {
 /// (`detection.valid_range` applied to the training scores) computed once
 /// at freeze time instead of per detection call.
 ///
+/// Serving fills a bounded translation memo per neural pair model
+/// ([`MEMO_ENTRIES_PER_MODEL`] entries): decode is a pure, batch-invariant
+/// function of the weights, the source sentence and the output length, so
+/// a memoized row is the row the decoder would return. The memo belongs to
+/// this value: it is never serialized, and every new value — clones,
+/// grafts and re-encodings included — starts with an empty one.
+///
 /// Serializable: a snapshot round-trips through serde (and
 /// [`write_snapshot`](crate::checkpoint::write_snapshot)) and keeps
 /// producing bit-identical detection scores. Like
@@ -311,6 +322,10 @@ pub struct GraphSnapshot {
     valid: Vec<usize>,
     /// Present iff the artifact was re-encoded by [`GraphSnapshot::quantize`].
     quant: Option<QuantCalibration>,
+    /// Translations this value's neural pair models have decoded. Never
+    /// serialized, and empty in every new value, clones included.
+    #[serde(skip)]
+    memo: TranslationMemo,
 }
 
 // Hand-written so pre-quantization artifacts (MDSN v1 payloads, which have
@@ -342,6 +357,7 @@ impl Deserialize for GraphSnapshot {
             models,
             valid,
             quant,
+            memo: TranslationMemo::default(),
         })
     }
 }
@@ -389,6 +405,7 @@ impl GraphSnapshot {
             models,
             valid,
             quant: None,
+            memo: TranslationMemo::default(),
         }
     }
 
@@ -412,6 +429,7 @@ impl GraphSnapshot {
             models,
             valid,
             quant: None,
+            memo: TranslationMemo::default(),
         }
     }
 
@@ -482,6 +500,7 @@ impl GraphSnapshot {
             models,
             valid,
             quant: self.quant.clone(),
+            memo: TranslationMemo::default(),
         };
         out.validate_models()?;
         out.validate_quant()?;
@@ -611,6 +630,14 @@ impl GraphSnapshot {
             .sum()
     }
 
+    /// Heap bytes held by this value's translation memo — shared across
+    /// all sessions like [`GraphSnapshot::approx_bytes`], but grown by
+    /// serving: 0 until the first neural decode, and at most
+    /// [`MEMO_ENTRIES_PER_MODEL`] translations per neural pair model.
+    pub fn memo_bytes(&self) -> usize {
+        self.memo.bytes()
+    }
+
     /// The calibration record, present iff this artifact was produced by
     /// [`GraphSnapshot::quantize`] / [`GraphSnapshot::quantize_calibrated`].
     pub fn quant(&self) -> Option<&QuantCalibration> {
@@ -686,6 +713,7 @@ impl GraphSnapshot {
                 score_bound: policy.max_score_drift,
                 matrices,
             }),
+            memo: TranslationMemo::default(),
         })
     }
 
@@ -784,9 +812,16 @@ impl ModelBank for GraphSnapshot {
         out_len: usize,
         arena: &mut InferArena,
     ) -> Vec<Vec<u32>> {
-        self.models[k]
-            .translator
-            .translate_batch(srcs, out_len, arena)
+        match &self.models[k].translator {
+            // An n-gram decode costs about what a lookup would.
+            FrozenTranslator::Ngram(t) => t.translate_batch(srcs, out_len),
+            FrozenTranslator::Nmt(t) => {
+                self.memo
+                    .translate_batch(k, self.models.len(), srcs, out_len, |misses| {
+                        t.translate_batch(misses, out_len, arena)
+                    })
+            }
+        }
     }
 }
 
@@ -2384,6 +2419,46 @@ mod tests {
             serde_json::to_string(&grafted).expect("serialize graft"),
             serde_json::to_string(&back).expect("serialize roundtrip"),
         );
+    }
+
+    /// The memo belongs to one snapshot value. A clone or a graft of a
+    /// warm snapshot starts cold, so a copy given other weights scores
+    /// exactly like a never-served snapshot with those weights.
+    #[test]
+    fn clones_and_grafts_of_a_warm_snapshot_start_with_an_empty_memo() {
+        let (m, traces) = neural_fitted();
+        let snap = GraphSnapshot::freeze(&m);
+        let sets = m
+            .language()
+            .encode_segment(&traces, 450..700)
+            .expect("encode");
+        assert_eq!(snap.memo_bytes(), 0, "nothing is allocated before a decode");
+        let warm = snap.detect_excluding(&sets, &[]).expect("first pass");
+        assert!(snap.memo_bytes() > 0);
+        assert_eq!(snap.detect_excluding(&sets, &[]).expect("all hits"), warm);
+
+        let grafted = sabotaged(&snap);
+        let mut cloned = snap.clone();
+        assert_eq!((grafted.memo_bytes(), cloned.memo_bytes()), (0, 0));
+        cloned.models.clone_from(&grafted.models);
+        let cold = |s: &GraphSnapshot| {
+            GraphSnapshot::from_frozen_parts(
+                s.graph.clone(),
+                s.lang.clone(),
+                s.detection.clone(),
+                s.models.clone(),
+            )
+            .detect_excluding(&sets, &[])
+            .expect("cold detect")
+        };
+        let want = cold(&grafted);
+        assert_ne!(want.scores, warm.scores, "the swapped weights must show");
+        assert_eq!(grafted.detect_excluding(&sets, &[]).expect("graft"), want);
+        assert_eq!(
+            cloned.detect_excluding(&sets, &[]).expect("clone"),
+            cold(&cloned)
+        );
+        assert_eq!(snap.detect_excluding(&sets, &[]).expect("source"), warm);
     }
 
     #[test]

@@ -161,12 +161,13 @@ fn cmd_stats(shared: &Arc<Shared>, stream: &mut TcpStream) -> bool {
     let format = snapshot.quant_mode().map_or("mixed", |m| m.name());
     let canary = shared.engine.canary_status();
     let line = format!(
-        "snapshot_version={} snapshot_format={} snapshot_bytes={} pair_models={} \
-         sessions={} engine_sessions={} conns={} canary_active={} canary_samples={} \
-         canary_budget={} canary_fraction={} canary_last={}",
+        "snapshot_version={} snapshot_format={} snapshot_bytes={} memo_bytes={} \
+         pair_models={} sessions={} engine_sessions={} conns={} canary_active={} \
+         canary_samples={} canary_budget={} canary_fraction={} canary_last={}",
         shared.engine.store().version(),
         format,
         snapshot.approx_bytes(),
+        snapshot.memo_bytes(),
         snapshot.models().len(),
         shared
             .registry

@@ -10,10 +10,12 @@
 //! [`OBS_LOCK`] and uninstalls before releasing it.
 
 use mdes::core::{
-    detect, read_checkpoint, write_checkpoint, CheckpointData, Mdes, MdesConfig, OnlineMonitor,
+    detect, read_checkpoint, write_checkpoint, CheckpointData, GraphSnapshot, Mdes, MdesConfig,
+    OnlineMonitor, TranslatorConfig,
 };
 use mdes::graph::ScoreRange;
 use mdes::lang::{LanguagePipeline, RawTrace, WindowConfig};
+use mdes::nn::Seq2SeqConfig;
 use mdes::obs::Recorder;
 use std::sync::{Arc, Mutex};
 
@@ -107,6 +109,48 @@ fn counters_reconcile_with_pipeline_outputs() {
     });
 }
 
+/// On a neural snapshot every (window, participating model) evaluation
+/// goes through the translation memo, so its hits and misses add up to
+/// `algo2.evaluations`. The fit never touches the memo, and a second pass
+/// over the same windows decodes nothing.
+#[test]
+fn memo_hits_and_misses_add_up_to_evaluations_on_a_neural_snapshot() {
+    with_recorder(|r| {
+        let traces = toy_traces();
+        let mut cfg = toy_config();
+        cfg.build.translator = TranslatorConfig::Nmt(Seq2SeqConfig {
+            embed_dim: 6,
+            hidden: 6,
+            train_steps: 20,
+            ..Seq2SeqConfig::default()
+        });
+        let m = Mdes::fit(&traces, 0..300, 300..500, cfg).expect("fit");
+        assert_eq!(r.counter_value("algo2.memo_hits"), 0);
+        assert_eq!(r.counter_value("algo2.memo_misses"), 0);
+        let snap = GraphSnapshot::freeze(&m);
+        let sets = m
+            .language()
+            .encode_segment(&traces, 500..900)
+            .expect("encode");
+        let first = snap.detect_excluding(&sets, &[]).expect("first pass");
+        let evaluations = (first.valid_models * first.scores.len()) as u64;
+        assert_eq!(r.counter_value("algo2.evaluations"), evaluations);
+        let hits = r.counter_value("algo2.memo_hits");
+        let misses = r.counter_value("algo2.memo_misses");
+        assert_eq!(hits + misses, evaluations);
+        assert!(hits > 0, "the square waves repeat their sentences");
+        assert!(snap.memo_bytes() > 0);
+
+        assert_eq!(
+            snap.detect_excluding(&sets, &[]).expect("second pass"),
+            first
+        );
+        assert_eq!(r.counter_value("algo2.evaluations"), 2 * evaluations);
+        assert_eq!(r.counter_value("algo2.memo_misses"), misses);
+        assert_eq!(r.counter_value("algo2.memo_hits"), hits + evaluations);
+    });
+}
+
 #[test]
 fn online_monitor_reports_windows_and_dropout_transitions() {
     with_recorder(|r| {
@@ -151,8 +195,12 @@ fn no_recorder_output_is_bit_identical() {
     let pipeline = LanguagePipeline::fit(&traces, 0..300, cfg.window).expect("language pipeline");
     let test_sets = pipeline.encode_segment(&traces, 500..900).expect("encode");
 
-    let m = Mdes::fit(&traces, 0..300, 300..500, cfg.clone()).expect("fit bare");
-    let bare = detect(m.trained(), &test_sets, &cfg.detection).expect("detect bare");
+    let bare = {
+        // Held so no other test's recorder is installed during the bare run.
+        let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let m = Mdes::fit(&traces, 0..300, 300..500, cfg.clone()).expect("fit bare");
+        detect(m.trained(), &test_sets, &cfg.detection).expect("detect bare")
+    };
     let (recorded, with_obs) = with_recorder(|r| {
         let m = Mdes::fit(&traces, 0..300, 300..500, cfg.clone()).expect("fit recorded");
         let result = detect(m.trained(), &test_sets, &cfg.detection).expect("detect recorded");

@@ -506,6 +506,9 @@ fn admin_plane_speaks_the_documented_shape() {
         .parse()
         .expect("numeric byte count");
     assert!(bytes > 0, "got {data:?}");
+    // The translation memo's footprint sits next to the weights; this
+    // n-gram snapshot decodes without one.
+    assert!(data[0].contains(" memo_bytes=0 "), "got {data:?}");
 
     // Forced eviction through the admin plane.
     let (_, status) = admin.cmd(&format!("evict {session}")).expect("evict");
