@@ -222,14 +222,21 @@ impl ProtoError {
 
 /// Encodes one frame into a fresh buffer.
 pub fn encode_frame(kind: FrameKind, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+    let mut out = Vec::new();
+    append_frame(&mut out, kind, payload);
+    out
+}
+
+/// Appends one frame to `out`, so several frames can share one buffer (and
+/// one write) back to back.
+pub(crate) fn append_frame(out: &mut Vec<u8>, kind: FrameKind, payload: &[u8]) {
+    out.reserve(HEADER_LEN + payload.len());
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
     out.push(kind as u8);
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&frame_checksum(kind as u8, payload).to_le_bytes());
     out.extend_from_slice(payload);
-    out
 }
 
 /// Serializes `msg` as JSON and encodes it under `kind`.
@@ -239,8 +246,12 @@ pub fn encode_frame(kind: FrameKind, payload: &[u8]) -> Vec<u8> {
 /// Panics if `msg` fails to serialize — wire messages are plain data
 /// structs, so that is a programming error, not an input condition.
 pub fn encode_msg<T: serde::Serialize>(kind: FrameKind, msg: &T) -> Vec<u8> {
-    let payload = serde_json::to_string(msg).expect("wire messages always serialize");
-    encode_frame(kind, payload.as_bytes())
+    encode_frame(kind, json_payload(msg).as_bytes())
+}
+
+/// Serializes a wire message as its JSON payload; panics as [`encode_msg`].
+pub(crate) fn json_payload<T: serde::Serialize>(msg: &T) -> String {
+    serde_json::to_string(msg).expect("wire messages always serialize")
 }
 
 /// Writes one frame to `w` (no flush).

@@ -22,6 +22,17 @@
 //!    slot before it claims a sample, so a consumer that stops reading
 //!    replies stalls only its own sessions (the pump skips them —
 //!    `serve.net.stalled_skips`) while every other session keeps scoring.
+//!    The cap counts frames queued, reserved and taken by the writer but
+//!    not yet written, so it holds exactly, not one batch late.
+//!
+//! # Egress
+//!
+//! The queue is one byte buffer of concatenated MDSV frames plus a frame
+//! count. The pump encodes each connection's replies of a round back to
+//! back and hands them over with one lock and one wake-up; the writer
+//! swaps the whole buffer out (a double buffer, so steady state allocates
+//! nothing) and sends it with one `write_all`. The bytes on the wire are
+//! the frames one at a time would have produced.
 //!
 //! Sessions are server-global, keyed by id: any connection may push to any
 //! session it knows the id of, and a session survives its creator's
@@ -29,17 +40,18 @@
 //!
 //! # Observability (`serve.net.*`)
 //!
-//! Counters: `conns_opened/closed/rejected`, `frames_in/out`,
+//! Counters: `conns_opened/closed/rejected`, `frames_in/out`, `writes`,
 //! `proto_errors`, `timeouts`, `sessions_opened/closed/evicted`, `pushes`,
 //! `busy`, `gone`, `acks`, `scores`, `push_errors`, `stalled_skips`,
 //! `dropped_samples`, `replies_dropped`, `publish_ok/publish_rejected`.
 //! Histograms: `pump_us` (scoring-round latency), `pump_batch` (sessions
-//! per round). Events: `evict`. The invariant `acks + scores +
-//! push_errors == samples scored` and `frames_out == frames delivered`
-//! is pinned by `tests/serve_net.rs` and the chaos suite.
+//! per round), `write_frames` (frames per socket write). Events: `evict`.
+//! The invariants `acks + scores + push_errors == samples scored` and
+//! `frames_out == sum of write_frames` are pinned by `tests/serve_net.rs`
+//! and the chaos suite.
 
 use crate::frame::{
-    encode_msg, read_frame, FrameKind, ProtoError, ReadOutcome, DEFAULT_MAX_PAYLOAD,
+    append_frame, json_payload, read_frame, FrameKind, ProtoError, ReadOutcome, DEFAULT_MAX_PAYLOAD,
 };
 use crate::wire::{
     CloseSessionRep, CloseSessionReq, OpenSessionRep, OpenSessionReq, ProtoErrRep, PushBatchReq,
@@ -102,16 +114,38 @@ impl Default for ServeConfig {
     }
 }
 
+/// Spawns a named server thread, so `top -H` and `/proc/<pid>/task/*/comm`
+/// tell the pump, a connection's reader and its writer apart.
+fn spawn(name: &str, f: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
+    std::thread::Builder::new()
+        .name(name.to_owned())
+        .spawn(f)
+        .expect("spawn server thread")
+}
+
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Egress side of one ingest connection: a bounded queue of encoded frames
-/// drained by the connection's writer thread.
+/// Egress side of one ingest connection: encoded frames, back to back,
+/// waiting for the connection's writer thread.
+#[derive(Default)]
 pub(crate) struct Outbound {
-    frames: VecDeque<Vec<u8>>,
+    /// Concatenated MDSV frames in send order.
+    bytes: Vec<u8>,
+    /// Frames in `bytes`.
+    frames: usize,
     /// Reply slots the pump has claimed but not yet filled.
     reserved: usize,
+    /// Frames the writer has taken out of `bytes` and not yet written.
+    in_flight: usize,
+}
+
+impl Outbound {
+    /// Frames counted against the connection's cap.
+    fn held(&self) -> usize {
+        self.frames + self.reserved + self.in_flight
+    }
 }
 
 pub(crate) struct ConnHandle {
@@ -126,24 +160,22 @@ impl ConnHandle {
         Self {
             alive: AtomicBool::new(true),
             capacity,
-            q: Mutex::new(Outbound {
-                frames: VecDeque::new(),
-                reserved: 0,
-            }),
+            q: Mutex::new(Outbound::default()),
             signal: Condvar::new(),
         }
     }
 
-    /// Enqueues a frame if the bounded queue has room; `false` otherwise.
-    fn try_send(&self, frame: Vec<u8>) -> bool {
+    /// Enqueues one frame if the bounded queue has room; `false` otherwise.
+    fn try_send(&self, kind: FrameKind, payload: &[u8]) -> bool {
         if !self.alive.load(Ordering::Acquire) {
             return false;
         }
         let mut q = lock(&self.q);
-        if q.frames.len() + q.reserved >= self.capacity {
+        if q.held() >= self.capacity {
             return false;
         }
-        q.frames.push_back(frame);
+        append_frame(&mut q.bytes, kind, payload);
+        q.frames += 1;
         drop(q);
         self.signal.notify_one();
         true
@@ -151,8 +183,11 @@ impl ConnHandle {
 
     /// Enqueues past the cap — only for the single best-effort
     /// [`FrameKind::ProtoErr`] frame sent right before close.
-    fn force_send(&self, frame: Vec<u8>) {
-        lock(&self.q).frames.push_back(frame);
+    fn force_send(&self, kind: FrameKind, payload: &[u8]) {
+        let mut q = lock(&self.q);
+        append_frame(&mut q.bytes, kind, payload);
+        q.frames += 1;
+        drop(q);
         self.signal.notify_one();
     }
 
@@ -162,23 +197,31 @@ impl ConnHandle {
             return false;
         }
         let mut q = lock(&self.q);
-        if q.frames.len() + q.reserved >= self.capacity {
+        if q.held() >= self.capacity {
             return false;
         }
         q.reserved += 1;
         true
     }
 
-    /// Fills a slot claimed by [`ConnHandle::try_reserve`].
-    fn send_reserved(&self, frame: Vec<u8>) {
+    /// Fills `frames` slots claimed by [`ConnHandle::try_reserve`] with
+    /// `bytes`, which hold exactly that many encoded frames. When the
+    /// consumer has died the slots are released instead and this returns
+    /// `false`.
+    fn send_reserved(&self, bytes: &[u8], frames: usize) -> bool {
         let mut q = lock(&self.q);
-        q.reserved = q.reserved.saturating_sub(1);
-        q.frames.push_back(frame);
+        q.reserved = q.reserved.saturating_sub(frames);
+        if !self.alive.load(Ordering::Acquire) {
+            return false;
+        }
+        q.bytes.extend_from_slice(bytes);
+        q.frames += frames;
         drop(q);
         self.signal.notify_one();
+        true
     }
 
-    /// Releases a claimed slot without sending (the consumer died).
+    /// Releases a claimed slot without sending.
     fn release(&self) {
         let mut q = lock(&self.q);
         q.reserved = q.reserved.saturating_sub(1);
@@ -376,21 +419,21 @@ pub fn start(engine: ServingEngine, cfg: ServeConfig) -> io::Result<ServerHandle
     let mut threads = Vec::new();
     {
         let s = Arc::clone(&shared);
-        threads.push(std::thread::spawn(move || accept_loop(&s, &listener)));
+        threads.push(spawn("mdes-accept", move || accept_loop(&s, &listener)));
     }
     if let Some(l) = admin_listener {
         let s = Arc::clone(&shared);
-        threads.push(std::thread::spawn(move || {
+        threads.push(spawn("mdes-admin", move || {
             crate::admin::accept_loop(&s, &l)
         }));
     }
     {
         let s = Arc::clone(&shared);
-        threads.push(std::thread::spawn(move || pump_loop(&s)));
+        threads.push(spawn("mdes-pump", move || pump_loop(&s)));
     }
     {
         let s = Arc::clone(&shared);
-        threads.push(std::thread::spawn(move || reaper_loop(&s)));
+        threads.push(spawn("mdes-reaper", move || reaper_loop(&s)));
     }
 
     Ok(ServerHandle {
@@ -422,12 +465,14 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
         {
             let s = Arc::clone(shared);
             let c = Arc::clone(&conn);
-            conn_threads.push(std::thread::spawn(move || conn_reader(&s, &c, stream)));
+            conn_threads.push(spawn("mdes-conn-rd", move || conn_reader(&s, &c, stream)));
         }
         {
             let s = Arc::clone(shared);
             let c = Arc::clone(&conn);
-            conn_threads.push(std::thread::spawn(move || conn_writer(&s, &c, write_half)));
+            conn_threads.push(spawn("mdes-conn-wr", move || {
+                conn_writer(&s, &c, write_half)
+            }));
         }
         // Opportunistically reap finished connection threads so a
         // long-lived daemon doesn't accumulate handles.
@@ -474,13 +519,11 @@ fn protocol_error(conn: &Arc<ConnHandle>, e: &ProtoError) {
     if matches!(e, ProtoError::TimedOut { .. }) {
         mdes_obs::counter("serve.net.timeouts", 1);
     }
-    conn.force_send(encode_msg(
-        FrameKind::ProtoErr,
-        &ProtoErrRep {
-            code: e.code().to_owned(),
-            detail: e.to_string(),
-        },
-    ));
+    let payload = json_payload(&ProtoErrRep {
+        code: e.code().to_owned(),
+        detail: e.to_string(),
+    });
+    conn.force_send(FrameKind::ProtoErr, payload.as_bytes());
 }
 
 fn handle_frame(
@@ -521,7 +564,7 @@ fn handle_frame(
                     detail: e.to_string(),
                 },
             };
-            reply(conn, encode_msg(FrameKind::SessionOpened, &rep));
+            reply(conn, FrameKind::SessionOpened, &json_payload(&rep));
             Ok(())
         }
         FrameKind::CloseSession => {
@@ -531,16 +574,11 @@ fn handle_frame(
                 // Closed by request, not by the reaper: correct the counter.
                 mdes_obs::counter("serve.net.sessions_closed", 1);
             }
-            reply(
-                conn,
-                encode_msg(
-                    FrameKind::SessionClosed,
-                    &CloseSessionRep {
-                        session: req.session,
-                        existed,
-                    },
-                ),
-            );
+            let rep = CloseSessionRep {
+                session: req.session,
+                existed,
+            };
+            reply(conn, FrameKind::SessionClosed, &json_payload(&rep));
             Ok(())
         }
         FrameKind::PushBatch => {
@@ -576,17 +614,12 @@ fn handle_frame(
                     if matches!(outcome, PushOutcome::Gone) {
                         mdes_obs::counter("serve.net.gone", 1);
                     }
-                    reply(
-                        conn,
-                        encode_msg(
-                            FrameKind::PushReply,
-                            &PushReply {
-                                session: entry.session,
-                                seq: entry.seq,
-                                outcome,
-                            },
-                        ),
-                    );
+                    let rep = PushReply {
+                        session: entry.session,
+                        seq: entry.seq,
+                        outcome,
+                    };
+                    reply(conn, FrameKind::PushReply, &json_payload(&rep));
                 }
             }
             if queued_any {
@@ -595,7 +628,7 @@ fn handle_frame(
             Ok(())
         }
         FrameKind::Ping => {
-            reply(conn, crate::frame::encode_frame(FrameKind::Pong, &[]));
+            reply(conn, FrameKind::Pong, "");
             Ok(())
         }
         // Server → client kinds arriving at the server are a protocol
@@ -613,22 +646,36 @@ fn handle_frame(
 
 /// Best-effort reply enqueue; drops (and counts) when the consumer's
 /// bounded queue is full.
-fn reply(conn: &Arc<ConnHandle>, frame: Vec<u8>) {
-    if !conn.try_send(frame) {
+fn reply(conn: &Arc<ConnHandle>, kind: FrameKind, payload: &str) {
+    if !conn.try_send(kind, payload.as_bytes()) {
         mdes_obs::counter("serve.net.replies_dropped", 1);
     }
 }
 
 fn conn_writer(shared: &Arc<Shared>, conn: &Arc<ConnHandle>, mut stream: TcpStream) {
+    drain_outbound(conn, &shared.shutdown, &mut stream);
+    let _ = stream.shutdown(Shutdown::Both);
+}
+
+/// The writer loop: takes everything queued in one swap and sends it with
+/// one `write_all`, until the connection closes, the server shuts down or
+/// a write fails. The taken frames stay counted against the cap (as
+/// `in_flight`) until their write returns.
+fn drain_outbound(conn: &ConnHandle, shutdown: &AtomicBool, out: &mut impl Write) {
+    let mut batch: Vec<u8> = Vec::new();
     loop {
-        let frame = {
+        let frames = {
             let mut q = lock(&conn.q);
+            // The previous batch has been written: it leaves the count.
+            q.in_flight = 0;
             loop {
-                if let Some(f) = q.frames.pop_front() {
-                    break Some(f);
+                if q.frames > 0 {
+                    std::mem::swap(&mut q.bytes, &mut batch);
+                    q.in_flight = std::mem::take(&mut q.frames);
+                    break q.in_flight;
                 }
-                if !conn.alive.load(Ordering::Acquire) || shared.shutdown.load(Ordering::SeqCst) {
-                    break None;
+                if !conn.alive.load(Ordering::Acquire) || shutdown.load(Ordering::SeqCst) {
+                    return;
                 }
                 let (guard, _) = conn
                     .signal
@@ -637,18 +684,15 @@ fn conn_writer(shared: &Arc<Shared>, conn: &Arc<ConnHandle>, mut stream: TcpStre
                 q = guard;
             }
         };
-        match frame {
-            Some(f) => {
-                if stream.write_all(&f).is_err() {
-                    conn.close();
-                    break;
-                }
-                mdes_obs::counter("serve.net.frames_out", 1);
-            }
-            None => break,
+        if out.write_all(&batch).is_err() {
+            conn.close();
+            return;
         }
+        batch.clear();
+        mdes_obs::counter("serve.net.frames_out", frames as u64);
+        mdes_obs::counter("serve.net.writes", 1);
+        mdes_obs::observe("serve.net.write_frames", frames as f64);
     }
-    let _ = stream.shutdown(Shutdown::Both);
 }
 
 /// One claimed unit of scoring work.
@@ -657,7 +701,51 @@ struct Claim {
     push: PendingPush,
 }
 
+/// A pump round's replies grouped by connection, each group encoded back
+/// to back. Kept across rounds so its buffers and index are reused.
+#[derive(Default)]
+struct Egress {
+    /// Connection (by `Arc` address) → its group's position this round.
+    slot: HashMap<usize, usize>,
+    /// This round's connections, in first-claim order, with their frame
+    /// counts.
+    conns: Vec<(Arc<ConnHandle>, usize)>,
+    /// Encoded replies per group; `bufs[i]` belongs to `conns[i]`.
+    bufs: Vec<Vec<u8>>,
+}
+
+impl Egress {
+    /// Appends one encoded `PushReply` to `conn`'s group.
+    fn push(&mut self, conn: &Arc<ConnHandle>, payload: &[u8]) {
+        let at = *self
+            .slot
+            .entry(Arc::as_ptr(conn) as usize)
+            .or_insert_with(|| {
+                self.conns.push((Arc::clone(conn), 0));
+                self.conns.len() - 1
+            });
+        if at == self.bufs.len() {
+            self.bufs.push(Vec::new());
+        }
+        append_frame(&mut self.bufs[at], FrameKind::PushReply, payload);
+        self.conns[at].1 += 1;
+    }
+
+    /// Hands each group to its connection: one lock, one settle of the
+    /// reserved slots and one wake-up per connection.
+    fn flush(&mut self) {
+        for ((conn, frames), buf) in self.conns.drain(..).zip(&mut self.bufs) {
+            if !conn.send_reserved(buf, frames) {
+                mdes_obs::counter("serve.net.replies_dropped", frames as u64);
+            }
+            buf.clear();
+        }
+        self.slot.clear();
+    }
+}
+
 fn pump_loop(shared: &Arc<Shared>) {
+    let mut egress = Egress::default();
     while !shared.shutdown.load(Ordering::SeqCst) {
         let claims = claim_round(shared);
         if claims.is_empty() {
@@ -674,7 +762,7 @@ fn pump_loop(shared: &Arc<Shared>) {
             *guard = false;
             continue;
         }
-        score_round(shared, claims);
+        score_round(shared, claims, &mut egress);
     }
 }
 
@@ -720,7 +808,7 @@ fn claim_round(shared: &Arc<Shared>) -> Vec<(Claim, StreamSession)> {
     out
 }
 
-fn score_round(shared: &Arc<Shared>, claims: Vec<(Claim, StreamSession)>) {
+fn score_round(shared: &Arc<Shared>, claims: Vec<(Claim, StreamSession)>, egress: &mut Egress) {
     mdes_obs::observe("serve.net.pump_batch", claims.len() as f64);
     let _round = mdes_obs::timer("serve.net.pump_us");
     let (mut claims, mut sessions): (Vec<Claim>, Vec<StreamSession>) = claims.into_iter().unzip();
@@ -746,20 +834,12 @@ fn score_round(shared: &Arc<Shared>, claims: Vec<(Claim, StreamSession)>) {
                 }
             }
         };
-        let frame = encode_msg(
-            FrameKind::PushReply,
-            &PushReply {
-                session: claim.entry.id,
-                seq: claim.push.seq,
-                outcome,
-            },
-        );
-        if claim.push.conn.alive.load(Ordering::Acquire) {
-            claim.push.conn.send_reserved(frame);
-        } else {
-            claim.push.conn.release();
-            mdes_obs::counter("serve.net.replies_dropped", 1);
-        }
+        let payload = json_payload(&PushReply {
+            session: claim.entry.id,
+            seq: claim.push.seq,
+            outcome,
+        });
+        egress.push(&claim.push.conn, payload.as_bytes());
         if claim.entry.closed.load(Ordering::Acquire) {
             // Closed/evicted while scoring: the session state dies here.
             continue;
@@ -767,6 +847,7 @@ fn score_round(shared: &Arc<Shared>, claims: Vec<(Claim, StreamSession)>) {
         *lock(&claim.entry.session) = Some(session);
         claim.entry.touch();
     }
+    egress.flush();
 }
 
 fn reaper_loop(shared: &Arc<Shared>) {
@@ -786,5 +867,113 @@ fn reaper_loop(shared: &Arc<Shared>) {
         for id in idle {
             shared.evict(id, "idle_ttl");
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc::{channel, Receiver, Sender};
+
+    /// A consumer that stops reading: each write reports that it started,
+    /// then parks until the test grants it or hangs up.
+    struct Wedged {
+        started: Sender<()>,
+        grant: Receiver<()>,
+    }
+
+    impl Write for Wedged {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let _ = self.started.send(());
+            match self.grant.recv() {
+                Ok(()) => Ok(buf.len()),
+                Err(_) => Err(io::ErrorKind::BrokenPipe.into()),
+            }
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Closes the connection when dropped, also when an assertion fails,
+    /// so the scope joining the writer cannot hang.
+    struct Hangup<'a>(&'a ConnHandle);
+
+    impl Drop for Hangup<'_> {
+        fn drop(&mut self) {
+            self.0.close();
+        }
+    }
+
+    /// Offers one frame through the reader's path (`try_send`, even `n`)
+    /// or the pump's (`try_reserve`, then fill; odd `n`).
+    fn offer(conn: &ConnHandle, n: usize) -> bool {
+        if n.is_multiple_of(2) {
+            return conn.try_send(FrameKind::Pong, b"");
+        }
+        let mut frame = Vec::new();
+        append_frame(&mut frame, FrameKind::Pong, b"");
+        conn.try_reserve() && conn.send_reserved(&frame, 1)
+    }
+
+    #[test]
+    fn queued_reserved_and_in_flight_frames_never_exceed_the_cap() {
+        const CAP: usize = 4;
+        let conn = ConnHandle::new(CAP);
+        let shutdown = AtomicBool::new(false);
+        let (started, writes) = channel();
+        let (grant, granted) = channel();
+        let mut consumer = Wedged {
+            started,
+            grant: granted,
+        };
+        std::thread::scope(|scope| {
+            let hangup = Hangup(&conn);
+            let (conn, shutdown) = (&conn, &shutdown);
+            scope.spawn(move || drain_outbound(conn, shutdown, &mut consumer));
+            let mut accepted = 0;
+            for round in 0..3 {
+                // Fill while the writer takes whatever it finds, then let
+                // it park mid-write on the batch it took.
+                while offer(conn, accepted) {
+                    accepted += 1;
+                    assert!(lock(&conn.q).held() <= CAP);
+                }
+                writes
+                    .recv_timeout(Duration::from_secs(10))
+                    .expect("writer took a batch");
+                // Nothing of this round is written yet, so all of it is
+                // still held, queued, reserved or in flight: no more room.
+                for n in 0..3 * CAP {
+                    assert!(!offer(conn, n), "round {round}: a frame past the cap");
+                }
+                assert_eq!(accepted, CAP * (round + 1), "round {round}");
+                assert_eq!(lock(&conn.q).held(), CAP, "round {round}");
+                // Let every parked write through; once written, the
+                // frames leave the count.
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while lock(&conn.q).held() > 0 {
+                    assert!(Instant::now() < deadline, "round {round}: never drained");
+                    let _ = grant.send(());
+                    let _ = writes.recv_timeout(TICK);
+                }
+            }
+            drop((grant, hangup));
+        });
+    }
+
+    #[test]
+    fn a_dead_consumer_releases_its_reserved_slots() {
+        let conn = ConnHandle::new(2);
+        assert!(conn.try_reserve());
+        assert!(conn.try_reserve());
+        assert!(!conn.try_reserve());
+        conn.close();
+        let mut frames = Vec::new();
+        append_frame(&mut frames, FrameKind::Pong, b"");
+        append_frame(&mut frames, FrameKind::Pong, b"");
+        assert!(!conn.send_reserved(&frames, 2));
+        assert_eq!(lock(&conn.q).held(), 0);
     }
 }

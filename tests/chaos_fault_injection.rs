@@ -432,6 +432,8 @@ mod serve_net_chaos {
 
     /// Sample-conservation invariant: once quiesced, every sample the
     /// server ever queued was scored or explicitly counted as dropped.
+    /// Egress reconciles too: every frame counted out went out in a
+    /// counted write.
     fn assert_counters_reconcile(recorder: &Recorder) {
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
@@ -440,12 +442,20 @@ mod serve_net_chaos {
                 + recorder.counter_value("serve.net.scores")
                 + recorder.counter_value("serve.net.push_errors")
                 + recorder.counter_value("serve.net.dropped_samples");
-            if pushes == settled {
+            let frames_out = recorder.counter_value("serve.net.frames_out");
+            let writes = recorder.histogram("serve.net.write_frames");
+            let written = writes.as_ref().map_or(0.0, |h| h.mean * h.count as f64);
+            let write_count = writes.as_ref().map_or(0, |h| h.count);
+            if pushes == settled
+                && frames_out as f64 == written.round()
+                && recorder.counter_value("serve.net.writes") == write_count
+            {
                 return;
             }
             assert!(
                 Instant::now() < deadline,
-                "counters never reconciled: pushes={pushes} settled={settled}"
+                "counters never reconciled: pushes={pushes} settled={settled} \
+                 frames_out={frames_out} write_frames sum={written}"
             );
             std::thread::sleep(Duration::from_millis(20));
         }
@@ -599,10 +609,16 @@ mod serve_net_chaos {
         // The obs admin endpoint serves the same recorder this test reads.
         let (data, status) = admin.cmd("obs").expect("obs");
         assert_eq!(status, "ok");
-        assert!(
-            data.iter().any(|l| l.contains("serve.net.pushes")),
-            "obs dump must include the serving counters"
-        );
+        for name in [
+            "serve.net.pushes",
+            "serve.net.writes",
+            "serve.net.write_frames",
+        ] {
+            assert!(
+                data.iter().any(|l| l.contains(name)),
+                "obs dump must include {name}"
+            );
+        }
         server.stop();
     }
 }

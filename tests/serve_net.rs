@@ -18,7 +18,10 @@
 //! - the admin plane answers `ping`/`stats`/`sessions`/`evict` in the
 //!   documented `"| "`-data + status-line shape;
 //! - a zero queue capacity, reply capacity or pump batch is refused at
-//!   start instead of wedging the daemon.
+//!   start instead of wedging the daemon;
+//! - 256 sessions over 8 connections, pipelined 4 deep, see no `Busy`,
+//!   `Gone` or `Error`, get exactly one reply per push, in push order per
+//!   session, each bit-identical to in-process serving.
 
 use mdes::core::serve::{GraphSnapshot, ServingEngine, StreamSession};
 use mdes::core::{snapshot_to_bytes, Mdes, MdesConfig, OnlineDetection};
@@ -27,6 +30,7 @@ use mdes::lang::{RawTrace, WindowConfig};
 use mdes::net::{
     start, IngestClient, PushEntry, PushOutcome, ServeConfig, ServerHandle, WireDetection,
 };
+use std::collections::HashMap;
 use std::time::Duration;
 
 fn square(name: &str, n: usize, phase: usize) -> RawTrace {
@@ -689,5 +693,135 @@ fn admin_canary_rolls_back_then_promotes_over_the_network() {
     // Through the bad rollback AND the identical-candidate promotion, the
     // emitted stream never left the incumbent's bit pattern.
     assert_bit_identical(&served, &reference);
+    server.stop();
+}
+
+/// Streams `ticks` samples into each of `per_conn` sessions over one
+/// connection, `depth` batches in flight. Session `k` starts `offset(k)`
+/// samples into the test span. Returns each session's replies in arrival
+/// order.
+fn stream_pipelined(
+    server: &ServerHandle,
+    traces: &[RawTrace],
+    per_conn: usize,
+    ticks: u64,
+    depth: u64,
+    offset: impl Fn(usize) -> usize,
+) -> Vec<(u64, usize, Vec<mdes::net::PushReply>)> {
+    let mut client = IngestClient::connect_with_deadline(server.addr(), Duration::from_secs(120))
+        .expect("connect");
+    let sessions: Vec<(u64, usize)> = (0..per_conn)
+        .map(|k| (client.open_session(3).expect("open").0, offset(k)))
+        .collect();
+    let mut replies: HashMap<u64, Vec<mdes::net::PushReply>> = HashMap::new();
+    let mut absorb = |client: &mut IngestClient, n: usize| {
+        for r in client.recv_push_replies(n).expect("recv replies") {
+            replies.entry(r.session).or_default().push(r);
+        }
+    };
+    for t in 0..ticks {
+        let entries = sessions
+            .iter()
+            .map(|&(session, off)| PushEntry {
+                session,
+                seq: t,
+                records: slipped_sample(traces, 450 + off + t as usize),
+            })
+            .collect();
+        client.send_push_batch(entries).expect("send batch");
+        if t + 1 >= depth {
+            absorb(&mut client, per_conn);
+        }
+    }
+    absorb(&mut client, (ticks.min(depth - 1) as usize) * per_conn);
+    sessions
+        .into_iter()
+        .map(|(session, off)| (session, off, replies.remove(&session).unwrap_or_default()))
+        .collect()
+}
+
+#[test]
+fn many_pipelined_sessions_get_one_ordered_bit_exact_reply_per_push() {
+    const CONNS: usize = 8;
+    const PER_CONN: usize = 32;
+    const TICKS: u64 = 40;
+    const DEPTH: u64 = 4;
+    // Staggered starts, so windows complete in different pump rounds and
+    // one round carries Acks and Scores for many sessions of a connection.
+    let offset = |k: usize| (k % 16) * 7;
+    let (m, traces) = fitted();
+    let snapshot = GraphSnapshot::freeze(&m);
+
+    // In-process reference, one per distinct start offset.
+    let engine = ServingEngine::new(snapshot.clone());
+    let reference: HashMap<usize, Vec<Option<OnlineDetection>>> = (0..16)
+        .map(|k| {
+            let off = offset(k);
+            let mut session = engine.open_session(3).expect("session");
+            let out = (0..TICKS as usize)
+                .map(|t| {
+                    engine
+                        .push_opt(&mut session, &slipped_sample(&traces, 450 + off + t))
+                        .expect("push")
+                })
+                .collect();
+            (off, out)
+        })
+        .collect();
+    assert!(
+        reference.values().flatten().any(Option::is_some),
+        "fixture must emit detections for the comparison to mean anything"
+    );
+
+    let server = start(
+        ServingEngine::new(snapshot),
+        ServeConfig {
+            max_conns: CONNS + 4,
+            ..test_config()
+        },
+    )
+    .expect("start");
+    let per_session: Vec<(u64, usize, Vec<mdes::net::PushReply>)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..CONNS)
+            .map(|_| {
+                let (server, traces) = (&server, &traces);
+                scope
+                    .spawn(move || stream_pipelined(server, traces, PER_CONN, TICKS, DEPTH, offset))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("connection thread"))
+            .collect()
+    });
+    assert_eq!(per_session.len(), CONNS * PER_CONN);
+
+    let mut scores = 0;
+    for (session, off, replies) in &per_session {
+        // Exactly one reply per push, and in push order.
+        let seqs: Vec<u64> = replies.iter().map(|r| r.seq).collect();
+        assert_eq!(
+            seqs,
+            (0..TICKS).collect::<Vec<_>>(),
+            "session {session}: replies must be one per seq, in seq order"
+        );
+        for (r, want) in replies.iter().zip(&reference[off]) {
+            match (&r.outcome, want) {
+                (PushOutcome::Ack, None) => {}
+                (PushOutcome::Score(w), Some(d)) => {
+                    scores += 1;
+                    assert_bit_identical(
+                        &[OnlineDetection::from(w.clone())],
+                        std::slice::from_ref(d),
+                    );
+                }
+                (got, want) => panic!(
+                    "session {session} seq {}: got {got:?}, in process {want:?}",
+                    r.seq
+                ),
+            }
+        }
+    }
+    assert!(scores > 0, "ticks must reach past warmup");
     server.stop();
 }
