@@ -1,14 +1,15 @@
 //! Framework-level benchmarks: n-gram pair training (the Algorithm 1 inner
-//! loop), the full pairwise sweep on a small plant, and Algorithm 2
-//! detection throughput.
+//! loop), the full pairwise sweep on a small plant, Algorithm 2 detection
+//! throughput, and one serving engine round.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mdes_core::{
-    build_graph, detect, DetectionConfig, GraphBuildConfig, NgramConfig, NgramTranslator,
-    Translator,
+    build_graph, detect, DetectionConfig, GraphBuildConfig, GraphSnapshot, Mdes, MdesConfig,
+    NgramConfig, NgramTranslator, ServingEngine, StreamSession, Translator, TranslatorConfig,
 };
 use mdes_graph::ScoreRange;
 use mdes_lang::{LanguagePipeline, RawTrace, WindowConfig};
+use mdes_synth::plant::{generate, PlantConfig};
 use std::hint::black_box;
 
 fn toggling(name: &str, n: usize, period: usize, phase: usize) -> RawTrace {
@@ -144,11 +145,99 @@ fn bench_nmt_dev_decode(c: &mut Criterion) {
     });
 }
 
+/// One `push_opt_many` round of the mdesbench `stream_ngram` engine: the
+/// 8-sensor plant, its window config and an n-gram snapshot (days 1–4
+/// train, 5–6 dev), and 256 sessions each streaming days 7–8 from its own
+/// offset. A round pushes the next sample of 83 of them (three groups of 83
+/// take turns) on one worker. Sessions are staggered by their warm-up, so
+/// 13 or 14 of a round's 83 complete a window. The `_distinct` variant
+/// suffixes every record with its stream position, so no record repeats
+/// within a window: the input without the repeats the session tables rely
+/// on.
+fn bench_serve_round(c: &mut Criterion) {
+    const SESSIONS: usize = 256;
+    const ROUND: usize = 83;
+    let plant = generate(&PlantConfig {
+        n_sensors: 8,
+        days: 8,
+        minutes_per_day: 288,
+        n_components: 2,
+        anomaly_days: vec![8],
+        precursor_days: vec![],
+        ..PlantConfig::default()
+    });
+    let mut cfg = MdesConfig {
+        window: WindowConfig {
+            word_len: 5,
+            word_stride: 1,
+            sent_len: 6,
+            sent_stride: 6,
+        },
+        ..MdesConfig::default()
+    };
+    cfg.build.translator = TranslatorConfig::fast();
+    cfg.build.threads = 1;
+    cfg.detection.valid_range = ScoreRange::closed(0.0, 100.0);
+    let m = Mdes::fit(
+        &plant.traces,
+        plant.days_range(1, 4),
+        plant.days_range(5, 6),
+        cfg,
+    )
+    .expect("fit");
+    let snapshot = GraphSnapshot::from_parts(
+        m.language().clone(),
+        m.trained(),
+        m.config().detection.clone(),
+    );
+    let width = plant.traces.len();
+    for (name, distinct) in [
+        ("framework/serve_round_ngram", false),
+        ("framework/serve_round_ngram_distinct", true),
+    ] {
+        let stream: Vec<Vec<Option<String>>> = plant
+            .days_range(7, 8)
+            .map(|t| {
+                let record = |tr: &RawTrace| match distinct {
+                    false => tr.events[t].clone(),
+                    true => format!("{}#{t}", tr.events[t]),
+                };
+                plant.traces.iter().map(|tr| Some(record(tr))).collect()
+            })
+            .collect();
+        let engine = ServingEngine::new(snapshot.clone()).with_threads(1);
+        let mut sessions: Vec<StreamSession> = (0..SESSIONS)
+            .map(|_| engine.open_session(width).expect("session"))
+            .collect();
+        let mut next: Vec<usize> = (0..SESSIONS).map(|s| s * 131 % stream.len()).collect();
+        let mut sample = |s: usize| {
+            next[s] = (next[s] + 1) % stream.len();
+            stream[next[s]].as_slice()
+        };
+        let warmup = sessions[0].warmup();
+        for (s, session) in sessions.iter_mut().enumerate() {
+            for _ in 0..warmup + s % 6 {
+                engine.push_opt(session, sample(s)).expect("warm-up");
+            }
+        }
+        let mut group = 0;
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                let members = group * ROUND..(group + 1) * ROUND;
+                group = (group + 1) % (SESSIONS / ROUND);
+                let samples: Vec<&[Option<String>]> = members.clone().map(&mut sample).collect();
+                black_box(engine.push_opt_many(&mut sessions[members], &samples))
+            })
+        });
+    }
+}
+
 criterion_group!(
     benches,
     bench_ngram_fit,
     bench_build_graph,
     bench_detection,
-    bench_nmt_dev_decode
+    bench_nmt_dev_decode,
+    bench_serve_round
 );
 criterion_main!(benches);

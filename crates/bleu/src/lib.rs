@@ -120,26 +120,59 @@ pub struct RefNgrams<T> {
     child: Vec<u32>,
     /// Reference length in tokens (for the brevity penalty).
     len: usize,
+    /// Build scratch: sorted n-gram start offsets, then one start offset
+    /// per node of the current and of the previous order. Kept so that
+    /// [`RefNgrams::rebuild`] allocates nothing once the buffers have grown.
+    starts: Vec<usize>,
+    nodes: Vec<usize>,
+    parents: Vec<usize>,
 }
 
 impl<T: Ord + Clone> RefNgrams<T> {
     /// Precomputes the distinct n-grams of orders `1..=max_n` of `reference`.
     pub fn new(reference: &[T], max_n: usize) -> Self {
-        let mut last = Vec::new();
-        let mut count = Vec::new();
-        let mut level = vec![0u32];
-        let mut child = Vec::new();
-        let mut starts: Vec<usize> = Vec::new();
-        // One start offset per node of the current and the previous order.
-        let mut nodes: Vec<usize> = Vec::new();
-        let mut parents: Vec<usize> = Vec::new();
+        let mut grams = Self {
+            last: Vec::new(),
+            count: Vec::new(),
+            level: Vec::new(),
+            child: Vec::new(),
+            len: 0,
+            starts: Vec::new(),
+            nodes: Vec::new(),
+            parents: Vec::new(),
+        };
+        grams.rebuild(reference, max_n);
+        grams
+    }
+
+    /// Recomputes these counts for another `reference`, equal to
+    /// `RefNgrams::new(reference, max_n)` but in the buffers already held,
+    /// so a caller scoring window after window allocates nothing once they
+    /// have grown.
+    pub fn rebuild(&mut self, reference: &[T], max_n: usize) {
+        let Self {
+            last,
+            count,
+            level,
+            child,
+            len,
+            starts,
+            nodes,
+            parents,
+        } = self;
+        last.clear();
+        count.clear();
+        level.clear();
+        level.push(0);
+        child.clear();
+        parents.clear();
         for n in 1..=max_n {
             let gram = |s: usize| &reference[s..s + n];
             starts.clear();
             starts.extend(0..(reference.len() + 1).saturating_sub(n));
             starts.sort_unstable_by(|&a, &b| gram(a).cmp(gram(b)));
             nodes.clear();
-            for &s in &starts {
+            for &s in starts.iter() {
                 match nodes.last() {
                     Some(&r) if gram(r) == gram(s) => *count.last_mut().expect("node") += 1,
                     _ => {
@@ -153,23 +186,17 @@ impl<T: Ord + Clone> RefNgrams<T> {
             // hands every (n-1)-gram its contiguous run of extensions.
             let first = level[n - 1] as usize;
             let mut j = 0;
-            for &p in &parents {
+            for &p in parents.iter() {
                 child.push((first + j) as u32);
                 while j < nodes.len() && gram(nodes[j])[..n - 1] == reference[p..p + n - 1] {
                     j += 1;
                 }
             }
             level.push(last.len() as u32);
-            std::mem::swap(&mut parents, &mut nodes);
+            std::mem::swap(parents, nodes);
         }
         child.push(last.len() as u32);
-        Self {
-            last,
-            count,
-            level,
-            child,
-            len: reference.len(),
-        }
+        *len = reference.len();
     }
 }
 
@@ -834,6 +861,21 @@ mod tests {
                     let direct = sentence_bleu(&h, &r, &cfg);
                     let fast = sentence_bleu_pre(&h, &pre, &cfg);
                     prop_assert_eq!(direct.to_bits(), fast.to_bits());
+                }
+            }
+
+            /// A rebuilt trie scores like a fresh one, whatever reference
+            /// and order it held before.
+            #[test]
+            fn rebuilt_reference_is_bit_identical(h in token_seq(20), r in token_seq(20),
+                                                  before in token_seq(20), n0 in 1usize..6) {
+                let mut reused = RefNgrams::new(&before, n0);
+                for cfg in [BleuConfig::default(), BleuConfig::sentence()] {
+                    reused.rebuild(&r, cfg.max_n);
+                    let fresh = sentence_bleu_pre(&h, &RefNgrams::new(&r, cfg.max_n), &cfg);
+                    let again = sentence_bleu_pre(&h, &reused, &cfg);
+                    prop_assert_eq!(fresh.to_bits(), again.to_bits());
+                    prop_assert_eq!(reused.len(), r.len());
                 }
             }
 

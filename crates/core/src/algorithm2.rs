@@ -16,7 +16,9 @@ use mdes_graph::ScoreRange;
 use mdes_lang::SentenceSet;
 use mdes_nn::InferArena;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::cell::RefCell;
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 
 /// How a broken relationship is decided from the test score `f(i, j)`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
@@ -205,14 +207,16 @@ pub(crate) trait ModelBank: Sync {
     fn frozen_valid(&self) -> Option<&[usize]>;
 
     /// Decodes a batch of source sentences with model `k`, through `arena`
-    /// for the neural family.
+    /// for the neural family, appending each row's `out_len` tokens to
+    /// `out`.
     fn decode_batch(
         &self,
         k: usize,
         srcs: &[&[u32]],
         out_len: usize,
         arena: &mut InferArena,
-    ) -> Vec<Vec<u32>>;
+        out: &mut Vec<u32>,
+    );
 }
 
 impl ModelBank for TrainedGraph {
@@ -244,10 +248,12 @@ impl ModelBank for TrainedGraph {
         srcs: &[&[u32]],
         out_len: usize,
         arena: &mut InferArena,
-    ) -> Vec<Vec<u32>> {
-        self.models()[k]
+        out: &mut Vec<u32>,
+    ) {
+        let rows = self.models()[k]
             .translator()
-            .translate_batch_in(srcs, out_len, arena)
+            .translate_batch_in(srcs, out_len, arena);
+        out.extend(rows.into_iter().flatten());
     }
 }
 
@@ -260,6 +266,38 @@ pub(crate) struct DetectJob<'a> {
     pub excluded_sensors: &'a [usize],
 }
 
+/// The flat buffers of [`detect_many_with_bank`], kept per thread across
+/// calls so that a serving round in steady state allocates none of them.
+#[derive(Default)]
+struct Scratch {
+    /// The valid models, then the participating models of each job that
+    /// excludes a sensor; a job that excludes none shares the valid list.
+    parts: Vec<usize>,
+    /// Reference n-grams per (job, target node, window); `ref_at[job * n +
+    /// node]` is the node's first window. Entries past this call's are stale.
+    refs: Vec<RefNgrams<u32>>,
+    ref_at: Vec<usize>,
+    /// `(job, first broken slot, slot stride)` per evaluation; model `k`'s
+    /// are `evals[model_at[k]..model_at[k + 1]]`, jobs ascending.
+    evals: Vec<(usize, usize, usize)>,
+    model_at: Vec<usize>,
+    /// Broken flag per (job, window, participating position), job-major;
+    /// `Relaxed` suffices, as the merge reads it after the pool's join.
+    broken: Vec<AtomicBool>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
+/// A job refused before decode, or what its merge needs after it.
+enum Job {
+    Done(CoreError),
+    /// `Live(count, part, flags, span)`: `count` windows scored by the models
+    /// `parts[part]`, whose broken flags start at slot `flags`.
+    Live(usize, Range<usize>, usize, mdes_obs::Span),
+}
+
 /// The Algorithm 2 driver: runs detection for many jobs against one shared
 /// bank. [`detect`], [`detect_excluding`],
 /// [`GraphSnapshot::detect_excluding`](crate::serve::GraphSnapshot::detect_excluding)
@@ -270,8 +308,8 @@ pub(crate) struct DetectJob<'a> {
 /// length, output length)` and decoded in one `decode_batch` call. For the
 /// NMT family that turns B same-shape decode steps from B stream sessions
 /// into one GEMM per step instead of B, which is where serving throughput
-/// goes at high stream counts. The distinct models are spread over
-/// `threads` pool workers (0 = all CPUs), one private [`InferArena`] each.
+/// goes at high stream counts. The models are spread over `threads` pool
+/// workers (0 = all CPUs), one private [`InferArena`] each.
 ///
 /// Result `j` does not depend on the other jobs or the thread count: every
 /// GEMM output element is an independent accumulation chain (batch
@@ -288,216 +326,178 @@ pub(crate) fn detect_many_with_bank<B: ModelBank + ?Sized>(
     threads: usize,
 ) -> Vec<Result<DetectionResult, CoreError>> {
     let n = bank.node_count();
-    let valid: Vec<usize> = match bank.frozen_valid() {
-        Some(v) => v.to_vec(),
-        None => (0..bank.model_count())
-            .filter(|&k| cfg.valid_range.contains(bank.meta(k).train_score))
-            .collect(),
-    };
-
-    /// Per-job state that survives into the batched decode phase.
-    struct Prep {
-        count: usize,
-        participating: Vec<usize>,
-        coverage: f64,
-        ref_grams: Vec<Option<Vec<RefNgrams<u32>>>>,
-        span: mdes_obs::Span,
-    }
-
-    let mut results: Vec<Option<Result<DetectionResult, CoreError>>> =
-        jobs.iter().map(|_| None).collect();
-    let mut preps: Vec<Option<Prep>> = jobs.iter().map(|_| None).collect();
-
-    for (j, job) in jobs.iter().enumerate() {
-        if let Err(e) = validate_alignment(job.test_sets, n) {
-            results[j] = Some(Err(e));
-            continue;
+    SCRATCH.with_borrow_mut(|s| {
+        s.parts.clear();
+        let in_range = |&k: &usize| cfg.valid_range.contains(bank.meta(k).train_score);
+        match bank.frozen_valid() {
+            Some(valid) => s.parts.extend_from_slice(valid),
+            None => s.parts.extend((0..bank.model_count()).filter(in_range)),
         }
-        let count = job.test_sets[0].len();
-        if valid.is_empty() {
-            results[j] = Some(Err(CoreError::NoValidModels));
-            continue;
-        }
-        let participating: Vec<usize> = valid
+        let valid = s.parts.len();
+        let mut flags = 0;
+        let state: Vec<Job> = jobs
             .iter()
-            .copied()
-            .filter(|&k| {
-                let m = bank.meta(k);
-                !job.excluded_sensors.contains(&m.src) && !job.excluded_sensors.contains(&m.dst)
+            .map(|job| {
+                if let Err(e) = validate_alignment(job.test_sets, n) {
+                    return Job::Done(e);
+                }
+                if valid == 0 {
+                    return Job::Done(CoreError::NoValidModels);
+                }
+                let (count, excluded) = (job.test_sets[0].len(), job.excluded_sensors);
+                let part = if excluded.is_empty() {
+                    0..valid
+                } else {
+                    let start = s.parts.len();
+                    for v in 0..valid {
+                        let m = bank.meta(s.parts[v]);
+                        if !excluded.contains(&m.src) && !excluded.contains(&m.dst) {
+                            s.parts.push(s.parts[v]);
+                        }
+                    }
+                    start..s.parts.len()
+                };
+                let mut span = mdes_obs::span("algo2.detect");
+                span.field("windows", count);
+                span.field("valid", valid);
+                span.field("participating", part.len());
+                span.field("excluded", excluded.len());
+                mdes_obs::counter("algo2.windows", count as u64);
+                mdes_obs::counter("algo2.evaluations", (part.len() * count) as u64);
+                flags += count * part.len();
+                Job::Live(count, part.clone(), flags - count * part.len(), span)
             })
             .collect();
-        let coverage = participating.len() as f64 / valid.len() as f64;
-        let mut span = mdes_obs::span("algo2.detect");
-        span.field("windows", count);
-        span.field("valid", valid.len());
-        span.field("participating", participating.len());
-        span.field("excluded", job.excluded_sensors.len());
-        mdes_obs::counter("algo2.windows", count as u64);
-        mdes_obs::counter("algo2.evaluations", (participating.len() * count) as u64);
-        if participating.is_empty() {
-            results[j] = Some(Ok(DetectionResult {
-                scores: vec![0.0; count],
-                alerts: vec![Vec::new(); count],
-                starts: job.test_sets[0].starts.clone(),
-                valid_models: 0,
-                coverage,
-            }));
-            continue;
-        }
-        let mut ref_grams: Vec<Option<Vec<RefNgrams<u32>>>> = vec![None; n];
-        for &k in &participating {
-            let dst = bank.meta(k).dst;
-            if ref_grams[dst].is_none() {
-                ref_grams[dst] = Some(
-                    job.test_sets[dst]
-                        .sentences
-                        .iter()
-                        .map(|r| RefNgrams::new(r, cfg.bleu.max_n))
-                        .collect(),
-                );
-            }
-        }
-        preps[j] = Some(Prep {
-            count,
-            participating,
-            coverage,
-            ref_grams,
-            span,
-        });
-    }
+        let live = || {
+            state.iter().enumerate().filter_map(|(j, job)| match job {
+                Job::Live(_, part, flags, _) => Some((j, *flags, &s.parts[part.clone()])),
+                Job::Done(_) => None,
+            })
+        };
 
-    // One work item per *distinct* model across all live jobs: this is the
-    // cross-session fan-in. The map is ordered so work assignment (and the
-    // batch-size observations) are deterministic.
-    let mut model_jobs: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for (j, prep) in preps.iter().enumerate() {
-        if let Some(p) = prep {
-            for &k in &p.participating {
-                model_jobs.entry(k).or_default().push(j);
-            }
-        }
-    }
-    let work: Vec<(usize, Vec<usize>)> = model_jobs.into_iter().collect();
-
-    // Model-parallel over distinct models; each pull evaluates one model
-    // against every job that needs it and yields `(job, broken flags)` per
-    // job, decoded through shared `(src_len, out_len)` batches. Pure given
-    // the bank, so scheduling cannot change results.
-    let run = pool::run(
-        work.len(),
-        threads,
-        OneWorker::OnCaller,
-        InferArena::new,
-        |arena, w| {
-            let (k, js) = (work[w].0, &work[w].1);
-            let m = bank.meta(k);
-            // Group windows of every job by decode shape. Fixed window configs
-            // (the online case) put all B jobs' windows in the same group.
-            let mut groups: BTreeMap<(usize, usize), Vec<(usize, usize)>> = BTreeMap::new();
-            let mut hyps: BTreeMap<usize, Vec<Vec<u32>>> = BTreeMap::new();
-            for &j in js {
-                let sets = jobs[j].test_sets;
-                for (t, r) in sets[m.dst].sentences.iter().enumerate() {
-                    let src_len = sets[m.src].sentences[t].len();
-                    groups.entry((src_len, r.len())).or_default().push((j, t));
-                }
-                hyps.insert(
-                    j,
-                    vec![Vec::new(); preps[j].as_ref().expect("live job").count],
-                );
-            }
-            let decode_timer = mdes_obs::timer("algo2.model_decode_us");
-            for ((_, out_len), entries) in &groups {
-                let batch: Vec<&[u32]> = entries
-                    .iter()
-                    .map(|&(j, t)| jobs[j].test_sets[m.src].sentences[t].as_slice())
-                    .collect();
-                mdes_obs::observe("algo2.batch_size", batch.len() as f64);
-                for (&(j, t), h) in entries
-                    .iter()
-                    .zip(bank.decode_batch(k, &batch, *out_len, arena))
-                {
-                    hyps.get_mut(&j).expect("inserted above")[t] = h;
+        // Reference n-grams once per (job, target node, window), shared by
+        // every model into that node; then the evaluations grouped by
+        // model (a counting sort), so the work order is deterministic.
+        s.ref_at.clear();
+        s.ref_at.resize(jobs.len() * n, usize::MAX);
+        s.model_at.clear();
+        s.model_at.resize(bank.model_count() + 2, 0);
+        let mut built = 0;
+        for (j, _, part) in live() {
+            for &k in part {
+                s.model_at[k + 2] += 1;
+                let dst = bank.meta(k).dst;
+                if s.ref_at[j * n + dst] == usize::MAX {
+                    s.ref_at[j * n + dst] = built;
+                    for r in &jobs[j].test_sets[dst].sentences {
+                        match s.refs.get_mut(built) {
+                            Some(grams) => grams.rebuild(r, cfg.bleu.max_n),
+                            None => s.refs.push(RefNgrams::new(r, cfg.bleu.max_n)),
+                        }
+                        built += 1;
+                    }
                 }
             }
-            drop(decode_timer);
-            let threshold = match cfg.rule {
-                BrokenRule::CorpusScore => m.train_score,
-                BrokenRule::DevQuantileFloor => m.dev_floor,
+        }
+        for i in 1..s.model_at.len() {
+            s.model_at[i] += s.model_at[i - 1];
+        }
+        s.evals
+            .resize(s.model_at[bank.model_count() + 1], (0, 0, 0));
+        for (j, first, part) in live() {
+            for (pos, &k) in part.iter().enumerate() {
+                s.evals[s.model_at[k + 1]] = (j, first + pos, part.len());
+                s.model_at[k + 1] += 1;
+            }
+        }
+        if s.broken.len() < flags {
+            s.broken.resize_with(flags, AtomicBool::default);
+        }
+
+        // Model-parallel: each pull decodes one model's windows of every
+        // job that needs it in `(src_len, out_len)` batches into one flat
+        // hypothesis buffer, then writes each window's broken flag into the
+        // job-major table. Pure given the bank, so scheduling cannot change
+        // results. A call with nothing to score starts no worker.
+        let run = pool::run(
+            if flags == 0 { 0 } else { bank.model_count() },
+            threads,
+            OneWorker::OnCaller,
+            || (InferArena::new(), Vec::new(), Vec::new(), Vec::new()),
+            |(arena, shapes, batch, hyps), k| {
+                let m = bank.meta(k);
+                // `(src_len, out_len, job, window, broken slot)`, sorted:
+                // one run per decode shape, its windows in job order.
+                shapes.clear();
+                for &(j, first, stride) in &s.evals[s.model_at[k]..s.model_at[k + 1]] {
+                    let sets = jobs[j].test_sets;
+                    for (t, r) in sets[m.dst].sentences.iter().enumerate() {
+                        let src_len = sets[m.src].sentences[t].len();
+                        shapes.push((src_len, r.len(), j, t, first + t * stride));
+                    }
+                }
+                if shapes.is_empty() {
+                    return;
+                }
+                shapes.sort_unstable();
+                hyps.clear();
+                let decode_timer = mdes_obs::timer("algo2.model_decode_us");
+                for group in shapes.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+                    batch.clear();
+                    let src = |&(_, _, j, t, _): &(_, _, usize, usize, _)| {
+                        jobs[j].test_sets[m.src].sentences[t].as_slice()
+                    };
+                    batch.extend(group.iter().map(src));
+                    mdes_obs::observe("algo2.batch_size", batch.len() as f64);
+                    bank.decode_batch(k, batch, group[0].1, arena, hyps);
+                }
+                drop(decode_timer);
+                let threshold = match cfg.rule {
+                    BrokenRule::CorpusScore => m.train_score,
+                    BrokenRule::DevQuantileFloor => m.dev_floor,
+                };
+                let mut at = 0;
+                for &(_, out_len, j, t, slot) in shapes.iter() {
+                    let grams = &s.refs[s.ref_at[j * n + m.dst] + t];
+                    let f = sentence_bleu_pre(&hyps[at..at + out_len], grams, &cfg.bleu);
+                    s.broken[slot].store(f < threshold - cfg.margin, Relaxed);
+                    at += out_len;
+                }
+            },
+        );
+        // Merge each job in its own participating order.
+        let merge = |(job, state): (&DetectJob<'_>, Job)| {
+            let (count, part, flags, mut span) = match (state, &run) {
+                (Job::Done(e), _) => return Err(e),
+                (Job::Live(_, part, ..), Err(lost)) if !part.is_empty() => return Err(lost.error()),
+                (Job::Live(count, part, flags, span), _) => (count, part, flags, span),
             };
-            js.iter()
-                .map(|&j| {
-                    let grams = preps[j].as_ref().expect("live job").ref_grams[m.dst]
-                        .as_deref()
-                        .expect("precomputed above");
-                    let flags: Vec<bool> = hyps[&j]
-                        .iter()
-                        .zip(grams)
-                        .map(|(hyp, g)| {
-                            sentence_bleu_pre(hyp, g, &cfg.bleu) < threshold - cfg.margin
-                        })
-                        .collect();
-                    (j, flags)
+            let models = &s.parts[part];
+            let alerts: Vec<Vec<(usize, usize)>> = (0..count)
+                .map(|t| {
+                    let row = &s.broken[flags + t * models.len()..][..models.len()];
+                    let broken = models.iter().zip(row).filter(|(_, b)| b.load(Relaxed));
+                    broken
+                        .map(|(&k, _)| (bank.meta(k).src, bank.meta(k).dst))
+                        .collect()
                 })
-                .collect::<Vec<_>>()
-        },
-    );
-    let slots = match run {
-        Ok(slots) => slots,
-        Err(lost) => {
-            for (result, prep) in results.iter_mut().zip(&preps) {
-                if prep.is_some() {
-                    *result = Some(Err(lost.error()));
-                }
-            }
-            return results
-                .into_iter()
-                .map(|r| r.expect("every job resolved"))
                 .collect();
-        }
-    };
-
-    // Scatter the per-(model, job) flags, then merge each job in its own
-    // participating order.
-    let mut flags_by_job: Vec<BTreeMap<usize, Vec<bool>>> =
-        jobs.iter().map(|_| BTreeMap::new()).collect();
-    for (w, slot) in slots.into_iter().enumerate() {
-        let k = work[w].0;
-        for (j, flags) in slot {
-            flags_by_job[j].insert(k, flags);
-        }
-    }
-    for (j, prep) in preps.into_iter().enumerate() {
-        let Some(mut p) = prep else { continue };
-        let mut alerts: Vec<Vec<(usize, usize)>> = vec![Vec::new(); p.count];
-        for &k in &p.participating {
-            let m = bank.meta(k);
-            let broken = &flags_by_job[j][&k];
-            for (t, &b) in broken.iter().enumerate() {
-                if b {
-                    alerts[t].push((m.src, m.dst));
-                }
-            }
-        }
-        let scores: Vec<f64> = alerts
-            .iter()
-            .map(|b| b.len() as f64 / p.participating.len() as f64)
-            .collect();
-        let broken: usize = alerts.iter().map(Vec::len).sum();
-        p.span.field("broken", broken);
-        mdes_obs::counter("algo2.broken", broken as u64);
-        results[j] = Some(Ok(DetectionResult {
-            scores,
-            alerts,
-            starts: jobs[j].test_sets[0].starts.clone(),
-            valid_models: p.participating.len(),
-            coverage: p.coverage,
-        }));
-    }
-    results
-        .into_iter()
-        .map(|r| r.expect("every job resolved"))
-        .collect()
+            let broken: usize = alerts.iter().map(Vec::len).sum();
+            span.field("broken", broken);
+            mdes_obs::counter("algo2.broken", broken as u64);
+            // A job with every valid model excluded scores 0.0 on no evidence.
+            let participating = models.len().max(1) as f64;
+            let scores = alerts.iter().map(|b| b.len() as f64 / participating);
+            Ok(DetectionResult {
+                scores: scores.collect(),
+                alerts,
+                starts: job.test_sets[0].starts.clone(),
+                valid_models: models.len(),
+                coverage: models.len() as f64 / valid as f64,
+            })
+        };
+        jobs.iter().zip(state).map(merge).collect()
+    })
 }
 
 #[cfg(test)]
@@ -817,9 +817,10 @@ mod tests {
             srcs: &[&[u32]],
             out_len: usize,
             arena: &mut InferArena,
-        ) -> Vec<Vec<u32>> {
+            out: &mut Vec<u32>,
+        ) {
             assert!(k != self.bad, "decode of model {k} exploded");
-            self.inner.decode_batch(k, srcs, out_len, arena)
+            self.inner.decode_batch(k, srcs, out_len, arena, out)
         }
     }
 

@@ -43,10 +43,9 @@ use crate::pipeline::Mdes;
 use crate::pool::lock;
 use crate::translator::{AnyTranslator, NgramTranslator, Translator};
 use mdes_graph::RelGraph;
-use mdes_lang::{LanguagePipeline, RawTrace, SentenceSet, MISSING_RECORD};
+use mdes_lang::{LanguagePipeline, SentenceSet, MISSING_RECORD};
 use mdes_nn::{InferArena, ModelSpec, QuantMode, QuantReport};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -811,15 +810,22 @@ impl ModelBank for GraphSnapshot {
         srcs: &[&[u32]],
         out_len: usize,
         arena: &mut InferArena,
-    ) -> Vec<Vec<u32>> {
+        out: &mut Vec<u32>,
+    ) {
         match &self.models[k].translator {
             // An n-gram decode costs about what a lookup would.
-            FrozenTranslator::Ngram(t) => t.translate_batch(srcs, out_len),
+            FrozenTranslator::Ngram(t) => {
+                for src in srcs {
+                    t.translate_into(src, out_len, out);
+                }
+            }
             FrozenTranslator::Nmt(t) => {
-                self.memo
-                    .translate_batch(k, self.models.len(), srcs, out_len, |misses| {
-                        t.translate_batch(misses, out_len, arena)
-                    })
+                let rows =
+                    self.memo
+                        .translate_batch(k, self.models.len(), srcs, out_len, |misses| {
+                            t.translate_batch(misses, out_len, arena)
+                        });
+                out.extend(rows.into_iter().flatten());
             }
         }
     }
@@ -911,6 +917,10 @@ pub struct CanaryStatus {
 #[derive(Debug)]
 struct CanaryState {
     candidate: Arc<GraphSnapshot>,
+    /// The incumbent the canary started against, when the candidate's
+    /// language pipeline equals it: windows that snapshot encoded are then
+    /// the candidate's windows too.
+    same_language: Option<Arc<GraphSnapshot>>,
     cfg: CanaryConfig,
     incumbent_scores: Vec<f64>,
     candidate_scores: Vec<f64>,
@@ -1112,14 +1122,16 @@ impl ModelStore {
                 detail: "a canary is already active".to_owned(),
             });
         }
-        {
+        let same_language = {
             let current = lock(&self.current);
             Self::validate_compatible(&current, &candidate)?;
-        }
+            (candidate.lang == current.lang).then(|| Arc::clone(&current))
+        };
         let models = candidate.models.len();
         let valid = candidate.valid.len();
         *canary = Some(CanaryState {
             candidate: Arc::new(candidate),
+            same_language,
             cfg,
             incumbent_scores: Vec::with_capacity(cfg.sample_budget),
             candidate_scores: Vec::with_capacity(cfg.sample_budget),
@@ -1170,12 +1182,15 @@ impl ModelStore {
         }
     }
 
-    /// The active candidate and routing fraction, if a canary is running —
+    /// The active candidate, the routing fraction, and whether windows
+    /// `serving` encoded are the candidate's too, if a canary is running —
     /// read once per engine tick, like [`ModelStore::current`].
-    fn canary_arm(&self) -> Option<(Arc<GraphSnapshot>, f64)> {
-        lock(&self.canary)
-            .as_ref()
-            .map(|st| (Arc::clone(&st.candidate), st.cfg.fraction))
+    fn canary_arm(&self, serving: &Arc<GraphSnapshot>) -> Option<(Arc<GraphSnapshot>, f64, bool)> {
+        lock(&self.canary).as_ref().map(|st| {
+            let shared = st.same_language.as_ref();
+            let shared = shared.is_some_and(|inc| Arc::ptr_eq(inc, serving));
+            (Arc::clone(&st.candidate), st.cfg.fraction, shared)
+        })
     }
 
     /// Feeds `(incumbent, candidate)` score pairs from shadow-scored
@@ -1259,17 +1274,31 @@ impl ModelStore {
     }
 }
 
-/// Per-stream serving state: the trailing window buffers and degradation
+/// Per-stream serving state: the trailing window and degradation
 /// counters — nothing else. All model weights live in the shared
 /// [`GraphSnapshot`], so a session costs only its buffered records.
+///
+/// The window is dictionary-coded per sensor: a small table of the distinct
+/// raw records it holds, and a ring of `u16` indices into that table
+/// (`u16`, not `u8`: a window of `n` samples can hold `n` distinct records
+/// plus the last delivered one, and the window config does not bound `n`
+/// below 255). A sample equal to its sensor's previous record, the common
+/// case on a plant, costs one string comparison and no allocation; a new
+/// record reuses a freed table slot. Records become letters only when a
+/// window completes, each distinct one looked up once in the alphabet of
+/// the snapshot that scores the window — a publish or a canary candidate
+/// may have been fit on other days, with other alphabets.
 ///
 /// Created by [`ServingEngine::open_session`]; pushed through
 /// [`ServingEngine::push_opt`] / [`ServingEngine::push_opt_many`]. Cloning a
 /// session (or dropping one) updates the engine's live-session gauge.
 #[derive(Debug)]
 pub struct StreamSession {
-    /// Trailing samples per original sensor index.
-    buffers: Vec<VecDeque<String>>,
+    /// Distinct records per original sensor index.
+    tables: Vec<Vec<Slot>>,
+    /// The window as `tables` indices, `window` entries per sensor
+    /// (sensor-major); sample `seen` lands at position `seen % window`.
+    ring: Vec<u16>,
     /// Samples required to form one sentence.
     window: usize,
     /// Samples between consecutive sentence completions.
@@ -1283,16 +1312,18 @@ pub struct StreamSession {
     consec_missing: Vec<usize>,
     /// Length of the current run of identical records per original sensor.
     consec_same: Vec<usize>,
-    /// Last delivered (non-missing) record per original sensor.
-    last_record: Vec<Option<String>>,
+    /// Table index of the last delivered (non-missing) record per original
+    /// sensor; [`NO_RECORD`] before the first.
+    last: Vec<u16>,
     /// Dropout state per sensor as of the previous push, so dropout and
     /// readmission emit one observability event per *transition* rather
     /// than one per sample spent in the state.
     was_dropped: Vec<bool>,
-    /// Reusable window snapshot handed to `encode_segment`: names are built
-    /// once here, and each emission refills `events` in place instead of
-    /// allocating a fresh `Vec<RawTrace>` per completed window.
-    scratch_traces: Vec<RawTrace>,
+    /// One sensor's window as letter codes, reused by every encode.
+    letters: Vec<u8>,
+    /// The last completed window, encoded under the snapshot that scores
+    /// it: one sentence set per surviving sensor, reused window to window.
+    sets: Vec<SentenceSet>,
     /// Live-session gauge shared with the engine that opened this session.
     gauge: Arc<AtomicUsize>,
     /// Immutable canary routing key, assigned at open time. Whether this
@@ -1300,6 +1331,54 @@ pub struct StreamSession {
     /// key and the canary fraction, so routing is deterministic across
     /// restarts of the comparison.
     route_key: u64,
+}
+
+/// `StreamSession::last` before a sensor's first delivered record; also one
+/// past the largest table index a session may use.
+const NO_RECORD: u16 = u16::MAX;
+
+/// One distinct raw record of a sensor's window.
+#[derive(Clone, Debug)]
+struct Slot {
+    record: String,
+    /// Ring entries holding this slot, plus one while it is the sensor's
+    /// last delivered record. A slot at zero is free for reuse.
+    refs: u32,
+    /// Letter code under the alphabet of the window being encoded.
+    code: u8,
+}
+
+/// The table index of `record`: its own slot if the table has one, else a
+/// freed slot rewritten in place, else a new slot.
+fn intern(table: &mut Vec<Slot>, record: &str) -> u16 {
+    let at = match table.iter().position(|s| s.record == record) {
+        Some(at) => at,
+        None => match table.iter().position(|s| s.refs == 0) {
+            Some(free) => {
+                table[free].record.clear();
+                table[free].record.push_str(record);
+                free
+            }
+            None => {
+                table.push(Slot {
+                    record: record.to_owned(),
+                    refs: 0,
+                    code: 0,
+                });
+                table.len() - 1
+            }
+        },
+    };
+    u16::try_from(at).expect("open_session bounds a table below NO_RECORD slots")
+}
+
+/// The graph nodes of `lang` whose sensors (original indices) are `dropped`.
+fn excluded_nodes(lang: &LanguagePipeline, dropped: &[usize]) -> Vec<usize> {
+    let nodes = lang.languages().iter().enumerate();
+    nodes
+        .filter(|(_, l)| dropped.contains(&l.source_index))
+        .map(|(node, _)| node)
+        .collect()
 }
 
 impl StreamSession {
@@ -1312,7 +1391,8 @@ impl StreamSession {
     ) -> Self {
         gauge.fetch_add(1, Ordering::Relaxed);
         Self {
-            buffers: vec![VecDeque::new(); width],
+            tables: vec![Vec::new(); width],
+            ring: vec![0; width * window],
             window,
             step,
             seen: 0,
@@ -1320,11 +1400,10 @@ impl StreamSession {
             degradation: DegradationConfig::default(),
             consec_missing: vec![0; width],
             consec_same: vec![0; width],
-            last_record: vec![None; width],
+            last: vec![NO_RECORD; width],
             was_dropped: vec![false; width],
-            scratch_traces: (0..width)
-                .map(|i| RawTrace::new(format!("b{i}"), Vec::new()))
-                .collect(),
+            letters: Vec::with_capacity(window),
+            sets: Vec::new(),
             gauge,
             route_key,
         }
@@ -1366,29 +1445,23 @@ impl StreamSession {
     /// per-stream cost that `exp_serving` compares against the shared
     /// snapshot.
     pub fn approx_bytes(&self) -> usize {
-        let string = std::mem::size_of::<String>();
-        let buffered: usize = self
-            .buffers
+        let slots: usize = self
+            .tables
             .iter()
             .flatten()
-            .map(|s| s.len() + string)
+            .map(|s| std::mem::size_of::<Slot>() + s.record.capacity())
             .sum();
-        let scratch: usize = self
-            .scratch_traces
-            .iter()
-            .map(|t| t.name.len() + t.events.iter().map(|e| e.len() + string).sum::<usize>())
-            .sum();
-        let last: usize = self
-            .last_record
-            .iter()
-            .flatten()
-            .map(|s| s.len() + string)
-            .sum();
+        let tables = slots + self.width * std::mem::size_of::<Vec<Slot>>();
+        let sets: usize = self.sets.iter().map(SentenceSet::approx_bytes).sum();
         let counters = self.width
             * (2 * std::mem::size_of::<usize>()
-                + std::mem::size_of::<bool>()
-                + std::mem::size_of::<Option<String>>());
-        buffered + scratch + last + counters
+                + std::mem::size_of::<u16>()
+                + std::mem::size_of::<bool>());
+        tables
+            + self.ring.len() * std::mem::size_of::<u16>()
+            + self.letters.capacity()
+            + sets
+            + counters
     }
 
     fn is_dropped(&self, sensor: usize) -> bool {
@@ -1399,8 +1472,8 @@ impl StreamSession {
                 .is_some_and(|limit| self.consec_same[sensor] >= limit.max(1))
     }
 
-    /// Absorbs one sample into the trailing buffers; `Ok(true)` when this
-    /// sample completes a sentence window.
+    /// Absorbs one sample into the window; `Ok(true)` when this sample
+    /// completes a sentence window.
     fn absorb(&mut self, records: &[Option<String>]) -> Result<bool, CoreError> {
         if records.len() != self.width {
             return Err(CoreError::MisalignedCorpora {
@@ -1408,26 +1481,39 @@ impl StreamSession {
                 found: records.len(),
             });
         }
+        let pos = self.seen % self.window;
         for (i, rec) in records.iter().enumerate() {
-            match rec {
+            let table = &mut self.tables[i];
+            let cell = &mut self.ring[i * self.window + pos];
+            if self.seen >= self.window {
+                // The record leaving the window.
+                table[usize::from(*cell)].refs -= 1;
+            }
+            let at = match rec {
                 Some(r) => {
                     self.consec_missing[i] = 0;
-                    if self.last_record[i].as_deref() == Some(r.as_str()) {
+                    let last = self.last[i];
+                    if last != NO_RECORD && table[usize::from(last)].record == *r {
                         self.consec_same[i] += 1;
+                        last
                     } else {
                         self.consec_same[i] = 1;
-                        self.last_record[i] = Some(r.clone());
+                        let at = intern(table, r);
+                        table[usize::from(at)].refs += 1;
+                        if last != NO_RECORD {
+                            table[usize::from(last)].refs -= 1;
+                        }
+                        self.last[i] = at;
+                        at
                     }
-                    self.buffers[i].push_back(r.clone());
                 }
                 None => {
                     self.consec_missing[i] += 1;
-                    self.buffers[i].push_back(MISSING_RECORD.to_owned());
+                    intern(table, MISSING_RECORD)
                 }
-            }
-            if self.buffers[i].len() > self.window {
-                self.buffers[i].pop_front();
-            }
+            };
+            table[usize::from(at)].refs += 1;
+            *cell = at;
         }
         if mdes_obs::enabled() {
             for i in 0..self.width {
@@ -1449,11 +1535,23 @@ impl StreamSession {
         Ok(self.seen >= self.window && (self.seen - self.window).is_multiple_of(self.step))
     }
 
-    /// Refills the preallocated window snapshot from the trailing buffers.
-    fn refill_scratch(&mut self) {
-        for (trace, buf) in self.scratch_traces.iter_mut().zip(&self.buffers) {
-            trace.events.clear();
-            trace.events.extend(buf.iter().cloned());
+    /// Encodes the (complete) window under `lang` into `out`, one sentence
+    /// set per surviving sensor, reusing `out`'s buffers. Each distinct
+    /// record is looked up in the sensor's alphabet once.
+    fn encode_window(&mut self, lang: &LanguagePipeline, out: &mut Vec<SentenceSet>) {
+        out.resize_with(lang.sensor_count(), SentenceSet::default);
+        let oldest = self.seen % self.window;
+        for ((node, l), set) in lang.languages().iter().enumerate().zip(out) {
+            let table = &mut self.tables[l.source_index];
+            for slot in table.iter_mut().filter(|s| s.refs > 0) {
+                slot.code = l.alphabet.encode_one(&slot.record);
+            }
+            let ring = &self.ring[l.source_index * self.window..][..self.window];
+            let chronological = ring[oldest..].iter().chain(&ring[..oldest]);
+            self.letters.clear();
+            let letters = chronological.map(|&at| table[usize::from(at)].code);
+            self.letters.extend(letters);
+            lang.encode_letters(node, &self.letters, set);
         }
     }
 }
@@ -1462,7 +1560,8 @@ impl Clone for StreamSession {
     fn clone(&self) -> Self {
         self.gauge.fetch_add(1, Ordering::Relaxed);
         Self {
-            buffers: self.buffers.clone(),
+            tables: self.tables.clone(),
+            ring: self.ring.clone(),
             window: self.window,
             step: self.step,
             seen: self.seen,
@@ -1470,9 +1569,10 @@ impl Clone for StreamSession {
             degradation: self.degradation,
             consec_missing: self.consec_missing.clone(),
             consec_same: self.consec_same.clone(),
-            last_record: self.last_record.clone(),
+            last: self.last.clone(),
             was_dropped: self.was_dropped.clone(),
-            scratch_traces: self.scratch_traces.clone(),
+            letters: self.letters.clone(),
+            sets: self.sets.clone(),
             gauge: Arc::clone(&self.gauge),
             route_key: self.route_key,
         }
@@ -1593,6 +1693,15 @@ impl ServingEngine {
             return Err(CoreError::WidthMismatch { width, needed });
         }
         let cfg = *snapshot.language().config();
+        if cfg.min_samples() >= usize::from(NO_RECORD) {
+            return Err(CoreError::IncompatibleSnapshot {
+                detail: format!(
+                    "a window of {} samples is longer than a session can buffer ({})",
+                    cfg.min_samples(),
+                    NO_RECORD - 1
+                ),
+            });
+        }
         let session = StreamSession::new(
             width,
             cfg.min_samples(),
@@ -1681,11 +1790,10 @@ impl ServingEngine {
         let mut results: Vec<Option<Result<Option<OnlineDetection>, CoreError>>> =
             sessions.iter().map(|_| None).collect();
 
-        /// A session whose window completed on this tick, with its encoded
-        /// window held until the shared detection round below.
+        /// A session whose window completed on this tick; its encoded
+        /// window waits in the session for the shared detection round below.
         struct Completing {
             idx: usize,
-            sets: Vec<SentenceSet>,
             excluded: Vec<usize>,
             dropped: Vec<usize>,
             sample_index: usize,
@@ -1708,32 +1816,17 @@ impl ServingEngine {
                 Ok(true) => {
                     let span = mdes_obs::span("online.push");
                     mdes_obs::counter("online.windows", 1);
-                    session.refill_scratch();
-                    match snapshot
-                        .language()
-                        .encode_segment(&session.scratch_traces, 0..session.window)
-                    {
-                        Err(e) => results[i] = Some(Err(e.into())),
-                        Ok(sets) => {
-                            let dropped = session.dropped_sensors();
-                            let excluded: Vec<usize> = snapshot
-                                .language()
-                                .languages()
-                                .iter()
-                                .enumerate()
-                                .filter(|(_, l)| dropped.contains(&l.source_index))
-                                .map(|(node, _)| node)
-                                .collect();
-                            completing.push(Completing {
-                                idx: i,
-                                sets,
-                                excluded,
-                                dropped,
-                                sample_index: session.seen - 1,
-                                span,
-                            });
-                        }
-                    }
+                    let mut sets = std::mem::take(&mut session.sets);
+                    session.encode_window(snapshot.language(), &mut sets);
+                    session.sets = sets;
+                    let dropped = session.dropped_sensors();
+                    completing.push(Completing {
+                        idx: i,
+                        excluded: excluded_nodes(snapshot.language(), &dropped),
+                        dropped,
+                        sample_index: session.seen - 1,
+                        span,
+                    });
                 }
             }
         }
@@ -1743,18 +1836,22 @@ impl ServingEngine {
         let jobs: Vec<DetectJob<'_>> = completing
             .iter()
             .map(|c| DetectJob {
-                test_sets: &c.sets,
+                test_sets: &sessions[c.idx].sets,
                 excluded_sensors: &c.excluded,
             })
             .collect();
         let detections =
             detect_many_with_bank(&*snapshot, &jobs, &snapshot.detection, self.threads);
+        drop(jobs);
 
         // Shadow round — during a canary, routed sessions' windows are also
         // scored against the candidate (read once per tick, like the
         // incumbent snapshot) and the paired scores feed the comparator.
         // Emitted results below still come exclusively from the incumbent.
-        if let Some((candidate, fraction)) = self.store.canary_arm() {
+        // A candidate with another language pipeline (fit on other days: other
+        // alphabets, vocabularies or surviving sensors) gets the windows
+        // encoded, and the dropped sensors mapped, by its own pipeline.
+        if let Some((candidate, fraction, same_language)) = self.store.canary_arm(&snapshot) {
             let routed: Vec<usize> = completing
                 .iter()
                 .enumerate()
@@ -1762,11 +1859,32 @@ impl ServingEngine {
                 .map(|(k, _)| k)
                 .collect();
             if !routed.is_empty() {
+                let own: Vec<(Vec<SentenceSet>, Vec<usize>)> = if same_language {
+                    Vec::new()
+                } else {
+                    let lang = candidate.language();
+                    routed
+                        .iter()
+                        .map(|&k| {
+                            let c = &completing[k];
+                            let mut sets = Vec::new();
+                            sessions[c.idx].encode_window(lang, &mut sets);
+                            (sets, excluded_nodes(lang, &c.dropped))
+                        })
+                        .collect()
+                };
                 let shadow_jobs: Vec<DetectJob<'_>> = routed
                     .iter()
-                    .map(|&k| DetectJob {
-                        test_sets: &completing[k].sets,
-                        excluded_sensors: &completing[k].excluded,
+                    .enumerate()
+                    .map(|(r, &k)| match own.get(r) {
+                        Some((sets, excluded)) => DetectJob {
+                            test_sets: sets,
+                            excluded_sensors: excluded,
+                        },
+                        None => DetectJob {
+                            test_sets: &sessions[completing[k].idx].sets,
+                            excluded_sensors: &completing[k].excluded,
+                        },
                     })
                     .collect();
                 let shadow = detect_many_with_bank(
@@ -1819,7 +1937,7 @@ mod tests {
     use super::*;
     use crate::pipeline::MdesConfig;
     use mdes_graph::ScoreRange;
-    use mdes_lang::WindowConfig;
+    use mdes_lang::{RawTrace, WindowConfig};
 
     fn square(name: &str, n: usize, phase: usize) -> RawTrace {
         RawTrace::new(

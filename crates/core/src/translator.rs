@@ -607,9 +607,18 @@ impl NgramTranslator {
 
 impl Translator for NgramTranslator {
     fn translate(&self, src: &[u32], out_len: usize) -> Vec<u32> {
+        let mut out = Vec::with_capacity(out_len);
+        self.translate_into(src, out_len, &mut out);
+        out
+    }
+}
+
+impl NgramTranslator {
+    /// [`Translator::translate`], appending its `out_len` tokens to `out`,
+    /// so that a batch decodes into one flat buffer.
+    pub fn translate_into(&self, src: &[u32], out_len: usize, out: &mut Vec<u32>) {
         let tables = self.tables();
         let lm_weight = self.cfg.lm_weight;
-        let mut out = Vec::with_capacity(out_len);
         let mut prev: Option<u32> = None;
         for p in 0..out_len {
             let mp = self.position(p);
@@ -650,7 +659,6 @@ impl Translator for NgramTranslator {
             out.push(best.0);
             prev = Some(best.0);
         }
-        out
     }
 }
 

@@ -37,7 +37,7 @@ impl RawTrace {
 }
 
 /// The fitted language of one sensor.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SensorLanguage {
     /// Sensor name copied from the trace.
     pub name: String,
@@ -50,7 +50,7 @@ pub struct SensorLanguage {
 }
 
 /// Sentences of one sensor over one sample range, encoded as word ids.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SentenceSet {
     /// Encoded sentences (each `sent_len` word ids).
     pub sentences: Vec<Vec<u32>>,
@@ -82,7 +82,7 @@ impl SentenceSet {
 
 /// A fitted multivariate language pipeline: fit on a training range, then
 /// encode any sample range of the same traces into aligned sentence sets.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct LanguagePipeline {
     cfg: WindowConfig,
     languages: Vec<SensorLanguage>,
@@ -243,17 +243,47 @@ impl LanguagePipeline {
                 len: trace.events.len(),
             });
         }
-        let segment = &trace.events[range];
-        let encoded = lang.alphabet.encode(segment);
-        let word_ids: Vec<u32> = window::words(&encoded, &self.cfg)
-            .iter()
-            .map(|w| lang.vocab.encode(w))
-            .collect();
-        let sentences = window::sentences(&word_ids, &self.cfg);
-        let starts = (0..sentences.len())
-            .map(|s| self.cfg.sentence_start(s))
-            .collect();
-        Ok(SentenceSet { sentences, starts })
+        let letters = lang.alphabet.encode(&trace.events[range]);
+        let mut out = SentenceSet::default();
+        self.encode_letters(sensor, &letters, &mut out);
+        Ok(out)
+    }
+
+    /// Turns one surviving sensor's letter codes (its [`Alphabet`] codes,
+    /// one per sample) into words and sentences, written into `out` in
+    /// place: its sentence buffers are reused, so a caller that encodes
+    /// window after window into one `SentenceSet` allocates nothing once
+    /// the buffers have grown. This is the one letters-to-sentences body;
+    /// [`LanguagePipeline::encode_segment`] and the serving sessions both
+    /// run it. Each word a sentence needs is looked up once: an overlapping
+    /// sentence copies its shared words from the one before.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sensor` is not a surviving-sensor index.
+    pub fn encode_letters(&self, sensor: usize, letters: &[u8], out: &mut SentenceSet) {
+        let cfg = &self.cfg;
+        let vocab = &self.languages[sensor].vocab;
+        let word = |w: usize| vocab.encode(&letters[w * cfg.word_stride..][..cfg.word_len]);
+        let count = cfg.sentence_count(letters.len());
+        let shared = cfg.sent_len.saturating_sub(cfg.sent_stride);
+        out.sentences.resize_with(count, Vec::new);
+        out.starts.clear();
+        for s in 0..count {
+            let (done, rest) = out.sentences.split_at_mut(s);
+            let sentence = &mut rest[0];
+            sentence.clear();
+            let reused = match done.last() {
+                Some(prev) if shared > 0 => {
+                    sentence.extend_from_slice(&prev[cfg.sent_stride..]);
+                    shared
+                }
+                _ => 0,
+            };
+            let first = s * cfg.sent_stride;
+            sentence.extend((first + reused..first + cfg.sent_len).map(word));
+            out.starts.push(cfg.sentence_start(s));
+        }
     }
 }
 
@@ -404,6 +434,34 @@ mod tests {
         use proptest::prelude::*;
 
         proptest! {
+            /// Sentence `s` is words `s * sent_stride ..` of the letters, in
+            /// order, whether sentences overlap, abut or skip words, and a
+            /// reused `SentenceSet` ends up as a fresh one would.
+            #[test]
+            fn encode_letters_slices_the_word_stream(
+                codes in proptest::collection::vec(0u8..3, 0..80),
+                wl in 1usize..4, ws in 1usize..3, sl in 1usize..6, ss in 1usize..7) {
+                let cfg = WindowConfig { word_len: wl, word_stride: ws, sent_len: sl, sent_stride: ss };
+                // Records "0" < "1" < "2" fit to letter codes 0, 1 and 2.
+                let records = [0, 1, 2, 0, 1, 2, 2, 1, 0, 0, 1, 1, 2, 2, 0, 0, 0].map(|c: u8| c.to_string());
+                let traces = vec![RawTrace::new("s", records.to_vec())];
+                let Ok(p) = LanguagePipeline::fit(&traces, 0..17, cfg) else {
+                    return Ok(());
+                };
+                let vocab = &p.languages()[0].vocab;
+                let words: Vec<u32> = window::words(&codes, &cfg).iter().map(|w| vocab.encode(w)).collect();
+                let mut out = SentenceSet {
+                    sentences: vec![vec![7; 9]; 5],
+                    starts: vec![3],
+                };
+                p.encode_letters(0, &codes, &mut out);
+                prop_assert_eq!(out.len(), cfg.sentence_count(codes.len()));
+                for (s, sentence) in out.sentences.iter().enumerate() {
+                    prop_assert_eq!(&sentence[..], &words[s * ss..s * ss + sl]);
+                    prop_assert_eq!(out.starts[s], cfg.sentence_start(s));
+                }
+            }
+
             #[test]
             fn encode_never_panics_and_counts_match(
                 seed in 0u64..1000, n in 60usize..200) {

@@ -2,7 +2,8 @@
 //!
 //! Characters are grouped into *words* of `word_len` letters advancing by
 //! `word_stride`; words are grouped into *sentences* of `sent_len` words
-//! advancing by `sent_stride`. Only full windows are produced. With the
+//! advancing by `sent_stride` ([`LanguagePipeline::encode_letters`](crate::LanguagePipeline::encode_letters)
+//! builds them). Only full windows are produced. With the
 //! paper's plant settings (`word_len = 10`, `word_stride = 1`,
 //! `sent_len = 20`, `sent_stride = 20`) each sentence covers 20 consecutive
 //! minutes and detection runs every 20 minutes.
@@ -120,18 +121,6 @@ pub fn words<'a>(chars: &'a [u8], cfg: &WindowConfig) -> Vec<&'a [u8]> {
         .collect()
 }
 
-/// Groups a stream of word ids into fixed-length sentences.
-pub fn sentences(word_ids: &[u32], cfg: &WindowConfig) -> Vec<Vec<u32>> {
-    let count = if word_ids.len() < cfg.sent_len {
-        0
-    } else {
-        (word_ids.len() - cfg.sent_len) / cfg.sent_stride + 1
-    };
-    (0..count)
-        .map(|s| word_ids[s * cfg.sent_stride..s * cfg.sent_stride + cfg.sent_len].to_vec())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,37 +172,10 @@ mod tests {
     }
 
     #[test]
-    fn sentences_non_overlapping() {
-        let ids: Vec<u32> = (0..10).collect();
-        let cfg = WindowConfig {
-            word_len: 1,
-            word_stride: 1,
-            sent_len: 3,
-            sent_stride: 3,
-        };
-        let ss = sentences(&ids, &cfg);
-        assert_eq!(ss, vec![vec![0, 1, 2], vec![3, 4, 5], vec![6, 7, 8]]);
-    }
-
-    #[test]
-    fn sentences_sliding() {
-        let ids: Vec<u32> = (0..5).collect();
-        let cfg = WindowConfig {
-            word_len: 1,
-            word_stride: 1,
-            sent_len: 3,
-            sent_stride: 1,
-        };
-        let ss = sentences(&ids, &cfg);
-        assert_eq!(ss.len(), 3);
-        assert_eq!(ss[2], vec![2, 3, 4]);
-    }
-
-    #[test]
     fn too_short_produces_nothing() {
         let cfg = WindowConfig::default();
         assert_eq!(words(&[0u8; 5], &cfg).len(), 0);
-        assert_eq!(sentences(&[0u32; 5], &cfg).len(), 0);
+        assert_eq!(cfg.sentence_count(5), 0);
     }
 
     #[test]
@@ -280,19 +242,6 @@ mod tests {
                 prop_assert_eq!(got.len(), cfg.word_count(chars.len()));
                 for w in got {
                     prop_assert_eq!(w.len(), wl);
-                }
-            }
-
-            #[test]
-            fn sentences_cover_contiguous_words(n in 0usize..100, sl in 1usize..6, ss in 1usize..6) {
-                let ids: Vec<u32> = (0..n as u32).collect();
-                let cfg = WindowConfig { word_len: 1, word_stride: 1, sent_len: sl, sent_stride: ss };
-                for (k, s) in sentences(&ids, &cfg).iter().enumerate() {
-                    prop_assert_eq!(s.len(), sl);
-                    let start = (k * ss) as u32;
-                    for (off, &w) in s.iter().enumerate() {
-                        prop_assert_eq!(w, start + off as u32);
-                    }
                 }
             }
         }

@@ -76,6 +76,7 @@ impl Histogram {
         HistogramSnapshot {
             name: name.to_owned(),
             count: self.count,
+            sum: self.sum,
             mean: if self.count == 0 {
                 0.0
             } else {
@@ -98,6 +99,9 @@ pub struct HistogramSnapshot {
     pub name: String,
     /// Number of recorded observations.
     pub count: u64,
+    /// Exact sum of observations (exact for integer-valued observations
+    /// summing below 2^53, such as counts per event).
+    pub sum: f64,
     /// Exact arithmetic mean of observations.
     pub mean: f64,
     /// Smallest observation.
@@ -309,6 +313,7 @@ mod tests {
         assert_eq!(s.count, 10);
         assert_eq!(s.min, 1.0);
         assert_eq!(s.max, 512.0);
+        assert_eq!(s.sum, 1023.0);
         assert!((s.mean - 102.3).abs() < 0.1);
         // Log2-bucket estimates: within 2x of the true percentiles.
         assert!(s.p50 >= 8.0 && s.p50 <= 64.0, "p50 = {}", s.p50);

@@ -96,7 +96,13 @@ impl IngestClient {
         })
     }
 
-    /// The underlying stream, for fault-injection tests.
+    /// The underlying stream, for fault-injection tests and for a second
+    /// reader of the replies (a load generator's reply thread reads a
+    /// `try_clone` of it).
+    ///
+    /// This is why the client reads its socket unbuffered: a private read
+    /// buffer could already hold reply bytes that such a second reader then
+    /// never sees, which would tear its frame stream.
     pub fn stream(&self) -> &TcpStream {
         &self.stream
     }

@@ -59,7 +59,7 @@ use crate::wire::{
 };
 use mdes_core::serve::{ServingEngine, StreamSession};
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, Write};
+use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -483,9 +483,13 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
     }
 }
 
-fn conn_reader(shared: &Arc<Shared>, conn: &Arc<ConnHandle>, mut stream: TcpStream) {
+fn conn_reader(shared: &Arc<Shared>, conn: &Arc<ConnHandle>, stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(TICK));
     let _ = stream.set_nodelay(true);
+    // Buffered: a client's batch of pipelined frames costs one `read`, not a
+    // header and a payload `read` per frame. A read timeout surfaces
+    // through the buffer unchanged, so idle and slow-loris detection hold.
+    let mut stream = BufReader::new(stream);
     while !shared.shutdown.load(Ordering::SeqCst) && conn.alive.load(Ordering::Acquire) {
         match read_frame(
             &mut stream,

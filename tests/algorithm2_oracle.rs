@@ -7,18 +7,21 @@
 //! `a_t` = broken / participating. Every optimised path must reproduce it
 //! bit for bit: batched and grouped decode, shared reference n-grams, the
 //! worker pool, cross-session batching, frozen and int8 snapshots,
-//! streamed pushes, and the snapshot's translation memo — on hits, across
-//! table clears, and across hot-swaps, grafts and canaries.
+//! streamed pushes (clean or degraded, batched so that one round mixes
+//! excluded sets), and the snapshot's translation memo — on hits, across
+//! table clears, and across hot-swaps, grafts and canaries, including a
+//! canary whose candidate encodes windows with another language pipeline.
 
 use mdes::bleu::sentence_bleu;
 use mdes::core::serve::MEMO_ENTRIES_PER_MODEL;
 use mdes::core::{
-    detect, detect_excluding, BrokenRule, CanaryConfig, CanaryDecision, DetectionConfig,
-    DetectionResult, FrozenPairModel, FrozenTranslator, GraphSnapshot, Mdes, MdesConfig,
-    OnlineDetection, QuantMode, QuantPolicy, ScoreDist, ServingEngine, TranslatorConfig,
+    detect, detect_excluding, BrokenRule, CanaryConfig, CanaryDecision, DegradationConfig,
+    DetectionConfig, DetectionResult, FrozenPairModel, FrozenTranslator, GraphSnapshot, Mdes,
+    MdesConfig, OnlineDetection, QuantMode, QuantPolicy, ScoreDist, ServingEngine, StreamSession,
+    TranslatorConfig,
 };
 use mdes::graph::ScoreRange;
-use mdes::lang::{RawTrace, SentenceSet, WindowConfig};
+use mdes::lang::{RawTrace, SentenceSet, Vocab, WindowConfig, MISSING_RECORD};
 use mdes::nn::{InferArena, Seq2SeqConfig};
 use mdes::synth::plant::{generate, PlantConfig, PlantData};
 use std::collections::{BTreeMap, BTreeSet};
@@ -581,4 +584,206 @@ fn hot_swaps_grafts_and_canaries_never_serve_a_stale_translation() {
         oracles[&4][budget..],
         "the promotion"
     );
+}
+
+/// The snapshot of an n-gram fit with training days `train` and development
+/// days `dev` of `plant`.
+fn ngram_snapshot(plant: &PlantData, train: (usize, usize), dev: (usize, usize)) -> GraphSnapshot {
+    let m = Mdes::fit(
+        &plant.traces,
+        plant.days_range(train.0, train.1),
+        plant.days_range(dev.0, dev.1),
+        config(TranslatorConfig::fast()),
+    )
+    .expect("fit");
+    GraphSnapshot::from_parts(
+        m.language().clone(),
+        m.trained(),
+        m.config().detection.clone(),
+    )
+}
+
+/// Sessions in every degraded state, pushed together so that each round
+/// scores windows with different excluded sets: every reply must equal the
+/// oracle for its own window, encoded from its raw records (`None` as
+/// `MISSING_RECORD`), with its own dropped sensors excluded.
+#[test]
+fn degraded_sessions_in_one_round_match_the_oracle() {
+    let plant = plant();
+    let traces = &plant.traces;
+    let snap = ngram_snapshot(&plant, (1, 3), (4, 5));
+    let test = plant.day_range(7);
+    let width = traces.len();
+    let clean = |t: usize, i: usize| Some(traces[i].events[test.start + t].clone());
+    type Stream<'a> = Box<dyn Fn(usize, usize) -> Option<String> + 'a>;
+    let streams: Vec<Stream<'_>> = vec![
+        Box::new(clean),
+        // Sensor 1 delivers nothing for a stretch.
+        Box::new(|t, i| {
+            (i != 1 || !(40..100).contains(&t))
+                .then(|| clean(t, i))
+                .flatten()
+        }),
+        // Sensor 2 sticks at one record, past the stuck limit.
+        Box::new(|t, i| clean(if i == 2 { t.min(30) } else { t }, i)),
+        // Sensor 0 reports states never seen at fit time.
+        Box::new(|t, i| match i == 0 && t % 7 < 3 {
+            true => Some(format!("alien{}", t % 2)),
+            false => clean(t, i),
+        }),
+        // Every record of every sample is new.
+        Box::new(|t, i| Some(format!("new-{t}-{i}"))),
+    ];
+    let engine = ServingEngine::new(snap.clone()).with_threads(2);
+    let mut sessions: Vec<StreamSession> = (0..streams.len())
+        .map(|s| {
+            let session = engine.open_session(width).expect("session");
+            // Only the stuck stream checks for stuck sensors: plant sensors
+            // stay legitimately quiet for longer than the limit.
+            session.with_degradation(DegradationConfig {
+                missing_limit: 3,
+                stuck_limit: (s == 2).then_some(12),
+            })
+        })
+        .collect();
+    let window = sessions[0].warmup();
+    let mut history: Vec<Vec<Vec<Option<String>>>> = vec![Vec::new(); streams.len()];
+    let mut dropped_seen = vec![BTreeSet::new(); streams.len()];
+    let (mut mixed_rounds, mut unknown_windows, mut all_new_bytes) = (0, 0, Vec::new());
+    for t in 0..test.len() {
+        let samples: Vec<Vec<Option<String>>> = streams
+            .iter()
+            .map(|f| (0..width).map(|i| f(t, i)).collect())
+            .collect();
+        let results = engine.push_opt_many(&mut sessions, &samples);
+        let mut excluded_sets = BTreeSet::new();
+        for (s, (sample, result)) in samples.into_iter().zip(results).enumerate() {
+            history[s].push(sample);
+            let Some(d) = result.expect("push") else {
+                continue;
+            };
+            let records = &history[s][history[s].len() - window..];
+            let window_traces: Vec<RawTrace> = (0..width)
+                .map(|i| {
+                    let events = records.iter().map(|r| r[i].clone());
+                    let events = events.map(|r| r.unwrap_or_else(|| MISSING_RECORD.to_owned()));
+                    RawTrace::new(format!("w{i}"), events.collect())
+                })
+                .collect();
+            let sets = snap
+                .language()
+                .encode_segment(&window_traces, 0..window)
+                .expect("encode");
+            unknown_windows += usize::from(
+                sets.iter()
+                    .any(|set| set.sentences[0].contains(&Vocab::UNK)),
+            );
+            let nodes = snap.language().languages().iter().enumerate();
+            let excluded: Vec<usize> = nodes
+                .filter(|(_, l)| d.dropped_sensors.contains(&l.source_index))
+                .map(|(node, _)| node)
+                .collect();
+            assert_eq!(
+                streamed(std::slice::from_ref(&d)),
+                snapshot_oracle(&snap, &sets, snap.detection(), &excluded),
+                "session {s}, step {t}, dropped {:?}",
+                d.dropped_sensors
+            );
+            dropped_seen[s].extend(d.dropped_sensors);
+            excluded_sets.insert(excluded);
+        }
+        mixed_rounds += usize::from(excluded_sets.len() > 1);
+        all_new_bytes.push(sessions[4].approx_bytes());
+    }
+    assert!(mixed_rounds > 0, "no round mixed excluded sets");
+    assert!(unknown_windows > 0, "no window held an unknown word");
+    assert!(dropped_seen[0].is_empty(), "{:?}", dropped_seen[0]);
+    assert!(dropped_seen[1].contains(&1), "{:?}", dropped_seen[1]);
+    assert!(dropped_seen[2].contains(&2), "{:?}", dropped_seen[2]);
+
+    // The all-new stream never repeats a record, yet its session holds at
+    // most the window's records (plus each sensor's last one): its size
+    // stops growing once every table slot is reused, under a bound of
+    // window × width entries.
+    let bytes = *all_new_bytes.last().expect("pushed");
+    assert_eq!(all_new_bytes[all_new_bytes.len() / 2], bytes);
+    let per_entry = std::mem::size_of::<String>() + 32;
+    let bound = sessions[0].approx_bytes() + (window + 1) * width * per_entry;
+    assert!(
+        bytes <= bound,
+        "all-new session holds {bytes} bytes > {bound}"
+    );
+}
+
+/// A canary candidate fit on other days encodes windows with its own
+/// alphabets and vocabularies (and may keep other sensors): it must be
+/// shadow-scored on windows its own pipeline encodes, with the dropped
+/// sensors mapped through its own sensor list. Its verdict must carry the
+/// deltas of serving each snapshot alone over the same stream, and after
+/// the promotion it serves the candidate's scores.
+#[test]
+fn canary_candidate_with_another_pipeline_scores_its_own_encoding() {
+    let plant = plant();
+    let traces = &plant.traces;
+    let incumbent = ngram_snapshot(&plant, (1, 4), (5, 6));
+    let candidate = ngram_snapshot(&plant, (3, 6), (1, 2));
+    assert_ne!(
+        incumbent.language(),
+        candidate.language(),
+        "the two fits must encode differently for the check to bite"
+    );
+    let test = plant.day_range(7);
+    // Sensor 1 goes dark for a stretch, so some windows exclude it.
+    let dark = test.start + 60..test.start + 90;
+    let samples: Vec<Vec<Option<String>>> = test
+        .map(|t| {
+            let mut sample = sample(traces, t);
+            if dark.contains(&t) {
+                sample[1] = None;
+            }
+            sample
+        })
+        .collect();
+    let serve = |engine: &ServingEngine| -> Vec<OnlineDetection> {
+        let mut session = engine.open_session(traces.len()).expect("session");
+        let pushes = samples.iter().map(|s| engine.push_opt(&mut session, s));
+        pushes.filter_map(|r| r.expect("push")).collect()
+    };
+    let alone = |snap: &GraphSnapshot| serve(&ServingEngine::new(snap.clone()));
+    let (inc, cand) = (alone(&incumbent), alone(&candidate));
+    let budget = 32;
+    assert!(inc.len() > budget && cand.len() == inc.len());
+    assert!(
+        inc[..budget].iter().any(|d| !d.dropped_sensors.is_empty()),
+        "some shadowed window must exclude a sensor"
+    );
+    let scores = |ds: &[OnlineDetection]| ds.iter().map(|d| d.score).collect::<Vec<_>>();
+    let summary =
+        |ds: &[OnlineDetection]| ScoreDist::from_samples(&scores(&ds[..budget])).summary();
+    let (i, c) = (summary(&inc), summary(&cand));
+    let want = ((c.mean - i.mean).to_bits(), (c.p95 - i.p95).to_bits());
+
+    let engine = ServingEngine::new(incumbent);
+    let cfg = CanaryConfig {
+        fraction: 1.0,
+        sample_budget: budget,
+        max_mean_delta: 1.0,
+        max_p95_delta: 1.0,
+    };
+    engine.start_canary(candidate, cfg).expect("canary");
+    let served = serve(&engine);
+    match engine.canary_status().last_decision {
+        Some(CanaryDecision::Promoted {
+            samples,
+            mean_delta,
+            p95_delta,
+            ..
+        }) => {
+            assert_eq!(samples, budget);
+            assert_eq!((mean_delta.to_bits(), p95_delta.to_bits()), want);
+        }
+        other => panic!("expected a promotion, got {other:?}"),
+    }
+    assert_eq!(streamed(&served[..budget]), streamed(&inc[..budget]));
+    assert_eq!(streamed(&served[budget..]), streamed(&cand[budget..]));
 }

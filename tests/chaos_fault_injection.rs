@@ -444,10 +444,10 @@ mod serve_net_chaos {
                 + recorder.counter_value("serve.net.dropped_samples");
             let frames_out = recorder.counter_value("serve.net.frames_out");
             let writes = recorder.histogram("serve.net.write_frames");
-            let written = writes.as_ref().map_or(0.0, |h| h.mean * h.count as f64);
+            let written = writes.as_ref().map_or(0.0, |h| h.sum);
             let write_count = writes.as_ref().map_or(0, |h| h.count);
             if pushes == settled
-                && frames_out as f64 == written.round()
+                && frames_out as f64 == written
                 && recorder.counter_value("serve.net.writes") == write_count
             {
                 return;
