@@ -278,9 +278,11 @@ struct Scratch {
     refs: Vec<RefNgrams<u32>>,
     ref_at: Vec<usize>,
     /// `(job, first broken slot, slot stride)` per evaluation; model `k`'s
-    /// are `evals[model_at[k]..model_at[k + 1]]`, jobs ascending.
+    /// are `evals[model_at[k]..model_at[k + 1]]`, jobs ascending. `models`
+    /// lists the models with at least one, ascending: the pool's items.
     evals: Vec<(usize, usize, usize)>,
     model_at: Vec<usize>,
+    models: Vec<usize>,
     /// Broken flag per (job, window, participating position), job-major;
     /// `Relaxed` suffices, as the merge reads it after the pool's join.
     broken: Vec<AtomicBool>,
@@ -289,6 +291,11 @@ struct Scratch {
 thread_local! {
     static SCRATCH: RefCell<Scratch> = RefCell::default();
 }
+
+/// Past this many reference sets (0.6–0.8 KiB each on the benchmark plants)
+/// a call frees its thread's [`Scratch`] rather than pin it there: a round of
+/// 256 sessions on 8 sensors builds 2,048; seven days of a 40-sensor fleet 7,840.
+const KEEP_REFS: usize = 4_096;
 
 /// A job refused before decode, or what its merge needs after it.
 enum Job {
@@ -410,6 +417,9 @@ pub(crate) fn detect_many_with_bank<B: ModelBank + ?Sized>(
                 s.model_at[k + 1] += 1;
             }
         }
+        s.models.clear();
+        s.models
+            .extend((0..bank.model_count()).filter(|&k| s.model_at[k + 1] > s.model_at[k]));
         if s.broken.len() < flags {
             s.broken.resize_with(flags, AtomicBool::default);
         }
@@ -418,14 +428,14 @@ pub(crate) fn detect_many_with_bank<B: ModelBank + ?Sized>(
         // job that needs it in `(src_len, out_len)` batches into one flat
         // hypothesis buffer, then writes each window's broken flag into the
         // job-major table. Pure given the bank, so scheduling cannot change
-        // results. A call with nothing to score starts no worker.
+        // results. A call that touches one model (or none) starts no worker.
         let run = pool::run(
-            if flags == 0 { 0 } else { bank.model_count() },
+            s.models.len(),
             threads,
             OneWorker::OnCaller,
             || (InferArena::new(), Vec::new(), Vec::new(), Vec::new()),
-            |(arena, shapes, batch, hyps), k| {
-                let m = bank.meta(k);
+            |(arena, shapes, batch, hyps), i| {
+                let (k, m) = (s.models[i], bank.meta(s.models[i]));
                 // `(src_len, out_len, job, window, broken slot)`, sorted:
                 // one run per decode shape, its windows in job order.
                 shapes.clear();
@@ -435,9 +445,6 @@ pub(crate) fn detect_many_with_bank<B: ModelBank + ?Sized>(
                         let src_len = sets[m.src].sentences[t].len();
                         shapes.push((src_len, r.len(), j, t, first + t * stride));
                     }
-                }
-                if shapes.is_empty() {
-                    return;
                 }
                 shapes.sort_unstable();
                 hyps.clear();
@@ -496,7 +503,11 @@ pub(crate) fn detect_many_with_bank<B: ModelBank + ?Sized>(
                 coverage: models.len() as f64 / valid as f64,
             })
         };
-        jobs.iter().zip(state).map(merge).collect()
+        let results = jobs.iter().zip(state).map(merge).collect();
+        if built > KEEP_REFS {
+            *s = Scratch::default();
+        }
+        results
     })
 }
 
@@ -824,6 +835,86 @@ mod tests {
         }
     }
 
+    /// A bank over a trained graph with one valid model, recording the
+    /// threads its decodes run on.
+    struct OneModelBank<'a> {
+        inner: &'a TrainedGraph,
+        only: [usize; 1],
+        decoded_on: std::sync::Mutex<Vec<std::thread::ThreadId>>,
+    }
+
+    impl ModelBank for OneModelBank<'_> {
+        fn node_count(&self) -> usize {
+            self.inner.node_count()
+        }
+
+        fn model_count(&self) -> usize {
+            self.inner.model_count()
+        }
+
+        fn meta(&self, k: usize) -> PairMeta {
+            self.inner.meta(k)
+        }
+
+        fn frozen_valid(&self) -> Option<&[usize]> {
+            Some(&self.only)
+        }
+
+        fn decode_batch(
+            &self,
+            k: usize,
+            srcs: &[&[u32]],
+            out_len: usize,
+            arena: &mut InferArena,
+            out: &mut Vec<u32>,
+        ) {
+            let id = std::thread::current().id();
+            self.decoded_on.lock().expect("decode log").push(id);
+            self.inner.decode_batch(k, srcs, out_len, arena, out)
+        }
+    }
+
+    /// A round whose jobs all need one model decodes it on the calling
+    /// thread, whatever the thread count: no pool worker is spawned.
+    #[test]
+    fn a_round_touching_one_model_runs_on_the_caller() {
+        let mk = |phase: usize| -> RawTrace {
+            let on = |t: usize| ((t + phase) / 5).is_multiple_of(2);
+            let events = (0..600).map(|t| if on(t) { "on" } else { "off" }.to_owned());
+            RawTrace::new(format!("p{phase}"), events.collect())
+        };
+        let traces = vec![mk(0), mk(2), mk(4)];
+        let wcfg = WindowConfig {
+            word_len: 4,
+            word_stride: 1,
+            sent_len: 5,
+            sent_stride: 5,
+        };
+        let p = LanguagePipeline::fit(&traces, 0..300, wcfg).expect("fit");
+        let train = p.encode_segment(&traces, 0..300).expect("train");
+        let dev = p.encode_segment(&traces, 300..450).expect("dev");
+        let test = p.encode_segment(&traces, 450..600).expect("test");
+        let trained = build_graph(&p, &train, &dev, &GraphBuildConfig::default()).expect("build");
+        assert!(trained.model_count() > 1);
+        let bank = OneModelBank {
+            inner: &trained,
+            only: [0],
+            decoded_on: std::sync::Mutex::default(),
+        };
+        let job = |excluded_sensors| DetectJob {
+            test_sets: &test,
+            excluded_sensors,
+        };
+        let jobs = [job(&[]), job(&[]), job(&[2])];
+        let cfg = DetectionConfig::default();
+        let many = detect_many_with_bank(&bank, &jobs, &cfg, 4);
+        assert!(many.iter().all(Result::is_ok));
+        let caller = std::thread::current().id();
+        let decoded_on = bank.decoded_on.into_inner().expect("decode log");
+        assert!(!decoded_on.is_empty());
+        assert!(decoded_on.iter().all(|&id| id == caller));
+    }
+
     #[test]
     fn a_panicking_decode_is_a_typed_error_for_every_live_job() {
         let n = 600;
@@ -953,5 +1044,46 @@ mod tests {
         assert_eq!(dark.valid_models, 0);
         assert!(dark.scores.iter().all(|&s| s == 0.0));
         assert!(dark.alerts.iter().all(Vec::is_empty));
+    }
+
+    /// A call that builds more than `KEEP_REFS` reference sets (an offline
+    /// segment) frees its thread's scratch; a smaller one keeps the buffers
+    /// for the next call. Either way the results are the same.
+    #[test]
+    fn an_oversized_call_frees_the_thread_scratch() {
+        let mk = |phase: usize| -> RawTrace {
+            let on = |t: usize| ((t + phase) / 5).is_multiple_of(2);
+            let events = (0..600).map(|t| if on(t) { "on" } else { "off" }.to_owned());
+            RawTrace::new(format!("p{phase}"), events.collect())
+        };
+        let traces = vec![mk(0), mk(2), mk(4)];
+        let wcfg = WindowConfig {
+            word_len: 4,
+            word_stride: 1,
+            sent_len: 5,
+            sent_stride: 5,
+        };
+        let p = LanguagePipeline::fit(&traces, 0..300, wcfg).expect("fit");
+        let train = p.encode_segment(&traces, 0..300).expect("train");
+        let dev = p.encode_segment(&traces, 300..450).expect("dev");
+        let test = p.encode_segment(&traces, 450..600).expect("test");
+        let trained = build_graph(&p, &train, &dev, &GraphBuildConfig::default()).expect("build");
+        let cfg = DetectionConfig {
+            valid_range: ScoreRange::closed(0.0, 100.0),
+            ..DetectionConfig::default()
+        };
+        // Every node is some valid model's target: one set per node and window.
+        let per_job = test.len() * test[0].len();
+        let job = || DetectJob {
+            test_sets: &test,
+            excluded_sensors: &[],
+        };
+        let small = detect_many_with_bank(&trained, &[job()], &cfg, 1);
+        assert_eq!(SCRATCH.with_borrow(|s| s.refs.len()), per_job);
+        let jobs: Vec<DetectJob<'_>> = (0..KEEP_REFS / per_job + 1).map(|_| job()).collect();
+        let big = detect_many_with_bank(&trained, &jobs, &cfg, 1);
+        assert!(SCRATCH.with_borrow(|s| s.refs.is_empty() && s.broken.is_empty()));
+        let want = small[0].as_ref().expect("small");
+        assert!(big.iter().all(|r| r.as_ref().expect("big") == want));
     }
 }

@@ -917,10 +917,6 @@ pub struct CanaryStatus {
 #[derive(Debug)]
 struct CanaryState {
     candidate: Arc<GraphSnapshot>,
-    /// The incumbent the canary started against, when the candidate's
-    /// language pipeline equals it: windows that snapshot encoded are then
-    /// the candidate's windows too.
-    same_language: Option<Arc<GraphSnapshot>>,
     cfg: CanaryConfig,
     incumbent_scores: Vec<f64>,
     candidate_scores: Vec<f64>,
@@ -1122,16 +1118,11 @@ impl ModelStore {
                 detail: "a canary is already active".to_owned(),
             });
         }
-        let same_language = {
-            let current = lock(&self.current);
-            Self::validate_compatible(&current, &candidate)?;
-            (candidate.lang == current.lang).then(|| Arc::clone(&current))
-        };
+        Self::validate_compatible(&lock(&self.current), &candidate)?;
         let models = candidate.models.len();
         let valid = candidate.valid.len();
         *canary = Some(CanaryState {
             candidate: Arc::new(candidate),
-            same_language,
             cfg,
             incumbent_scores: Vec::with_capacity(cfg.sample_budget),
             candidate_scores: Vec::with_capacity(cfg.sample_budget),
@@ -1182,15 +1173,12 @@ impl ModelStore {
         }
     }
 
-    /// The active candidate, the routing fraction, and whether windows
-    /// `serving` encoded are the candidate's too, if a canary is running —
+    /// The active candidate and routing fraction, if a canary is running —
     /// read once per engine tick, like [`ModelStore::current`].
-    fn canary_arm(&self, serving: &Arc<GraphSnapshot>) -> Option<(Arc<GraphSnapshot>, f64, bool)> {
-        lock(&self.canary).as_ref().map(|st| {
-            let shared = st.same_language.as_ref();
-            let shared = shared.is_some_and(|inc| Arc::ptr_eq(inc, serving));
-            (Arc::clone(&st.candidate), st.cfg.fraction, shared)
-        })
+    fn canary_arm(&self) -> Option<(Arc<GraphSnapshot>, f64)> {
+        lock(&self.canary)
+            .as_ref()
+            .map(|st| (Arc::clone(&st.candidate), st.cfg.fraction))
     }
 
     /// Feeds `(incumbent, candidate)` score pairs from shadow-scored
@@ -1848,10 +1836,11 @@ impl ServingEngine {
         // scored against the candidate (read once per tick, like the
         // incumbent snapshot) and the paired scores feed the comparator.
         // Emitted results below still come exclusively from the incumbent.
-        // A candidate with another language pipeline (fit on other days: other
-        // alphabets, vocabularies or surviving sensors) gets the windows
-        // encoded, and the dropped sensors mapped, by its own pipeline.
-        if let Some((candidate, fraction, same_language)) = self.store.canary_arm(&snapshot) {
+        // The candidate may have been fit on other days (other alphabets,
+        // vocabularies or surviving sensors), so each routed window is
+        // encoded, and its dropped sensors mapped, by the candidate's own
+        // pipeline.
+        if let Some((candidate, fraction)) = self.store.canary_arm() {
             let routed: Vec<usize> = completing
                 .iter()
                 .enumerate()
@@ -1859,32 +1848,21 @@ impl ServingEngine {
                 .map(|(k, _)| k)
                 .collect();
             if !routed.is_empty() {
-                let own: Vec<(Vec<SentenceSet>, Vec<usize>)> = if same_language {
-                    Vec::new()
-                } else {
-                    let lang = candidate.language();
-                    routed
-                        .iter()
-                        .map(|&k| {
-                            let c = &completing[k];
-                            let mut sets = Vec::new();
-                            sessions[c.idx].encode_window(lang, &mut sets);
-                            (sets, excluded_nodes(lang, &c.dropped))
-                        })
-                        .collect()
-                };
-                let shadow_jobs: Vec<DetectJob<'_>> = routed
+                let lang = candidate.language();
+                let own: Vec<(Vec<SentenceSet>, Vec<usize>)> = routed
                     .iter()
-                    .enumerate()
-                    .map(|(r, &k)| match own.get(r) {
-                        Some((sets, excluded)) => DetectJob {
-                            test_sets: sets,
-                            excluded_sensors: excluded,
-                        },
-                        None => DetectJob {
-                            test_sets: &sessions[completing[k].idx].sets,
-                            excluded_sensors: &completing[k].excluded,
-                        },
+                    .map(|&k| {
+                        let c = &completing[k];
+                        let mut sets = Vec::new();
+                        sessions[c.idx].encode_window(lang, &mut sets);
+                        (sets, excluded_nodes(lang, &c.dropped))
+                    })
+                    .collect();
+                let shadow_jobs: Vec<DetectJob<'_>> = own
+                    .iter()
+                    .map(|(sets, excluded)| DetectJob {
+                        test_sets: sets,
+                        excluded_sensors: excluded,
                     })
                     .collect();
                 let shadow = detect_many_with_bank(

@@ -37,7 +37,7 @@ impl RawTrace {
 }
 
 /// The fitted language of one sensor.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct SensorLanguage {
     /// Sensor name copied from the trace.
     pub name: String,
@@ -82,7 +82,7 @@ impl SentenceSet {
 
 /// A fitted multivariate language pipeline: fit on a training range, then
 /// encode any sample range of the same traces into aligned sentence sets.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct LanguagePipeline {
     cfg: WindowConfig,
     languages: Vec<SensorLanguage>,

@@ -727,12 +727,13 @@ fn canary_candidate_with_another_pipeline_scores_its_own_encoding() {
     let traces = &plant.traces;
     let incumbent = ngram_snapshot(&plant, (1, 4), (5, 6));
     let candidate = ngram_snapshot(&plant, (3, 6), (1, 2));
+    let test = plant.day_range(7);
+    let encode = |snap: &GraphSnapshot| snap.language().encode_segment(traces, test.clone());
     assert_ne!(
-        incumbent.language(),
-        candidate.language(),
+        encode(&incumbent).expect("encode"),
+        encode(&candidate).expect("encode"),
         "the two fits must encode differently for the check to bite"
     );
-    let test = plant.day_range(7);
     // Sensor 1 goes dark for a stretch, so some windows exclude it.
     let dark = test.start + 60..test.start + 90;
     let samples: Vec<Vec<Option<String>>> = test
