@@ -935,6 +935,23 @@ fn canary_routed(route_key: u64, fraction: f64) -> bool {
     (h >> 32) < cut
 }
 
+/// The served snapshot and its version, swapped together under one lock.
+#[derive(Debug)]
+struct Served {
+    snapshot: Arc<GraphSnapshot>,
+    /// Starts at 1; each publish or canary promotion adds one.
+    version: u64,
+}
+
+impl Served {
+    /// Installs `snapshot` as the next version and returns that version.
+    fn install(&mut self, snapshot: Arc<GraphSnapshot>) -> u64 {
+        self.snapshot = snapshot;
+        self.version += 1;
+        self.version
+    }
+}
+
 /// An atomically swappable holder of the current [`GraphSnapshot`].
 ///
 /// Readers take a cheap `Arc` clone ([`ModelStore::current`]); a window
@@ -951,8 +968,7 @@ fn canary_routed(route_key: u64, fraction: f64) -> bool {
 // the opposite order would deadlock.
 #[derive(Debug)]
 pub struct ModelStore {
-    current: Mutex<Arc<GraphSnapshot>>,
-    version: AtomicU64,
+    current: Mutex<Served>,
     canary: Mutex<Option<CanaryState>>,
     last_decision: Mutex<Option<CanaryDecision>>,
 }
@@ -961,8 +977,10 @@ impl ModelStore {
     /// Starts serving `snapshot` at version 1.
     pub fn new(snapshot: GraphSnapshot) -> Self {
         Self {
-            current: Mutex::new(Arc::new(snapshot)),
-            version: AtomicU64::new(1),
+            current: Mutex::new(Served {
+                snapshot: Arc::new(snapshot),
+                version: 1,
+            }),
             canary: Mutex::new(None),
             last_decision: Mutex::new(None),
         }
@@ -970,12 +988,19 @@ impl ModelStore {
 
     /// The snapshot currently being served.
     pub fn current(&self) -> Arc<GraphSnapshot> {
-        lock(&self.current).clone()
+        Arc::clone(&lock(&self.current).snapshot)
     }
 
     /// Monotonic version of the current snapshot (bumped by each publish).
     pub fn version(&self) -> u64 {
-        self.version.load(Ordering::Acquire)
+        lock(&self.current).version
+    }
+
+    /// The current snapshot together with its version, read under one
+    /// lock, so the version names exactly the snapshot returned.
+    pub fn current_versioned(&self) -> (Arc<GraphSnapshot>, u64) {
+        let served = lock(&self.current);
+        (Arc::clone(&served.snapshot), served.version)
     }
 
     /// Atomically replaces the served snapshot, returning the new version.
@@ -1014,11 +1039,10 @@ impl ModelStore {
             });
         }
         let mut current = lock(&self.current);
-        Self::validate_compatible(&current, &snapshot)?;
+        Self::validate_compatible(&current.snapshot, &snapshot)?;
         let models = snapshot.models.len();
         let valid = snapshot.valid.len();
-        *current = Arc::new(snapshot);
-        let version = self.version.fetch_add(1, Ordering::AcqRel) + 1;
+        let version = current.install(Arc::new(snapshot));
         drop(current);
         drop(canary);
         mdes_obs::event(
@@ -1118,7 +1142,7 @@ impl ModelStore {
                 detail: "a canary is already active".to_owned(),
             });
         }
-        Self::validate_compatible(&lock(&self.current), &candidate)?;
+        Self::validate_compatible(&lock(&self.current).snapshot, &candidate)?;
         let models = candidate.models.len();
         let valid = candidate.valid.len();
         *canary = Some(CanaryState {
@@ -1214,8 +1238,7 @@ impl ModelStore {
             let mut current = lock(&self.current);
             let models = st.candidate.models.len();
             let valid = st.candidate.valid.len();
-            *current = Arc::clone(&st.candidate);
-            let version = self.version.fetch_add(1, Ordering::AcqRel) + 1;
+            let version = current.install(Arc::clone(&st.candidate));
             drop(current);
             mdes_obs::event(
                 "serve.swap",
@@ -1319,6 +1342,9 @@ pub struct StreamSession {
     /// key and the canary fraction, so routing is deterministic across
     /// restarts of the comparison.
     route_key: u64,
+    /// Version of the snapshot that scored the last completed window; 0
+    /// before the first.
+    scored_by: u64,
 }
 
 /// `StreamSession::last` before a sensor's first delivered record; also one
@@ -1394,12 +1420,20 @@ impl StreamSession {
             sets: Vec::new(),
             gauge,
             route_key,
+            scored_by: 0,
         }
     }
 
     /// This session's immutable canary routing key (see [`CanaryConfig`]).
     pub fn route_key(&self) -> u64 {
         self.route_key
+    }
+
+    /// The [`ModelStore::version`] of the snapshot that scored this
+    /// session's last completed window (0 before its first window), so a
+    /// detection can name the model that produced it across hot-swaps.
+    pub fn snapshot_version(&self) -> u64 {
+        self.scored_by
     }
 
     /// Replaces the dropout-detection thresholds (builder style).
@@ -1563,6 +1597,7 @@ impl Clone for StreamSession {
             sets: self.sets.clone(),
             gauge: Arc::clone(&self.gauge),
             route_key: self.route_key,
+            scored_by: self.scored_by,
         }
     }
 }
@@ -1758,7 +1793,7 @@ impl ServingEngine {
     ///
     /// Every window completed by this call is scored against the same
     /// snapshot (read once at entry), so one tick is never split across a
-    /// hot-swap.
+    /// hot-swap; [`StreamSession::snapshot_version`] then names it.
     ///
     /// # Panics
     ///
@@ -1774,7 +1809,7 @@ impl ServingEngine {
             "one sample per session required"
         );
         mdes_obs::observe("serve.sessions", self.session_count() as f64);
-        let snapshot = self.store.current();
+        let (snapshot, version) = self.store.current_versioned();
         let mut results: Vec<Option<Result<Option<OnlineDetection>, CoreError>>> =
             sessions.iter().map(|_| None).collect();
 
@@ -1807,6 +1842,7 @@ impl ServingEngine {
                     let mut sets = std::mem::take(&mut session.sets);
                     session.encode_window(snapshot.language(), &mut sets);
                     session.sets = sets;
+                    session.scored_by = version;
                     let dropped = session.dropped_sensors();
                     completing.push(Completing {
                         idx: i,

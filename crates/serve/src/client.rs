@@ -9,7 +9,7 @@ use crate::frame::{
 };
 use crate::wire::{
     CloseSessionRep, CloseSessionReq, OpenSessionRep, OpenSessionReq, PushBatchReq, PushEntry,
-    PushReply,
+    PushReply, WireMsg,
 };
 use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -117,7 +117,7 @@ impl IngestClient {
         Ok(())
     }
 
-    fn send(&mut self, kind: FrameKind, msg: &impl serde::Serialize) -> Result<(), ClientError> {
+    fn send(&mut self, kind: FrameKind, msg: &impl WireMsg) -> Result<(), ClientError> {
         self.stream.write_all(&encode_msg(kind, msg))?;
         Ok(())
     }

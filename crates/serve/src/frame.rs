@@ -5,12 +5,17 @@
 //!
 //! ```text
 //! magic     4 bytes   b"MDSV"
-//! version   2 bytes   u16 LE, currently 1
+//! version   2 bytes   u16 LE, currently 2
 //! kind      1 byte    see [`FrameKind`]
 //! length    4 bytes   u32 LE, payload byte count
 //! checksum  8 bytes   u64 LE, FNV-1a of kind + length + payload
-//! payload   N bytes   JSON-serialized message (see [`crate::wire`])
+//! payload   N bytes   one wire message (see [`crate::wire`]): binary for
+//!                     `PushBatch` and `PushReply`, JSON for the control
+//!                     kinds, empty for `Ping` and `Pong`
 //! ```
+//!
+//! Version 1 carried every payload as JSON; a v1 frame is refused with
+//! [`ProtoError::UnsupportedVersion`] (`bad_version`).
 //!
 //! The decoder is written for hostile input: random bytes, truncated
 //! frames, oversized declared lengths and corrupted checksums must never
@@ -25,6 +30,7 @@
 //! stopped feeding it ([`ProtoError::TimedOut`] once `frame_timeout`
 //! elapses without the frame completing).
 
+use crate::wire::WireMsg;
 use mdes_core::checkpoint::fnv1a_parts;
 use std::io::{ErrorKind, Read, Write};
 use std::time::{Duration, Instant};
@@ -32,7 +38,7 @@ use std::time::{Duration, Instant};
 /// Frame magic: "MDSV" (mdes serve).
 pub const MAGIC: [u8; 4] = *b"MDSV";
 /// Protocol version carried in every frame header.
-pub const VERSION: u16 = 1;
+pub const VERSION: u16 = 2;
 /// Header bytes before the payload: magic + version + kind + len + checksum.
 pub const HEADER_LEN: usize = 4 + 2 + 1 + 4 + 8;
 /// Default cap on the declared payload length (1 MiB). A frame declaring
@@ -97,26 +103,20 @@ impl FrameKind {
 pub struct Frame {
     /// What the payload means.
     pub kind: FrameKind,
-    /// Raw payload (JSON for every kind that carries one).
+    /// Raw payload: binary for `PushBatch` and `PushReply`, JSON for the
+    /// control kinds, empty for `Ping` and `Pong` (see [`crate::wire`]).
     pub payload: Vec<u8>,
 }
 
 impl Frame {
-    /// Parses the JSON payload into a wire message.
+    /// Decodes the payload as a wire message.
     ///
     /// # Errors
     ///
-    /// Returns [`ProtoError::BadPayload`] when the payload is not valid
-    /// UTF-8 JSON for `T`.
-    pub fn parse<T: serde::Deserialize>(&self) -> Result<T, ProtoError> {
-        let text = std::str::from_utf8(&self.payload).map_err(|_| ProtoError::BadPayload {
-            kind: self.kind as u8,
-            detail: "payload is not valid UTF-8".to_owned(),
-        })?;
-        serde_json::from_str(text).map_err(|e| ProtoError::BadPayload {
-            kind: self.kind as u8,
-            detail: format!("payload parse failed: {e}"),
-        })
+    /// Returns [`ProtoError::BadPayload`] when the payload is not exactly
+    /// one well-formed `T`.
+    pub fn parse<T: WireMsg>(&self) -> Result<T, ProtoError> {
+        T::decode(&self.payload)
     }
 }
 
@@ -230,28 +230,40 @@ pub fn encode_frame(kind: FrameKind, payload: &[u8]) -> Vec<u8> {
 /// Appends one frame to `out`, so several frames can share one buffer (and
 /// one write) back to back.
 pub(crate) fn append_frame(out: &mut Vec<u8>, kind: FrameKind, payload: &[u8]) {
-    out.reserve(HEADER_LEN + payload.len());
+    append_with(out, kind, |out| out.extend_from_slice(payload));
+}
+
+/// Appends one frame carrying `msg` under its own kind to `out`, encoding
+/// the payload in place.
+pub(crate) fn append_msg<T: WireMsg>(out: &mut Vec<u8>, msg: &T) {
+    append_with(out, T::KIND, |out| msg.encode_into(out));
+}
+
+/// Writes a header with placeholder length and checksum, lets `payload`
+/// append the payload, then patches both in: one buffer, no copy.
+fn append_with(out: &mut Vec<u8>, kind: FrameKind, payload: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
     out.push(kind as u8);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&frame_checksum(kind as u8, payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    out.extend_from_slice(&[0; 12]);
+    payload(out);
+    let (header, body) = out[start..].split_at_mut(HEADER_LEN);
+    header[7..11].copy_from_slice(&(body.len() as u32).to_le_bytes());
+    header[11..].copy_from_slice(&frame_checksum(kind as u8, body).to_le_bytes());
 }
 
-/// Serializes `msg` as JSON and encodes it under `kind`.
+/// Encodes `msg` as one frame under `kind`.
 ///
 /// # Panics
 ///
-/// Panics if `msg` fails to serialize — wire messages are plain data
-/// structs, so that is a programming error, not an input condition.
-pub fn encode_msg<T: serde::Serialize>(kind: FrameKind, msg: &T) -> Vec<u8> {
-    encode_frame(kind, json_payload(msg).as_bytes())
-}
-
-/// Serializes a wire message as its JSON payload; panics as [`encode_msg`].
-pub(crate) fn json_payload<T: serde::Serialize>(msg: &T) -> String {
-    serde_json::to_string(msg).expect("wire messages always serialize")
+/// Panics if a JSON control message fails to serialize — wire messages
+/// are plain data structs, so that is a programming error, not an input
+/// condition.
+pub fn encode_msg<T: WireMsg>(kind: FrameKind, msg: &T) -> Vec<u8> {
+    let mut out = Vec::new();
+    append_with(&mut out, kind, |out| msg.encode_into(out));
+    out
 }
 
 /// Writes one frame to `w` (no flush).
@@ -445,7 +457,7 @@ mod tests {
 
     #[test]
     fn checksum_bytes_are_pinned() {
-        // FNV-1a over kind ‖ u32 LE length ‖ payload, as MDSV v1 has always
+        // FNV-1a over kind ‖ u32 LE length ‖ payload, as MDSV has always
         // written it: the trailing 8 header bytes of a PushBatch "abc" frame.
         let bytes = encode_frame(FrameKind::PushBatch, b"abc");
         assert_eq!(

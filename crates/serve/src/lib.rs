@@ -13,8 +13,9 @@
 //!
 //! * **Ingest** ([`frame`], [`wire`]) — a length-prefixed binary protocol
 //!   (magic/version/kind/len/FNV-1a checksum, mirroring the MDCK/MDSN
-//!   checkpoint framing) carrying session open/close, batched pushes with
-//!   explicit `Busy` backpressure, and bit-exact score replies.
+//!   checkpoint framing) carrying session open/close (JSON payloads),
+//!   batched pushes with explicit `Busy` backpressure, and bit-exact score
+//!   replies (fixed-width binary payloads, MDSV v2).
 //! * **Admin** (the `admin` module) — a line-based text plane: session listing,
 //!   stats, the mdes-obs report, forced eviction, validated snapshot
 //!   upload (`publish`) that hot-swaps the model without dropping
@@ -59,5 +60,5 @@ pub use frame::{
 pub use server::{start, ServeConfig, ServerHandle};
 pub use wire::{
     CloseSessionRep, CloseSessionReq, OpenSessionRep, OpenSessionReq, ProtoErrRep, PushBatchReq,
-    PushEntry, PushOutcome, PushReply, WireDetection,
+    PushEntry, PushOutcome, PushReply, WireDetection, WireMsg,
 };

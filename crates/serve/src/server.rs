@@ -29,7 +29,9 @@
 //!
 //! The queue is one byte buffer of concatenated MDSV frames plus a frame
 //! count. The pump encodes each connection's replies of a round back to
-//! back and hands them over with one lock and one wake-up; the writer
+//! back, each straight into the buffer (header placeholder, payload, then
+//! length and checksum patched in), and hands them over with one lock and
+//! one wake-up; the writer
 //! swaps the whole buffer out (a double buffer, so steady state allocates
 //! nothing) and sends it with one `write_all`. The bytes on the wire are
 //! the frames one at a time would have produced.
@@ -51,11 +53,11 @@
 //! and the chaos suite.
 
 use crate::frame::{
-    append_frame, json_payload, read_frame, FrameKind, ProtoError, ReadOutcome, DEFAULT_MAX_PAYLOAD,
+    append_frame, append_msg, read_frame, FrameKind, ProtoError, ReadOutcome, DEFAULT_MAX_PAYLOAD,
 };
 use crate::wire::{
     CloseSessionRep, CloseSessionReq, OpenSessionRep, OpenSessionReq, ProtoErrRep, PushBatchReq,
-    PushOutcome, PushReply,
+    PushOutcome, PushReply, WireDetection,
 };
 use mdes_core::serve::{ServingEngine, StreamSession};
 use std::collections::{HashMap, VecDeque};
@@ -165,8 +167,9 @@ impl ConnHandle {
         }
     }
 
-    /// Enqueues one frame if the bounded queue has room; `false` otherwise.
-    fn try_send(&self, kind: FrameKind, payload: &[u8]) -> bool {
+    /// Enqueues the one frame `frame` appends if the bounded queue has
+    /// room; `false` otherwise.
+    fn try_send(&self, frame: impl FnOnce(&mut Vec<u8>)) -> bool {
         if !self.alive.load(Ordering::Acquire) {
             return false;
         }
@@ -174,7 +177,7 @@ impl ConnHandle {
         if q.held() >= self.capacity {
             return false;
         }
-        append_frame(&mut q.bytes, kind, payload);
+        frame(&mut q.bytes);
         q.frames += 1;
         drop(q);
         self.signal.notify_one();
@@ -183,9 +186,9 @@ impl ConnHandle {
 
     /// Enqueues past the cap — only for the single best-effort
     /// [`FrameKind::ProtoErr`] frame sent right before close.
-    fn force_send(&self, kind: FrameKind, payload: &[u8]) {
+    fn force_send(&self, frame: impl FnOnce(&mut Vec<u8>)) {
         let mut q = lock(&self.q);
-        append_frame(&mut q.bytes, kind, payload);
+        frame(&mut q.bytes);
         q.frames += 1;
         drop(q);
         self.signal.notify_one();
@@ -253,6 +256,17 @@ pub(crate) struct SessionEntry {
 }
 
 impl SessionEntry {
+    fn new(id: u64, width: usize, session: StreamSession) -> Self {
+        Self {
+            id,
+            width,
+            closed: AtomicBool::new(false),
+            session: Mutex::new(Some(session)),
+            queue: Mutex::new(VecDeque::new()),
+            last_active: Mutex::new(Instant::now()),
+        }
+    }
+
     pub(crate) fn seen(&self) -> usize {
         lock(&self.session).as_ref().map_or(0, StreamSession::seen)
     }
@@ -282,6 +296,20 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
+    fn new(engine: ServingEngine, cfg: ServeConfig, addrs: Vec<SocketAddr>) -> Self {
+        Self {
+            engine,
+            cfg,
+            registry: Mutex::new(HashMap::new()),
+            next_session: AtomicU64::new(1),
+            live_conns: AtomicUsize::new(0),
+            shutdown: AtomicBool::new(false),
+            work: Mutex::new(false),
+            work_signal: Condvar::new(),
+            addrs: Mutex::new(addrs),
+        }
+    }
+
     pub(crate) fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         *lock(&self.work) = true;
@@ -404,17 +432,8 @@ pub fn start(engine: ServingEngine, cfg: ServeConfig) -> io::Result<ServerHandle
         None => None,
     };
 
-    let shared = Arc::new(Shared {
-        engine,
-        cfg,
-        registry: Mutex::new(HashMap::new()),
-        next_session: AtomicU64::new(1),
-        live_conns: AtomicUsize::new(0),
-        shutdown: AtomicBool::new(false),
-        work: Mutex::new(false),
-        work_signal: Condvar::new(),
-        addrs: Mutex::new(std::iter::once(addr).chain(admin_addr).collect()),
-    });
+    let addrs = std::iter::once(addr).chain(admin_addr).collect();
+    let shared = Arc::new(Shared::new(engine, cfg, addrs));
 
     let mut threads = Vec::new();
     {
@@ -523,11 +542,11 @@ fn protocol_error(conn: &Arc<ConnHandle>, e: &ProtoError) {
     if matches!(e, ProtoError::TimedOut { .. }) {
         mdes_obs::counter("serve.net.timeouts", 1);
     }
-    let payload = json_payload(&ProtoErrRep {
+    let rep = ProtoErrRep {
         code: e.code().to_owned(),
         detail: e.to_string(),
-    });
-    conn.force_send(FrameKind::ProtoErr, payload.as_bytes());
+    };
+    conn.force_send(|out| append_msg(out, &rep));
 }
 
 fn handle_frame(
@@ -538,18 +557,26 @@ fn handle_frame(
     match frame.kind {
         FrameKind::OpenSession => {
             let req: OpenSessionReq = frame.parse()?;
-            let rep = match shared.engine.open_session(req.width) {
+            // Every record of a pushed sample takes at least its 4-byte
+            // length, so a wider sample fits in no frame. Refusing it here
+            // also keeps a hostile width from sizing the session's buffers.
+            let widest = shared.cfg.max_payload.min(u32::MAX as usize) / 4;
+            let opened = if req.width > widest {
+                Err(format!(
+                    "width {} exceeds the {widest} records one PushBatch frame can carry",
+                    req.width
+                ))
+            } else {
+                shared
+                    .engine
+                    .open_session(req.width)
+                    .map_err(|e| e.to_string())
+            };
+            let rep = match opened {
                 Ok(session) => {
                     let id = shared.next_session.fetch_add(1, Ordering::Relaxed);
                     let warmup = session.warmup();
-                    let entry = Arc::new(SessionEntry {
-                        id,
-                        width: req.width,
-                        closed: AtomicBool::new(false),
-                        session: Mutex::new(Some(session)),
-                        queue: Mutex::new(VecDeque::new()),
-                        last_active: Mutex::new(Instant::now()),
-                    });
+                    let entry = Arc::new(SessionEntry::new(id, req.width, session));
                     lock(&shared.registry).insert(id, entry);
                     mdes_obs::counter("serve.net.sessions_opened", 1);
                     OpenSessionRep {
@@ -560,15 +587,15 @@ fn handle_frame(
                         detail: String::new(),
                     }
                 }
-                Err(e) => OpenSessionRep {
+                Err(detail) => OpenSessionRep {
                     ok: false,
                     session: 0,
                     warmup: 0,
                     snapshot_version: shared.engine.store().version(),
-                    detail: e.to_string(),
+                    detail,
                 },
             };
-            reply(conn, FrameKind::SessionOpened, &json_payload(&rep));
+            reply(conn, |out| append_msg(out, &rep));
             Ok(())
         }
         FrameKind::CloseSession => {
@@ -582,7 +609,7 @@ fn handle_frame(
                 session: req.session,
                 existed,
             };
-            reply(conn, FrameKind::SessionClosed, &json_payload(&rep));
+            reply(conn, |out| append_msg(out, &rep));
             Ok(())
         }
         FrameKind::PushBatch => {
@@ -623,7 +650,7 @@ fn handle_frame(
                         seq: entry.seq,
                         outcome,
                     };
-                    reply(conn, FrameKind::PushReply, &json_payload(&rep));
+                    reply(conn, |out| append_msg(out, &rep));
                 }
             }
             if queued_any {
@@ -632,7 +659,7 @@ fn handle_frame(
             Ok(())
         }
         FrameKind::Ping => {
-            reply(conn, FrameKind::Pong, "");
+            reply(conn, |out| append_frame(out, FrameKind::Pong, b""));
             Ok(())
         }
         // Server → client kinds arriving at the server are a protocol
@@ -648,10 +675,10 @@ fn handle_frame(
     }
 }
 
-/// Best-effort reply enqueue; drops (and counts) when the consumer's
-/// bounded queue is full.
-fn reply(conn: &Arc<ConnHandle>, kind: FrameKind, payload: &str) {
-    if !conn.try_send(kind, payload.as_bytes()) {
+/// Best-effort enqueue of the one frame `frame` appends; drops (and counts)
+/// when the consumer's bounded queue is full.
+fn reply(conn: &Arc<ConnHandle>, frame: impl FnOnce(&mut Vec<u8>)) {
+    if !conn.try_send(frame) {
         mdes_obs::counter("serve.net.replies_dropped", 1);
     }
 }
@@ -719,8 +746,8 @@ struct Egress {
 }
 
 impl Egress {
-    /// Appends one encoded `PushReply` to `conn`'s group.
-    fn push(&mut self, conn: &Arc<ConnHandle>, payload: &[u8]) {
+    /// Encodes one `PushReply` straight onto the end of `conn`'s group.
+    fn push(&mut self, conn: &Arc<ConnHandle>, reply: &PushReply) {
         let at = *self
             .slot
             .entry(Arc::as_ptr(conn) as usize)
@@ -731,7 +758,7 @@ impl Egress {
         if at == self.bufs.len() {
             self.bufs.push(Vec::new());
         }
-        append_frame(&mut self.bufs[at], FrameKind::PushReply, payload);
+        append_msg(&mut self.bufs[at], reply);
         self.conns[at].1 += 1;
     }
 
@@ -750,8 +777,9 @@ impl Egress {
 
 fn pump_loop(shared: &Arc<Shared>) {
     let mut egress = Egress::default();
+    let mut cursor = 0;
     while !shared.shutdown.load(Ordering::SeqCst) {
-        let claims = claim_round(shared);
+        let claims = claim_round(shared, &mut cursor);
         if claims.is_empty() {
             let guard = lock(&shared.work);
             let mut guard = if *guard {
@@ -773,13 +801,22 @@ fn pump_loop(shared: &Arc<Shared>) {
 /// Claims at most one queued sample per session, reserving a reply slot on
 /// the owning connection first. Sessions whose consumer is out of room are
 /// skipped; samples whose connection died are discarded.
-fn claim_round(shared: &Arc<Shared>) -> Vec<(Claim, StreamSession)> {
+///
+/// A round stops at `pump_batch` claims, so the walk over the registry
+/// starts at `cursor` and leaves it where the round stopped: with more busy
+/// sessions than `pump_batch`, the next round serves the ones this round
+/// did not reach instead of the same first few again.
+fn claim_round(shared: &Arc<Shared>, cursor: &mut usize) -> Vec<(Claim, StreamSession)> {
     let entries: Vec<Arc<SessionEntry>> = lock(&shared.registry).values().cloned().collect();
+    let start = cursor.checked_rem(entries.len()).unwrap_or(0);
+    let (tail, head) = entries.split_at(start);
+    let mut visited = 0;
     let mut out = Vec::new();
-    for entry in entries {
+    for entry in head.iter().chain(tail) {
         if out.len() >= shared.cfg.pump_batch {
             break;
         }
+        visited += 1;
         if entry.closed.load(Ordering::Acquire) {
             continue;
         }
@@ -807,8 +844,15 @@ fn claim_round(shared: &Arc<Shared>) -> Vec<(Claim, StreamSession)> {
             lock(&entry.queue).push_front(push);
             continue;
         };
-        out.push((Claim { entry, push }, session));
+        out.push((
+            Claim {
+                entry: Arc::clone(entry),
+                push,
+            },
+            session,
+        ));
     }
+    *cursor = start + visited;
     out
 }
 
@@ -829,7 +873,7 @@ fn score_round(shared: &Arc<Shared>, claims: Vec<(Claim, StreamSession)>, egress
             }
             Ok(Some(d)) => {
                 mdes_obs::counter("serve.net.scores", 1);
-                PushOutcome::Score(d.into())
+                PushOutcome::Score(WireDetection::new(d, session.snapshot_version()))
             }
             Err(e) => {
                 mdes_obs::counter("serve.net.push_errors", 1);
@@ -838,12 +882,12 @@ fn score_round(shared: &Arc<Shared>, claims: Vec<(Claim, StreamSession)>, egress
                 }
             }
         };
-        let payload = json_payload(&PushReply {
+        let reply = PushReply {
             session: claim.entry.id,
             seq: claim.push.seq,
             outcome,
-        });
-        egress.push(&claim.push.conn, payload.as_bytes());
+        };
+        egress.push(&claim.push.conn, &reply);
         if claim.entry.closed.load(Ordering::Acquire) {
             // Closed/evicted while scoring: the session state dies here.
             continue;
@@ -914,7 +958,7 @@ mod tests {
     /// or the pump's (`try_reserve`, then fill; odd `n`).
     fn offer(conn: &ConnHandle, n: usize) -> bool {
         if n.is_multiple_of(2) {
-            return conn.try_send(FrameKind::Pong, b"");
+            return conn.try_send(|out| append_frame(out, FrameKind::Pong, b""));
         }
         let mut frame = Vec::new();
         append_frame(&mut frame, FrameKind::Pong, b"");
@@ -965,6 +1009,75 @@ mod tests {
             }
             drop((grant, hangup));
         });
+    }
+
+    /// An engine over a tiny fitted plant: three phase-shifted square
+    /// waves, three sensors per sample.
+    fn tiny_engine() -> ServingEngine {
+        use mdes_core::serve::GraphSnapshot;
+        use mdes_core::{Mdes, MdesConfig};
+        use mdes_lang::{RawTrace, WindowConfig};
+        let square = |name: &str, phase: usize| {
+            let events = (0..450)
+                .map(|t| {
+                    if ((t + phase) / 5).is_multiple_of(2) {
+                        "on"
+                    } else {
+                        "off"
+                    }
+                })
+                .map(str::to_owned)
+                .collect();
+            RawTrace::new(name, events)
+        };
+        let traces = [square("a", 0), square("b", 2), square("c", 4)];
+        let mut cfg = MdesConfig {
+            window: WindowConfig {
+                word_len: 4,
+                word_stride: 1,
+                sent_len: 5,
+                sent_stride: 5,
+            },
+            ..MdesConfig::default()
+        };
+        cfg.detection.valid_range = mdes_graph::ScoreRange::closed(60.0, 100.0);
+        let m = Mdes::fit(&traces, 0..300, 300..450, cfg).expect("fit");
+        ServingEngine::new(GraphSnapshot::freeze(&m))
+    }
+
+    #[test]
+    fn a_full_pump_round_resumes_where_the_last_one_stopped() {
+        let cfg = ServeConfig {
+            pump_batch: 1,
+            ..ServeConfig::default()
+        };
+        let shared = Arc::new(Shared::new(tiny_engine(), cfg, Vec::new()));
+        let conn = Arc::new(ConnHandle::new(64));
+        let entries: Vec<Arc<SessionEntry>> = (1..=2)
+            .map(|id| {
+                let session = shared.engine.open_session(3).expect("open");
+                let entry = Arc::new(SessionEntry::new(id, 3, session));
+                for seq in 0..3 {
+                    lock(&entry.queue).push_back(PendingPush {
+                        seq,
+                        records: vec![Some("on".to_owned()); 3],
+                        conn: Arc::clone(&conn),
+                    });
+                }
+                lock(&shared.registry).insert(id, Arc::clone(&entry));
+                entry
+            })
+            .collect();
+        let (mut cursor, mut egress) = (0, Egress::default());
+        for _ in 0..2 {
+            let claims = claim_round(&shared, &mut cursor);
+            assert_eq!(claims.len(), 1, "pump_batch caps the round");
+            score_round(&shared, claims, &mut egress);
+        }
+        for entry in &entries {
+            assert_eq!(entry.seen(), 1, "session {} was starved", entry.id);
+            assert_eq!(entry.queued(), 2, "session {}", entry.id);
+        }
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! - every frame kind round-trips over loopback, including the refusal
 //!   paths (bad width, unknown session, garbage bytes → typed `ProtoErr`
 //!   + connection close);
+//! - a session wider than any push frame could carry is refused at open;
 //! - scores served over the network are **bit-identical** to in-process
 //!   `ServingEngine` scores (`f64::to_bits`, not approximate equality);
 //! - a session idle past the TTL is evicted and later pushes answer
@@ -15,6 +16,9 @@
 //!   `publish`, bit-exactly;
 //! - a snapshot that fails validation is rejected and the live model
 //!   keeps serving the original scores;
+//! - with a publish landing while pushes are queued, every `Score` names
+//!   the snapshot version that scored it, equals in-process scoring under
+//!   that snapshot, and versions never decrease within a session;
 //! - the admin plane answers `ping`/`stats`/`sessions`/`evict` in the
 //!   documented `"| "`-data + status-line shape;
 //! - a zero queue capacity, reply capacity or pump batch is refused at
@@ -272,6 +276,25 @@ fn every_frame_kind_round_trips_over_loopback() {
 }
 
 #[test]
+fn a_width_no_push_frame_can_carry_is_refused_at_open() {
+    let (server, _traces) = serve_fitted(test_config());
+    let mut client = IngestClient::connect(server.addr()).expect("connect");
+    // One record takes at least its 4-byte length in a PushBatch payload.
+    // 2^40 sensors would also be far more than a session could buffer.
+    let widest = test_config().max_payload / 4;
+    for width in [widest + 1, 1 << 40] {
+        let err = client.open_session(width).expect_err("must refuse");
+        assert!(
+            matches!(&err, mdes::net::ClientError::Refused(d) if d.contains("PushBatch frame")),
+            "width {width}: got {err:?}"
+        );
+    }
+    client.ping().expect("connection survives a refused open");
+    assert_eq!(server.session_count(), 0);
+    server.stop();
+}
+
+#[test]
 fn network_scores_are_bit_identical_to_in_process() {
     let (m, traces) = fitted();
     let snapshot = GraphSnapshot::freeze(&m);
@@ -430,6 +453,121 @@ fn admin_publish_hot_swaps_mid_stream_bit_exactly() {
 }
 
 #[test]
+fn score_replies_name_the_snapshot_that_scored_them_across_a_publish() {
+    const OFFSETS: [usize; 3] = [0, 3, 7];
+    const TICKS: usize = 240;
+    let (snap_a, snap_b, traces) = snapshot_pair();
+    let sample = |off: usize, t: usize| slipped_sample(&traces, 450 + off + t);
+
+    // In-process references: each session's stream under A alone and
+    // under B alone, one entry per tick. Versions 1 and 2 name them.
+    let reference = |snap: &GraphSnapshot, off: usize| -> Vec<Option<OnlineDetection>> {
+        let engine = ServingEngine::new(snap.clone());
+        let mut session = engine.open_session(3).expect("session");
+        (0..TICKS)
+            .map(|t| {
+                engine
+                    .push_opt(&mut session, &sample(off, t))
+                    .expect("push")
+            })
+            .collect()
+    };
+    let by_version = |version: u64, off: usize| match version {
+        1 => reference(&snap_a, off),
+        2 => reference(&snap_b, off),
+        v => panic!("no snapshot has version {v}"),
+    };
+    let refs: HashMap<(u64, usize), Vec<Option<OnlineDetection>>> = [1, 2]
+        .iter()
+        .flat_map(|&v| OFFSETS.map(|off| ((v, off), by_version(v, off))))
+        .collect();
+
+    let server = start(ServingEngine::new(snap_a.clone()), test_config()).expect("start");
+    let mut client = IngestClient::connect(server.addr()).expect("connect");
+    let mut admin =
+        mdes::net::AdminClient::connect(server.admin_addr().expect("admin plane")).expect("admin");
+    let sessions: Vec<(u64, usize)> = OFFSETS
+        .iter()
+        .map(|&off| (client.open_session(3).expect("open").0, off))
+        .collect();
+    let send = |client: &mut IngestClient, ticks: std::ops::Range<usize>| {
+        for t in ticks {
+            let entries = sessions
+                .iter()
+                .map(|&(session, off)| PushEntry {
+                    session,
+                    seq: t as u64,
+                    records: sample(off, t),
+                })
+                .collect();
+            client.send_push_batch(entries).expect("send batch");
+        }
+    };
+    let mut replies = Vec::new();
+    let mut recv = |client: &mut IngestClient, ticks: usize| {
+        replies.extend(
+            client
+                .recv_push_replies(ticks * OFFSETS.len())
+                .expect("recv replies"),
+        );
+    };
+    // In chunks of 30 ticks, below the ingest queue's capacity: 90 ticks
+    // under A, then one chunk still queued when B is published, then the
+    // rest.
+    let publish_at = 90;
+    for start in (0..TICKS).step_by(30) {
+        let end = (start + 30).min(TICKS);
+        send(&mut client, start..end);
+        if start == publish_at {
+            let bytes = snapshot_to_bytes(&snap_b).expect("serialize");
+            let (_, status) = admin.publish(&bytes).expect("publish cmd");
+            assert_eq!(status, "ok published version=2", "got {status:?}");
+        }
+        recv(&mut client, end - start);
+    }
+    server.stop();
+
+    let offset_of: HashMap<u64, usize> = sessions.iter().copied().collect();
+    let mut last_version: HashMap<u64, u64> = HashMap::new();
+    let mut seen_versions = [0usize; 3];
+    let mut b_differs_from_a = false;
+    for r in &replies {
+        let PushOutcome::Score(w) = &r.outcome else {
+            assert_eq!(r.outcome, PushOutcome::Ack, "seq {}", r.seq);
+            continue;
+        };
+        let off = offset_of[&r.session];
+        let v = w.snapshot_version;
+        let last = last_version.entry(r.session).or_insert(v);
+        assert!(
+            v >= *last,
+            "session {}: version {v} after {last}",
+            r.session
+        );
+        *last = v;
+        seen_versions[v as usize] += 1;
+        let got = OnlineDetection::from(w.clone());
+        let want = refs[&(v, off)][r.seq as usize]
+            .as_ref()
+            .unwrap_or_else(|| panic!("seq {}: no window completes in process", r.seq));
+        assert_bit_identical(std::slice::from_ref(&got), std::slice::from_ref(want));
+        if v == 2 {
+            let a = refs[&(1, off)][r.seq as usize].as_ref().expect("same grid");
+            b_differs_from_a |= a.score.to_bits() != got.score.to_bits();
+        }
+    }
+    assert_eq!(replies.len(), TICKS * OFFSETS.len());
+    assert!(
+        seen_versions[1] > 0 && seen_versions[2] > 0,
+        "{seen_versions:?}"
+    );
+    assert!(
+        b_differs_from_a,
+        "some version-2 score must differ from A's, or the version check shows nothing"
+    );
+}
+
+#[test]
 fn rejected_publish_never_goes_live() {
     let (m, traces) = fitted();
     let snap = GraphSnapshot::freeze(&m);
@@ -529,7 +667,7 @@ fn admin_plane_speaks_the_documented_shape() {
         alerts: vec![(0, 1)],
         dropped_sensors: vec![],
     };
-    let w = WireDetection::from(d.clone());
+    let w = WireDetection::new(d.clone(), 1);
     assert_eq!(OnlineDetection::from(w), d);
 
     server.stop();
