@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use mdes_core::{
     build_graph, detect, DetectionConfig, GraphBuildConfig, GraphSnapshot, Mdes, MdesConfig,
-    NgramConfig, NgramTranslator, ServingEngine, StreamSession, Translator, TranslatorConfig,
+    NgramConfig, NgramTranslator, ServingEngine, StreamSession, TranslatorConfig,
 };
 use mdes_graph::ScoreRange;
 use mdes_lang::{LanguagePipeline, RawTrace, WindowConfig};
@@ -105,9 +105,9 @@ fn bench_detection(c: &mut Criterion) {
 /// the whole dev set with one `translate_batch` call (one GEMM per decode
 /// step for the segment) instead of decoding sentence by sentence.
 fn bench_nmt_dev_decode(c: &mut Criterion) {
-    use mdes_core::{train_translator, TranslatorConfig};
+    use mdes_core::{train_translator, FrozenTranslator, TranslatorConfig};
     use mdes_lang::Vocab;
-    use mdes_nn::Seq2SeqConfig;
+    use mdes_nn::{InferArena, Seq2SeqConfig};
 
     let (pipeline, train, dev, _) = setup();
     let pairs: Vec<(Vec<u32>, Vec<u32>)> = train[0]
@@ -122,7 +122,7 @@ fn bench_nmt_dev_decode(c: &mut Criterion) {
         train_steps: 30,
         ..Seq2SeqConfig::default()
     });
-    let translator = train_translator(
+    let trained = train_translator(
         &cfg,
         &pairs,
         pipeline.languages()[0].vocab.size(),
@@ -130,15 +130,19 @@ fn bench_nmt_dev_decode(c: &mut Criterion) {
         Vocab::BOS,
     )
     .expect("train");
+    let FrozenTranslator::Nmt(translator) = trained else {
+        panic!("neural config trains a neural translator");
+    };
     let srcs: Vec<&[u32]> = dev[0].sentences.iter().map(Vec::as_slice).collect();
+    let mut arena = InferArena::new();
     c.bench_function("framework/nmt_dev_decode_batched", |b| {
-        b.iter(|| black_box(translator.translate_batch(black_box(&srcs), 8)))
+        b.iter(|| black_box(translator.translate_batch(black_box(&srcs), 8, &mut arena)))
     });
     c.bench_function("framework/nmt_dev_decode_per_sentence", |b| {
         b.iter(|| {
             black_box(
                 srcs.iter()
-                    .map(|s| translator.translate(s, 8))
+                    .map(|s| translator.translate(s, 8, &mut arena))
                     .collect::<Vec<Vec<u32>>>(),
             )
         })

@@ -18,7 +18,7 @@ fn main() {
     let scores = study.trained.scores();
 
     println!("Fig. 4a — per-model runtime (seconds, train + dev scoring)");
-    print_cdf("  runtime CDF", &runtimes);
+    print_cdf("  runtime CDF", runtimes);
     let total: f64 = runtimes.iter().sum();
     println!(
         "  total sweep time {total:.2}s over {} models",

@@ -34,7 +34,7 @@
 use crate::checkpoint::{self, CheckpointConfig, CheckpointWriter};
 use crate::error::CoreError;
 use crate::pool::{self, lock, panic_message, OneWorker};
-use crate::translator::{train_translator, AnyTranslator, Translator, TranslatorConfig};
+use crate::translator::{train_translator, FrozenPairModel, TranslatorConfig};
 use mdes_bleu::{corpus_bleu, BleuConfig};
 use mdes_graph::RelGraph;
 use mdes_lang::{LanguagePipeline, SentenceSet, Vocab};
@@ -141,104 +141,24 @@ impl Default for GraphBuildConfig {
     }
 }
 
-/// One trained directional pair model with its development score.
-#[derive(Clone, Serialize, Deserialize)]
-pub struct PairModel {
-    /// Source sensor index (into the pipeline's surviving sensors).
-    pub src: usize,
-    /// Target sensor index.
-    pub dst: usize,
-    /// Development-set corpus BLEU (`s(i, j)` in the paper).
-    pub train_score: f64,
-    /// Calibrated floor: the `floor_quantile` quantile of the per-sentence
-    /// development BLEU distribution. Normal windows rarely score below it,
-    /// so comparing test sentences against this floor instead of the corpus
-    /// mean sharply reduces false positives (ablation A8).
-    pub dev_floor: f64,
-    /// Wall-clock seconds spent training and scoring this model (Fig. 4a).
-    pub runtime_secs: f64,
-    translator: AnyTranslator,
-}
-
-impl PairModel {
-    /// Translates a source sentence with this pair's model.
-    pub fn translate(&self, src: &[u32], out_len: usize) -> Vec<u32> {
-        self.translator.translate(src, out_len)
-    }
-
-    /// Translates a batch of source sentences with this pair's model.
-    ///
-    /// Results equal per-sentence [`PairModel::translate`] calls; the NMT
-    /// family decodes the whole batch through one GEMM per step.
-    pub fn translate_batch(&self, srcs: &[&[u32]], out_len: usize) -> Vec<Vec<u32>> {
-        self.translator.translate_batch(srcs, out_len)
-    }
-
-    /// The underlying translator (for freezing into a serving artifact).
-    pub(crate) fn translator(&self) -> &AnyTranslator {
-        &self.translator
-    }
-}
-
-impl std::fmt::Debug for PairModel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PairModel")
-            .field("src", &self.src)
-            .field("dst", &self.dst)
-            .field("train_score", &self.train_score)
-            .field("runtime_secs", &self.runtime_secs)
-            .finish()
-    }
-}
-
 /// The output of Algorithm 1: the graph plus every pair model.
 ///
-/// Serializable for persistence; the pair lookup index is rebuilt on
-/// deserialization.
+/// Serializable for persistence.
 #[derive(Clone, Serialize, Deserialize)]
-#[serde(from = "TrainedGraphShadow")]
 pub struct TrainedGraph {
     /// The multivariate relationship graph (edge weights = dev BLEU).
     pub graph: RelGraph,
-    models: Vec<PairModel>,
+    models: Vec<FrozenPairModel>,
+    /// Wall-clock seconds spent training and scoring each model (Fig. 4a),
+    /// in model order.
+    runtimes: Vec<f64>,
     quarantined: Vec<QuarantinedPair>,
-    #[serde(skip)]
-    index: HashMap<(usize, usize), usize>,
-}
-
-#[derive(Deserialize)]
-struct TrainedGraphShadow {
-    graph: RelGraph,
-    models: Vec<PairModel>,
-    quarantined: Vec<QuarantinedPair>,
-}
-
-impl From<TrainedGraphShadow> for TrainedGraph {
-    fn from(shadow: TrainedGraphShadow) -> Self {
-        let index = shadow
-            .models
-            .iter()
-            .enumerate()
-            .map(|(k, m)| ((m.src, m.dst), k))
-            .collect();
-        TrainedGraph {
-            graph: shadow.graph,
-            models: shadow.models,
-            quarantined: shadow.quarantined,
-            index,
-        }
-    }
 }
 
 impl TrainedGraph {
-    /// All pair models.
-    pub fn models(&self) -> &[PairModel] {
+    /// All pair models, in `(src, dst)` sweep order.
+    pub fn models(&self) -> &[FrozenPairModel] {
         &self.models
-    }
-
-    /// The model for pair `(src, dst)`, if trained.
-    pub fn model(&self, src: usize, dst: usize) -> Option<&PairModel> {
-        self.index.get(&(src, dst)).map(|&k| &self.models[k])
     }
 
     /// Pairs whose training failed under a
@@ -248,9 +168,9 @@ impl TrainedGraph {
         &self.quarantined
     }
 
-    /// Per-model runtimes in seconds (for the Fig. 4a CDF).
-    pub fn runtimes(&self) -> Vec<f64> {
-        self.models.iter().map(|m| m.runtime_secs).collect()
+    /// Per-model runtimes in seconds (for the Fig. 4a CDF), in model order.
+    pub fn runtimes(&self) -> &[f64] {
+        &self.runtimes
     }
 
     /// All development BLEU scores (for the Fig. 4b histogram).
@@ -272,7 +192,8 @@ impl std::fmt::Debug for TrainedGraph {
 /// Per-pair sweep outcome; slot order is the deterministic pair order, so
 /// assembly does not depend on thread scheduling.
 pub(crate) enum PairOutcome {
-    Model(Box<PairModel>),
+    /// A trained model and its runtime in seconds.
+    Model(Box<FrozenPairModel>, f64),
     Quarantined(QuarantinedPair),
 }
 
@@ -422,7 +343,7 @@ pub(crate) fn sweep_pairs(
                 let outcomes = data
                     .models
                     .into_iter()
-                    .map(|m| ((m.src, m.dst), PairOutcome::Model(Box::new(m))))
+                    .map(|(m, secs)| ((m.src, m.dst), PairOutcome::Model(Box::new(m), secs)))
                     .chain(
                         data.quarantined
                             .into_iter()
@@ -475,13 +396,13 @@ pub(crate) fn sweep_pairs(
                 train_pair_with_retries(pipeline, train_sets, dev_sets, i, j, cfg)
             }));
             let outcome = match attempt {
-                Ok((Ok(model), retries)) => {
+                Ok((Ok((model, secs)), retries)) => {
                     pair_span.field("outcome", "trained");
                     pair_span.field("retries", retries);
                     pair_span.field("score", model.train_score);
                     mdes_obs::counter("algo1.pairs_trained", 1);
                     mdes_obs::counter("algo1.retries", retries as u64);
-                    PairOutcome::Model(Box::new(model))
+                    PairOutcome::Model(Box::new(model), secs)
                 }
                 Ok((Err(e), retries)) => {
                     pair_span.field("retries", retries);
@@ -618,7 +539,7 @@ pub(crate) fn sweep_pairs(
     }
     let trained = slots
         .iter()
-        .filter(|s| matches!(s, Some(PairOutcome::Model(_))))
+        .filter(|s| matches!(s, Some(PairOutcome::Model(..))))
         .count();
     sweep_span.field("trained", trained);
     sweep_span.field("quarantined", total - trained);
@@ -640,14 +561,14 @@ pub(crate) fn assemble_graph(
         .collect();
     let mut graph = RelGraph::new(names);
     let mut models = Vec::with_capacity(total);
+    let mut runtimes = Vec::with_capacity(total);
     let mut quarantined = Vec::new();
-    let mut index = HashMap::with_capacity(total);
     for outcome in slots.into_iter().flatten() {
         match outcome {
-            PairOutcome::Model(model) => {
+            PairOutcome::Model(model, secs) => {
                 graph.set_score(model.src, model.dst, model.train_score);
-                index.insert((model.src, model.dst), models.len());
                 models.push(*model);
+                runtimes.push(secs);
             }
             PairOutcome::Quarantined(q) => quarantined.push(q),
         }
@@ -665,15 +586,15 @@ pub(crate) fn assemble_graph(
     Ok(TrainedGraph {
         graph,
         models,
+        runtimes,
         quarantined,
-        index,
     })
 }
 
 /// Encodes one sweep outcome as an MDCK frame.
 fn outcome_frame(outcome: &PairOutcome) -> Result<Vec<u8>, String> {
     match outcome {
-        PairOutcome::Model(m) => checkpoint::model_frame(m),
+        PairOutcome::Model(m, secs) => checkpoint::model_frame(m, *secs),
         PairOutcome::Quarantined(q) => checkpoint::quarantined_frame(q),
     }
 }
@@ -808,7 +729,7 @@ fn train_pair_with_retries(
     i: usize,
     j: usize,
     cfg: &GraphBuildConfig,
-) -> (Result<PairModel, CoreError>, usize) {
+) -> (Result<(FrozenPairModel, f64), CoreError>, usize) {
     retry_diverged(cfg.max_retries, |attempt| {
         let tcfg = retuned_translator(&cfg.translator, attempt as u64);
         train_pair(pipeline, train_sets, dev_sets, i, j, &tcfg, cfg)
@@ -823,7 +744,7 @@ fn train_pair(
     j: usize,
     tcfg: &TranslatorConfig,
     cfg: &GraphBuildConfig,
-) -> Result<PairModel, CoreError> {
+) -> Result<(FrozenPairModel, f64), CoreError> {
     let start = Instant::now();
     // sweep_pairs validated presence for every swept pair up front.
     let present = "sweep validated corpus presence";
@@ -844,7 +765,7 @@ fn train_pair(
     // The dev set decodes through a scratch arena dropped right here: kept
     // in the model, arenas sized for the whole dev batch were most of a
     // sweep's resident memory.
-    let hyps = translator.translate_batch_in(&dev_srcs, out_len, &mut InferArena::new());
+    let hyps = translator.translate_batch(&dev_srcs, out_len, &mut InferArena::new());
     let score = corpus_bleu(&hyps, &dev_j.sentences, &cfg.bleu);
     // Per-sentence dev scores calibrate the broken-relationship floor.
     let sentence_cfg = mdes_bleu::BleuConfig::sentence();
@@ -857,14 +778,8 @@ fn train_pair(
     let q = cfg.floor_quantile.clamp(0.0, 1.0);
     let idx = ((sentence_scores.len() as f64 - 1.0) * q).round() as usize;
     let dev_floor = sentence_scores.get(idx).copied().unwrap_or(0.0);
-    Ok(PairModel {
-        src: i,
-        dst: j,
-        train_score: score,
-        dev_floor,
-        runtime_secs: start.elapsed().as_secs_f64(),
-        translator,
-    })
+    let model = FrozenPairModel::new(i, j, score, dev_floor, translator);
+    Ok((model, start.elapsed().as_secs_f64()))
 }
 
 #[cfg(test)]
@@ -921,8 +836,9 @@ mod tests {
         assert_eq!(trained.graph.edge_count(), 6);
         assert_eq!(trained.models().len(), 6);
         assert!(trained.quarantined().is_empty());
-        assert!(trained.model(0, 1).is_some());
-        assert!(trained.model(0, 0).is_none());
+        let has = |pair| trained.models().iter().any(|m| (m.src, m.dst) == pair);
+        assert!(has((0, 1)));
+        assert!(!has((0, 0)));
     }
 
     #[test]
@@ -1083,7 +999,7 @@ mod tests {
         assert_eq!(trained.models().len(), 5);
         assert_eq!(trained.graph.edge_count(), 5);
         assert!(trained.graph.score(1, 2).is_none());
-        assert!(trained.model(1, 2).is_none());
+        assert!(!trained.models().iter().any(|m| (m.src, m.dst) == (1, 2)));
         let q = trained.quarantined();
         assert_eq!(q.len(), 1);
         assert_eq!((q[0].src, q[0].dst), (1, 2));
@@ -1123,7 +1039,7 @@ mod tests {
         let trained = build_graph(&p, &train, &dev, &cfg).expect("degrades, not dies");
         // The surviving worker drains the remaining pairs; only pairs the
         // dead worker claimed (at least the chaos pair) are quarantined.
-        assert!(trained.model(1, 2).is_none());
+        assert!(!trained.models().iter().any(|m| (m.src, m.dst) == (1, 2)));
         assert!(!trained.quarantined().is_empty());
         assert_eq!(trained.models().len() + trained.quarantined().len(), 6);
         let q = trained
@@ -1166,15 +1082,10 @@ mod tests {
         ));
     }
 
-    /// Serialized graph with the `runtime_secs` fields removed — training
-    /// wall-clock is the one legitimately nondeterministic model field.
+    /// Everything a sweep serializes except the runtimes — training
+    /// wall-clock is the one legitimately nondeterministic field.
     fn canonical_json(g: &TrainedGraph) -> String {
-        let mut s = serde_json::to_string(g).expect("serialize");
-        while let Some(i) = s.find("\"runtime_secs\":") {
-            let end = s[i..].find(',').map(|d| i + d + 1).expect("field follows");
-            s.replace_range(i..end, "");
-        }
-        s
+        serde_json::to_string(&(&g.graph, g.models(), g.quarantined())).expect("serialize")
     }
 
     fn ckpt_path(tag: &str) -> PathBuf {

@@ -10,7 +10,9 @@
 
 use crate::algorithm1::{validate_alignment, TrainedGraph};
 use crate::error::CoreError;
+use crate::memo::TranslationMemo;
 use crate::pool::{self, OneWorker};
+use crate::translator::{FrozenPairModel, FrozenTranslator};
 use mdes_bleu::{sentence_bleu_pre, BleuConfig, RefNgrams};
 use mdes_graph::ScoreRange;
 use mdes_lang::SentenceSet;
@@ -170,78 +172,41 @@ pub fn detect_excluding(
         test_sets,
         excluded_sensors,
     };
-    detect_many_with_bank(trained, &[job], cfg, cfg.threads)
+    detect_many_with_bank(&Bank::trained(trained), &[job], cfg, cfg.threads)
         .pop()
         .expect("one result per job")
 }
 
-/// Just enough of a pair model for thresholding and alert attribution.
-pub(crate) struct PairMeta {
-    /// Source sensor node index.
-    pub src: usize,
-    /// Target sensor node index.
-    pub dst: usize,
-    /// Training (dev corpus BLEU) score `s(i, j)`.
-    pub train_score: f64,
-    /// Development-quantile floor for [`BrokenRule::DevQuantileFloor`].
-    pub dev_floor: f64,
+/// The pair models Algorithm 2 runs over: a [`TrainedGraph`]'s, or a
+/// [`GraphSnapshot`](crate::serve::GraphSnapshot)'s with its frozen valid
+/// index and translation memo.
+pub(crate) struct Bank<'a> {
+    /// Number of graph nodes (aligned corpora expected per job).
+    pub nodes: usize,
+    /// The pair models, indexed as the valid index and the memo are.
+    pub models: &'a [FrozenPairModel],
+    /// The valid-model index frozen into a snapshot; `None` filters the
+    /// models on `cfg.valid_range` per call.
+    pub valid: Option<&'a [usize]>,
+    /// Memoizes neural translations across calls.
+    pub memo: Option<&'a TranslationMemo>,
 }
 
-/// A source of pair models for Algorithm 2 — the driver's view of either a
-/// training-side [`TrainedGraph`] or a frozen
-/// [`GraphSnapshot`](crate::serve::GraphSnapshot). Both decode neural pairs
-/// through the worker's [`InferArena`].
-pub(crate) trait ModelBank: Sync {
-    /// Number of graph nodes (aligned corpora expected per detect call).
-    fn node_count(&self) -> usize;
-
-    /// Total number of pair models.
-    fn model_count(&self) -> usize;
-
-    /// Metadata of model `k`.
-    fn meta(&self, k: usize) -> PairMeta;
-
-    /// The precomputed valid-model index, if this bank froze one at build
-    /// time; `None` makes [`detect_many_with_bank`] filter on
-    /// `cfg.valid_range` per call.
-    fn frozen_valid(&self) -> Option<&[usize]>;
-
-    /// Decodes a batch of source sentences with model `k`, through `arena`
-    /// for the neural family, appending each row's `out_len` tokens to
-    /// `out`.
-    fn decode_batch(
-        &self,
-        k: usize,
-        srcs: &[&[u32]],
-        out_len: usize,
-        arena: &mut InferArena,
-        out: &mut Vec<u32>,
-    );
-}
-
-impl ModelBank for TrainedGraph {
-    fn node_count(&self) -> usize {
-        self.graph.len()
-    }
-
-    fn model_count(&self) -> usize {
-        self.models().len()
-    }
-
-    fn meta(&self, k: usize) -> PairMeta {
-        let m = &self.models()[k];
-        PairMeta {
-            src: m.src,
-            dst: m.dst,
-            train_score: m.train_score,
-            dev_floor: m.dev_floor,
+impl<'a> Bank<'a> {
+    /// A trained graph's models, filtered on `cfg.valid_range` per call
+    /// and decoded without a memo.
+    pub(crate) fn trained(trained: &'a TrainedGraph) -> Self {
+        Bank {
+            nodes: trained.graph.len(),
+            models: trained.models(),
+            valid: None,
+            memo: None,
         }
     }
 
-    fn frozen_valid(&self) -> Option<&[usize]> {
-        None
-    }
-
+    /// Decodes a batch of source sentences with model `k`, the neural
+    /// family through `arena` (and the memo, if any), appending each row's
+    /// `out_len` tokens to `out`.
     fn decode_batch(
         &self,
         k: usize,
@@ -250,10 +215,22 @@ impl ModelBank for TrainedGraph {
         arena: &mut InferArena,
         out: &mut Vec<u32>,
     ) {
-        let rows = self.models()[k]
-            .translator()
-            .translate_batch_in(srcs, out_len, arena);
-        out.extend(rows.into_iter().flatten());
+        match self.models[k].translator() {
+            // An n-gram decode costs about what a lookup would.
+            FrozenTranslator::Ngram(t) => {
+                for src in srcs {
+                    t.translate_into(src, out_len, out);
+                }
+            }
+            FrozenTranslator::Nmt(t) => {
+                let mut decode = |misses: &[&[u32]]| t.translate_batch(misses, out_len, arena);
+                let rows = match self.memo {
+                    Some(memo) => memo.translate_batch(k, self.models.len(), srcs, out_len, decode),
+                    None => decode(srcs),
+                };
+                out.extend(rows.into_iter().flatten());
+            }
+        }
     }
 }
 
@@ -306,7 +283,7 @@ enum Job {
 }
 
 /// The Algorithm 2 driver: runs detection for many jobs against one shared
-/// bank. [`detect`], [`detect_excluding`],
+/// [`Bank`]. [`detect`], [`detect_excluding`],
 /// [`GraphSnapshot::detect_excluding`](crate::serve::GraphSnapshot::detect_excluding)
 /// and the serving layer's pushes are all calls into it, most with one job.
 ///
@@ -326,19 +303,19 @@ enum Job {
 /// valid models) land in that job's slot without poisoning the others; a
 /// panicking decode gives every job still awaiting decode
 /// [`CoreError::WorkerLost`].
-pub(crate) fn detect_many_with_bank<B: ModelBank + ?Sized>(
-    bank: &B,
+pub(crate) fn detect_many_with_bank(
+    bank: &Bank<'_>,
     jobs: &[DetectJob<'_>],
     cfg: &DetectionConfig,
     threads: usize,
 ) -> Vec<Result<DetectionResult, CoreError>> {
-    let n = bank.node_count();
+    let (n, models) = (bank.nodes, bank.models);
     SCRATCH.with_borrow_mut(|s| {
         s.parts.clear();
-        let in_range = |&k: &usize| cfg.valid_range.contains(bank.meta(k).train_score);
-        match bank.frozen_valid() {
+        let in_range = |&k: &usize| cfg.valid_range.contains(models[k].train_score);
+        match bank.valid {
             Some(valid) => s.parts.extend_from_slice(valid),
-            None => s.parts.extend((0..bank.model_count()).filter(in_range)),
+            None => s.parts.extend((0..models.len()).filter(in_range)),
         }
         let valid = s.parts.len();
         let mut flags = 0;
@@ -357,7 +334,7 @@ pub(crate) fn detect_many_with_bank<B: ModelBank + ?Sized>(
                 } else {
                     let start = s.parts.len();
                     for v in 0..valid {
-                        let m = bank.meta(s.parts[v]);
+                        let m = &models[s.parts[v]];
                         if !excluded.contains(&m.src) && !excluded.contains(&m.dst) {
                             s.parts.push(s.parts[v]);
                         }
@@ -388,12 +365,12 @@ pub(crate) fn detect_many_with_bank<B: ModelBank + ?Sized>(
         s.ref_at.clear();
         s.ref_at.resize(jobs.len() * n, usize::MAX);
         s.model_at.clear();
-        s.model_at.resize(bank.model_count() + 2, 0);
+        s.model_at.resize(models.len() + 2, 0);
         let mut built = 0;
         for (j, _, part) in live() {
             for &k in part {
                 s.model_at[k + 2] += 1;
-                let dst = bank.meta(k).dst;
+                let dst = models[k].dst;
                 if s.ref_at[j * n + dst] == usize::MAX {
                     s.ref_at[j * n + dst] = built;
                     for r in &jobs[j].test_sets[dst].sentences {
@@ -409,8 +386,7 @@ pub(crate) fn detect_many_with_bank<B: ModelBank + ?Sized>(
         for i in 1..s.model_at.len() {
             s.model_at[i] += s.model_at[i - 1];
         }
-        s.evals
-            .resize(s.model_at[bank.model_count() + 1], (0, 0, 0));
+        s.evals.resize(s.model_at[models.len() + 1], (0, 0, 0));
         for (j, first, part) in live() {
             for (pos, &k) in part.iter().enumerate() {
                 s.evals[s.model_at[k + 1]] = (j, first + pos, part.len());
@@ -419,7 +395,7 @@ pub(crate) fn detect_many_with_bank<B: ModelBank + ?Sized>(
         }
         s.models.clear();
         s.models
-            .extend((0..bank.model_count()).filter(|&k| s.model_at[k + 1] > s.model_at[k]));
+            .extend((0..models.len()).filter(|&k| s.model_at[k + 1] > s.model_at[k]));
         if s.broken.len() < flags {
             s.broken.resize_with(flags, AtomicBool::default);
         }
@@ -435,7 +411,7 @@ pub(crate) fn detect_many_with_bank<B: ModelBank + ?Sized>(
             OneWorker::OnCaller,
             || (InferArena::new(), Vec::new(), Vec::new(), Vec::new()),
             |(arena, shapes, batch, hyps), i| {
-                let (k, m) = (s.models[i], bank.meta(s.models[i]));
+                let (k, m) = (s.models[i], &models[s.models[i]]);
                 // `(src_len, out_len, job, window, broken slot)`, sorted:
                 // one run per decode shape, its windows in job order.
                 shapes.clear();
@@ -479,13 +455,13 @@ pub(crate) fn detect_many_with_bank<B: ModelBank + ?Sized>(
                 (Job::Live(_, part, ..), Err(lost)) if !part.is_empty() => return Err(lost.error()),
                 (Job::Live(count, part, flags, span), _) => (count, part, flags, span),
             };
-            let models = &s.parts[part];
+            let part = &s.parts[part];
             let alerts: Vec<Vec<(usize, usize)>> = (0..count)
                 .map(|t| {
-                    let row = &s.broken[flags + t * models.len()..][..models.len()];
-                    let broken = models.iter().zip(row).filter(|(_, b)| b.load(Relaxed));
+                    let row = &s.broken[flags + t * part.len()..][..part.len()];
+                    let broken = part.iter().zip(row).filter(|(_, b)| b.load(Relaxed));
                     broken
-                        .map(|(&k, _)| (bank.meta(k).src, bank.meta(k).dst))
+                        .map(|(&k, _)| (models[k].src, models[k].dst))
                         .collect()
                 })
                 .collect();
@@ -493,14 +469,14 @@ pub(crate) fn detect_many_with_bank<B: ModelBank + ?Sized>(
             span.field("broken", broken);
             mdes_obs::counter("algo2.broken", broken as u64);
             // A job with every valid model excluded scores 0.0 on no evidence.
-            let participating = models.len().max(1) as f64;
+            let participating = part.len().max(1) as f64;
             let scores = alerts.iter().map(|b| b.len() as f64 / participating);
             Ok(DetectionResult {
                 scores: scores.collect(),
                 alerts,
                 starts: job.test_sets[0].starts.clone(),
-                valid_models: models.len(),
-                coverage: models.len() as f64 / valid as f64,
+                valid_models: part.len(),
+                coverage: part.len() as f64 / valid as f64,
             })
         };
         let results = jobs.iter().zip(state).map(merge).collect();
@@ -515,9 +491,11 @@ pub(crate) fn detect_many_with_bank<B: ModelBank + ?Sized>(
 mod tests {
     use super::*;
     use crate::algorithm1::{build_graph, GraphBuildConfig};
+    use crate::pool::lock;
     use mdes_lang::{LanguagePipeline, RawTrace, WindowConfig};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::sync::{Arc, Mutex};
 
     /// Two phase-locked sensors; the test half optionally decouples them.
     fn scenario(decouple_after: Option<usize>) -> (Vec<f64>, usize) {
@@ -742,7 +720,7 @@ mod tests {
             },
         ];
         for threads in [1, 4] {
-            let many = detect_many_with_bank(&trained, &jobs, &cfg, threads);
+            let many = detect_many_with_bank(&Bank::trained(&trained), &jobs, &cfg, threads);
             for (j, job) in jobs[..3].iter().enumerate() {
                 let got = many[j].as_ref().expect("live job");
                 let (scores, alerts) = oracle(&trained, job.test_sets, &cfg, job.excluded_sensors);
@@ -779,13 +757,18 @@ mod tests {
                     .iter()
                     .filter(|m| {
                         let reference = &sets[m.dst].sentences[t];
-                        let hyp = m.translate(&sets[m.src].sentences[t], reference.len());
+                        let src: &[u32] = &sets[m.src].sentences[t];
+                        let hyp = m.translator().translate_batch(
+                            &[src],
+                            reference.len(),
+                            &mut InferArena::new(),
+                        );
+                        let hyp = &hyp[0];
                         let threshold = match cfg.rule {
                             BrokenRule::CorpusScore => m.train_score,
                             BrokenRule::DevQuantileFloor => m.dev_floor,
                         };
-                        mdes_bleu::sentence_bleu(&hyp, reference, &cfg.bleu)
-                            < threshold - cfg.margin
+                        mdes_bleu::sentence_bleu(hyp, reference, &cfg.bleu) < threshold - cfg.margin
                     })
                     .map(|m| (m.src, m.dst))
                     .collect();
@@ -799,85 +782,8 @@ mod tests {
             .unzip()
     }
 
-    /// A bank over a trained graph whose decode panics for one model.
-    struct PanickingBank<'a> {
-        inner: &'a TrainedGraph,
-        bad: usize,
-    }
-
-    impl ModelBank for PanickingBank<'_> {
-        fn node_count(&self) -> usize {
-            self.inner.node_count()
-        }
-
-        fn model_count(&self) -> usize {
-            self.inner.model_count()
-        }
-
-        fn meta(&self, k: usize) -> PairMeta {
-            self.inner.meta(k)
-        }
-
-        fn frozen_valid(&self) -> Option<&[usize]> {
-            None
-        }
-
-        fn decode_batch(
-            &self,
-            k: usize,
-            srcs: &[&[u32]],
-            out_len: usize,
-            arena: &mut InferArena,
-            out: &mut Vec<u32>,
-        ) {
-            assert!(k != self.bad, "decode of model {k} exploded");
-            self.inner.decode_batch(k, srcs, out_len, arena, out)
-        }
-    }
-
-    /// A bank over a trained graph with one valid model, recording the
-    /// threads its decodes run on.
-    struct OneModelBank<'a> {
-        inner: &'a TrainedGraph,
-        only: [usize; 1],
-        decoded_on: std::sync::Mutex<Vec<std::thread::ThreadId>>,
-    }
-
-    impl ModelBank for OneModelBank<'_> {
-        fn node_count(&self) -> usize {
-            self.inner.node_count()
-        }
-
-        fn model_count(&self) -> usize {
-            self.inner.model_count()
-        }
-
-        fn meta(&self, k: usize) -> PairMeta {
-            self.inner.meta(k)
-        }
-
-        fn frozen_valid(&self) -> Option<&[usize]> {
-            Some(&self.only)
-        }
-
-        fn decode_batch(
-            &self,
-            k: usize,
-            srcs: &[&[u32]],
-            out_len: usize,
-            arena: &mut InferArena,
-            out: &mut Vec<u32>,
-        ) {
-            let id = std::thread::current().id();
-            self.decoded_on.lock().expect("decode log").push(id);
-            self.inner.decode_batch(k, srcs, out_len, arena, out)
-        }
-    }
-
-    /// A round whose jobs all need one model decodes it on the calling
-    /// thread, whatever the thread count: no pool worker is spawned.
-    #[test]
-    fn a_round_touching_one_model_runs_on_the_caller() {
+    /// Three phase-locked sensors: a trained n-gram graph and a test segment.
+    fn locked() -> (TrainedGraph, Vec<SentenceSet>) {
         let mk = |phase: usize| -> RawTrace {
             let on = |t: usize| ((t + phase) / 5).is_multiple_of(2);
             let events = (0..600).map(|t| if on(t) { "on" } else { "off" }.to_owned());
@@ -895,64 +801,76 @@ mod tests {
         let dev = p.encode_segment(&traces, 300..450).expect("dev");
         let test = p.encode_segment(&traces, 450..600).expect("test");
         let trained = build_graph(&p, &train, &dev, &GraphBuildConfig::default()).expect("build");
-        assert!(trained.model_count() > 1);
-        let bank = OneModelBank {
-            inner: &trained,
-            only: [0],
-            decoded_on: std::sync::Mutex::default(),
+        (trained, test)
+    }
+
+    /// `trained`'s models with model `k` swapped for a neural model whose
+    /// begin-of-sentence token lies past its target vocabulary: every source
+    /// sentence passes the input check, and the first decode step slices
+    /// its embedding table out of range.
+    fn with_malformed(trained: &TrainedGraph, k: usize) -> Vec<FrozenPairModel> {
+        let mut spec = mdes_nn::Seq2Seq::new(64, 4, 1, mdes_nn::Seq2SeqConfig::default()).freeze();
+        spec.bos = 99;
+        let mut models = trained.models().to_vec();
+        let m = &models[k];
+        let nmt = FrozenTranslator::Nmt(crate::translator::FrozenNmt::new(spec));
+        models[k] = FrozenPairModel::new(m.src, m.dst, m.train_score, m.dev_floor, nmt);
+        models
+    }
+
+    /// A round whose jobs all need one model decodes it on the calling
+    /// thread, whatever the thread count: with that model malformed, the
+    /// decode panic is raised on the caller.
+    #[test]
+    fn a_round_touching_one_model_runs_on_the_caller() {
+        static PANICKED_ON: Mutex<Vec<std::thread::ThreadId>> = Mutex::new(Vec::new());
+        let (trained, test) = locked();
+        assert!(trained.models().len() > 1);
+        let models = with_malformed(&trained, 0);
+        let bank = Bank {
+            models: &models,
+            valid: Some(&[0]),
+            ..Bank::trained(&trained)
         };
         let job = |excluded_sensors| DetectJob {
             test_sets: &test,
             excluded_sensors,
         };
         let jobs = [job(&[]), job(&[]), job(&[2])];
-        let cfg = DetectionConfig::default();
-        let many = detect_many_with_bank(&bank, &jobs, &cfg, 4);
-        assert!(many.iter().all(Result::is_ok));
-        let caller = std::thread::current().id();
-        let decoded_on = bank.decoded_on.into_inner().expect("decode log");
-        assert!(!decoded_on.is_empty());
-        assert!(decoded_on.iter().all(|&id| id == caller));
+        // The hook is process-wide: it records every panicking thread (other
+        // tests' too) and then reports the panic as before.
+        let previous: Arc<dyn Fn(&std::panic::PanicHookInfo<'_>) + Send + Sync> =
+            std::panic::take_hook().into();
+        let chained = Arc::clone(&previous);
+        std::panic::set_hook(Box::new(move |info| {
+            lock(&PANICKED_ON).push(std::thread::current().id());
+            chained(info);
+        }));
+        let many = detect_many_with_bank(&bank, &jobs, &DetectionConfig::default(), 4);
+        std::panic::set_hook(Box::new(move |info| previous(info)));
+        for result in &many {
+            assert!(
+                matches!(result, Err(CoreError::WorkerLost { lost: 1, .. })),
+                "{result:?}"
+            );
+        }
+        assert!(lock(&PANICKED_ON).contains(&std::thread::current().id()));
     }
 
     #[test]
     fn a_panicking_decode_is_a_typed_error_for_every_live_job() {
-        let n = 600;
-        let mk = |phase: usize| -> RawTrace {
-            let events = (0..n)
-                .map(|t| {
-                    if ((t + phase) / 5).is_multiple_of(2) {
-                        "on"
-                    } else {
-                        "off"
-                    }
-                    .to_owned()
-                })
-                .collect();
-            RawTrace::new(format!("p{phase}"), events)
-        };
-        let traces = vec![mk(0), mk(2), mk(4)];
-        let wcfg = WindowConfig {
-            word_len: 4,
-            word_stride: 1,
-            sent_len: 5,
-            sent_stride: 5,
-        };
-        let p = LanguagePipeline::fit(&traces, 0..300, wcfg).expect("fit");
-        let train = p.encode_segment(&traces, 0..300).expect("train");
-        let dev = p.encode_segment(&traces, 300..450).expect("dev");
-        let test = p.encode_segment(&traces, 450..600).expect("test");
-        let trained = build_graph(&p, &train, &dev, &GraphBuildConfig::default()).expect("build");
+        let (trained, test) = locked();
         let cfg = DetectionConfig {
             valid_range: ScoreRange::closed(60.0, 100.0),
             ..DetectionConfig::default()
         };
-        let bad = (0..trained.model_count())
-            .find(|&k| cfg.valid_range.contains(trained.meta(k).train_score))
+        let bad = (0..trained.models().len())
+            .find(|&k| cfg.valid_range.contains(trained.models()[k].train_score))
             .expect("a valid model");
-        let bank = PanickingBank {
-            inner: &trained,
-            bad,
+        let models = with_malformed(&trained, bad);
+        let bank = Bank {
+            models: &models,
+            ..Bank::trained(&trained)
         };
         let jobs = [
             DetectJob {
@@ -979,7 +897,7 @@ mod tests {
                 match result {
                     Err(CoreError::WorkerLost { lost, detail }) => {
                         assert!(*lost >= 1, "{lost}");
-                        assert!(detail.contains("exploded"), "{detail}");
+                        assert!(detail.contains("out of range for slice"), "{detail}");
                     }
                     other => panic!("expected WorkerLost at {threads} threads, got {other:?}"),
                 }
@@ -991,32 +909,7 @@ mod tests {
 
     #[test]
     fn excluding_sensors_shrinks_coverage_and_never_errors() {
-        let n = 600;
-        let mk = |phase: usize| -> RawTrace {
-            let events = (0..n)
-                .map(|t| {
-                    if ((t + phase) / 5).is_multiple_of(2) {
-                        "on"
-                    } else {
-                        "off"
-                    }
-                    .to_owned()
-                })
-                .collect();
-            RawTrace::new(format!("p{phase}"), events)
-        };
-        let traces = vec![mk(0), mk(2), mk(4)];
-        let wcfg = WindowConfig {
-            word_len: 4,
-            word_stride: 1,
-            sent_len: 5,
-            sent_stride: 5,
-        };
-        let p = LanguagePipeline::fit(&traces, 0..300, wcfg).expect("fit");
-        let train = p.encode_segment(&traces, 0..300).expect("train");
-        let dev = p.encode_segment(&traces, 300..450).expect("dev");
-        let test = p.encode_segment(&traces, 450..600).expect("test");
-        let trained = build_graph(&p, &train, &dev, &GraphBuildConfig::default()).expect("build");
+        let (trained, test) = locked();
         let cfg = DetectionConfig {
             valid_range: ScoreRange::closed(60.0, 100.0),
             ..DetectionConfig::default()
@@ -1051,23 +944,7 @@ mod tests {
     /// for the next call. Either way the results are the same.
     #[test]
     fn an_oversized_call_frees_the_thread_scratch() {
-        let mk = |phase: usize| -> RawTrace {
-            let on = |t: usize| ((t + phase) / 5).is_multiple_of(2);
-            let events = (0..600).map(|t| if on(t) { "on" } else { "off" }.to_owned());
-            RawTrace::new(format!("p{phase}"), events.collect())
-        };
-        let traces = vec![mk(0), mk(2), mk(4)];
-        let wcfg = WindowConfig {
-            word_len: 4,
-            word_stride: 1,
-            sent_len: 5,
-            sent_stride: 5,
-        };
-        let p = LanguagePipeline::fit(&traces, 0..300, wcfg).expect("fit");
-        let train = p.encode_segment(&traces, 0..300).expect("train");
-        let dev = p.encode_segment(&traces, 300..450).expect("dev");
-        let test = p.encode_segment(&traces, 450..600).expect("test");
-        let trained = build_graph(&p, &train, &dev, &GraphBuildConfig::default()).expect("build");
+        let (trained, test) = locked();
         let cfg = DetectionConfig {
             valid_range: ScoreRange::closed(0.0, 100.0),
             ..DetectionConfig::default()
@@ -1078,10 +955,10 @@ mod tests {
             test_sets: &test,
             excluded_sensors: &[],
         };
-        let small = detect_many_with_bank(&trained, &[job()], &cfg, 1);
+        let small = detect_many_with_bank(&Bank::trained(&trained), &[job()], &cfg, 1);
         assert_eq!(SCRATCH.with_borrow(|s| s.refs.len()), per_job);
         let jobs: Vec<DetectJob<'_>> = (0..KEEP_REFS / per_job + 1).map(|_| job()).collect();
-        let big = detect_many_with_bank(&trained, &jobs, &cfg, 1);
+        let big = detect_many_with_bank(&Bank::trained(&trained), &jobs, &cfg, 1);
         assert!(SCRATCH.with_borrow(|s| s.refs.is_empty() && s.broken.is_empty()));
         let want = small[0].as_ref().expect("small");
         assert!(big.iter().all(|r| r.as_ref().expect("big") == want));

@@ -4,23 +4,24 @@
 //! An Algorithm 1 sweep over `M` sensors trains `M·(M-1)` pair models; at
 //! the paper's 128-sensor scale that is an hours-long job whose death (OOM
 //! kill, host reboot, deploy) previously lost every completed pair. This
-//! module persists completed [`PairModel`]s (and quarantined pairs) so
+//! module persists completed [`FrozenPairModel`]s (and quarantined pairs) so
 //! [`build_graph`](crate::algorithm1::build_graph) can resume a sweep from
 //! where it died, producing a graph identical to an uninterrupted run —
 //! each pair is trained deterministically in isolation, so it does not
 //! matter whether its model came from the checkpoint or a fresh run.
 //!
-//! # Frames and records (shared by MDCK v3 and MDSN v3)
+//! # Frames and records (shared by MDCK v4 and MDSN v3)
 //!
 //! Both file types are a 16-byte header followed by checksummed frames:
 //!
 //! ```text
 //! header:
 //!   magic        4 bytes   b"MDCK" (sweep checkpoint) or b"MDSN" (snapshot)
-//!   version      4 bytes   u32 LE, currently 3 for both
+//!   version      4 bytes   u32 LE: MDCK 4, MDSN 3
 //!   word         8 bytes   u64 LE: MDCK sweep fingerprint, MDSN zero
 //! frame (repeated):
-//!   kind         1 byte    0 = PairModel, 1 = QuarantinedPair, 2 = snapshot
+//!   kind         1 byte    0 = [FrozenPairModel, runtime_secs],
+//!                          1 = QuarantinedPair, 2 = snapshot
 //!   length       8 bytes   u64 LE, payload byte count
 //!   checksum     8 bytes   u64 LE, FNV-1a over kind ‖ length ‖ payload
 //!   payload      N bytes   one record
@@ -61,7 +62,8 @@
 //! magic, short file, unknown version) or an undecodable checksum-valid
 //! record — a codec bug, not damage — aborts the resume; a fingerprint
 //! mismatch is rejected when the writer opens. Checkpoints are transient
-//! sweep state, so MDCK v1 and v2 files are refused, not converted.
+//! sweep state, so files of older versions are refused, not converted: v1
+//! and v2 had other framings, and v3 model frames another model record.
 //!
 //! # MDSN: all-or-nothing
 //!
@@ -74,16 +76,17 @@
 //! only; v2 adds the optional quantization record) are still read, by a
 //! version-gated legacy path.
 
-use crate::algorithm1::{PairModel, QuarantinedPair};
+use crate::algorithm1::QuarantinedPair;
 use crate::error::CoreError;
 use crate::serve::GraphSnapshot;
+use crate::translator::FrozenPairModel;
 use serde::{Content, Deserialize, Dtype, Serialize, Tensor};
 use std::fs;
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 4] = b"MDCK";
-const VERSION: u32 = 3;
+const VERSION: u32 = 4;
 const HEADER_LEN: usize = 4 + 4 + 8;
 /// kind + length + checksum.
 const FRAME_HEADER_LEN: usize = 1 + 8 + 8;
@@ -131,8 +134,9 @@ pub struct CheckpointData {
     /// a mismatch on resume means the checkpoint belongs to a different
     /// sweep and must not be reused.
     pub fingerprint: u64,
-    /// Completed pair models.
-    pub models: Vec<PairModel>,
+    /// Completed pair models, each with the wall-clock seconds it took to
+    /// train and score.
+    pub models: Vec<(FrozenPairModel, f64)>,
     /// Pairs quarantined so far (under a `Degrade` policy).
     pub quarantined: Vec<QuarantinedPair>,
 }
@@ -367,11 +371,13 @@ fn read_frame(bytes: &[u8], offset: usize) -> Result<(u8, &[u8], usize), &'stati
     Ok((kind, payload, start + payload.len()))
 }
 
-/// Encodes a finished pair model as one MDCK frame.
-pub(crate) fn model_frame(model: &PairModel) -> Result<Vec<u8>, String> {
+/// Encodes a finished pair model and its runtime as one MDCK frame.
+pub(crate) fn model_frame(model: &FrozenPairModel, runtime_secs: f64) -> Result<Vec<u8>, String> {
     let mut out = Vec::new();
-    push_frame(&mut out, KIND_MODEL, |out| push_record(out, model))
-        .map_err(|e| format!("serialize model failed: {e}"))?;
+    push_frame(&mut out, KIND_MODEL, |out| {
+        push_record(out, &(model, runtime_secs))
+    })
+    .map_err(|e| format!("serialize model failed: {e}"))?;
     Ok(out)
 }
 
@@ -407,7 +413,7 @@ fn write_atomically(path: &Path, bytes: &[u8]) -> Result<(), CoreError> {
         .map_err(|e| ckpt_err(path, format!("directory sync failed: {e}")))
 }
 
-/// Atomically writes `data` to `path` as a whole MDCK v3 file (tmp file +
+/// Atomically writes `data` to `path` as a whole MDCK v4 file (tmp file +
 /// rename): the header, then the models, then the quarantined pairs, one
 /// frame each. Sweeps append instead (see `CheckpointWriter`); this is
 /// for tools and tests that hold a whole checkpoint in memory.
@@ -419,8 +425,8 @@ pub fn write_checkpoint(path: &Path, data: &CheckpointData) -> Result<(), CoreEr
     let mut span = mdes_obs::span("checkpoint.write");
     let mut bytes = Vec::with_capacity(HEADER_LEN);
     push_header(&mut bytes, MAGIC, VERSION, data.fingerprint);
-    for model in &data.models {
-        bytes.extend_from_slice(&model_frame(model).map_err(|e| ckpt_err(path, e))?);
+    for (model, secs) in &data.models {
+        bytes.extend_from_slice(&model_frame(model, *secs).map_err(|e| ckpt_err(path, e))?);
     }
     for pair in &data.quarantined {
         bytes.extend_from_slice(&quarantined_frame(pair).map_err(|e| ckpt_err(path, e))?);
@@ -443,7 +449,7 @@ pub fn write_checkpoint(path: &Path, data: &CheckpointData) -> Result<(), CoreEr
 ///
 /// Returns [`CoreError::Checkpoint`] only if the file cannot be read, the
 /// 16-byte header is malformed (bad magic, short file, a version other than
-/// 3), or a checksum-valid record fails to decode — the latter is a codec
+/// 4), or a checksum-valid record fails to decode — the latter is a codec
 /// bug, not file damage, so recovery would hide it.
 pub fn read_checkpoint(path: &Path) -> Result<CheckpointData, CoreError> {
     let bytes = fs::read(path).map_err(|e| ckpt_err(path, format!("read failed: {e}")))?;
@@ -517,7 +523,7 @@ fn scan_checkpoint(bytes: &[u8]) -> Result<(CheckpointData, usize), CoreError> {
     Ok((data, offset))
 }
 
-/// An open MDCK v3 checkpoint that a sweep appends finished pairs to.
+/// An open MDCK v4 checkpoint that a sweep appends finished pairs to.
 ///
 /// Frames are queued in memory and written, flushed and fsynced every
 /// `every` frames (`CheckpointWriter::append`) and at the end
@@ -548,7 +554,7 @@ impl CheckpointWriter {
     /// # Errors
     ///
     /// Returns [`CoreError::Checkpoint`] if the file cannot be read, created
-    /// or opened for writing, is not a v3 checkpoint, or belongs to a
+    /// or opened for writing, is not a v4 checkpoint, or belongs to a
     /// different sweep (fingerprint mismatch).
     pub(crate) fn open(
         cfg: &CheckpointConfig,
@@ -783,7 +789,8 @@ fn legacy_snapshot(bytes: &[u8]) -> Result<GraphSnapshot, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serve::{FrozenNmt, FrozenPairModel, FrozenTranslator, QuantPolicy};
+    use crate::serve::QuantPolicy;
+    use crate::translator::{FrozenNmt, FrozenTranslator};
     use mdes_nn::QuantMode;
     use rand::{rngs::StdRng, RngCore, SeedableRng};
     use std::sync::{Arc, Mutex, OnceLock};
@@ -851,9 +858,10 @@ mod tests {
         GraphSnapshot::freeze(&fit_two_sensors(crate::TranslatorConfig::fast()))
     }
 
-    /// Two really trained (tiny) neural pair models, fitted once.
-    fn nmt_models() -> &'static [PairModel] {
-        static MODELS: OnceLock<Vec<PairModel>> = OnceLock::new();
+    /// Two really trained (tiny) neural pair models with their runtimes,
+    /// fitted once.
+    fn nmt_models() -> &'static [(FrozenPairModel, f64)] {
+        static MODELS: OnceLock<Vec<(FrozenPairModel, f64)>> = OnceLock::new();
         MODELS.get_or_init(|| {
             let m = fit_two_sensors(crate::TranslatorConfig::Nmt(mdes_nn::Seq2SeqConfig {
                 embed_dim: 4,
@@ -861,7 +869,8 @@ mod tests {
                 train_steps: 4,
                 ..mdes_nn::Seq2SeqConfig::default()
             }));
-            m.trained().models().to_vec()
+            let runtimes = m.trained().runtimes().iter().copied();
+            m.trained().models().iter().cloned().zip(runtimes).collect()
         })
     }
 
@@ -1015,7 +1024,7 @@ mod tests {
 
     #[test]
     fn model_frames_hold_weights_in_the_tensor_section() {
-        let frame = model_frame(&nmt_models()[0]).expect("frame");
+        let frame = model_frame(&nmt_models()[0].0, nmt_models()[0].1).expect("frame");
         let payload = &frame[FRAME_HEADER_LEN..];
         let json_len = u64_at(payload, 0) as usize;
         let json = std::str::from_utf8(&payload[8..8 + json_len]).expect("utf8");
@@ -1106,9 +1115,10 @@ mod tests {
         let path = tmp_path("magic");
         std::fs::write(&path, b"definitely not a checkpoint").expect("write");
         assert!(is_ckpt_err(&read_checkpoint(&path)));
-        // Version 1 (one payload) and version 2 (JSON frames) files must be
-        // refused with a typed error, not misparsed as v3 frames.
-        for version in [1u32, 2] {
+        // Version 1 (one payload), version 2 (JSON frames) and version 3
+        // (the old model record) files must be refused with a typed error,
+        // not misparsed as v4 frames.
+        for version in [1u32, 2, 3] {
             let mut old = Vec::new();
             push_header(&mut old, MAGIC, version, 7);
             old.extend_from_slice(&[0u8; 16]);
@@ -1160,7 +1170,7 @@ mod tests {
         let (mut w, resumed) = CheckpointWriter::open(&cfg, 9).expect("create");
         assert!(resumed.is_none());
         let models = nmt_models();
-        w.append(&model_frame(&models[0]).expect("frame"));
+        w.append(&model_frame(&models[0].0, models[0].1).expect("frame"));
         assert_eq!(
             std::fs::metadata(&path).expect("meta").len(),
             HEADER_LEN as u64
@@ -1172,7 +1182,7 @@ mod tests {
 
         // A torn third append: resume truncates it and appends after the
         // two whole frames.
-        let torn = model_frame(&models[1]).expect("frame");
+        let torn = model_frame(&models[1].0, models[1].1).expect("frame");
         let mut file = fs::OpenOptions::new()
             .append(true)
             .open(&path)
@@ -1628,10 +1638,10 @@ mod tests {
         let cfg = config(&path, 1);
         let models = nmt_models();
         let (mut w, _) = CheckpointWriter::open(&cfg, 5).expect("create");
-        w.append(&model_frame(&models[0]).expect("frame"));
+        w.append(&model_frame(&models[0].0, models[0].1).expect("frame"));
         w.finish().expect("finish");
         let before = std::fs::read(&path).expect("bytes");
-        let frame = model_frame(&models[1]).expect("frame");
+        let frame = model_frame(&models[1].0, models[1].1).expect("frame");
         let mut after = before.clone();
         after.extend_from_slice(&frame);
 

@@ -5,7 +5,7 @@
 //! language and quantifies pairwise sensor relationships by how well one
 //! language translates into another:
 //!
-//! 1. [`Translator`] / [`train_translator`] — directional pair models:
+//! 1. [`train_translator`] / [`FrozenPairModel`] — directional pair models:
 //!    the paper's seq2seq LSTM with attention ([`TranslatorConfig::Nmt`])
 //!    or a fast statistical surrogate ([`TranslatorConfig::Ngram`]);
 //! 2. [`build_graph`] (Algorithm 1) — trains every ordered pair and
@@ -70,8 +70,7 @@ pub mod sharded;
 pub mod translator;
 
 pub use algorithm1::{
-    build_graph, build_graph_pairs, FailurePolicy, GraphBuildConfig, PairModel, QuarantinedPair,
-    TrainedGraph,
+    build_graph, build_graph_pairs, FailurePolicy, GraphBuildConfig, QuarantinedPair, TrainedGraph,
 };
 pub use algorithm2::{detect, detect_excluding, BrokenRule, DetectionConfig, DetectionResult};
 pub use checkpoint::{
@@ -94,7 +93,4 @@ pub use serve::{
 pub use sharded::{build_graph_sharded, ShardedSweepConfig, ShardedSweepReport};
 
 pub use mdes_nn::QuantMode;
-pub use translator::{
-    train_translator, AnyTranslator, NgramConfig, NgramTranslator, NmtTranslator, Translator,
-    TranslatorConfig,
-};
+pub use translator::{train_translator, NgramConfig, NgramTranslator, TranslatorConfig};

@@ -16,7 +16,7 @@
 //! * [`refit_pairs`] — retrains *only* the stale pairs through the sharded
 //!   sweep machinery ([`build_graph_sharded`]), inheriting the PR 2 fault
 //!   tolerance (retries, quarantine, failure policies) and MDCK per-shard
-//!   checkpointing, and returns refrozen [`FrozenPairModel`]s ready to be
+//!   checkpointing, and returns the retrained [`FrozenPairModel`]s, ready to be
 //!   spliced into the live snapshot via
 //!   [`GraphSnapshot::graft`](crate::serve::GraphSnapshot::graft).
 //! * [`ScoreDist`] / [`DistSummary`] — the one score-distribution summary
@@ -34,8 +34,9 @@
 
 use crate::error::CoreError;
 use crate::online::OnlineDetection;
-use crate::serve::{FrozenPairModel, GraphSnapshot};
+use crate::serve::GraphSnapshot;
 use crate::sharded::{build_graph_sharded, ShardedSweepConfig, ShardedSweepReport};
+use crate::translator::FrozenPairModel;
 use mdes_lang::{LanguagePipeline, RawTrace};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
@@ -330,11 +331,11 @@ impl DriftMonitor {
     }
 }
 
-/// Outcome of a [`refit_pairs`] run: the refrozen pair models ready to be
+/// Outcome of a [`refit_pairs`] run: the retrained pair models ready to be
 /// grafted, plus what failed and how the sweep went.
 #[derive(Debug)]
 pub struct RefitOutcome {
-    /// Refrozen models for every pair that trained successfully, ready for
+    /// Retrained models for every pair that trained successfully, ready for
     /// [`GraphSnapshot::graft`](crate::serve::GraphSnapshot::graft).
     pub models: Vec<FrozenPairModel>,
     /// Pairs quarantined by the failure policy (only possible under
@@ -345,8 +346,8 @@ pub struct RefitOutcome {
     pub report: ShardedSweepReport,
 }
 
-/// Retrains exactly the given stale pairs over a fresh data range and
-/// refreezes them for grafting.
+/// Retrains exactly the given stale pairs over a fresh data range, for
+/// grafting.
 ///
 /// A thin lifecycle-facing wrapper over [`build_graph_sharded`]: the sweep
 /// inherits the full PR 2 fault-tolerance policy (retries, quarantine,
@@ -371,11 +372,7 @@ pub fn refit_pairs(
     let mut span = mdes_obs::span("lifecycle.refit");
     span.field("pairs", stale.len());
     let (trained, report) = build_graph_sharded(pipeline, traces, train, dev, stale, cfg)?;
-    let models: Vec<FrozenPairModel> = trained
-        .models()
-        .iter()
-        .map(FrozenPairModel::freeze)
-        .collect();
+    let models = trained.models().to_vec();
     let quarantined: Vec<(usize, usize)> = trained
         .quarantined()
         .iter()

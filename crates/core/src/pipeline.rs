@@ -377,18 +377,32 @@ mod tests {
 
     #[test]
     fn serde_roundtrip_preserves_graph_and_detection() {
-        let (mut m, plant) = fitted();
-        m.cfg.detection.valid_range = ScoreRange::closed(0.0, 100.0);
-        let json = serde_json::to_string(&m).expect("serialize");
-        let restored: Mdes = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(restored.graph(), m.graph());
-        let ra = m
-            .detect_range(&plant.traces, plant.day_range(8))
-            .expect("orig");
-        let rb = restored
-            .detect_range(&plant.traces, plant.day_range(8))
-            .expect("restored");
-        assert_eq!(ra, rb);
+        let (ngram, plant) = fitted();
+        // A few train steps give every neural pair weights of its own.
+        let mut cfg = small_plant_cfg();
+        cfg.build.translator = crate::TranslatorConfig::Nmt(mdes_nn::Seq2SeqConfig {
+            embed_dim: 4,
+            hidden: 4,
+            train_steps: 4,
+            ..mdes_nn::Seq2SeqConfig::default()
+        });
+        let (train, dev) = (plant.days_range(1, 4), plant.days_range(5, 6));
+        let nmt = Mdes::fit(&plant.traces, train, dev, cfg).expect("neural fit");
+        let detect = |m: &Mdes| {
+            let r = m
+                .detect_range(&plant.traces, plant.day_range(8))
+                .expect("detect");
+            let bits: Vec<u64> = r.scores.iter().map(|s| s.to_bits()).collect();
+            (bits, r.alerts)
+        };
+        for mut m in [ngram, nmt] {
+            m.cfg.detection.valid_range = ScoreRange::closed(0.0, 100.0);
+            let json = serde_json::to_string(&m).expect("serialize");
+            let restored: Mdes = serde_json::from_str(&json).expect("deserialize");
+            assert_eq!(restored.graph(), m.graph());
+            assert_eq!(restored.trained().runtimes(), m.trained().runtimes());
+            assert_eq!(detect(&restored), detect(&m));
+        }
     }
 
     #[test]

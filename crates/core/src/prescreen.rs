@@ -22,7 +22,7 @@
 
 use crate::error::CoreError;
 use crate::pool::{self, OneWorker};
-use crate::translator::{NgramConfig, NgramTranslator, Translator};
+use crate::translator::{NgramConfig, NgramTranslator};
 use mdes_bleu::{corpus_bleu, BleuConfig};
 use mdes_graph::ScoreRange;
 use mdes_lang::{LanguagePipeline, RawTrace, SentenceSet};
@@ -283,8 +283,11 @@ fn predict_score(
         .map(|(s, t)| (s.clone(), t.clone()))
         .collect();
     let model = NgramTranslator::fit(&pairs, &cfg.ngram);
-    let dev_srcs: Vec<&[u32]> = src_dev.sentences.iter().map(Vec::as_slice).collect();
-    let hyps = model.translate_batch(&dev_srcs, out_len);
+    let hyps: Vec<Vec<u32>> = src_dev
+        .sentences
+        .iter()
+        .map(|s| model.translate(s, out_len))
+        .collect();
     corpus_bleu(&hyps, &dst_dev.sentences, &cfg.bleu)
 }
 

@@ -1,11 +1,11 @@
 //! Serving layer: frozen artifacts, hot-swappable stores and multi-stream
 //! sessions.
 //!
-//! Training state and serving state are different things. A fitted [`Mdes`]
-//! keeps what Algorithm 1 produced — per-pair frozen weights with a private
-//! decode arena each, plus the training-side bookkeeping — while the online
-//! phase only ever *decodes*, many streams at a time. This module splits
-//! the two:
+//! Algorithm 1 already produces frozen pair models ([`FrozenPairModel`],
+//! defined in [`crate::translator`] and re-exported here): a fitted [`Mdes`]
+//! keeps them with the training-side bookkeeping (per-pair runtimes,
+//! quarantined pairs), while the online phase only ever *decodes* them, many
+//! streams at a time. This module holds the serving side:
 //!
 //! * [`GraphSnapshot`] — an immutable, serializable serving artifact frozen
 //!   from a fitted model: packed weights ([`mdes_nn::ModelSpec`]) per pair,
@@ -22,18 +22,16 @@
 //!   buffered records), so N concurrent streams cost one shared snapshot
 //!   plus N sessions instead of N full model copies;
 //! * [`ServingEngine`] — multiplexes many sessions over the crate's worker
-//!   pool with one scratch [`InferArena`] per worker
+//!   pool with one scratch [`mdes_nn::InferArena`] per worker
 //!   ([`ServingEngine::push_opt_many`]; a single [`ServingEngine::push_opt`]
 //!   is a one-session call into it).
 //!
-//! The frozen decode path is the training-side path: a trained neural pair
-//! decodes its frozen spec through the same [`FrozenNmt`], so the same
-//! kernels run in the same order over the same packed weights (pinned by
+//! A snapshot holds the trained graph's own pair models, so dev scoring,
+//! offline detection and serving decode the same [`FrozenNmt`] weights
+//! through the same kernels in the same order (pinned by
 //! `tests/serving.rs`).
 
-use crate::algorithm2::{
-    detect_many_with_bank, DetectJob, DetectionConfig, DetectionResult, ModelBank, PairMeta,
-};
+use crate::algorithm2::{detect_many_with_bank, Bank, DetectJob, DetectionConfig, DetectionResult};
 use crate::error::CoreError;
 use crate::lifecycle::ScoreDist;
 use crate::memo::TranslationMemo;
@@ -41,203 +39,13 @@ pub use crate::memo::MEMO_ENTRIES_PER_MODEL;
 use crate::online::{DegradationConfig, OnlineDetection};
 use crate::pipeline::Mdes;
 use crate::pool::lock;
-use crate::translator::{AnyTranslator, NgramTranslator, Translator};
+pub use crate::translator::{FrozenNmt, FrozenPairModel, FrozenTranslator};
 use mdes_graph::RelGraph;
 use mdes_lang::{LanguagePipeline, SentenceSet, MISSING_RECORD};
-use mdes_nn::{InferArena, ModelSpec, QuantMode, QuantReport};
+use mdes_nn::QuantMode;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// A frozen neural pair translator: just the packed weights, decoded through
-/// a caller-supplied [`InferArena`].
-///
-/// This is also what a trained
-/// [`NmtTranslator`](crate::translator::NmtTranslator) decodes through, so
-/// frozen detection scores are bit-identical to the training-side path.
-/// Where [`ModelSpec::check_src`] refuses a request with an error, this
-/// wrapper degrades instead: a malformed sentence (empty or out of
-/// vocabulary) decodes to the deterministic translation `vec![0; out_len]`,
-/// and a batch that cannot decode as one is decoded sentence by sentence.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct FrozenNmt {
-    spec: ModelSpec,
-}
-
-impl FrozenNmt {
-    /// Wraps a frozen spec (see [`mdes_nn::Seq2Seq::freeze`]).
-    pub fn new(spec: ModelSpec) -> Self {
-        Self { spec }
-    }
-
-    /// The packed weights.
-    pub fn spec(&self) -> &ModelSpec {
-        &self.spec
-    }
-
-    /// Re-encodes the packed weights; see [`ModelSpec::quantize`].
-    fn quantize(&self, mode: QuantMode) -> Result<(Self, QuantReport), CoreError> {
-        let (spec, report) = self.spec.quantize(mode)?;
-        Ok((Self { spec }, report))
-    }
-
-    /// Translates one source sentence; malformed input degrades to the
-    /// deterministic degenerate translation `vec![0; out_len]`.
-    pub fn translate(&self, src: &[u32], out_len: usize, arena: &mut InferArena) -> Vec<u32> {
-        if self.spec.check_src(&[src], out_len).is_ok() {
-            arena
-                .translate_batch(&self.spec, &[src], out_len)
-                .pop()
-                .expect("one output per input")
-        } else {
-            vec![0; out_len]
-        }
-    }
-
-    /// Translates a batch; a malformed batch falls back to the per-sentence
-    /// path, sentence by sentence.
-    pub fn translate_batch(
-        &self,
-        srcs: &[&[u32]],
-        out_len: usize,
-        arena: &mut InferArena,
-    ) -> Vec<Vec<u32>> {
-        if self.spec.check_src(srcs, out_len).is_ok() {
-            arena.translate_batch(&self.spec, srcs, out_len)
-        } else {
-            srcs.iter()
-                .map(|s| self.translate(s, out_len, arena))
-                .collect()
-        }
-    }
-}
-
-/// A frozen translator of either family.
-///
-/// The statistical family carries its own tables and needs no arena; the
-/// neural family is weights-only and decodes through the worker's arena.
-// Both variants are small fixed headers over heap-owned weight buffers;
-// boxing the larger one would add an indirection on every decode for a
-// per-pair-model saving of a couple hundred bytes.
-#[allow(clippy::large_enum_variant)]
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub enum FrozenTranslator {
-    /// Statistical position-aligned model (already training-state-free).
-    Ngram(NgramTranslator),
-    /// Frozen neural seq2seq.
-    Nmt(FrozenNmt),
-}
-
-impl FrozenTranslator {
-    /// Freezes a training-side translator.
-    pub fn freeze(translator: &AnyTranslator) -> Self {
-        match translator {
-            AnyTranslator::Ngram(t) => FrozenTranslator::Ngram(t.clone()),
-            AnyTranslator::Nmt(t) => FrozenTranslator::Nmt(t.frozen().clone()),
-        }
-    }
-
-    /// Translates a batch of source sentences.
-    pub fn translate_batch(
-        &self,
-        srcs: &[&[u32]],
-        out_len: usize,
-        arena: &mut InferArena,
-    ) -> Vec<Vec<u32>> {
-        match self {
-            FrozenTranslator::Ngram(t) => t.translate_batch(srcs, out_len),
-            FrozenTranslator::Nmt(t) => t.translate_batch(srcs, out_len, arena),
-        }
-    }
-
-    /// Approximate heap footprint of the frozen weights/tables in bytes.
-    pub fn approx_bytes(&self) -> usize {
-        match self {
-            FrozenTranslator::Ngram(t) => t.approx_bytes(),
-            FrozenTranslator::Nmt(t) => t.spec.approx_bytes(),
-        }
-    }
-
-    /// The weight encoding of this translator, if it carries packed neural
-    /// weights; the statistical family has none.
-    pub fn quant_mode(&self) -> Option<QuantMode> {
-        match self {
-            FrozenTranslator::Ngram(_) => None,
-            FrozenTranslator::Nmt(t) => Some(t.spec.quant_mode()),
-        }
-    }
-
-    /// Re-encodes neural weights to `mode`, folding the measured drift into
-    /// `max_err` / `matrices`; statistical tables pass through unchanged.
-    fn quantize(
-        &self,
-        mode: QuantMode,
-        max_err: &mut f64,
-        matrices: &mut usize,
-    ) -> Result<Self, CoreError> {
-        match self {
-            FrozenTranslator::Ngram(t) => Ok(FrozenTranslator::Ngram(t.clone())),
-            FrozenTranslator::Nmt(t) => {
-                let (q, report) = t.quantize(mode)?;
-                *max_err = max_err.max(report.max_weight_error);
-                *matrices += report.matrices;
-                Ok(FrozenTranslator::Nmt(q))
-            }
-        }
-    }
-}
-
-/// One frozen directional pair model: thresholds plus decoding weights.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct FrozenPairModel {
-    /// Source sensor node index.
-    pub src: usize,
-    /// Target sensor node index.
-    pub dst: usize,
-    /// Training (dev corpus BLEU) score `s(i, j)`.
-    pub train_score: f64,
-    /// Development-quantile floor (see
-    /// [`BrokenRule::DevQuantileFloor`](crate::algorithm2::BrokenRule)).
-    pub dev_floor: f64,
-    translator: FrozenTranslator,
-}
-
-impl FrozenPairModel {
-    /// Assembles a frozen pair model directly — for tools that build
-    /// serving artifacts without an Algorithm 1 sweep (synthetic plants,
-    /// size/throughput experiments).
-    pub fn new(
-        src: usize,
-        dst: usize,
-        train_score: f64,
-        dev_floor: f64,
-        translator: FrozenTranslator,
-    ) -> Self {
-        Self {
-            src,
-            dst,
-            train_score,
-            dev_floor,
-            translator,
-        }
-    }
-
-    /// Freezes one training-side pair model.
-    pub(crate) fn freeze(model: &crate::algorithm1::PairModel) -> Self {
-        Self {
-            src: model.src,
-            dst: model.dst,
-            train_score: model.train_score,
-            dev_floor: model.dev_floor,
-            translator: FrozenTranslator::freeze(model.translator()),
-        }
-    }
-
-    /// The frozen translator.
-    pub fn translator(&self) -> &FrozenTranslator {
-        &self.translator
-    }
-}
 
 /// Bounds a quantized serving artifact must respect before it may be
 /// published.
@@ -389,29 +197,20 @@ impl GraphSnapshot {
         trained: &crate::algorithm1::TrainedGraph,
         detection: DetectionConfig,
     ) -> Self {
-        let models: Vec<FrozenPairModel> = trained
-            .models()
-            .iter()
-            .map(FrozenPairModel::freeze)
-            .collect();
-        let valid: Vec<usize> = (0..models.len())
-            .filter(|&k| detection.valid_range.contains(models[k].train_score))
-            .collect();
-        Self {
-            graph: trained.graph.clone(),
+        Self::from_frozen_parts(
+            trained.graph.clone(),
             lang,
             detection,
-            models,
-            valid,
-            quant: None,
-            memo: TranslationMemo::default(),
-        }
+            trained.models().to_vec(),
+        )
     }
 
-    /// Assembles a serving artifact directly from frozen parts, computing
-    /// the valid-model index from `detection.valid_range` — for tools that
-    /// build synthetic artifacts (e.g. `exp_quant`'s 128-sensor plant)
-    /// without re-running an Algorithm 1 sweep.
+    /// Assembles a serving artifact from its parts, computing the
+    /// valid-model index from `detection.valid_range` — the one place that
+    /// index is computed ([`GraphSnapshot::from_parts`] and
+    /// [`GraphSnapshot::graft`] build through it). Tools that build
+    /// synthetic artifacts (e.g. `exp_quant`'s 128-sensor plant) call it
+    /// without an Algorithm 1 sweep.
     pub fn from_frozen_parts(
         graph: RelGraph,
         lang: LanguagePipeline,
@@ -432,7 +231,7 @@ impl GraphSnapshot {
         }
     }
 
-    /// Splices refrozen pair models into a copy of this snapshot — the
+    /// Splices retrained pair models into a copy of this snapshot — the
     /// partial-refit path of the continuous-learning loop (see
     /// [`crate::lifecycle`]).
     ///
@@ -455,7 +254,7 @@ impl GraphSnapshot {
     /// [`CoreError::IncompatibleSnapshot`] when a replacement references an
     /// out-of-range node, is a self-pair, duplicates another replacement's
     /// `(src, dst)`, carries malformed weights
-    /// ([`ModelSpec::validate`]), or mixes weight encodings with
+    /// ([`mdes_nn::ModelSpec::validate`]), or mixes weight encodings with
     /// the retained models (e.g. f32 refits grafted into an int8 artifact).
     pub fn graft(&self, replacements: Vec<FrozenPairModel>) -> Result<Self, CoreError> {
         let n = self.graph.len();
@@ -489,18 +288,9 @@ impl GraphSnapshot {
             }
         }
         let added = models.len() - self.models.len();
-        let valid: Vec<usize> = (0..models.len())
-            .filter(|&k| self.detection.valid_range.contains(models[k].train_score))
-            .collect();
-        let out = Self {
-            graph,
-            lang: self.lang.clone(),
-            detection: self.detection.clone(),
-            models,
-            valid,
-            quant: self.quant.clone(),
-            memo: TranslationMemo::default(),
-        };
+        let mut out =
+            Self::from_frozen_parts(graph, self.lang.clone(), self.detection.clone(), models);
+        out.quant = self.quant.clone();
         out.validate_models()?;
         out.validate_quant()?;
         mdes_obs::event(
@@ -516,7 +306,7 @@ impl GraphSnapshot {
     }
 
     /// Checks every neural pair model's frozen weights for internally
-    /// consistent shapes ([`ModelSpec::validate`]), so a malformed model is
+    /// consistent shapes ([`mdes_nn::ModelSpec::validate`]), so a malformed model is
     /// refused at load, publish, canary or graft instead of panicking in a
     /// decode worker on every window.
     ///
@@ -775,58 +565,24 @@ impl GraphSnapshot {
             test_sets,
             excluded_sensors,
         };
-        detect_many_with_bank(self, &[job], &self.detection, self.detection.threads)
-            .pop()
-            .expect("one result per job")
-    }
-}
-
-impl ModelBank for GraphSnapshot {
-    fn node_count(&self) -> usize {
-        self.graph.len()
-    }
-
-    fn model_count(&self) -> usize {
-        self.models.len()
+        detect_many_with_bank(
+            &self.bank(),
+            &[job],
+            &self.detection,
+            self.detection.threads,
+        )
+        .pop()
+        .expect("one result per job")
     }
 
-    fn meta(&self, k: usize) -> PairMeta {
-        let m = &self.models[k];
-        PairMeta {
-            src: m.src,
-            dst: m.dst,
-            train_score: m.train_score,
-            dev_floor: m.dev_floor,
-        }
-    }
-
-    fn frozen_valid(&self) -> Option<&[usize]> {
-        Some(&self.valid)
-    }
-
-    fn decode_batch(
-        &self,
-        k: usize,
-        srcs: &[&[u32]],
-        out_len: usize,
-        arena: &mut InferArena,
-        out: &mut Vec<u32>,
-    ) {
-        match &self.models[k].translator {
-            // An n-gram decode costs about what a lookup would.
-            FrozenTranslator::Ngram(t) => {
-                for src in srcs {
-                    t.translate_into(src, out_len, out);
-                }
-            }
-            FrozenTranslator::Nmt(t) => {
-                let rows =
-                    self.memo
-                        .translate_batch(k, self.models.len(), srcs, out_len, |misses| {
-                            t.translate_batch(misses, out_len, arena)
-                        });
-                out.extend(rows.into_iter().flatten());
-            }
+    /// Algorithm 2's view of this snapshot: its frozen valid index, and
+    /// its translation memo.
+    pub(crate) fn bank(&self) -> Bank<'_> {
+        Bank {
+            nodes: self.graph.len(),
+            models: &self.models,
+            valid: Some(&self.valid),
+            memo: Some(&self.memo),
         }
     }
 }
@@ -1016,7 +772,7 @@ impl ModelStore {
     /// emission stride from it), requires a wider minimum sample width
     /// than the current one (open sessions were only validated against the
     /// current minimum), or carries a pair model with malformed weights
-    /// ([`ModelSpec::validate`]).
+    /// ([`mdes_nn::ModelSpec::validate`]).
     pub fn publish(&self, snapshot: GraphSnapshot) -> Result<u64, CoreError> {
         self.publish_inner(snapshot).inspect_err(|e| {
             // A refused rollout is an operator-facing incident, not just a
@@ -1865,7 +1621,7 @@ impl ServingEngine {
             })
             .collect();
         let detections =
-            detect_many_with_bank(&*snapshot, &jobs, &snapshot.detection, self.threads);
+            detect_many_with_bank(&snapshot.bank(), &jobs, &snapshot.detection, self.threads);
         drop(jobs);
 
         // Shadow round — during a canary, routed sessions' windows are also
@@ -1902,7 +1658,7 @@ impl ServingEngine {
                     })
                     .collect();
                 let shadow = detect_many_with_bank(
-                    &*candidate,
+                    &candidate.bank(),
                     &shadow_jobs,
                     &candidate.detection,
                     self.threads,
@@ -1952,6 +1708,7 @@ mod tests {
     use crate::pipeline::MdesConfig;
     use mdes_graph::ScoreRange;
     use mdes_lang::{RawTrace, WindowConfig};
+    use mdes_nn::{InferArena, ModelSpec};
 
     fn square(name: &str, n: usize, phase: usize) -> RawTrace {
         RawTrace::new(

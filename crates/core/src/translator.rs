@@ -2,11 +2,11 @@
 //!
 //! The paper quantifies the relationship between two sensors by *training a
 //! translation model* from one sensor's language to the other's and scoring
-//! its translations with BLEU. This module defines the [`Translator`]
-//! abstraction plus two implementations:
+//! its translations with BLEU. [`train_translator`] trains one of two
+//! families into a [`FrozenTranslator`]:
 //!
-//! * [`NmtTranslator`] — the paper's model: a seq2seq LSTM with Luong
-//!   attention (from `mdes-nn`);
+//! * the paper's model: a seq2seq LSTM with Luong attention (from
+//!   `mdes-nn`), kept as its frozen weights ([`FrozenNmt`]);
 //! * [`NgramTranslator`] — a position-aligned statistical model with a
 //!   target-bigram term. It trains in microseconds and preserves the score
 //!   *ordering* (strongly coupled pairs score high, unrelated pairs low),
@@ -15,27 +15,10 @@
 //!   NMT scores.
 
 use crate::error::CoreError;
-use crate::pool::lock;
-use crate::serve::FrozenNmt;
-use mdes_nn::{InferArena, ModelSpec, Seq2Seq, Seq2SeqConfig};
+use mdes_nn::{InferArena, ModelSpec, QuantMode, QuantReport, Seq2Seq, Seq2SeqConfig};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
-
-/// A trained sentence translator from one sensor language to another.
-pub trait Translator: Send {
-    /// Translates a source sentence into `out_len` target word ids.
-    fn translate(&self, src: &[u32], out_len: usize) -> Vec<u32>;
-
-    /// Translates a batch of source sentences, one output row per input.
-    ///
-    /// Must return exactly what per-sentence [`Translator::translate`] calls
-    /// would: implementations may batch for throughput (the NMT path decodes
-    /// the whole batch through one GEMM per step) but not change results.
-    fn translate_batch(&self, srcs: &[&[u32]], out_len: usize) -> Vec<Vec<u32>> {
-        srcs.iter().map(|s| self.translate(s, out_len)).collect()
-    }
-}
+use std::sync::OnceLock;
 
 /// Which translator family Algorithm 1 trains for every sensor pair.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -74,52 +57,6 @@ impl TranslatorConfig {
     }
 }
 
-/// A trained translator of either family, serializable for persistence.
-// As with `FrozenTranslator`: both variants are fixed headers over
-// heap-owned tables and weights, one per pair model; boxing the neural one
-// would add an indirection on every decode to save a few hundred bytes.
-#[allow(clippy::large_enum_variant)]
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub enum AnyTranslator {
-    /// Statistical position-aligned model.
-    Ngram(NgramTranslator),
-    /// Neural seq2seq with attention.
-    Nmt(NmtTranslator),
-}
-
-impl Translator for AnyTranslator {
-    fn translate(&self, src: &[u32], out_len: usize) -> Vec<u32> {
-        match self {
-            AnyTranslator::Ngram(t) => t.translate(src, out_len),
-            AnyTranslator::Nmt(t) => t.translate(src, out_len),
-        }
-    }
-
-    fn translate_batch(&self, srcs: &[&[u32]], out_len: usize) -> Vec<Vec<u32>> {
-        match self {
-            AnyTranslator::Ngram(t) => t.translate_batch(srcs, out_len),
-            AnyTranslator::Nmt(t) => t.translate_batch(srcs, out_len),
-        }
-    }
-}
-
-impl AnyTranslator {
-    /// Translates a batch, decoding a neural translator through `arena`
-    /// instead of its private one. Bulk decodes (dev scoring, Algorithm 2)
-    /// take this path so no trained pair keeps batch-sized scratch buffers.
-    pub(crate) fn translate_batch_in(
-        &self,
-        srcs: &[&[u32]],
-        out_len: usize,
-        arena: &mut InferArena,
-    ) -> Vec<Vec<u32>> {
-        match self {
-            AnyTranslator::Ngram(t) => t.translate_batch(srcs, out_len),
-            AnyTranslator::Nmt(t) => t.frozen.translate_batch(srcs, out_len, arena),
-        }
-    }
-}
-
 /// Trains a translator of the configured family on aligned sentence pairs.
 ///
 /// `src_vocab` / `tgt_vocab` are total vocabulary sizes (reserved tokens
@@ -136,13 +73,13 @@ pub fn train_translator(
     src_vocab: usize,
     tgt_vocab: usize,
     bos: u32,
-) -> Result<AnyTranslator, CoreError> {
+) -> Result<FrozenTranslator, CoreError> {
     if pairs.is_empty() {
         return Err(CoreError::EmptyCorpus);
     }
     cfg.validate()?;
     match cfg {
-        TranslatorConfig::Ngram(c) => Ok(AnyTranslator::Ngram(NgramTranslator::fit(pairs, c))),
+        TranslatorConfig::Ngram(c) => Ok(FrozenTranslator::Ngram(NgramTranslator::fit(pairs, c))),
         TranslatorConfig::Nmt(c) => {
             let usize_pairs: Vec<(Vec<usize>, Vec<usize>)> = pairs
                 .iter()
@@ -157,61 +94,8 @@ pub fn train_translator(
             model.fit(&usize_pairs)?;
             // The trained pair is its weights: the tape, gradients and Adam
             // moments go with `model` here.
-            Ok(AnyTranslator::Nmt(NmtTranslator::new(model.freeze())))
+            Ok(FrozenTranslator::Nmt(FrozenNmt::new(model.freeze())))
         }
-    }
-}
-
-/// Neural translator: the frozen weights of a trained [`Seq2Seq`], decoded
-/// through a private inference arena ([`Translator`]) or a caller's
-/// (bulk decodes inside the crate).
-///
-/// Decoding runs the tape-free engine over [`Seq2Seq::freeze`]d weights
-/// through [`FrozenNmt`], exactly the path a serving snapshot's pair model
-/// takes, so dev BLEU and detection scores are bit-identical to serving.
-#[derive(Debug, Serialize, Deserialize)]
-pub struct NmtTranslator {
-    frozen: FrozenNmt,
-    /// Decode scratch, rebuilt empty on clone or deserialization.
-    #[serde(skip)]
-    arena: Mutex<InferArena>,
-}
-
-impl NmtTranslator {
-    fn new(spec: ModelSpec) -> Self {
-        Self {
-            frozen: FrozenNmt::new(spec),
-            arena: Mutex::default(),
-        }
-    }
-
-    /// The frozen weights, for freezing into a serving artifact.
-    pub(crate) fn frozen(&self) -> &FrozenNmt {
-        &self.frozen
-    }
-}
-
-impl Clone for NmtTranslator {
-    fn clone(&self) -> Self {
-        Self {
-            frozen: self.frozen.clone(),
-            arena: Mutex::default(),
-        }
-    }
-}
-
-// A panic mid-decode cannot leave the arena invalid: every decode reshapes
-// the scratch buffers it uses before reading them, so `lock` recovers a
-// poisoned lock.
-impl Translator for NmtTranslator {
-    fn translate(&self, src: &[u32], out_len: usize) -> Vec<u32> {
-        let mut arena = lock(&self.arena);
-        self.frozen.translate(src, out_len, &mut arena)
-    }
-
-    fn translate_batch(&self, srcs: &[&[u32]], out_len: usize) -> Vec<Vec<u32>> {
-        let mut arena = lock(&self.arena);
-        self.frozen.translate_batch(srcs, out_len, &mut arena)
     }
 }
 
@@ -603,19 +487,16 @@ impl NgramTranslator {
         let bigr: usize = self.bigram.values().map(|m| m.len() * pair).sum();
         chan + marg + tops + bigr + self.tables().approx_bytes()
     }
-}
 
-impl Translator for NgramTranslator {
-    fn translate(&self, src: &[u32], out_len: usize) -> Vec<u32> {
+    /// Translates a source sentence into `out_len` target word ids.
+    pub fn translate(&self, src: &[u32], out_len: usize) -> Vec<u32> {
         let mut out = Vec::with_capacity(out_len);
         self.translate_into(src, out_len, &mut out);
         out
     }
-}
 
-impl NgramTranslator {
-    /// [`Translator::translate`], appending its `out_len` tokens to `out`,
-    /// so that a batch decodes into one flat buffer.
+    /// [`NgramTranslator::translate`], appending its `out_len` tokens to
+    /// `out`, so that a batch decodes into one flat buffer.
     pub fn translate_into(&self, src: &[u32], out_len: usize, out: &mut Vec<u32>) {
         let tables = self.tables();
         let lm_weight = self.cfg.lm_weight;
@@ -662,9 +543,183 @@ impl NgramTranslator {
     }
 }
 
+/// A frozen neural pair translator: just the packed weights, decoded through
+/// a caller-supplied [`InferArena`].
+///
+/// Where [`ModelSpec::check_src`] refuses a request with an error, this
+/// wrapper degrades instead: a malformed sentence (empty or out of
+/// vocabulary) decodes to the deterministic translation `vec![0; out_len]`,
+/// and a batch that cannot decode as one is decoded sentence by sentence.
+#[derive(Clone, Debug, Serialize, Deserialize)]
+pub struct FrozenNmt {
+    pub(crate) spec: ModelSpec,
+}
+
+impl FrozenNmt {
+    /// Wraps a frozen spec (see [`mdes_nn::Seq2Seq::freeze`]).
+    pub fn new(spec: ModelSpec) -> Self {
+        Self { spec }
+    }
+
+    /// The packed weights.
+    pub fn spec(&self) -> &ModelSpec {
+        &self.spec
+    }
+
+    /// Re-encodes the packed weights; see [`ModelSpec::quantize`].
+    pub(crate) fn quantize(&self, mode: QuantMode) -> Result<(Self, QuantReport), CoreError> {
+        let (spec, report) = self.spec.quantize(mode)?;
+        Ok((Self { spec }, report))
+    }
+
+    /// Translates one source sentence; malformed input degrades to the
+    /// deterministic degenerate translation `vec![0; out_len]`.
+    pub fn translate(&self, src: &[u32], out_len: usize, arena: &mut InferArena) -> Vec<u32> {
+        if self.spec.check_src(&[src], out_len).is_ok() {
+            arena
+                .translate_batch(&self.spec, &[src], out_len)
+                .pop()
+                .expect("one output per input")
+        } else {
+            vec![0; out_len]
+        }
+    }
+
+    /// Translates a batch; a malformed batch falls back to the per-sentence
+    /// path, sentence by sentence.
+    pub fn translate_batch(
+        &self,
+        srcs: &[&[u32]],
+        out_len: usize,
+        arena: &mut InferArena,
+    ) -> Vec<Vec<u32>> {
+        if self.spec.check_src(srcs, out_len).is_ok() {
+            arena.translate_batch(&self.spec, srcs, out_len)
+        } else {
+            srcs.iter()
+                .map(|s| self.translate(s, out_len, arena))
+                .collect()
+        }
+    }
+}
+
+/// A frozen translator of either family.
+///
+/// The statistical family carries its own tables and needs no arena; the
+/// neural family is weights-only and decodes through the worker's arena.
+// Both variants are small fixed headers over heap-owned weight buffers;
+// boxing the larger one would add an indirection on every decode for a
+// per-pair-model saving of a couple hundred bytes.
+#[allow(clippy::large_enum_variant)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
+pub enum FrozenTranslator {
+    /// Statistical position-aligned model (already training-state-free).
+    Ngram(NgramTranslator),
+    /// Frozen neural seq2seq.
+    Nmt(FrozenNmt),
+}
+
+impl FrozenTranslator {
+    /// Translates a batch of source sentences.
+    pub fn translate_batch(
+        &self,
+        srcs: &[&[u32]],
+        out_len: usize,
+        arena: &mut InferArena,
+    ) -> Vec<Vec<u32>> {
+        match self {
+            FrozenTranslator::Ngram(t) => srcs.iter().map(|s| t.translate(s, out_len)).collect(),
+            FrozenTranslator::Nmt(t) => t.translate_batch(srcs, out_len, arena),
+        }
+    }
+
+    /// Approximate heap footprint of the frozen weights/tables in bytes.
+    pub fn approx_bytes(&self) -> usize {
+        match self {
+            FrozenTranslator::Ngram(t) => t.approx_bytes(),
+            FrozenTranslator::Nmt(t) => t.spec.approx_bytes(),
+        }
+    }
+
+    /// The weight encoding of this translator, if it carries packed neural
+    /// weights; the statistical family has none.
+    pub fn quant_mode(&self) -> Option<QuantMode> {
+        match self {
+            FrozenTranslator::Ngram(_) => None,
+            FrozenTranslator::Nmt(t) => Some(t.spec.quant_mode()),
+        }
+    }
+
+    /// Re-encodes neural weights to `mode`, folding the measured drift into
+    /// `max_err` / `matrices`; statistical tables pass through unchanged.
+    pub(crate) fn quantize(
+        &self,
+        mode: QuantMode,
+        max_err: &mut f64,
+        matrices: &mut usize,
+    ) -> Result<Self, CoreError> {
+        match self {
+            FrozenTranslator::Ngram(t) => Ok(FrozenTranslator::Ngram(t.clone())),
+            FrozenTranslator::Nmt(t) => {
+                let (q, report) = t.quantize(mode)?;
+                *max_err = max_err.max(report.max_weight_error);
+                *matrices += report.matrices;
+                Ok(FrozenTranslator::Nmt(q))
+            }
+        }
+    }
+}
+
+/// One trained directional pair model: its thresholds plus its frozen
+/// decoding weights. Algorithm 1 trains one per ordered sensor pair and
+/// scores it on the dev set; Algorithm 2 decodes the same value, whether it
+/// sits in a [`TrainedGraph`](crate::algorithm1::TrainedGraph) or a
+/// [`GraphSnapshot`](crate::serve::GraphSnapshot).
+#[derive(Clone, Debug, Serialize, Deserialize)]
+pub struct FrozenPairModel {
+    /// Source sensor node index.
+    pub src: usize,
+    /// Target sensor node index.
+    pub dst: usize,
+    /// Training (dev corpus BLEU) score `s(i, j)`.
+    pub train_score: f64,
+    /// Calibrated floor: the `floor_quantile` quantile of the per-sentence
+    /// development BLEU distribution (see
+    /// [`BrokenRule::DevQuantileFloor`](crate::algorithm2::BrokenRule)).
+    pub dev_floor: f64,
+    pub(crate) translator: FrozenTranslator,
+}
+
+impl FrozenPairModel {
+    /// Assembles a pair model — as Algorithm 1 does for each trained pair,
+    /// and as tools do that build serving artifacts without a sweep
+    /// (synthetic plants, size/throughput experiments).
+    pub fn new(
+        src: usize,
+        dst: usize,
+        train_score: f64,
+        dev_floor: f64,
+        translator: FrozenTranslator,
+    ) -> Self {
+        Self {
+            src,
+            dst,
+            train_score,
+            dev_floor,
+            translator,
+        }
+    }
+
+    /// The frozen translator.
+    pub fn translator(&self) -> &FrozenTranslator {
+        &self.translator
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mdes_nn::InferArena;
 
     /// Pairs where tgt word = src word + 100, deterministic.
     fn mapped_pairs(n: usize, len: usize) -> Vec<(Vec<u32>, Vec<u32>)> {
@@ -720,7 +775,8 @@ mod tests {
             ..Seq2SeqConfig::default()
         });
         let t = train_translator(&cfg, &pairs, 8, 108, 1).expect("train");
-        let out = t.translate(&pairs[0].0, 4);
+        let out = t.translate_batch(&[&pairs[0].0], 4, &mut InferArena::new());
+        let out = &out[0];
         assert_eq!(out.len(), 4);
         assert!(out.iter().all(|&w| w < 108));
     }
@@ -730,7 +786,8 @@ mod tests {
         let pairs = mapped_pairs(30, 6);
         let t = NgramTranslator::fit(&pairs, &NgramConfig::default());
         let srcs: Vec<&[u32]> = pairs.iter().take(8).map(|(s, _)| s.as_slice()).collect();
-        let batched = t.translate_batch(&srcs, 6);
+        let batched =
+            FrozenTranslator::Ngram(t.clone()).translate_batch(&srcs, 6, &mut InferArena::new());
         for (src, hyp) in srcs.iter().zip(&batched) {
             assert_eq!(hyp, &t.translate(src, 6));
         }
@@ -745,19 +802,20 @@ mod tests {
             train_steps: 60,
             ..Seq2SeqConfig::default()
         });
-        let t = train_translator(&cfg, &pairs, 8, 108, 1).expect("train");
+        let FrozenTranslator::Nmt(t) = train_translator(&cfg, &pairs, 8, 108, 1).expect("train")
+        else {
+            panic!("neural config trains a neural translator");
+        };
         let srcs: Vec<&[u32]> = pairs.iter().take(6).map(|(s, _)| s.as_slice()).collect();
         // Batched decoding routes every step through one GEMM over the whole
         // batch; rows are independent, so outputs must match exactly.
-        let batched = t.translate_batch(&srcs, 4);
+        let mut arena = InferArena::new();
+        let batched = t.translate_batch(&srcs, 4, &mut arena);
         for (src, hyp) in srcs.iter().zip(&batched) {
-            assert_eq!(hyp, &t.translate(src, 4));
+            assert_eq!(hyp, &t.translate(src, 4, &mut arena));
         }
-        // A caller-supplied arena decodes exactly as the private one.
-        assert_eq!(
-            t.translate_batch_in(&srcs, 4, &mut InferArena::new()),
-            batched
-        );
+        // A fresh arena decodes exactly as a reused one.
+        assert_eq!(t.translate_batch(&srcs, 4, &mut InferArena::new()), batched);
     }
 
     #[test]
@@ -788,13 +846,17 @@ mod tests {
             train_steps: 10,
             ..Seq2SeqConfig::default()
         });
-        let t = train_translator(&cfg, &pairs, 8, 108, 1).expect("train");
+        let FrozenTranslator::Nmt(t) = train_translator(&cfg, &pairs, 8, 108, 1).expect("train")
+        else {
+            panic!("neural config trains a neural translator");
+        };
         let a: Vec<u32> = pairs[0].0.clone();
         let b: Vec<u32> = pairs[1].0[..2].to_vec();
-        let out = t.translate_batch(&[a.as_slice(), b.as_slice()], 4);
+        let mut arena = InferArena::new();
+        let out = t.translate_batch(&[a.as_slice(), b.as_slice()], 4, &mut arena);
         assert_eq!(out.len(), 2);
-        assert_eq!(out[0], t.translate(&a, 4));
-        assert_eq!(out[1], t.translate(&b, 4));
+        assert_eq!(out[0], t.translate(&a, 4, &mut arena));
+        assert_eq!(out[1], t.translate(&b, 4, &mut arena));
     }
 
     #[test]
@@ -928,15 +990,15 @@ mod tests {
             (vec![2u32, 3, 4, 5], vec![102u32, 103, 104, 105]),
         ];
         let t = train_translator(&TranslatorConfig::fast(), &pairs, 8, 108, 1).expect("train");
-        let AnyTranslator::Ngram(ngram) = &t else {
+        let FrozenTranslator::Ngram(ngram) = &t else {
             panic!("fast config trains an n-gram translator");
         };
         assert_eq!(ngram.tgt_len, 4);
         assert_eq!(
-            t.translate(&[2, 3, 4, 5], 4),
+            ngram.translate(&[2, 3, 4, 5], 4),
             translate_oracle(ngram, &[2, 3, 4, 5], 4)
         );
-        assert_eq!(t.translate(&[2, 3, 4, 5], 4)[3], 105);
+        assert_eq!(ngram.translate(&[2, 3, 4, 5], 4)[3], 105);
     }
 
     #[test]

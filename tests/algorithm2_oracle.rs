@@ -16,8 +16,8 @@ use mdes::bleu::sentence_bleu;
 use mdes::core::serve::MEMO_ENTRIES_PER_MODEL;
 use mdes::core::{
     detect, detect_excluding, BrokenRule, CanaryConfig, CanaryDecision, DegradationConfig,
-    DetectionConfig, DetectionResult, FrozenPairModel, FrozenTranslator, GraphSnapshot, Mdes,
-    MdesConfig, OnlineDetection, QuantMode, QuantPolicy, ScoreDist, ServingEngine, StreamSession,
+    DetectionConfig, DetectionResult, FrozenPairModel, GraphSnapshot, Mdes, MdesConfig,
+    OnlineDetection, QuantMode, QuantPolicy, ScoreDist, ServingEngine, StreamSession,
     TranslatorConfig,
 };
 use mdes::graph::ScoreRange;
@@ -30,38 +30,37 @@ use std::ops::Range;
 /// Per window: the anomaly score's bits and the broken pairs.
 type Windows = Vec<(u64, Vec<(usize, usize)>)>;
 
-/// `(src, dst, train_score, dev_floor)` of every pair model, in model order.
-type Metas = Vec<(usize, usize, f64, f64)>;
-
-/// Single-sentence translation by model `k`: `(k, source, output length)`.
-type Translate<'a> = dyn FnMut(usize, &[u32], usize) -> Vec<u32> + 'a;
-
+/// The oracle over `models`, each sentence decoded alone.
 fn oracle(
-    metas: &Metas,
-    translate: &mut Translate<'_>,
+    models: &[FrozenPairModel],
     sets: &[SentenceSet],
     cfg: &DetectionConfig,
     excluded: &[usize],
 ) -> Windows {
-    let live: Vec<usize> = (0..metas.len())
-        .filter(|&k| {
-            let (src, dst, score, _) = metas[k];
-            cfg.valid_range.contains(score) && !excluded.contains(&src) && !excluded.contains(&dst)
+    let live: Vec<&FrozenPairModel> = models
+        .iter()
+        .filter(|m| {
+            cfg.valid_range.contains(m.train_score)
+                && !excluded.contains(&m.src)
+                && !excluded.contains(&m.dst)
         })
         .collect();
+    let mut arena = InferArena::new();
     (0..sets[0].len())
         .map(|t| {
             let mut broken = Vec::new();
-            for &k in &live {
-                let (src, dst, score, floor) = metas[k];
-                let reference = &sets[dst].sentences[t];
-                let hyp = translate(k, &sets[src].sentences[t], reference.len());
+            for m in &live {
+                let reference = &sets[m.dst].sentences[t];
+                let src: &[u32] = &sets[m.src].sentences[t];
+                let hyp = m
+                    .translator()
+                    .translate_batch(&[src], reference.len(), &mut arena);
                 let threshold = match cfg.rule {
-                    BrokenRule::CorpusScore => score,
-                    BrokenRule::DevQuantileFloor => floor,
+                    BrokenRule::CorpusScore => m.train_score,
+                    BrokenRule::DevQuantileFloor => m.dev_floor,
                 };
-                if sentence_bleu(&hyp, reference, &cfg.bleu) < threshold - cfg.margin {
-                    broken.push((src, dst));
+                if sentence_bleu(&hyp[0], reference, &cfg.bleu) < threshold - cfg.margin {
+                    broken.push((m.src, m.dst));
                 }
             }
             let a_t = if live.is_empty() {
@@ -74,25 +73,14 @@ fn oracle(
         .collect()
 }
 
-/// The oracle for a frozen snapshot's models under `cfg`, each sentence
-/// decoded alone through a fresh arena.
+/// The oracle for a frozen snapshot's models under `cfg`.
 fn snapshot_oracle(
     snap: &GraphSnapshot,
     sets: &[SentenceSet],
     cfg: &DetectionConfig,
     excluded: &[usize],
 ) -> Windows {
-    let metas: Metas = snap
-        .models()
-        .iter()
-        .map(|p| (p.src, p.dst, p.train_score, p.dev_floor))
-        .collect();
-    let mut arena = InferArena::new();
-    let mut translate = |k: usize, src: &[u32], len: usize| match snap.models()[k].translator() {
-        FrozenTranslator::Ngram(t) => mdes::core::Translator::translate(t, src, len),
-        FrozenTranslator::Nmt(t) => t.translate(src, len, &mut arena),
-    };
-    oracle(&metas, &mut translate, sets, cfg, excluded)
+    oracle(snap.models(), sets, cfg, excluded)
 }
 
 fn batch(r: DetectionResult) -> Windows {
@@ -129,14 +117,6 @@ fn check_against_oracle(m: &Mdes, plant: &PlantData, test: std::ops::Range<usize
         .expect("encode");
     let n = m.language().sensor_count();
     let exclusions: [Vec<usize>; 3] = [vec![], vec![1], (0..n).collect()];
-    let trained: Metas = m
-        .trained()
-        .models()
-        .iter()
-        .map(|p| (p.src, p.dst, p.train_score, p.dev_floor))
-        .collect();
-    let mut trained_translate =
-        |k: usize, src: &[u32], len: usize| m.trained().models()[k].translate(src, len);
     let mut saw_alert = false;
     // Test BLEU lands within a few points below some corpus scores and
     // exactly on many dev floors, so these settings separate `<` from `<=`
@@ -154,7 +134,7 @@ fn check_against_oracle(m: &Mdes, plant: &PlantData, test: std::ops::Range<usize
                 ..m.config().detection.clone()
             };
             for excl in &exclusions {
-                let want = oracle(&trained, &mut trained_translate, &sets, &cfg, excl);
+                let want = oracle(m.trained().models(), &sets, &cfg, excl);
                 saw_alert |= want.iter().any(|(_, a)| !a.is_empty());
                 let got =
                     detect_excluding(m.trained(), &sets, &cfg, excl).expect("detect_excluding");

@@ -3,9 +3,9 @@
 //! behave sanely on coupled vs uncoupled sensor languages.
 
 use mdes::bleu::{corpus_bleu, BleuConfig};
-use mdes::core::{train_translator, Translator, TranslatorConfig};
+use mdes::core::{train_translator, TranslatorConfig};
 use mdes::lang::{LanguagePipeline, RawTrace, Vocab, WindowConfig};
-use mdes::nn::Seq2SeqConfig;
+use mdes::nn::{InferArena, Seq2SeqConfig};
 
 fn toggling(name: &str, n: usize, period: usize, phase: usize) -> RawTrace {
     RawTrace::new(
@@ -53,11 +53,8 @@ fn pair_score(cfg: &TranslatorConfig, src: usize, dst: usize) -> f64 {
         Vocab::BOS,
     )
     .expect("train translator");
-    let hyps: Vec<Vec<u32>> = dev[src]
-        .sentences
-        .iter()
-        .map(|s| translator.translate(s, 5))
-        .collect();
+    let srcs: Vec<&[u32]> = dev[src].sentences.iter().map(Vec::as_slice).collect();
+    let hyps = translator.translate_batch(&srcs, 5, &mut InferArena::new());
     corpus_bleu(&hyps, &dev[dst].sentences, &BleuConfig::sentence())
 }
 
