@@ -4,8 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mdes_core::{
-    build_graph, detect, DetectionConfig, GraphBuildConfig, GraphSnapshot, Mdes, MdesConfig,
-    NgramConfig, NgramTranslator, ServingEngine, StreamSession, TranslatorConfig,
+    build_graph, DetectionConfig, GraphBuildConfig, GraphSnapshot, Mdes, MdesConfig, NgramConfig,
+    NgramTranslator, ServingEngine, StreamSession, TranslatorConfig,
 };
 use mdes_graph::ScoreRange;
 use mdes_lang::{LanguagePipeline, RawTrace, WindowConfig};
@@ -96,8 +96,15 @@ fn bench_detection(c: &mut Criterion) {
         valid_range: ScoreRange::closed(0.0, 100.0),
         ..DetectionConfig::default()
     };
+    let cfg = MdesConfig {
+        window: *pipeline.config(),
+        detection: dcfg.clone(),
+        ..MdesConfig::default()
+    };
+    let m = Mdes::from_parts(cfg, pipeline, trained).expect("one fit's parts");
+    let snap = m.snapshot();
     c.bench_function("framework/algorithm2_30_models", |b| {
-        b.iter(|| black_box(detect(&trained, black_box(&test), &dcfg).expect("detect")))
+        b.iter(|| black_box(snap.detect(black_box(&test), &dcfg, &[]).expect("detect")))
     });
 }
 
@@ -189,11 +196,7 @@ fn bench_serve_round(c: &mut Criterion) {
         cfg,
     )
     .expect("fit");
-    let snapshot = GraphSnapshot::from_parts(
-        m.language().clone(),
-        m.trained(),
-        m.config().detection.clone(),
-    );
+    let snapshot = GraphSnapshot::freeze(&m);
     let width = plant.traces.len();
     for (name, distinct) in [
         ("framework/serve_round_ngram", false),

@@ -16,7 +16,7 @@ use std::collections::HashSet;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let study = HddStudy::run(&default_fleet(), translator_from_args(&args));
-    let sub = study.trained.graph.subgraph(&ScoreRange::best_detection());
+    let sub = study.mdes.graph().subgraph(&ScoreRange::best_detection());
 
     let pr = pagerank(&sub, &PageRankConfig::default());
     let mut by_pr: Vec<(usize, f64)> = sub.active_nodes().iter().map(|&n| (n, pr[n])).collect();
@@ -46,7 +46,7 @@ fn main() {
     let overlap = top_in.intersection(&top_pr).count();
     println!("\ntop-{k} overlap between the two measures: {overlap}/{k}");
 
-    let r = reciprocity(&study.trained.graph);
+    let r = reciprocity(study.mdes.graph());
     println!(
         "\ndirectional asymmetry over the full graph: {} mutual pairs, \
          mean |s(i,j) - s(j,i)| = {:.1} BLEU, max = {:.1}",

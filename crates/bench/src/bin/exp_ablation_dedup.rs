@@ -7,9 +7,9 @@
 //! the detection signal.
 
 use mdes_bench::report::{print_table, write_csv};
-use mdes_core::{build_graph, detect, DetectionConfig, GraphBuildConfig};
+use mdes_core::{DetectionConfig, Mdes, MdesConfig};
 use mdes_graph::ScoreRange;
-use mdes_lang::{dedupe_sensors, representative_traces, LanguagePipeline, WindowConfig};
+use mdes_lang::{dedupe_sensors, representative_traces, WindowConfig};
 use mdes_synth::plant::{generate, PlantConfig};
 use std::time::Instant;
 
@@ -35,27 +35,26 @@ fn main() {
     let dev = plant.days_range(6, 7);
 
     let sweep = |traces: &[mdes_lang::RawTrace]| {
-        let start = Instant::now();
-        let pipeline = LanguagePipeline::fit(traces, train.clone(), window).expect("fit");
-        let t = pipeline
-            .encode_segment(traces, train.clone())
-            .expect("train");
-        let v = pipeline.encode_segment(traces, dev.clone()).expect("dev");
-        let trained = build_graph(&pipeline, &t, &v, &GraphBuildConfig::default()).expect("build");
-        let elapsed = start.elapsed().as_secs_f64();
         // Detection contrast between the anomalous day and a normal day.
-        let dcfg = DetectionConfig {
-            valid_range: ScoreRange::closed(40.0, 100.0),
-            ..DetectionConfig::default()
+        let cfg = MdesConfig {
+            window,
+            detection: DetectionConfig {
+                valid_range: ScoreRange::closed(40.0, 100.0),
+                ..DetectionConfig::default()
+            },
+            ..MdesConfig::default()
         };
+        let start = Instant::now();
+        let m = Mdes::fit(traces, train.clone(), dev.clone(), cfg).expect("fit");
+        let elapsed = start.elapsed().as_secs_f64();
         let day = |d: usize| {
-            let sets = pipeline
-                .encode_segment(traces, plant.day_range(d))
-                .expect("day");
-            let res = detect(&trained, &sets, &dcfg).expect("detect");
+            let res = m
+                .snapshot()
+                .detect_range(traces, plant.day_range(d))
+                .expect("detect");
             res.scores.iter().sum::<f64>() / res.scores.len() as f64
         };
-        (trained.models().len(), elapsed, day(13) - day(10))
+        (m.snapshot().models().len(), elapsed, day(13) - day(10))
     };
 
     println!("Ablation A7 — redundant-sensor filtering (36 sensors, 4 components)\n");

@@ -19,19 +19,21 @@ fn main() {
         sent_len: 8,
     };
     let study = PlantStudy::run(&scale, TranslatorConfig::fast());
-    let bleu_scores = study.trained.scores();
+    let bleu_scores = study.mdes.scores();
 
     // Recompute the pairwise sweep with the likelihood metric on the same
     // sentence corpora.
     let train_sets = study
-        .pipeline
+        .mdes
+        .language()
         .encode_segment(&study.plant.traces, study.plant.days_range(1, 10))
         .expect("train");
     let dev_sets = study
-        .pipeline
+        .mdes
+        .language()
         .encode_segment(&study.plant.traces, study.plant.days_range(11, 13))
         .expect("dev");
-    let n = study.pipeline.sensor_count();
+    let n = study.mdes.language().sensor_count();
     let mut like_scores = Vec::with_capacity(n * (n - 1));
     for i in 0..n {
         for j in 0..n {
@@ -51,9 +53,10 @@ fn main() {
                 .zip(&dev_sets[j].sentences)
                 .map(|(s, t)| (s.as_slice(), t.as_slice()))
                 .collect();
-            like_scores.push(
-                model.likelihood_score(&dev_pairs, study.pipeline.languages()[j].vocab.size()),
-            );
+            like_scores.push(model.likelihood_score(
+                &dev_pairs,
+                study.mdes.language().languages()[j].vocab.size(),
+            ));
         }
     }
 

@@ -35,8 +35,8 @@ fn main() {
             ..Seq2SeqConfig::default()
         };
         let study = PlantStudy::run(&scale, TranslatorConfig::Nmt(cfg));
-        let time: f64 = study.trained.runtimes().iter().sum();
-        results.push((label.to_owned(), study.trained.scores(), time));
+        let time: f64 = study.mdes.runtimes().iter().sum();
+        results.push((label.to_owned(), study.mdes.scores(), time));
     }
 
     let baseline = results[0].1.clone();

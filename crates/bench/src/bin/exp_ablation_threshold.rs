@@ -9,7 +9,7 @@
 
 use mdes_bench::plant_study::{scale_from_args, translator_from_args, PlantStudy};
 use mdes_bench::report::{print_table, write_csv};
-use mdes_core::{detect, BrokenRule, DetectionConfig};
+use mdes_core::{BrokenRule, DetectionConfig};
 use mdes_graph::ScoreRange;
 
 fn main() {
@@ -17,7 +17,8 @@ fn main() {
     let study = PlantStudy::run(&scale_from_args(&args), translator_from_args(&args));
     let test_range = study.plant.days_range(14, study.plant.config.days);
     let test_sets = study
-        .pipeline
+        .mdes
+        .language()
         .encode_segment(&study.plant.traces, test_range.clone())
         .expect("encode test");
     let days: Vec<usize> = test_sets[0]
@@ -37,7 +38,11 @@ fn main() {
             rule,
             ..DetectionConfig::default()
         };
-        let result = detect(&study.trained, &test_sets, &cfg).expect("detect");
+        let result = study
+            .mdes
+            .snapshot()
+            .detect(&test_sets, &cfg, &[])
+            .expect("detect");
         let mean_where = |pred: &dyn Fn(usize) -> bool| -> f64 {
             let vals: Vec<f64> = result
                 .scores

@@ -31,8 +31,8 @@ fn main() {
     };
     let nmt = PlantStudy::run(&scale, TranslatorConfig::Nmt(nmt_cfg));
 
-    let s_ngram = ngram.trained.scores();
-    let s_nmt = nmt.trained.scores();
+    let s_ngram = ngram.mdes.scores();
+    let s_nmt = nmt.mdes.scores();
     assert_eq!(s_ngram.len(), s_nmt.len());
 
     // Spearman rank correlation between the two score vectors.
@@ -46,7 +46,7 @@ fn main() {
     let (ta, tb) = (top(&s_ngram), top(&s_nmt));
     let jaccard = ta.intersection(&tb).count() as f64 / ta.union(&tb).count() as f64;
 
-    let time = |s: &PlantStudy| s.trained.runtimes().iter().sum::<f64>();
+    let time = |s: &PlantStudy| s.mdes.runtimes().iter().sum::<f64>();
     let rows = vec![
         vec![
             "n-gram".into(),

@@ -24,7 +24,7 @@ fn main() {
         let study = PlantStudy::run(&scale, TranslatorConfig::fast());
         let vocab_mean =
             study.vocabulary_sizes().iter().sum::<f64>() / study.vocabulary_sizes().len() as f64;
-        let sweep_time: f64 = study.trained.runtimes().iter().sum();
+        let sweep_time: f64 = study.mdes.runtimes().iter().sum();
         let (sep, windows_per_day) = match study.detect_test_period(ScoreRange::closed(40.0, 100.0))
         {
             Ok((result, days)) => {

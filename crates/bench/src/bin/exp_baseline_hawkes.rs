@@ -22,18 +22,18 @@ fn main() {
         sent_len: 10,
     };
     let study = PlantStudy::run(&scale, TranslatorConfig::fast());
-    let n = study.pipeline.sensor_count();
+    let n = study.mdes.language().sensor_count();
     let train = study.plant.days_range(1, 5);
 
     // Ground truth: same-component indicator per surviving-sensor pair.
     let component: Vec<usize> = (0..n)
-        .map(|k| study.plant.sensors[study.pipeline.languages()[k].source_index].component)
+        .map(|k| study.plant.sensors[study.mdes.language().languages()[k].source_index].component)
         .collect();
 
     // --- Hawkes: state-change events per sensor over the training days. ---
     let mut events: Vec<HawkesEvent> = Vec::new();
     for k in 0..n {
-        let src = study.pipeline.languages()[k].source_index;
+        let src = study.mdes.language().languages()[k].source_index;
         let seg = &study.plant.traces[src].events[train.clone()];
         for (t, w) in seg.windows(2).enumerate() {
             if w[0] != w[1] {
@@ -69,12 +69,11 @@ fn main() {
         for j in (i + 1)..n {
             let a = hawkes.alpha()[i][j].min(hawkes.alpha()[j][i]);
             hawkes_edges.push(((i, j), a));
-            let b = study
-                .trained
-                .graph
+            let g = study.mdes.graph();
+            let b = g
                 .score(i, j)
                 .unwrap_or(0.0)
-                .min(study.trained.graph.score(j, i).unwrap_or(0.0));
+                .min(g.score(j, i).unwrap_or(0.0));
             bleu_edges.push(((i, j), b));
         }
     }

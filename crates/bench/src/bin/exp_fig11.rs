@@ -19,7 +19,7 @@ fn main() {
     let study = HddStudy::run(&default_fleet(), translator_from_args(&args));
 
     // (a) Graph-based ranking: in-degree in the [80, 90) subgraph.
-    let sub = study.trained.graph.subgraph(&ScoreRange::best_detection());
+    let sub = study.mdes.graph().subgraph(&ScoreRange::best_detection());
     let mut by_in: Vec<(usize, usize)> = sub
         .active_nodes()
         .iter()

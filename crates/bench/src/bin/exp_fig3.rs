@@ -29,7 +29,7 @@ fn main() {
 
     println!(
         "\nFig. 3b — sensor vocabulary size (word length {})",
-        study.window.word_len
+        study.mdes.language().config().word_len
     );
     let small = vocabs.iter().filter(|&&v| v < 13.0).count() as f64 / vocabs.len() as f64;
     let large = vocabs.iter().filter(|&&v| v > 100.0).count() as f64 / vocabs.len() as f64;

@@ -14,8 +14,8 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let study = PlantStudy::run(&scale_from_args(&args), translator_from_args(&args));
 
-    let runtimes = study.trained.runtimes();
-    let scores = study.trained.scores();
+    let runtimes = study.mdes.runtimes();
+    let scores = study.mdes.scores();
 
     println!("Fig. 4a — per-model runtime (seconds, train + dev scoring)");
     print_cdf("  runtime CDF", runtimes);

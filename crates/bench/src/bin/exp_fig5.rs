@@ -15,7 +15,7 @@ fn main() {
 
     let mut csv_rows = Vec::new();
     for range in ScoreRange::paper_buckets() {
-        let sub = study.trained.graph.subgraph(&range);
+        let sub = study.mdes.graph().subgraph(&range);
         let ins: Vec<f64> = in_degrees(&sub).into_iter().map(|d| d as f64).collect();
         let outs: Vec<f64> = out_degrees(&sub).into_iter().map(|d| d as f64).collect();
         if ins.is_empty() {

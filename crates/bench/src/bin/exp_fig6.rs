@@ -9,7 +9,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let study = PlantStudy::run(&scale_from_args(&args), translator_from_args(&args));
     let range = ScoreRange::best_detection();
-    let sub = study.trained.graph.subgraph(&range);
+    let sub = study.mdes.graph().subgraph(&range);
     let thr = study.popular_threshold();
     let popular = sub.popular(thr);
 

@@ -19,7 +19,7 @@ fn main() {
         ("80_90", ScoreRange::half_open(80.0, 90.0)),
         ("90_100", ScoreRange::closed(90.0, 100.0)),
     ] {
-        let sub = study.trained.graph.subgraph(&range);
+        let sub = study.mdes.graph().subgraph(&range);
         let popular = sub.popular(thr);
         let local = sub.without_nodes(&popular);
         let comps = local.weakly_connected_components();
@@ -35,7 +35,7 @@ fn main() {
             let truth: Vec<usize> = comp
                 .iter()
                 .map(|&s| {
-                    let src = study.pipeline.languages()[s].source_index;
+                    let src = study.mdes.language().languages()[s].source_index;
                     study.plant.sensors[src].component
                 })
                 .collect();

@@ -18,7 +18,7 @@ fn main() {
     let (result, days) = study.detect_test_period(range).expect("detect");
 
     let thr = study.popular_threshold();
-    let global = study.trained.graph.subgraph(&range);
+    let global = study.mdes.graph().subgraph(&range);
     let local = global.without_nodes(&global.popular(thr));
 
     for &day in &study.plant.config.anomaly_days.clone() {
@@ -50,7 +50,9 @@ fn main() {
             let names: Vec<&str> = cluster.iter().map(|&s| local.name(s)).collect();
             let comps: Vec<usize> = cluster
                 .iter()
-                .map(|&s| study.plant.sensors[study.pipeline.languages()[s].source_index].component)
+                .map(|&s| {
+                    study.plant.sensors[study.mdes.language().languages()[s].source_index].component
+                })
                 .collect();
             println!("  faulty cluster {i}: {names:?} (ground-truth components {comps:?})");
         }

@@ -20,7 +20,9 @@
 //! overhead").
 
 use mdes_bench::report::{print_table, results_dir, write_csv, ScoreDist};
-use mdes_core::{DetectionConfig, Mdes, MdesConfig, OnlineMonitor, TranslatorConfig};
+use mdes_core::{
+    DetectionConfig, GraphSnapshot, Mdes, MdesConfig, OnlineMonitor, TranslatorConfig,
+};
 use mdes_graph::ScoreRange;
 use mdes_lang::WindowConfig;
 use mdes_nn::Seq2SeqConfig;
@@ -78,7 +80,7 @@ fn main() {
     .expect("fit NMT plant");
     eprintln!(
         "fitted {} pair models in {:.1}s",
-        m.trained().models().len(),
+        m.snapshot().models().len(),
         fit_started.elapsed().as_secs_f64()
     );
 
@@ -105,9 +107,14 @@ fn main() {
     let (det_mean, det_p50, det_p95) = stats(detect_us);
     let (buf_mean, _, _) = stats(buffer_us);
 
-    // 2. Segment decode throughput (the batch path).
+    // 2. Segment decode throughput (the batch path). The monitor shares
+    // `m`'s snapshot and filled its translation memo; a frozen copy starts
+    // with an empty one, so every window decodes.
+    let cold = GraphSnapshot::freeze(&m);
     let seg_started = Instant::now();
-    let result = m.detect_range(&plant.traces, test.clone()).expect("detect");
+    let result = cold
+        .detect_range(&plant.traces, test.clone())
+        .expect("detect");
     let seg_secs = seg_started.elapsed().as_secs_f64();
     let sent_per_sec = result.scores.len() as f64 / seg_secs;
 
@@ -122,12 +129,15 @@ fn main() {
             threads,
             ..cfg.detection.clone()
         };
-        // Warm once, then time the median of 3 runs.
-        let _ = mdes_core::detect(m.trained(), &sets, &dcfg).expect("warm");
+        // Warm once, then time the median of 3 runs, each on a cold memo.
+        let _ = GraphSnapshot::freeze(&m)
+            .detect(&sets, &dcfg, &[])
+            .expect("warm");
         let mut runs: Vec<f64> = (0..3)
             .map(|_| {
+                let cold = GraphSnapshot::freeze(&m);
                 let s = Instant::now();
-                let r = mdes_core::detect(m.trained(), &sets, &dcfg).expect("detect");
+                let r = cold.detect(&sets, &dcfg, &[]).expect("detect");
                 assert_eq!(r.scores.len(), result.scores.len());
                 s.elapsed().as_secs_f64() * 1e3
             })

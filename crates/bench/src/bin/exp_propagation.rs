@@ -41,7 +41,7 @@ fn main() {
         let newly: Vec<&str> = step
             .newly_affected
             .iter()
-            .map(|&s| study.trained.graph.name(s))
+            .map(|&s| study.mdes.graph().name(s))
             .collect();
         println!(
             "{:6} | {:3} | {:.2} | {:8} | {:?}",
@@ -64,7 +64,7 @@ fn main() {
     println!(
         "\n{cumulative} sensors eventually touched by broken relationships \
          (of {} active)",
-        study.trained.graph.len()
+        study.mdes.graph().len()
     );
     let path = write_csv(
         "propagation_timeline.csv",

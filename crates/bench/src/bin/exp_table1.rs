@@ -15,10 +15,10 @@ fn main() {
     let study = PlantStudy::run(&scale_from_args(&args), translator_from_args(&args));
     let thr = study.popular_threshold();
 
-    let rows_stats = table_stats(&study.trained.graph, &ScoreRange::paper_buckets(), thr);
+    let rows_stats = table_stats(study.mdes.graph(), &ScoreRange::paper_buckets(), thr);
     println!(
         "Table I — global subgraph statistics ({} sensors, popular threshold in-degree >= {thr})\n",
-        study.trained.graph.len()
+        study.mdes.graph().len()
     );
     let rows: Vec<Vec<String>> = rows_stats
         .iter()

@@ -18,7 +18,7 @@ use std::collections::HashSet;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let study = HddStudy::run(&default_fleet(), translator_from_args(&args));
-    let sub = study.trained.graph.subgraph(&ScoreRange::best_detection());
+    let sub = study.mdes.graph().subgraph(&ScoreRange::best_detection());
 
     let mut by_in: Vec<(usize, usize)> = sub
         .active_nodes()

@@ -64,8 +64,8 @@ fn main() {
         cfg,
     )
     .expect("fit NMT plant");
-    let trained = m.trained().models().len();
-    let quarantined = m.trained().quarantined().len();
+    let trained = m.snapshot().models().len();
+    let quarantined = m.quarantined().len();
     assert_eq!(
         recorder.counter_value("algo1.pairs_trained"),
         trained as u64,
@@ -89,6 +89,7 @@ fn main() {
     let broken_before = recorder.counter_value("algo2.broken");
     let windows_before = recorder.counter_value("algo2.windows");
     let result = m
+        .snapshot()
         .detect_range(&plant.traces, plant.days_range(6, 8))
         .expect("detect");
     let broken_edges: usize = result.alerts.iter().map(Vec::len).sum();

@@ -8,7 +8,7 @@
 //! final month, with its development month as the normal baseline.
 
 use mdes_core::{
-    build_graph, detect, DetectionConfig, GraphBuildConfig, TrainedGraph, TranslatorConfig,
+    build_graph, DetectionConfig, GraphBuildConfig, Mdes, MdesConfig, TranslatorConfig,
 };
 use mdes_graph::ScoreRange;
 use mdes_lang::{LanguagePipeline, RawTrace, SentenceSet, WindowConfig};
@@ -34,10 +34,10 @@ pub struct DriveWindows {
 pub struct HddStudy {
     /// The generated fleet.
     pub fleet: HddData,
-    /// Language pipeline fitted on pooled training data.
-    pub pipeline: LanguagePipeline,
-    /// Trained pairwise models + relationship graph (one per feature pair).
-    pub trained: TrainedGraph,
+    /// The model fitted on pooled training data: language pipeline,
+    /// relationship graph and one pair model per feature pair, frozen once
+    /// for every detection sweep.
+    pub mdes: Mdes,
     /// Per-drive windows for detection.
     pub drives: Vec<DriveWindows>,
 }
@@ -132,10 +132,15 @@ impl HddStudy {
             ..GraphBuildConfig::default()
         };
         let trained = build_graph(&pipeline, &train_sets, &dev_sets, &build).expect("build graph");
+        let cfg = MdesConfig {
+            window,
+            build,
+            ..MdesConfig::default()
+        };
+        let mdes = Mdes::from_parts(cfg, pipeline, trained).expect("one fit's parts");
         Self {
             fleet,
-            pipeline,
-            trained,
+            mdes,
             drives,
         }
     }
@@ -150,17 +155,18 @@ impl HddStudy {
             valid_range: range,
             ..DetectionConfig::default()
         };
+        let (lang, snap) = (self.mdes.language(), self.mdes.snapshot());
         let mut out = Vec::new();
         for dw in &self.drives {
-            let Ok(dev_sets) = self.pipeline.encode_segment(&dw.traces, dw.dev.clone()) else {
+            let Ok(dev_sets) = lang.encode_segment(&dw.traces, dw.dev.clone()) else {
                 continue;
             };
-            let Ok(test_sets) = self.pipeline.encode_segment(&dw.traces, dw.test.clone()) else {
+            let Ok(test_sets) = lang.encode_segment(&dw.traces, dw.test.clone()) else {
                 continue;
             };
             let (Ok(dev_res), Ok(test_res)) = (
-                detect(&self.trained, &dev_sets, &dcfg),
-                detect(&self.trained, &test_sets, &dcfg),
+                snap.detect(&dev_sets, &dcfg, &[]),
+                snap.detect(&test_sets, &dcfg, &[]),
             ) else {
                 continue;
             };

@@ -1,15 +1,14 @@
 //! Shared harness for the physical-plant case study (paper §III).
 //!
 //! Every plant experiment (Figs. 2–9, Table I) starts from the same fitted
-//! state: a generated plant, the language pipeline, and the trained
-//! relationship graph. [`PlantStudy::run`] builds that state once; the
-//! experiment binaries then extract the artifact they reproduce.
+//! state: a generated plant and the fitted model (language pipeline,
+//! relationship graph and pair models). [`PlantStudy::run`] builds that
+//! state once; the experiment binaries then extract the artifact they
+//! reproduce.
 
-use mdes_core::{
-    build_graph, detect, DetectionConfig, GraphBuildConfig, TrainedGraph, TranslatorConfig,
-};
+use mdes_core::{DetectionConfig, GraphBuildConfig, Mdes, MdesConfig, TranslatorConfig};
 use mdes_graph::ScoreRange;
-use mdes_lang::{LanguagePipeline, WindowConfig};
+use mdes_lang::WindowConfig;
 use mdes_synth::plant::{generate, PlantConfig, PlantData};
 
 /// Scale of a plant study.
@@ -53,12 +52,9 @@ impl PlantScale {
 pub struct PlantStudy {
     /// The generated dataset.
     pub plant: PlantData,
-    /// Fitted language pipeline.
-    pub pipeline: LanguagePipeline,
-    /// Trained pairwise models + relationship graph.
-    pub trained: TrainedGraph,
-    /// Window configuration used.
-    pub window: WindowConfig,
+    /// The fitted model: language pipeline, relationship graph and pair
+    /// models, frozen once for every detection sweep.
+    pub mdes: Mdes,
 }
 
 impl PlantStudy {
@@ -82,25 +78,17 @@ impl PlantStudy {
             sent_len: scale.sent_len,
             sent_stride: scale.sent_len,
         };
-        let pipeline = LanguagePipeline::fit(&plant.traces, plant.days_range(1, 10), window)
-            .expect("fit plant languages");
-        let train_sets = pipeline
-            .encode_segment(&plant.traces, plant.days_range(1, 10))
-            .expect("encode train");
-        let dev_sets = pipeline
-            .encode_segment(&plant.traces, plant.days_range(11, 13))
-            .expect("encode dev");
-        let build = GraphBuildConfig {
-            translator,
-            ..GraphBuildConfig::default()
-        };
-        let trained = build_graph(&pipeline, &train_sets, &dev_sets, &build).expect("build graph");
-        Self {
-            plant,
-            pipeline,
-            trained,
+        let cfg = MdesConfig {
             window,
-        }
+            build: GraphBuildConfig {
+                translator,
+                ..GraphBuildConfig::default()
+            },
+            ..MdesConfig::default()
+        };
+        let (train, dev) = (plant.days_range(1, 10), plant.days_range(11, 13));
+        let mdes = Mdes::fit(&plant.traces, train, dev, cfg).expect("fit plant");
+        Self { plant, mdes }
     }
 
     /// Runs detection over the full test period (days 14–30) at a validity
@@ -119,9 +107,10 @@ impl PlantStudy {
         };
         let test_range = self.plant.days_range(14, self.plant.config.days);
         let test_sets = self
-            .pipeline
+            .mdes
+            .language()
             .encode_segment(&self.plant.traces, test_range.clone())?;
-        let result = detect(&self.trained, &test_sets, &cfg)?;
+        let result = self.mdes.snapshot().detect(&test_sets, &cfg, &[])?;
         let days: Vec<usize> = result
             .starts
             .iter()
@@ -132,7 +121,8 @@ impl PlantStudy {
 
     /// Per-sensor vocabulary sizes (Fig. 3b).
     pub fn vocabulary_sizes(&self) -> Vec<f64> {
-        self.pipeline
+        self.mdes
+            .language()
             .languages()
             .iter()
             .map(|l| l.vocab.word_count() as f64)
@@ -141,7 +131,8 @@ impl PlantStudy {
 
     /// Per-sensor cardinalities of surviving sensors (Fig. 3a).
     pub fn cardinalities(&self) -> Vec<f64> {
-        self.pipeline
+        self.mdes
+            .language()
             .languages()
             .iter()
             .map(|l| l.alphabet.cardinality() as f64)
@@ -151,7 +142,7 @@ impl PlantStudy {
     /// The paper's popular-sensor in-degree threshold, scaled to this node
     /// count.
     pub fn popular_threshold(&self) -> usize {
-        self.trained.graph.scaled_popular_threshold()
+        self.mdes.graph().scaled_popular_threshold()
     }
 }
 

@@ -141,18 +141,18 @@ impl Default for GraphBuildConfig {
     }
 }
 
-/// The output of Algorithm 1: the graph plus every pair model.
-///
-/// Serializable for persistence.
+/// The output of Algorithm 1: the graph plus every pair model, and the
+/// sweep's bookkeeping. [`Mdes::from_parts`](crate::Mdes::from_parts) moves
+/// the graph and models into a [`GraphSnapshot`](crate::GraphSnapshot).
 #[derive(Clone, Serialize, Deserialize)]
 pub struct TrainedGraph {
     /// The multivariate relationship graph (edge weights = dev BLEU).
     pub graph: RelGraph,
-    models: Vec<FrozenPairModel>,
+    pub(crate) models: Vec<FrozenPairModel>,
     /// Wall-clock seconds spent training and scoring each model (Fig. 4a),
     /// in model order.
-    runtimes: Vec<f64>,
-    quarantined: Vec<QuarantinedPair>,
+    pub(crate) runtimes: Vec<f64>,
+    pub(crate) quarantined: Vec<QuarantinedPair>,
 }
 
 impl TrainedGraph {
@@ -171,11 +171,6 @@ impl TrainedGraph {
     /// Per-model runtimes in seconds (for the Fig. 4a CDF), in model order.
     pub fn runtimes(&self) -> &[f64] {
         &self.runtimes
-    }
-
-    /// All development BLEU scores (for the Fig. 4b histogram).
-    pub fn scores(&self) -> Vec<f64> {
-        self.models.iter().map(|m| m.train_score).collect()
     }
 }
 
@@ -861,8 +856,11 @@ mod tests {
     fn scores_and_runtimes_populated() {
         let (p, train, dev, _) = setup();
         let trained = build_graph(&p, &train, &dev, &GraphBuildConfig::default()).expect("build");
-        assert_eq!(trained.scores().len(), 6);
-        assert!(trained.scores().iter().all(|s| (0.0..=100.0).contains(s)));
+        assert_eq!(trained.models().len(), 6);
+        assert!(trained
+            .models()
+            .iter()
+            .all(|m| (0.0..=100.0).contains(&m.train_score)));
         assert!(trained.runtimes().iter().all(|&r| r >= 0.0));
     }
 

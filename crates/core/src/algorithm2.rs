@@ -8,7 +8,7 @@
 //! anomaly score `a_t` is the fraction of valid relationships broken at `t`,
 //! and the alert set `W_t` lists the broken pairs for diagnosis.
 
-use crate::algorithm1::{validate_alignment, TrainedGraph};
+use crate::algorithm1::validate_alignment;
 use crate::error::CoreError;
 use crate::memo::TranslationMemo;
 use crate::pool::{self, OneWorker};
@@ -110,10 +110,10 @@ pub struct DetectionResult {
     pub starts: Vec<usize>,
     /// Number of valid models that participated.
     pub valid_models: usize,
-    /// Fraction of valid models that actually participated, in `[0, 1]`.
-    /// [`detect`] always reports `1.0`; [`detect_excluding`] reports less
-    /// when dropped sensors removed pairs from the valid set, quantifying
-    /// how much evidence backs the scores.
+    /// Fraction of valid models that actually participated, in `[0, 1]`:
+    /// `1.0` with no sensor excluded, less when dropped sensors removed
+    /// pairs from the valid set, quantifying how much evidence backs the
+    /// scores.
     pub coverage: f64,
 }
 
@@ -131,55 +131,9 @@ impl DetectionResult {
     }
 }
 
-/// Runs Algorithm 2 on aligned test sentence sets.
-///
-/// # Errors
-///
-/// Returns an error if corpora are empty/misaligned or no model's training
-/// score falls inside `cfg.valid_range`.
-pub fn detect(
-    trained: &TrainedGraph,
-    test_sets: &[SentenceSet],
-    cfg: &DetectionConfig,
-) -> Result<DetectionResult, CoreError> {
-    detect_excluding(trained, test_sets, cfg, &[])
-}
-
-/// Runs Algorithm 2 with some sensors excluded — the degraded-mode entry
-/// point used when sensors have dropped out online.
-///
-/// `excluded_sensors` are graph node indices (the pipeline's surviving
-/// sensor order); every valid pair touching one is removed from the
-/// participating set, and the result's `coverage` reports the fraction of
-/// valid models that remained. With every valid model excluded a degenerate
-/// result is returned (all scores `0.0`, `coverage` `0.0`) rather than an
-/// error: upstream dropout detection already explains *why* there is no
-/// evidence, and a monitoring loop must keep running through it.
-///
-/// # Errors
-///
-/// As [`detect`]: empty/misaligned corpora, or no model in the validity
-/// range *before* exclusions ([`CoreError::NoValidModels`] — a broken
-/// configuration, not a degraded plant). A panicking decode worker is
-/// [`CoreError::WorkerLost`].
-pub fn detect_excluding(
-    trained: &TrainedGraph,
-    test_sets: &[SentenceSet],
-    cfg: &DetectionConfig,
-    excluded_sensors: &[usize],
-) -> Result<DetectionResult, CoreError> {
-    let job = DetectJob {
-        test_sets,
-        excluded_sensors,
-    };
-    detect_many_with_bank(&Bank::trained(trained), &[job], cfg, cfg.threads)
-        .pop()
-        .expect("one result per job")
-}
-
-/// The pair models Algorithm 2 runs over: a [`TrainedGraph`]'s, or a
-/// [`GraphSnapshot`](crate::serve::GraphSnapshot)'s with its frozen valid
-/// index and translation memo.
+/// The pair models Algorithm 2 runs over: a
+/// [`GraphSnapshot`](crate::serve::GraphSnapshot)'s, with its translation
+/// memo and, when serving, its frozen valid index.
 pub(crate) struct Bank<'a> {
     /// Number of graph nodes (aligned corpora expected per job).
     pub nodes: usize,
@@ -192,18 +146,7 @@ pub(crate) struct Bank<'a> {
     pub memo: Option<&'a TranslationMemo>,
 }
 
-impl<'a> Bank<'a> {
-    /// A trained graph's models, filtered on `cfg.valid_range` per call
-    /// and decoded without a memo.
-    pub(crate) fn trained(trained: &'a TrainedGraph) -> Self {
-        Bank {
-            nodes: trained.graph.len(),
-            models: trained.models(),
-            valid: None,
-            memo: None,
-        }
-    }
-
+impl Bank<'_> {
     /// Decodes a batch of source sentences with model `k`, the neural
     /// family through `arena` (and the memo, if any), appending each row's
     /// `out_len` tokens to `out`.
@@ -283,8 +226,7 @@ enum Job {
 }
 
 /// The Algorithm 2 driver: runs detection for many jobs against one shared
-/// [`Bank`]. [`detect`], [`detect_excluding`],
-/// [`GraphSnapshot::detect_excluding`](crate::serve::GraphSnapshot::detect_excluding)
+/// [`Bank`]. [`GraphSnapshot::detect`](crate::serve::GraphSnapshot::detect)
 /// and the serving layer's pushes are all calls into it, most with one job.
 ///
 /// Decode work is batched *across* jobs: every window that needs model `k`
@@ -488,10 +430,11 @@ pub(crate) fn detect_many_with_bank(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::algorithm1::{build_graph, GraphBuildConfig};
     use crate::pool::lock;
+    use crate::serve::GraphSnapshot;
     use mdes_lang::{LanguagePipeline, RawTrace, WindowConfig};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -531,13 +474,14 @@ mod tests {
         let train = p.encode_segment(&traces, 0..300).expect("train");
         let dev = p.encode_segment(&traces, 300..500).expect("dev");
         let test = p.encode_segment(&traces, 500..900).expect("test");
-        let trained = build_graph(&p, &train, &dev, &GraphBuildConfig::default()).expect("build");
         // Use a wide validity range so the strong pairs participate.
         let cfg = DetectionConfig {
             valid_range: ScoreRange::closed(60.0, 100.0),
             ..DetectionConfig::default()
         };
-        let result = detect(&trained, &test, &cfg).expect("detect");
+        let result = frozen(p, &train, &dev)
+            .detect(&test, &cfg, &[])
+            .expect("detect");
         (result.scores, result.valid_models)
     }
 
@@ -587,12 +531,13 @@ mod tests {
         let train = p.encode_segment(&traces, 0..300).expect("train");
         let dev = p.encode_segment(&traces, 300..500).expect("dev");
         let test = p.encode_segment(&traces, 500..900).expect("test");
-        let trained = build_graph(&p, &train, &dev, &GraphBuildConfig::default()).expect("build");
         let cfg = DetectionConfig {
             valid_range: ScoreRange::closed(60.0, 100.0),
             ..DetectionConfig::default()
         };
-        let result = detect(&trained, &test, &cfg).expect("detect");
+        let result = frozen(p, &train, &dev)
+            .detect(&test, &cfg, &[])
+            .expect("detect");
         // After the slip (sentence 10+), broken pairs should involve sensor 1.
         let late_alerts: Vec<&(usize, usize)> = result.alerts[11..].iter().flatten().collect();
         assert!(
@@ -653,14 +598,13 @@ mod tests {
         let train = p.encode_segment(&traces, 0..300).expect("train");
         let dev = p.encode_segment(&traces, 300..450).expect("dev");
         let test = p.encode_segment(&traces, 450..600).expect("test");
-        let trained = build_graph(&p, &train, &dev, &GraphBuildConfig::default()).expect("build");
         // Perfectly coupled sensors score ~100, outside [0, 10).
         let cfg = DetectionConfig {
             valid_range: ScoreRange::half_open(0.0, 10.0),
             ..DetectionConfig::default()
         };
         assert!(matches!(
-            detect(&trained, &test, &cfg),
+            frozen(p, &train, &dev).detect(&test, &cfg, &[]),
             Err(CoreError::NoValidModels)
         ));
     }
@@ -694,7 +638,7 @@ mod tests {
         let a = p.encode_segment(&traces, 450..525).expect("test a");
         let b = p.encode_segment(&traces, 500..575).expect("test b");
         let c = p.encode_segment(&traces, 525..600).expect("test c");
-        let trained = build_graph(&p, &train, &dev, &GraphBuildConfig::default()).expect("build");
+        let snap = frozen(p, &train, &dev);
         let cfg = DetectionConfig {
             valid_range: ScoreRange::closed(60.0, 100.0),
             ..DetectionConfig::default()
@@ -720,10 +664,11 @@ mod tests {
             },
         ];
         for threads in [1, 4] {
-            let many = detect_many_with_bank(&Bank::trained(&trained), &jobs, &cfg, threads);
+            let many = detect_many_with_bank(&unfrozen(&snap), &jobs, &cfg, threads);
             for (j, job) in jobs[..3].iter().enumerate() {
                 let got = many[j].as_ref().expect("live job");
-                let (scores, alerts) = oracle(&trained, job.test_sets, &cfg, job.excluded_sensors);
+                let (scores, alerts) =
+                    oracle(snap.models(), job.test_sets, &cfg, job.excluded_sensors);
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(
                     bits(&got.scores),
@@ -736,17 +681,34 @@ mod tests {
         }
     }
 
+    /// A snapshot of the n-gram graph trained on `train`, scored on `dev`,
+    /// under the default detection config.
+    fn frozen(p: LanguagePipeline, train: &[SentenceSet], dev: &[SentenceSet]) -> GraphSnapshot {
+        let trained = build_graph(&p, train, dev, &GraphBuildConfig::default()).expect("build");
+        let detection = DetectionConfig::default();
+        GraphSnapshot::from_frozen_parts(trained.graph, p, detection, trained.models)
+    }
+
+    /// `snap`'s models without its memo, filtered on `cfg.valid_range` per
+    /// call.
+    fn unfrozen(snap: &GraphSnapshot) -> Bank<'_> {
+        Bank {
+            valid: None,
+            memo: None,
+            ..snap.bank()
+        }
+    }
+
     /// Algorithm 2 as the paper states it, one window and one valid pair at
     /// a time: single-sentence translate, plain sentence BLEU, broken when
     /// `f < threshold - margin`, `a_t` = broken / participating.
-    fn oracle(
-        trained: &TrainedGraph,
+    pub(crate) fn oracle(
+        models: &[FrozenPairModel],
         sets: &[SentenceSet],
         cfg: &DetectionConfig,
         excluded: &[usize],
     ) -> (Vec<f64>, Vec<Vec<(usize, usize)>>) {
-        let live: Vec<_> = trained
-            .models()
+        let live: Vec<_> = models
             .iter()
             .filter(|m| cfg.valid_range.contains(m.train_score))
             .filter(|m| !excluded.contains(&m.src) && !excluded.contains(&m.dst))
@@ -782,8 +744,8 @@ mod tests {
             .unzip()
     }
 
-    /// Three phase-locked sensors: a trained n-gram graph and a test segment.
-    fn locked() -> (TrainedGraph, Vec<SentenceSet>) {
+    /// Three phase-locked sensors: a frozen n-gram graph and a test segment.
+    fn locked() -> (GraphSnapshot, Vec<SentenceSet>) {
         let mk = |phase: usize| -> RawTrace {
             let on = |t: usize| ((t + phase) / 5).is_multiple_of(2);
             let events = (0..600).map(|t| if on(t) { "on" } else { "off" }.to_owned());
@@ -800,18 +762,17 @@ mod tests {
         let train = p.encode_segment(&traces, 0..300).expect("train");
         let dev = p.encode_segment(&traces, 300..450).expect("dev");
         let test = p.encode_segment(&traces, 450..600).expect("test");
-        let trained = build_graph(&p, &train, &dev, &GraphBuildConfig::default()).expect("build");
-        (trained, test)
+        (frozen(p, &train, &dev), test)
     }
 
-    /// `trained`'s models with model `k` swapped for a neural model whose
+    /// `snap`'s models with model `k` swapped for a neural model whose
     /// begin-of-sentence token lies past its target vocabulary: every source
     /// sentence passes the input check, and the first decode step slices
     /// its embedding table out of range.
-    fn with_malformed(trained: &TrainedGraph, k: usize) -> Vec<FrozenPairModel> {
+    fn with_malformed(snap: &GraphSnapshot, k: usize) -> Vec<FrozenPairModel> {
         let mut spec = mdes_nn::Seq2Seq::new(64, 4, 1, mdes_nn::Seq2SeqConfig::default()).freeze();
         spec.bos = 99;
-        let mut models = trained.models().to_vec();
+        let mut models = snap.models().to_vec();
         let m = &models[k];
         let nmt = FrozenTranslator::Nmt(crate::translator::FrozenNmt::new(spec));
         models[k] = FrozenPairModel::new(m.src, m.dst, m.train_score, m.dev_floor, nmt);
@@ -824,13 +785,13 @@ mod tests {
     #[test]
     fn a_round_touching_one_model_runs_on_the_caller() {
         static PANICKED_ON: Mutex<Vec<std::thread::ThreadId>> = Mutex::new(Vec::new());
-        let (trained, test) = locked();
-        assert!(trained.models().len() > 1);
-        let models = with_malformed(&trained, 0);
+        let (snap, test) = locked();
+        assert!(snap.models().len() > 1);
+        let models = with_malformed(&snap, 0);
         let bank = Bank {
             models: &models,
             valid: Some(&[0]),
-            ..Bank::trained(&trained)
+            ..unfrozen(&snap)
         };
         let job = |excluded_sensors| DetectJob {
             test_sets: &test,
@@ -859,18 +820,18 @@ mod tests {
 
     #[test]
     fn a_panicking_decode_is_a_typed_error_for_every_live_job() {
-        let (trained, test) = locked();
+        let (snap, test) = locked();
         let cfg = DetectionConfig {
             valid_range: ScoreRange::closed(60.0, 100.0),
             ..DetectionConfig::default()
         };
-        let bad = (0..trained.models().len())
-            .find(|&k| cfg.valid_range.contains(trained.models()[k].train_score))
+        let bad = (0..snap.models().len())
+            .find(|&k| cfg.valid_range.contains(snap.models()[k].train_score))
             .expect("a valid model");
-        let models = with_malformed(&trained, bad);
+        let models = with_malformed(&snap, bad);
         let bank = Bank {
             models: &models,
-            ..Bank::trained(&trained)
+            ..unfrozen(&snap)
         };
         let jobs = [
             DetectJob {
@@ -909,18 +870,18 @@ mod tests {
 
     #[test]
     fn excluding_sensors_shrinks_coverage_and_never_errors() {
-        let (trained, test) = locked();
+        let (snap, test) = locked();
         let cfg = DetectionConfig {
             valid_range: ScoreRange::closed(60.0, 100.0),
             ..DetectionConfig::default()
         };
 
-        let full = detect(&trained, &test, &cfg).expect("full");
+        let full = snap.detect(&test, &cfg, &[]).expect("full");
         assert_eq!(full.coverage, 1.0);
         assert_eq!(full.valid_models, 6);
 
         // Dropping sensor 1 removes the 4 pairs touching it: 2 of 6 remain.
-        let partial = detect_excluding(&trained, &test, &cfg, &[1]).expect("partial");
+        let partial = snap.detect(&test, &cfg, &[1]).expect("partial");
         assert_eq!(partial.valid_models, 2);
         assert!((partial.coverage - 2.0 / 6.0).abs() < 1e-12);
         assert_eq!(partial.scores.len(), full.scores.len());
@@ -932,7 +893,7 @@ mod tests {
 
         // Dropping everything degrades to a zero-evidence result, not an
         // error: the monitoring loop must survive a fully dark plant.
-        let dark = detect_excluding(&trained, &test, &cfg, &[0, 1, 2]).expect("dark");
+        let dark = snap.detect(&test, &cfg, &[0, 1, 2]).expect("dark");
         assert_eq!(dark.coverage, 0.0);
         assert_eq!(dark.valid_models, 0);
         assert!(dark.scores.iter().all(|&s| s == 0.0));
@@ -944,7 +905,7 @@ mod tests {
     /// for the next call. Either way the results are the same.
     #[test]
     fn an_oversized_call_frees_the_thread_scratch() {
-        let (trained, test) = locked();
+        let (snap, test) = locked();
         let cfg = DetectionConfig {
             valid_range: ScoreRange::closed(0.0, 100.0),
             ..DetectionConfig::default()
@@ -955,10 +916,10 @@ mod tests {
             test_sets: &test,
             excluded_sensors: &[],
         };
-        let small = detect_many_with_bank(&Bank::trained(&trained), &[job()], &cfg, 1);
+        let small = detect_many_with_bank(&unfrozen(&snap), &[job()], &cfg, 1);
         assert_eq!(SCRATCH.with_borrow(|s| s.refs.len()), per_job);
         let jobs: Vec<DetectJob<'_>> = (0..KEEP_REFS / per_job + 1).map(|_| job()).collect();
-        let big = detect_many_with_bank(&Bank::trained(&trained), &jobs, &cfg, 1);
+        let big = detect_many_with_bank(&unfrozen(&snap), &jobs, &cfg, 1);
         assert!(SCRATCH.with_borrow(|s| s.refs.is_empty() && s.broken.is_empty()));
         let want = small[0].as_ref().expect("small");
         assert!(big.iter().all(|r| r.as_ref().expect("big") == want));

@@ -869,8 +869,13 @@ mod tests {
                 train_steps: 4,
                 ..mdes_nn::Seq2SeqConfig::default()
             }));
-            let runtimes = m.trained().runtimes().iter().copied();
-            m.trained().models().iter().cloned().zip(runtimes).collect()
+            let runtimes = m.runtimes().iter().copied();
+            m.snapshot()
+                .models()
+                .iter()
+                .cloned()
+                .zip(runtimes)
+                .collect()
         })
     }
 

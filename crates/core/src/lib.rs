@@ -10,17 +10,18 @@
 //!    or a fast statistical surrogate ([`TranslatorConfig::Ngram`]);
 //! 2. [`build_graph`] (Algorithm 1) — trains every ordered pair and
 //!    assembles the multivariate relationship graph;
-//! 3. [`detect`] (Algorithm 2) — flags timestamps whose test BLEU drops
-//!    below the trained score for valid pairs, yielding the anomaly score
-//!    `a_t` and alert sets `W_t`;
+//! 3. [`GraphSnapshot::detect`] (Algorithm 2) — flags timestamps whose
+//!    test BLEU drops below the trained score for valid pairs, yielding the
+//!    anomaly score `a_t` and alert sets `W_t`;
 //! 4. [`diagnose`] — projects alerts onto the local subgraph to locate
 //!    faulty sensor clusters;
-//! 5. [`Mdes`] — the end-to-end facade tying the language pipeline and all
-//!    of the above together;
-//! 6. [`GraphSnapshot`] / [`ServingEngine`] — freeze the fitted model into
-//!    an immutable, serializable serving artifact and multiplex many
-//!    concurrent streams against it, hot-swapping retrained snapshots
-//!    mid-stream without dropping buffered windows;
+//! 5. [`Mdes`] — the end-to-end facade: fits the language pipeline and runs
+//!    Algorithm 1 into one [`GraphSnapshot`], the immutable artifact that
+//!    detection, knowledge discovery and serving all read, and that
+//!    [`write_snapshot`] persists as MDSN;
+//! 6. [`ServingEngine`] — multiplexes many concurrent streams against a
+//!    snapshot, hot-swapping retrained snapshots mid-stream without
+//!    dropping buffered windows;
 //! 7. [`DriftMonitor`] / [`refit_pairs`] / [`GraphSnapshot::graft`] /
 //!    [`ModelStore::start_canary`] — the continuous-learning loop: flag
 //!    stale pairs from per-window broken rates, retrain only those pairs,
@@ -72,7 +73,7 @@ pub mod translator;
 pub use algorithm1::{
     build_graph, build_graph_pairs, FailurePolicy, GraphBuildConfig, QuarantinedPair, TrainedGraph,
 };
-pub use algorithm2::{detect, detect_excluding, BrokenRule, DetectionConfig, DetectionResult};
+pub use algorithm2::{BrokenRule, DetectionConfig, DetectionResult};
 pub use checkpoint::{
     read_checkpoint, read_snapshot, snapshot_from_bytes, snapshot_to_bytes, write_checkpoint,
     write_snapshot, CheckpointConfig, CheckpointData,

@@ -1,7 +1,7 @@
 //! Streaming (online) detection: feed one multivariate sample per tick and
 //! receive a detection every time a sentence window completes.
 //!
-//! [`Mdes::detect_range`] scores a batch of historical samples;
+//! [`GraphSnapshot::detect_range`] scores a batch of historical samples;
 //! [`OnlineMonitor`] is the production-facing equivalent of the paper's
 //! *online testing phase* (Fig. 1): it buffers just enough trailing samples
 //! to form one sentence per sensor and runs Algorithm 2 on each completed
@@ -9,11 +9,14 @@
 //! configures (every 20 minutes with the paper's plant settings).
 //!
 //! Since the serving split, the monitor is a convenience wrapper over the
-//! real machinery in [`crate::serve`]: it freezes the fitted model into a
-//! [`GraphSnapshot`], starts a private [`ServingEngine`] and opens one
-//! [`StreamSession`]. Monitoring many streams —
-//! or hot-swapping a retrained model under a live stream — is what the
-//! engine API is for; use it directly.
+//! real machinery in [`crate::serve`]: it serves the fitted model's own
+//! [`GraphSnapshot`] (the same `Arc`, so one copy of the weights) from a
+//! private [`ServingEngine`] and opens one [`StreamSession`]. Monitoring
+//! many streams — or hot-swapping a retrained model under a live stream —
+//! is what the engine API is for; use it directly.
+//!
+//! [`GraphSnapshot`]: crate::serve::GraphSnapshot
+//! [`GraphSnapshot::detect_range`]: crate::serve::GraphSnapshot::detect_range
 //!
 //! # Degraded input
 //!
@@ -34,8 +37,9 @@
 
 use crate::error::CoreError;
 use crate::pipeline::Mdes;
-use crate::serve::{GraphSnapshot, ServingEngine, StreamSession};
+use crate::serve::{ServingEngine, StreamSession};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// When an online sensor is considered *dropped* and excluded from
 /// detection until it recovers.
@@ -85,9 +89,9 @@ pub struct OnlineDetection {
 /// (including sensors that were filtered out as constant — their values are
 /// simply ignored).
 ///
-/// This is single-stream sugar over [`crate::serve`]: construction freezes
-/// the model once, and every push delegates to a private engine. The frozen
-/// path is bit-identical to scoring against the training-state graph.
+/// This is single-stream sugar over [`crate::serve`]: a private engine
+/// serves the model's [`Mdes::snapshot`] itself, and every push delegates
+/// to it.
 #[derive(Clone, Debug)]
 pub struct OnlineMonitor {
     mdes: Mdes,
@@ -105,8 +109,8 @@ impl OnlineMonitor {
     /// largest original sensor index the model references.
     pub fn try_new(mdes: Mdes, width: usize) -> Result<Self, CoreError> {
         // Pushes detect on the engine's threads; keep the model's setting.
-        let engine = ServingEngine::new(GraphSnapshot::freeze(&mdes))
-            .with_threads(mdes.config().detection.threads);
+        let engine = ServingEngine::new(Arc::clone(mdes.snapshot()))
+            .with_threads(mdes.snapshot().detection().threads);
         let session = engine.open_session(width)?;
         Ok(Self {
             mdes,
@@ -122,7 +126,7 @@ impl OnlineMonitor {
         self
     }
 
-    /// The wrapped model (full training state, not the frozen artifact).
+    /// The wrapped model, whose snapshot the engine serves until a publish.
     pub fn mdes(&self) -> &Mdes {
         &self.mdes
     }
@@ -238,7 +242,7 @@ mod tests {
     #[test]
     fn streaming_matches_batch_detection() {
         let (m, traces) = fitted();
-        let batch = m.detect_range(&traces, 450..700).expect("batch");
+        let batch = m.snapshot().detect_range(&traces, 450..700).expect("batch");
         let mut monitor = monitor(m, 3);
         let mut streamed: Vec<f64> = Vec::new();
         for t in 450..700 {
@@ -253,6 +257,33 @@ mod tests {
         for (s, b) in streamed.iter().zip(&batch.scores) {
             assert!((s - b).abs() < 1e-12, "streamed {s} vs batch {b}");
         }
+    }
+
+    /// A neural monitor serves its model's snapshot itself: one copy of
+    /// the weights, shared by the model and the engine.
+    #[test]
+    fn monitor_engine_serves_the_models_own_snapshot() {
+        let mut cfg = MdesConfig {
+            window: WindowConfig {
+                word_len: 4,
+                word_stride: 1,
+                sent_len: 5,
+                sent_stride: 5,
+            },
+            ..MdesConfig::default()
+        };
+        cfg.build.translator = crate::TranslatorConfig::Nmt(mdes_nn::Seq2SeqConfig {
+            embed_dim: 4,
+            hidden: 4,
+            train_steps: 4,
+            ..mdes_nn::Seq2SeqConfig::default()
+        });
+        let traces = [square("a", 700, 0), square("b", 700, 2)];
+        let nmt = Mdes::fit(&traces, 0..300, 300..450, cfg).expect("neural fit");
+        let monitor = monitor(nmt, 2);
+        let (own, served) = (monitor.mdes().snapshot(), monitor.engine().snapshot());
+        assert!(own.approx_bytes() > 0);
+        assert!(Arc::ptr_eq(own, &served));
     }
 
     #[test]

@@ -2,21 +2,23 @@
 //!
 //! [`Mdes::fit`] runs the full offline phase of Fig. 1 — sequence filtering,
 //! encryption, word/sentence generation, the pairwise translation sweep
-//! (Algorithm 1) — and holds the resulting relationship graph.
-//! [`Mdes::detect_range`] runs the online phase (Algorithm 2) on any later
-//! sample range, and the knowledge-discovery helpers expose the global/local
-//! subgraph views of §II-B.
+//! (Algorithm 1) — and holds its one output, a [`GraphSnapshot`].
+//! [`GraphSnapshot::detect_range`] runs the online phase (Algorithm 2) on
+//! any later sample range, and the knowledge-discovery helpers expose the
+//! global/local subgraph views of §II-B.
 
-use crate::algorithm1::{build_graph, GraphBuildConfig, TrainedGraph};
-use crate::algorithm2::{detect, DetectionConfig, DetectionResult};
+use crate::algorithm1::{build_graph, GraphBuildConfig, QuarantinedPair, TrainedGraph};
+use crate::algorithm2::{DetectionConfig, DetectionResult};
 use crate::diagnosis::{diagnose, Diagnosis};
 use crate::error::CoreError;
 use crate::prescreen::{prescreen_pairs, PrescreenConfig, PrescreenResult};
+use crate::serve::GraphSnapshot;
 use crate::sharded::{build_graph_sharded, ShardedSweepConfig, ShardedSweepReport};
 use mdes_graph::{walktrap, Communities, RelGraph, ScoreRange, WalktrapConfig};
 use mdes_lang::{LanguagePipeline, RawTrace, WindowConfig};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Full framework configuration.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
@@ -73,22 +75,30 @@ impl ScalableFitConfig {
     }
 }
 
-/// A fitted analytics framework instance.
+/// A fitted analytics framework instance: the [`GraphSnapshot`] Algorithm 2
+/// consumes (relationship graph, language pipeline, detection config and one
+/// frozen model per trained pair), shared behind an `Arc`, plus what only
+/// the fit knows — the build configuration, per-pair runtimes and
+/// quarantined pairs.
 ///
-/// Serializable: a trained instance can be persisted with `serde` and
-/// restored for online monitoring without retraining.
-#[derive(Clone, Serialize, Deserialize)]
+/// Detection and knowledge discovery are [`GraphSnapshot`] methods
+/// ([`GraphSnapshot::detect_range`], [`GraphSnapshot::communities`], ...);
+/// [`write_snapshot`](crate::checkpoint::write_snapshot) persists the
+/// snapshot, and [`read_snapshot`](crate::checkpoint::read_snapshot)
+/// restores it without retraining.
+#[derive(Clone)]
 pub struct Mdes {
-    cfg: MdesConfig,
-    lang: LanguagePipeline,
-    trained: TrainedGraph,
+    snapshot: Arc<GraphSnapshot>,
+    build: GraphBuildConfig,
+    runtimes: Vec<f64>,
+    quarantined: Vec<QuarantinedPair>,
 }
 
 impl std::fmt::Debug for Mdes {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Mdes")
-            .field("sensors", &self.lang.sensor_count())
-            .field("edges", &self.trained.graph.edge_count())
+            .field("sensors", &self.language().sensor_count())
+            .field("edges", &self.graph().edge_count())
             .finish()
     }
 }
@@ -107,15 +117,13 @@ impl Mdes {
         dev: Range<usize>,
         cfg: MdesConfig,
     ) -> Result<Self, CoreError> {
-        // Reject invalid windowing at the construction boundary: a config
-        // assembled in code (bypassing the validating `Deserialize`) must
-        // surface `ZeroWindowParameter` here, not panic mid-windowing.
-        cfg.window.validate().map_err(CoreError::from)?;
+        // `LanguagePipeline::fit` refuses invalid windowing first, so a
+        // config assembled in code surfaces `ZeroWindowParameter` here.
         let lang = LanguagePipeline::fit(traces, train.clone(), cfg.window)?;
         let train_sets = lang.encode_segment(traces, train)?;
         let dev_sets = lang.encode_segment(traces, dev)?;
         let trained = build_graph(&lang, &train_sets, &dev_sets, &cfg.build)?;
-        Ok(Self { cfg, lang, trained })
+        Self::from_parts(cfg, lang, trained)
     }
 
     /// Scalable offline phase: prescreens all ordered pairs with the n-gram
@@ -139,7 +147,6 @@ impl Mdes {
         cfg: MdesConfig,
         scale: &ScalableFitConfig,
     ) -> Result<(Self, PrescreenResult, ShardedSweepReport), CoreError> {
-        cfg.window.validate().map_err(CoreError::from)?;
         let lang = LanguagePipeline::fit(traces, train.clone(), cfg.window)?;
         let screened =
             prescreen_pairs(&lang, traces, train.clone(), dev.clone(), &scale.prescreen)?;
@@ -157,58 +164,85 @@ impl Mdes {
             &screened.survivors(),
             &sharded_cfg,
         )?;
-        Ok((Self { cfg, lang, trained }, screened, report))
+        Ok((Self::from_parts(cfg, lang, trained)?, screened, report))
     }
 
     /// Assembles an instance from an externally built graph (e.g. a sharded
     /// sweep driven through the lower-level
     /// [`build_graph_sharded`](crate::sharded::build_graph_sharded) API).
+    /// The graph and models move into the snapshot; nothing is copied. The
+    /// window configuration is `lang`'s own, so `cfg.window` is not read.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::TooFewSensors`] when `trained` references a
-    /// sensor index outside `lang`'s surviving languages — the graph and
-    /// pipeline must come from the same fit.
+    /// Returns [`CoreError::IncompatibleSnapshot`] when `trained` and
+    /// `lang` do not come from the same fit, or a model is malformed (see
+    /// [`ModelStore::publish`](crate::ModelStore::publish)).
     pub fn from_parts(
         cfg: MdesConfig,
         lang: LanguagePipeline,
         trained: TrainedGraph,
     ) -> Result<Self, CoreError> {
-        let n = lang.sensor_count();
-        let max_ref = trained
-            .models()
-            .iter()
-            .flat_map(|m| [m.src, m.dst])
-            .max()
-            .map_or(0, |m| m + 1);
-        if max_ref > n {
-            return Err(CoreError::TooFewSensors { available: n });
-        }
-        Ok(Self { cfg, lang, trained })
+        let snapshot =
+            GraphSnapshot::from_frozen_parts(trained.graph, lang, cfg.detection, trained.models);
+        snapshot.validate_models()?;
+        Ok(Self {
+            snapshot: Arc::new(snapshot),
+            build: cfg.build,
+            runtimes: trained.runtimes,
+            quarantined: trained.quarantined,
+        })
+    }
+
+    /// The fitted model as a serving artifact: what Algorithm 2, knowledge
+    /// discovery and serving read.
+    pub fn snapshot(&self) -> &Arc<GraphSnapshot> {
+        &self.snapshot
     }
 
     /// The fitted language pipeline.
     pub fn language(&self) -> &LanguagePipeline {
-        &self.lang
-    }
-
-    /// The trained pairwise models and graph.
-    pub fn trained(&self) -> &TrainedGraph {
-        &self.trained
+        self.snapshot.language()
     }
 
     /// The full multivariate relationship graph (Ori-MVRG).
     pub fn graph(&self) -> &RelGraph {
-        &self.trained.graph
+        self.snapshot.graph()
     }
 
-    /// The configuration in effect.
-    pub fn config(&self) -> &MdesConfig {
-        &self.cfg
+    /// The pairwise training configuration the fit ran with.
+    pub fn build_config(&self) -> &GraphBuildConfig {
+        &self.build
     }
 
-    /// Online phase: detects anomalies over `test` samples of the same
-    /// traces.
+    /// Per-model runtimes in seconds (for the Fig. 4a CDF), in model order.
+    pub fn runtimes(&self) -> &[f64] {
+        &self.runtimes
+    }
+
+    /// All development BLEU scores (for the Fig. 4b histogram), in model
+    /// order.
+    pub fn scores(&self) -> Vec<f64> {
+        self.snapshot
+            .models()
+            .iter()
+            .map(|m| m.train_score)
+            .collect()
+    }
+
+    /// Pairs whose training failed under a
+    /// [`Degrade`](crate::FailurePolicy::Degrade) policy; their edges are
+    /// absent from the graph.
+    pub fn quarantined(&self) -> &[QuarantinedPair] {
+        &self.quarantined
+    }
+}
+
+/// Batch detection and the knowledge-discovery views of §II-B over the
+/// frozen graph, pipeline and detection config.
+impl GraphSnapshot {
+    /// Online phase over recorded samples: encodes `test` samples of
+    /// `traces` and runs Algorithm 2 under the frozen detection config.
     ///
     /// # Errors
     ///
@@ -219,13 +253,13 @@ impl Mdes {
         traces: &[RawTrace],
         test: Range<usize>,
     ) -> Result<DetectionResult, CoreError> {
-        let test_sets = self.lang.encode_segment(traces, test)?;
-        detect(&self.trained, &test_sets, &self.cfg.detection)
+        let test_sets = self.language().encode_segment(traces, test)?;
+        self.detect(&test_sets, self.detection(), &[])
     }
 
     /// Global subgraph at a score range (§III-B1).
     pub fn global_subgraph(&self, range: &ScoreRange) -> RelGraph {
-        self.trained.graph.subgraph(range)
+        self.graph().subgraph(range)
     }
 
     /// Local subgraph: global subgraph with popular sensors removed
@@ -248,7 +282,7 @@ impl Mdes {
     /// Diagnoses one detection timestamp against the local subgraph at the
     /// detection validity range.
     pub fn diagnose_alerts(&self, alerts: &[(usize, usize)]) -> Diagnosis {
-        let local = self.local_subgraph(&self.cfg.detection.valid_range, None);
+        let local = self.local_subgraph(&self.detection().valid_range, None);
         diagnose(&local, alerts)
     }
 }
@@ -258,6 +292,8 @@ mod tests {
     use super::*;
     use mdes_synth::plant::{generate, PlantConfig};
 
+    /// A generous validity range: the miniature plant's score distribution
+    /// differs from the 128-sensor paper setup.
     fn small_plant_cfg() -> MdesConfig {
         MdesConfig {
             window: WindowConfig {
@@ -266,12 +302,13 @@ mod tests {
                 sent_len: 6,
                 sent_stride: 6,
             },
+            detection: DetectionConfig::default().with_valid_range(ScoreRange::closed(40.0, 100.0)),
             ..MdesConfig::default()
         }
     }
 
-    fn fitted() -> (Mdes, mdes_synth::plant::PlantData) {
-        let plant = generate(&PlantConfig {
+    fn plant() -> mdes_synth::plant::PlantData {
+        generate(&PlantConfig {
             n_sensors: 10,
             days: 12,
             minutes_per_day: 288,
@@ -279,7 +316,11 @@ mod tests {
             anomaly_days: vec![11],
             precursor_days: vec![],
             ..PlantConfig::default()
-        });
+        })
+    }
+
+    fn fitted() -> (Mdes, mdes_synth::plant::PlantData) {
+        let plant = plant();
         let train = plant.days_range(1, 4);
         let dev = plant.days_range(5, 6);
         let m = Mdes::fit(&plant.traces, train, dev, small_plant_cfg()).expect("fit");
@@ -292,6 +333,8 @@ mod tests {
         let n = m.language().sensor_count();
         assert!(n >= 2);
         assert_eq!(m.graph().edge_count(), n * (n - 1));
+        assert_eq!(m.runtimes().len(), m.snapshot().models().len());
+        assert_eq!(m.scores().len(), m.snapshot().models().len());
     }
 
     #[test]
@@ -329,31 +372,39 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_reassembles_a_working_instance() {
-        let (m, plant) = fitted();
-        let Mdes {
-            mut cfg,
-            lang,
-            trained,
-        } = m;
-        cfg.detection.valid_range = ScoreRange::closed(40.0, 100.0);
-        let m2 = Mdes::from_parts(cfg, lang, trained).expect("matching parts");
-        assert!(m2.graph().edge_count() > 0);
-        m2.detect_range(&plant.traces, plant.day_range(8))
+    fn from_parts_reassembles_a_working_instance_from_one_fit_only() {
+        let plant = plant();
+        let cfg = small_plant_cfg();
+        let train = plant.days_range(1, 4);
+        let lang = LanguagePipeline::fit(&plant.traces, train.clone(), cfg.window).expect("lang");
+        let train_sets = lang.encode_segment(&plant.traces, train).expect("train");
+        let dev_sets = lang
+            .encode_segment(&plant.traces, plant.days_range(5, 6))
+            .expect("dev");
+        let trained = build_graph(&lang, &train_sets, &dev_sets, &cfg.build).expect("build");
+        // A pipeline over fewer sensors than the graph is another fit's.
+        let narrow = LanguagePipeline::fit(&plant.traces[..3], plant.days_range(1, 4), cfg.window)
+            .expect("narrow lang");
+        let refused = Mdes::from_parts(cfg.clone(), narrow, trained.clone());
+        assert!(
+            matches!(refused, Err(CoreError::IncompatibleSnapshot { .. })),
+            "{refused:?}"
+        );
+        let m = Mdes::from_parts(cfg, lang, trained).expect("matching parts");
+        assert!(m.graph().edge_count() > 0);
+        m.snapshot()
+            .detect_range(&plant.traces, plant.day_range(8))
             .expect("reassembled instance detects");
     }
 
     #[test]
     fn anomalous_day_scores_higher_than_normal_day() {
         let (m, plant) = fitted();
-        // Use a generous validity range — the miniature plant's score
-        // distribution differs from the 128-sensor paper setup.
-        let mut mdes = m;
-        mdes.cfg.detection.valid_range = ScoreRange::closed(40.0, 100.0);
-        let normal = mdes
+        let snap = m.snapshot();
+        let normal = snap
             .detect_range(&plant.traces, plant.day_range(8))
             .expect("normal detection");
-        let anomalous = mdes
+        let anomalous = snap
             .detect_range(&plant.traces, plant.day_range(11))
             .expect("anomalous detection");
         let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
@@ -364,19 +415,20 @@ mod tests {
     #[test]
     fn knowledge_discovery_views_consistent() {
         let (m, _) = fitted();
+        let snap = m.snapshot();
         let range = ScoreRange::closed(0.0, 100.0);
-        let global = m.global_subgraph(&range);
+        let global = snap.global_subgraph(&range);
         assert_eq!(global.edge_count(), m.graph().edge_count());
-        let local = m.local_subgraph(&range, Some(3));
+        let local = snap.local_subgraph(&range, Some(3));
         assert!(local.edge_count() <= global.edge_count());
-        let comms = m.communities(&range, Some(global.len() + 1));
+        let comms = snap.communities(&range, Some(global.len() + 1));
         // With no popular removal, every active node is in some community.
         let members: usize = comms.groups.iter().map(Vec::len).sum();
         assert_eq!(members, global.active_nodes().len());
     }
 
     #[test]
-    fn serde_roundtrip_preserves_graph_and_detection() {
+    fn snapshot_file_roundtrip_preserves_graph_and_detection() {
         let (ngram, plant) = fitted();
         // A few train steps give every neural pair weights of its own.
         let mut cfg = small_plant_cfg();
@@ -388,34 +440,35 @@ mod tests {
         });
         let (train, dev) = (plant.days_range(1, 4), plant.days_range(5, 6));
         let nmt = Mdes::fit(&plant.traces, train, dev, cfg).expect("neural fit");
-        let detect = |m: &Mdes| {
-            let r = m
-                .detect_range(&plant.traces, plant.day_range(8))
-                .expect("detect");
+        let cfg = DetectionConfig::default().with_valid_range(ScoreRange::closed(0.0, 100.0));
+        let detect = |s: &GraphSnapshot| {
+            let sets = s
+                .language()
+                .encode_segment(&plant.traces, plant.day_range(8))
+                .expect("encode");
+            let r = s.detect(&sets, &cfg, &[]).expect("detect");
             let bits: Vec<u64> = r.scores.iter().map(|s| s.to_bits()).collect();
             (bits, r.alerts)
         };
-        for mut m in [ngram, nmt] {
-            m.cfg.detection.valid_range = ScoreRange::closed(0.0, 100.0);
-            let json = serde_json::to_string(&m).expect("serialize");
-            let restored: Mdes = serde_json::from_str(&json).expect("deserialize");
+        for m in [ngram, nmt] {
+            let bytes = crate::checkpoint::snapshot_to_bytes(m.snapshot()).expect("encode");
+            let restored = crate::checkpoint::snapshot_from_bytes(&bytes).expect("decode");
             assert_eq!(restored.graph(), m.graph());
-            assert_eq!(restored.trained().runtimes(), m.trained().runtimes());
-            assert_eq!(detect(&restored), detect(&m));
+            assert_eq!(detect(&restored), detect(m.snapshot()));
         }
     }
 
     #[test]
     fn diagnose_alerts_roundtrip() {
-        let (mut m, plant) = fitted();
-        m.cfg.detection.valid_range = ScoreRange::closed(40.0, 100.0);
-        let res = m
+        let (m, plant) = fitted();
+        let snap = m.snapshot();
+        let res = snap
             .detect_range(&plant.traces, plant.day_range(11))
             .expect("detect");
         let worst = (0..res.scores.len())
             .max_by(|&a, &b| res.scores[a].partial_cmp(&res.scores[b]).expect("finite"))
             .expect("non-empty");
-        let diag = m.diagnose_alerts(&res.alerts[worst]);
+        let diag = snap.diagnose_alerts(&res.alerts[worst]);
         // Ranking lists every sensor that participates in a broken pair.
         let alerted: std::collections::HashSet<usize> = res.alerts[worst]
             .iter()

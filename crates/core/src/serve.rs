@@ -2,18 +2,21 @@
 //! sessions.
 //!
 //! Algorithm 1 already produces frozen pair models ([`FrozenPairModel`],
-//! defined in [`crate::translator`] and re-exported here): a fitted [`Mdes`]
-//! keeps them with the training-side bookkeeping (per-pair runtimes,
-//! quarantined pairs), while the online phase only ever *decodes* them, many
-//! streams at a time. This module holds the serving side:
+//! defined in [`crate::translator`] and re-exported here), and a fitted
+//! [`Mdes`] moves them into the one artifact the online phase reads, a
+//! shared [`GraphSnapshot`]; the fit keeps only its bookkeeping (per-pair
+//! runtimes, quarantined pairs) beside it. This module holds that artifact
+//! and the serving side:
 //!
-//! * [`GraphSnapshot`] — an immutable, serializable serving artifact frozen
-//!   from a fitted model: packed weights ([`mdes_nn::ModelSpec`]) per pair,
-//!   the vocab tables of the language pipeline, and the
-//!   `ScoreRange`-filtered valid-model index, computed once instead of per
-//!   detection call. Each value also memoizes its neural pair models'
-//!   translations, so a repeated source sentence decodes once per
-//!   snapshot ([`GraphSnapshot::memo_bytes`]);
+//! * [`GraphSnapshot`] — an immutable serving artifact, written to disk as
+//!   MDSN ([`write_snapshot`](crate::checkpoint::write_snapshot)): packed
+//!   weights ([`mdes_nn::ModelSpec`]) per pair, the vocab tables of the
+//!   language pipeline, the detection config, and the `ScoreRange`-filtered
+//!   valid-model index, computed once instead of per serving round.
+//!   [`GraphSnapshot::detect`] is Algorithm 2's one offline entry point.
+//!   Each value also memoizes its neural pair models' translations, so a
+//!   repeated source sentence decodes once per snapshot
+//!   ([`GraphSnapshot::memo_bytes`]);
 //! * [`ModelStore`] — an atomically swappable `Arc<GraphSnapshot>` holder:
 //!   [`ModelStore::publish`] deploys a retrained graph mid-stream without
 //!   dropping a single buffered window;
@@ -28,8 +31,8 @@
 //!
 //! A snapshot holds the trained graph's own pair models, so dev scoring,
 //! offline detection and serving decode the same [`FrozenNmt`] weights
-//! through the same kernels in the same order (pinned by
-//! `tests/serving.rs`).
+//! through the same kernels in the same order (each pinned to the
+//! paper-literal oracle by `tests/algorithm2_oracle.rs`).
 
 use crate::algorithm2::{detect_many_with_bank, Bank, DetectJob, DetectionConfig, DetectionResult};
 use crate::error::CoreError;
@@ -103,10 +106,10 @@ pub struct QuantCalibration {
 /// An immutable serving artifact frozen from a fitted model.
 ///
 /// Everything Algorithm 2 needs and nothing training-related: the
-/// relationship graph, the language pipeline (vocab tables), one
-/// [`FrozenPairModel`] per trained pair, and the valid-model index
-/// (`detection.valid_range` applied to the training scores) computed once
-/// at freeze time instead of per detection call.
+/// relationship graph, the language pipeline (vocab tables), the detection
+/// config, one [`FrozenPairModel`] per trained pair, and the valid-model
+/// index (`detection.valid_range` applied to the training scores) that
+/// serving reads, computed once instead of per round.
 ///
 /// Serving fills a bounded translation memo per neural pair model
 /// ([`MEMO_ENTRIES_PER_MODEL`] entries): decode is a pure, batch-invariant
@@ -180,37 +183,17 @@ impl std::fmt::Debug for GraphSnapshot {
 }
 
 impl GraphSnapshot {
-    /// Freezes a fitted model into a serving artifact.
+    /// An owned copy of a fitted model's snapshot (weights included, memo
+    /// empty); [`Mdes::snapshot`] shares it without a copy.
     pub fn freeze(mdes: &Mdes) -> Self {
-        Self::from_parts(
-            mdes.language().clone(),
-            mdes.trained(),
-            mdes.config().detection.clone(),
-        )
-    }
-
-    /// Freezes a serving artifact from its parts — the resume-friendly form
-    /// for a retrained Algorithm 1 sweep whose `TrainedGraph` came back
-    /// from [`build_graph`](crate::algorithm1::build_graph) directly.
-    pub fn from_parts(
-        lang: LanguagePipeline,
-        trained: &crate::algorithm1::TrainedGraph,
-        detection: DetectionConfig,
-    ) -> Self {
-        Self::from_frozen_parts(
-            trained.graph.clone(),
-            lang,
-            detection,
-            trained.models().to_vec(),
-        )
+        Self::clone(mdes.snapshot())
     }
 
     /// Assembles a serving artifact from its parts, computing the
     /// valid-model index from `detection.valid_range` — the one place that
-    /// index is computed ([`GraphSnapshot::from_parts`] and
-    /// [`GraphSnapshot::graft`] build through it). Tools that build
-    /// synthetic artifacts (e.g. `exp_quant`'s 128-sensor plant) call it
-    /// without an Algorithm 1 sweep.
+    /// index is computed ([`Mdes::from_parts`] and [`GraphSnapshot::graft`]
+    /// build through it). Tools that build synthetic artifacts (e.g.
+    /// `exp_quant`'s 128-sensor plant) call it without an Algorithm 1 sweep.
     pub fn from_frozen_parts(
         graph: RelGraph,
         lang: LanguagePipeline,
@@ -257,28 +240,19 @@ impl GraphSnapshot {
     /// ([`mdes_nn::ModelSpec::validate`]), or mixes weight encodings with
     /// the retained models (e.g. f32 refits grafted into an int8 artifact).
     pub fn graft(&self, replacements: Vec<FrozenPairModel>) -> Result<Self, CoreError> {
-        let n = self.graph.len();
         let mut seen = std::collections::BTreeSet::new();
-        for m in &replacements {
-            if m.src >= n || m.dst >= n || m.src == m.dst {
-                return Err(CoreError::IncompatibleSnapshot {
-                    detail: format!(
-                        "grafted pair ({} -> {}) invalid for {n} sensors",
-                        m.src, m.dst
-                    ),
-                });
-            }
-            if !seen.insert((m.src, m.dst)) {
-                return Err(CoreError::IncompatibleSnapshot {
-                    detail: format!("duplicate grafted pair ({} -> {})", m.src, m.dst),
-                });
-            }
+        if let Some(m) = replacements.iter().find(|m| !seen.insert((m.src, m.dst))) {
+            return Err(CoreError::IncompatibleSnapshot {
+                detail: format!("duplicate grafted pair ({} -> {})", m.src, m.dst),
+            });
         }
-        let mut graph = self.graph.clone();
+        let edges: Vec<_> = replacements
+            .iter()
+            .map(|r| (r.src, r.dst, r.train_score))
+            .collect();
         let mut models = self.models.clone();
         let mut replaced = 0usize;
         for r in replacements {
-            graph.set_score(r.src, r.dst, r.train_score);
             match models.iter_mut().find(|m| m.src == r.src && m.dst == r.dst) {
                 Some(slot) => {
                     *slot = r;
@@ -288,11 +262,15 @@ impl GraphSnapshot {
             }
         }
         let added = models.len() - self.models.len();
-        let mut out =
-            Self::from_frozen_parts(graph, self.lang.clone(), self.detection.clone(), models);
+        let (lang, detection) = (self.lang.clone(), self.detection.clone());
+        let mut out = Self::from_frozen_parts(self.graph.clone(), lang, detection, models);
         out.quant = self.quant.clone();
+        // Refuses a pair off the graph before its edge is set.
         out.validate_models()?;
         out.validate_quant()?;
+        for (src, dst, score) in edges {
+            out.graph.set_score(src, dst, score);
+        }
         mdes_obs::event(
             "serve.graft",
             &[
@@ -305,16 +283,32 @@ impl GraphSnapshot {
         Ok(out)
     }
 
-    /// Checks every neural pair model's frozen weights for internally
-    /// consistent shapes ([`mdes_nn::ModelSpec::validate`]), so a malformed model is
-    /// refused at load, publish, canary or graft instead of panicking in a
-    /// decode worker on every window.
+    /// Checks the model table against the graph and the pipeline — one
+    /// graph node per surviving sensor, and every pair model joining two
+    /// distinct nodes — and every neural pair model's frozen weights for
+    /// internally consistent shapes ([`mdes_nn::ModelSpec::validate`]). So a
+    /// malformed model is refused at fit assembly, load, publish, canary or
+    /// graft instead of panicking in Algorithm 2 on every window.
     ///
     /// # Errors
     ///
     /// [`CoreError::IncompatibleSnapshot`] naming the pair model and field.
     pub(crate) fn validate_models(&self) -> Result<(), CoreError> {
+        let (n, sensors) = (self.graph.len(), self.lang.sensor_count());
+        if n != sensors {
+            return Err(CoreError::IncompatibleSnapshot {
+                detail: format!("graph has {n} nodes for {sensors} sensors"),
+            });
+        }
         for (k, m) in self.models.iter().enumerate() {
+            if m.src >= n || m.dst >= n || m.src == m.dst {
+                return Err(CoreError::IncompatibleSnapshot {
+                    detail: format!(
+                        "pair model {k} ({} -> {}) is not a pair of distinct nodes below {n}",
+                        m.src, m.dst
+                    ),
+                });
+            }
             if let FrozenTranslator::Nmt(t) = &m.translator {
                 t.spec
                     .validate()
@@ -523,8 +517,8 @@ impl GraphSnapshot {
         calib_sets: &[SentenceSet],
     ) -> Result<Self, CoreError> {
         let mut q = self.quantize(mode, policy)?;
-        let base = self.detect_excluding(calib_sets, &[])?;
-        let quantized = q.detect_excluding(calib_sets, &[])?;
+        let base = self.detect(calib_sets, &self.detection, &[])?;
+        let quantized = q.detect(calib_sets, &self.detection, &[])?;
         let drift = base
             .scores
             .iter()
@@ -545,34 +539,42 @@ impl GraphSnapshot {
     }
 
     /// Runs Algorithm 2 on aligned test sentence sets against this
-    /// snapshot, excluding `excluded_sensors` (graph node indices), on the
-    /// worker pool (`detection().threads` workers).
+    /// snapshot's models under `cfg` — pass [`GraphSnapshot::detection`]
+    /// for the frozen config — excluding `excluded_sensors` (graph node
+    /// indices), on `cfg.threads` pool workers. The models are filtered on
+    /// `cfg.valid_range` per call, so a sweep over validity ranges reuses
+    /// one snapshot (and its translation memo).
     ///
-    /// Bit-identical to
-    /// [`detect_excluding`](crate::algorithm2::detect_excluding) over the
-    /// `TrainedGraph` this snapshot was frozen from.
+    /// Every valid pair touching an excluded node leaves the participating
+    /// set, and the result's `coverage` reports the fraction of valid models
+    /// that remained. With every valid model excluded a degenerate result is
+    /// returned (all scores `0.0`, `coverage` `0.0`) rather than an error:
+    /// upstream dropout detection already explains *why* there is no
+    /// evidence, and a monitoring loop must keep running through it.
     ///
     /// # Errors
     ///
-    /// As [`detect`](crate::algorithm2::detect): empty/misaligned corpora,
-    /// or an empty frozen valid-model index.
-    pub fn detect_excluding(
+    /// Empty or misaligned corpora; [`CoreError::NoValidModels`] when no
+    /// model is in the validity range *before* exclusions (a broken
+    /// configuration, not a degraded plant); [`CoreError::WorkerLost`] when
+    /// a decode worker panics.
+    pub fn detect(
         &self,
         test_sets: &[SentenceSet],
+        cfg: &DetectionConfig,
         excluded_sensors: &[usize],
     ) -> Result<DetectionResult, CoreError> {
         let job = DetectJob {
             test_sets,
             excluded_sensors,
         };
-        detect_many_with_bank(
-            &self.bank(),
-            &[job],
-            &self.detection,
-            self.detection.threads,
-        )
-        .pop()
-        .expect("one result per job")
+        let bank = Bank {
+            valid: None,
+            ..self.bank()
+        };
+        detect_many_with_bank(&bank, &[job], cfg, cfg.threads)
+            .pop()
+            .expect("one result per job")
     }
 
     /// Algorithm 2's view of this snapshot: its frozen valid index, and
@@ -730,11 +732,12 @@ pub struct ModelStore {
 }
 
 impl ModelStore {
-    /// Starts serving `snapshot` at version 1.
-    pub fn new(snapshot: GraphSnapshot) -> Self {
+    /// Starts serving `snapshot` at version 1. An `Arc` (e.g. a fitted
+    /// model's [`Mdes::snapshot`]) is served as is, with no copy.
+    pub fn new(snapshot: impl Into<Arc<GraphSnapshot>>) -> Self {
         Self {
             current: Mutex::new(Served {
-                snapshot: Arc::new(snapshot),
+                snapshot: snapshot.into(),
                 version: 1,
             }),
             canary: Mutex::new(None),
@@ -771,8 +774,9 @@ impl ModelStore {
     /// uses different windowing (sessions derive their buffer length and
     /// emission stride from it), requires a wider minimum sample width
     /// than the current one (open sessions were only validated against the
-    /// current minimum), or carries a pair model with malformed weights
-    /// ([`mdes_nn::ModelSpec::validate`]).
+    /// current minimum), has a graph whose node count is not its pipeline's
+    /// sensor count, or carries a pair model that is not a pair of distinct
+    /// graph nodes or has malformed weights ([`mdes_nn::ModelSpec::validate`]).
     pub fn publish(&self, snapshot: GraphSnapshot) -> Result<u64, CoreError> {
         self.publish_inner(snapshot).inspect_err(|e| {
             // A refused rollout is an operator-facing incident, not just a
@@ -1382,8 +1386,8 @@ pub struct ServingEngine {
 }
 
 impl ServingEngine {
-    /// Starts an engine serving `snapshot`.
-    pub fn new(snapshot: GraphSnapshot) -> Self {
+    /// Starts an engine serving `snapshot` (see [`ModelStore::new`]).
+    pub fn new(snapshot: impl Into<Arc<GraphSnapshot>>) -> Self {
         Self::from_store(Arc::new(ModelStore::new(snapshot)))
     }
 
@@ -1726,12 +1730,7 @@ mod tests {
         )
     }
 
-    fn fitted() -> (Mdes, Vec<RawTrace>) {
-        let traces = vec![
-            square("a", 700, 0),
-            square("b", 700, 2),
-            square("c", 700, 4),
-        ];
+    fn plant_cfg() -> MdesConfig {
         let mut cfg = MdesConfig {
             window: WindowConfig {
                 word_len: 4,
@@ -1742,7 +1741,16 @@ mod tests {
             ..MdesConfig::default()
         };
         cfg.detection.valid_range = ScoreRange::closed(60.0, 100.0);
-        let m = Mdes::fit(&traces, 0..300, 300..450, cfg).expect("fit");
+        cfg
+    }
+
+    fn fitted() -> (Mdes, Vec<RawTrace>) {
+        let traces = vec![
+            square("a", 700, 0),
+            square("b", 700, 2),
+            square("c", 700, 4),
+        ];
+        let m = Mdes::fit(&traces, 0..300, 300..450, plant_cfg()).expect("fit");
         (m, traces)
     }
 
@@ -1813,32 +1821,30 @@ mod tests {
     fn snapshot_freezes_valid_index_and_width() {
         let (m, _) = fitted();
         let snap = GraphSnapshot::freeze(&m);
-        assert_eq!(snap.models().len(), m.trained().models().len());
         assert_eq!(snap.min_width(), 3);
-        let expected: Vec<usize> = (0..m.trained().models().len())
-            .filter(|&k| {
-                m.config()
-                    .detection
-                    .valid_range
-                    .contains(m.trained().models()[k].train_score)
-            })
+        let range = &plant_cfg().detection.valid_range;
+        let expected: Vec<usize> = (0..snap.models().len())
+            .filter(|&k| range.contains(snap.models()[k].train_score))
             .collect();
+        assert!(!expected.is_empty());
         assert_eq!(snap.valid_models(), expected.as_slice());
         assert!(snap.approx_bytes() > 0);
     }
 
     #[test]
-    fn snapshot_detection_matches_trained_graph_bitwise() {
+    fn snapshot_detection_matches_the_oracle_bitwise() {
         let (m, traces) = fitted();
-        let snap = GraphSnapshot::freeze(&m);
+        let snap = m.snapshot();
         let sets = m
             .language()
             .encode_segment(&traces, 450..700)
             .expect("encode");
-        let legacy = crate::algorithm2::detect(m.trained(), &sets, &m.config().detection)
-            .expect("legacy detect");
-        let frozen = snap.detect_excluding(&sets, &[]).expect("frozen detect");
-        assert_eq!(legacy, frozen);
+        let (scores, alerts) =
+            crate::algorithm2::tests::oracle(snap.models(), &sets, snap.detection(), &[]);
+        let got = snap.detect(&sets, snap.detection(), &[]).expect("detect");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got.scores), bits(&scores));
+        assert_eq!(got.alerts, alerts);
     }
 
     #[test]
@@ -1855,7 +1861,7 @@ mod tests {
     fn incompatible_window_config_is_rejected() {
         let (m, traces) = fitted();
         let store = ModelStore::new(GraphSnapshot::freeze(&m));
-        let mut cfg = m.config().clone();
+        let mut cfg = plant_cfg();
         cfg.window.sent_len = 6;
         let other = Mdes::fit(&traces, 0..300, 300..450, cfg).expect("fit");
         let r = store.publish(GraphSnapshot::freeze(&other));
@@ -1902,8 +1908,10 @@ mod tests {
             .encode_segment(&traces, 450..700)
             .expect("encode");
         assert_eq!(
-            snap.detect_excluding(&sets, &[]).expect("original"),
-            restored.detect_excluding(&sets, &[]).expect("restored"),
+            snap.detect(&sets, snap.detection(), &[]).expect("original"),
+            restored
+                .detect(&sets, restored.detection(), &[])
+                .expect("restored"),
         );
     }
 
@@ -1916,7 +1924,9 @@ mod tests {
             .encode_segment(&traces, 450..700)
             .expect("encode");
         let policy = QuantPolicy::default();
-        let base = snap.detect_excluding(&sets, &[]).expect("f32 detect");
+        let base = snap
+            .detect(&sets, snap.detection(), &[])
+            .expect("f32 detect");
         for mode in [QuantMode::F16, QuantMode::Int8] {
             let q = snap
                 .quantize_calibrated(mode, &policy, &sets)
@@ -1929,7 +1939,7 @@ mod tests {
             assert_eq!(q.quant_mode(), Some(mode));
             assert!(c.matrices > 0);
             // The record is honest: re-measuring reproduces it.
-            let scores = q.detect_excluding(&sets, &[]).expect("quant detect");
+            let scores = q.detect(&sets, q.detection(), &[]).expect("quant detect");
             let measured = base
                 .scores
                 .iter()
@@ -1973,8 +1983,10 @@ mod tests {
         assert_eq!(restored.quant(), q.quant());
         assert_eq!(restored.quant_mode(), Some(QuantMode::Int8));
         assert_eq!(
-            q.detect_excluding(&sets, &[]).expect("original"),
-            restored.detect_excluding(&sets, &[]).expect("restored"),
+            q.detect(&sets, q.detection(), &[]).expect("original"),
+            restored
+                .detect(&sets, restored.detection(), &[])
+                .expect("restored"),
         );
     }
 
@@ -2140,13 +2152,11 @@ mod tests {
         bad
     }
 
-    fn assert_names(field: &str, result: Result<impl std::fmt::Debug, CoreError>) {
+    /// Asserts a typed refusal whose detail names every one of `needles`.
+    fn assert_names(needles: &[&str], result: Result<impl std::fmt::Debug, CoreError>) {
         match result {
             Err(CoreError::IncompatibleSnapshot { detail }) => {
-                assert!(
-                    detail.contains("pair model 1") && detail.contains(field),
-                    "{detail}"
-                );
+                assert!(needles.iter().all(|n| detail.contains(n)), "{detail}");
             }
             other => panic!("expected a typed refusal, got {other:?}"),
         }
@@ -2158,32 +2168,56 @@ mod tests {
         let good = GraphSnapshot::freeze(&m);
         good.validate_models()
             .expect("frozen models are well formed");
-        let cases: [(&str, GraphSnapshot); 2] = [
+        let mut past_graph = good.clone();
+        past_graph.models[1].dst = 7;
+        let (src, mut names) = (past_graph.models[1].src, good.graph.names().to_vec());
+        names.push("ghost".to_owned());
+        let wide = GraphSnapshot::from_frozen_parts(
+            RelGraph::new(names),
+            good.lang.clone(),
+            good.detection.clone(),
+            good.models.clone(),
+        );
+        let past = format!("({src} -> 7)");
+        let cases: [(&[&str], GraphSnapshot); 4] = [
             // Begin-of-sentence token past the target vocabulary.
-            ("bos", malformed(&good, |s| s.bos = s.tgt_vocab() + 5)),
+            (
+                &["pair model 1", "bos"],
+                malformed(&good, |s| s.bos = s.tgt_vocab() + 5),
+            ),
             // One table re-encoded int8 under f32 weights elsewhere: the
             // model would report f32 and go live with no calibration record.
             (
-                "src_emb",
+                &["pair model 1", "src_emb"],
                 malformed(&good, |s| {
                     s.src_emb =
                         mdes_nn::QMatrix::quantize(&s.src_emb.dequantize(), QuantMode::Int8)
                             .expect("finite weights");
                 }),
             ),
+            // A target past the graph: Algorithm 2 would index its
+            // reference sentences out of bounds.
+            (&[&past], past_graph),
+            // A graph node the pipeline has no sensor for.
+            (&["graph has 3 nodes for 2 sensors"], wide),
         ];
-        for (field, bad) in cases {
+        for (needles, bad) in cases {
             let bytes = crate::checkpoint::snapshot_to_bytes(&bad).expect("encode");
-            assert_names(field, crate::checkpoint::snapshot_from_bytes(&bytes));
+            assert_names(needles, crate::checkpoint::snapshot_from_bytes(&bytes));
             let store = ModelStore::new(good.clone());
-            assert_names(field, store.publish(bad.clone()));
+            assert_names(needles, store.publish(bad.clone()));
             assert_names(
-                field,
+                needles,
                 store.start_canary(bad.clone(), CanaryConfig::default()),
             );
             assert_eq!(store.version(), 1, "nothing refused may go live");
             assert!(!store.canary_status().active);
-            assert_names(field, good.graft(vec![bad.models()[1].clone()]));
+            let grafted = good.graft(vec![bad.models()[1].clone()]);
+            if bad.graph.len() == good.graph.len() {
+                assert_names(needles, grafted);
+            } else {
+                grafted.expect("the wide snapshot's models are well formed");
+            }
         }
     }
 
@@ -2322,9 +2356,14 @@ mod tests {
             .encode_segment(&traces, 450..700)
             .expect("encode");
         assert_eq!(snap.memo_bytes(), 0, "nothing is allocated before a decode");
-        let warm = snap.detect_excluding(&sets, &[]).expect("first pass");
+        let warm = snap
+            .detect(&sets, snap.detection(), &[])
+            .expect("first pass");
         assert!(snap.memo_bytes() > 0);
-        assert_eq!(snap.detect_excluding(&sets, &[]).expect("all hits"), warm);
+        assert_eq!(
+            snap.detect(&sets, snap.detection(), &[]).expect("all hits"),
+            warm
+        );
 
         let grafted = sabotaged(&snap);
         let mut cloned = snap.clone();
@@ -2337,17 +2376,27 @@ mod tests {
                 s.detection.clone(),
                 s.models.clone(),
             )
-            .detect_excluding(&sets, &[])
+            .detect(&sets, &s.detection, &[])
             .expect("cold detect")
         };
         let want = cold(&grafted);
         assert_ne!(want.scores, warm.scores, "the swapped weights must show");
-        assert_eq!(grafted.detect_excluding(&sets, &[]).expect("graft"), want);
         assert_eq!(
-            cloned.detect_excluding(&sets, &[]).expect("clone"),
+            grafted
+                .detect(&sets, grafted.detection(), &[])
+                .expect("graft"),
+            want
+        );
+        assert_eq!(
+            cloned
+                .detect(&sets, cloned.detection(), &[])
+                .expect("clone"),
             cold(&cloned)
         );
-        assert_eq!(snap.detect_excluding(&sets, &[]).expect("source"), warm);
+        assert_eq!(
+            snap.detect(&sets, snap.detection(), &[]).expect("source"),
+            warm
+        );
     }
 
     #[test]

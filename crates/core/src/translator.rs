@@ -672,9 +672,9 @@ impl FrozenTranslator {
 
 /// One trained directional pair model: its thresholds plus its frozen
 /// decoding weights. Algorithm 1 trains one per ordered sensor pair and
-/// scores it on the dev set; Algorithm 2 decodes the same value, whether it
-/// sits in a [`TrainedGraph`](crate::algorithm1::TrainedGraph) or a
-/// [`GraphSnapshot`](crate::serve::GraphSnapshot).
+/// scores it on the dev set; Algorithm 2 decodes the same value, moved
+/// from the [`TrainedGraph`](crate::algorithm1::TrainedGraph) into the
+/// fitted model's [`GraphSnapshot`](crate::serve::GraphSnapshot).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct FrozenPairModel {
     /// Source sensor node index.

@@ -11,7 +11,10 @@
 //! Run with: `cargo run --release --example disk_failure`
 
 use mdes::bleu::BleuConfig;
-use mdes::core::{build_graph, detect, BrokenRule, DetectionConfig, GraphBuildConfig};
+use mdes::core::{
+    build_graph, read_snapshot, write_snapshot, BrokenRule, DetectionConfig, GraphBuildConfig,
+    Mdes, MdesConfig,
+};
 use mdes::graph::ScoreRange;
 use mdes::lang::{LanguagePipeline, RawTrace, SentenceSet, WindowConfig};
 use mdes::ml::{Confusion, Dataset, ForestConfig, OneClassSvm, RandomForest, Scaler, SvmConfig};
@@ -120,20 +123,34 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         trained.models().len()
     );
 
-    // Detection per drive at the paper's best range, with the drive's own
-    // development month as the normal baseline.
-    let dcfg = DetectionConfig {
-        valid_range: ScoreRange::best_detection(),
-        bleu: BleuConfig::sentence(),
-        margin: 0.0,
-        rule: BrokenRule::CorpusScore,
-        ..DetectionConfig::default()
+    // Freeze the fit with detection at the paper's best range, persist it
+    // as an MDSN snapshot, and detect through the restored file.
+    let cfg = MdesConfig {
+        window,
+        detection: DetectionConfig {
+            valid_range: ScoreRange::best_detection(),
+            bleu: BleuConfig::sentence(),
+            margin: 0.0,
+            rule: BrokenRule::CorpusScore,
+            ..DetectionConfig::default()
+        },
+        ..MdesConfig::default()
     };
+    let model_path = std::env::temp_dir().join("mdes_disk_failure.mdsn");
+    write_snapshot(
+        &model_path,
+        Mdes::from_parts(cfg, pipeline, trained)?.snapshot(),
+    )?;
+    let snapshot = read_snapshot(&model_path)?;
+    std::fs::remove_file(&model_path).ok();
+
+    // Detection per drive, with the drive's own development month as the
+    // normal baseline.
     let (mut hits, mut failed_eval, mut false_alarms, mut healthy_eval) = (0, 0, 0, 0);
     for (d, traces) in &per_drive {
         let (_, dev_r, test_r) = windows(*d);
-        let dev_res = detect(&trained, &pipeline.encode_segment(traces, dev_r)?, &dcfg)?;
-        let test_res = detect(&trained, &pipeline.encode_segment(traces, test_r)?, &dcfg)?;
+        let dev_res = snapshot.detect_range(traces, dev_r)?;
+        let test_res = snapshot.detect_range(traces, test_r)?;
         let dev_mean = dev_res.scores.iter().sum::<f64>() / dev_res.scores.len() as f64;
         let w = test_res.scores.len();
         let tail = &test_res.scores[w.saturating_sub(4)..w - 1];

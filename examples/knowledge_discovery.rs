@@ -81,7 +81,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Communities in a strong local subgraph vs ground-truth components.
     let range = ScoreRange::closed(60.0, 100.0);
-    let comms = mdes.communities(&range, None);
+    let comms = mdes.snapshot().communities(&range, None);
     println!(
         "\ncommunities at {range} (modularity {:.2}):",
         comms.modularity
@@ -103,7 +103,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Export the best-detection global subgraph as DOT (Fig. 6).
-    let sub = mdes.global_subgraph(&ScoreRange::best_detection());
+    let sub = mdes
+        .snapshot()
+        .global_subgraph(&ScoreRange::best_detection());
     let dot = to_dot(
         &sub,
         &DotOptions {

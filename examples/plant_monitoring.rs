@@ -57,7 +57,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Per-day mean anomaly score across the test period.
     println!("\nday | mean a_t | max a_t | verdict");
     for day in 7..=plant.config.days {
-        let result = mdes.detect_range(&plant.traces, plant.day_range(day))?;
+        let result = mdes
+            .snapshot()
+            .detect_range(&plant.traces, plant.day_range(day))?;
         let mean: f64 = result.scores.iter().sum::<f64>() / result.scores.len() as f64;
         let max = result.max_score();
         let truth = if plant.config.is_anomalous_day(day) {
@@ -71,11 +73,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Diagnose the worst window of the first anomalous day.
-    let result = mdes.detect_range(&plant.traces, plant.day_range(12))?;
+    let result = mdes
+        .snapshot()
+        .detect_range(&plant.traces, plant.day_range(12))?;
     let worst = (0..result.scores.len())
         .max_by(|&a, &b| result.scores[a].total_cmp(&result.scores[b]))
         .expect("non-empty");
-    let diag = mdes.diagnose_alerts(&result.alerts[worst]);
+    let diag = mdes.snapshot().diagnose_alerts(&result.alerts[worst]);
     println!(
         "\nfault diagnosis of day 12, worst window: {} broken pairs, {} faulty cluster(s)",
         result.alerts[worst].len(),

@@ -55,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Online: monitor the remaining samples (the slip happens mid-segment).
-    let result = mdes.detect_range(&traces, 600..1200)?;
+    let result = mdes.snapshot().detect_range(&traces, 600..1200)?;
     println!(
         "\nanomaly scores over the test window ({} models valid):",
         result.valid_models
@@ -74,7 +74,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         spikes.len()
     );
     if let Some(&first) = spikes.first() {
-        let diag = mdes.diagnose_alerts(&result.alerts[first]);
+        let diag = mdes.snapshot().diagnose_alerts(&result.alerts[first]);
         println!("diagnosis of the first spike: suspect sensors (by broken edges):");
         for (sensor, count) in &diag.sensor_ranking {
             println!(

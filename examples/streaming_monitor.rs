@@ -2,12 +2,14 @@
 //! restore it in a "monitoring service" that scores each incoming window and
 //! raises calibrated alerts with diagnosis.
 //!
-//! Demonstrates model persistence (serde JSON), the calibrated
+//! Demonstrates model persistence (an MDSN snapshot file), the calibrated
 //! dev-quantile-floor threshold rule, and the fault-propagation timeline.
 //!
 //! Run with: `cargo run --release --example streaming_monitor`
 
-use mdes::core::{propagation_timeline, BrokenRule, Mdes, MdesConfig};
+use mdes::core::{
+    propagation_timeline, read_snapshot, write_snapshot, BrokenRule, Mdes, MdesConfig,
+};
 use mdes::graph::ScoreRange;
 use mdes::lang::WindowConfig;
 use mdes::synth::plant::{generate, PlantConfig};
@@ -43,18 +45,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         plant.days_range(6, 7),
         cfg,
     )?;
-    let model_path = std::env::temp_dir().join("mdes_streaming_model.json");
-    std::fs::write(&model_path, serde_json::to_string(&trained)?)?;
+    let model_path = std::env::temp_dir().join("mdes_streaming_model.mdsn");
+    write_snapshot(&model_path, trained.snapshot())?;
     println!(
         "trained on days 1-7, persisted {} sensors / {} models to {}",
         trained.graph().len(),
-        trained.trained().models().len(),
+        trained.snapshot().models().len(),
         model_path.display()
     );
     drop(trained);
 
     // --- Online: restore and monitor day by day. ---
-    let monitor: Mdes = serde_json::from_str(&std::fs::read_to_string(&model_path)?)?;
+    let monitor = read_snapshot(&model_path)?;
     println!("\nmonitoring days 8-14 (calibrated floor rule):");
     let mut alert_scores: Vec<f64> = Vec::new();
     let mut alert_sets: Vec<Vec<(usize, usize)>> = Vec::new();

@@ -5,16 +5,16 @@
 //!            [--admin-addr 127.0.0.1:7401] [--threads N]
 //!            [--idle-ttl-secs 300] [--queue-capacity 64]
 //!            [--read-timeout-secs 10] [--obs FILE.jsonl]
-//! mdes-serve --model model.json ...      # JSON Mdes, frozen at startup
 //! ```
 //!
-//! Serves the framed binary ingest protocol on `--addr` and the text admin
+//! The snapshot is an MDSN file, as `mdes fit --out` writes it. Serves the
+//! framed binary ingest protocol on `--addr` and the text admin
 //! plane on `--admin-addr` (see `DESIGN.md` §12). Runs until an admin
 //! `shutdown` command arrives. New snapshots can be hot-swapped at runtime
 //! through the admin `publish` command; a snapshot that fails validation is
 //! rejected and the running model stays live.
 
-use mdes::core::{read_snapshot, GraphSnapshot, Mdes, ServingEngine};
+use mdes::core::{read_snapshot, ServingEngine};
 use mdes::net::{start, ServeConfig};
 use std::path::Path;
 use std::process::ExitCode;
@@ -37,7 +37,11 @@ fn run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         print_usage();
         return Ok(());
     }
-    let snapshot = load_snapshot(args)?;
+    let Some(path) = opt(args, "snapshot") else {
+        print_usage();
+        return Err("--snapshot is required".into());
+    };
+    let snapshot = read_snapshot(Path::new(&path))?;
     let width = snapshot.min_width();
     let threads: usize = parse_num(args, "threads", 0)?;
     let mut engine = ServingEngine::new(snapshot);
@@ -76,29 +80,11 @@ fn run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-fn load_snapshot(args: &[String]) -> Result<GraphSnapshot, Box<dyn std::error::Error>> {
-    match (opt(args, "snapshot"), opt(args, "model")) {
-        (Some(path), None) => Ok(read_snapshot(Path::new(&path))?),
-        (None, Some(path)) => {
-            let data = std::fs::read_to_string(&path)
-                .map_err(|e| format!("cannot read model file `{path}`: {e}"))?;
-            let mdes: Mdes = serde_json::from_str(&data)
-                .map_err(|e| format!("cannot parse model file `{path}`: {e}"))?;
-            Ok(GraphSnapshot::freeze(&mdes))
-        }
-        (Some(_), Some(_)) => Err("--snapshot and --model are mutually exclusive".into()),
-        (None, None) => {
-            print_usage();
-            Err("one of --snapshot or --model is required".into())
-        }
-    }
-}
-
 fn print_usage() {
     eprintln!(
         "mdes-serve — network serving daemon (DSN 2020 reproduction)\n\
          \n\
-         USAGE: mdes-serve (--snapshot FILE.mdsn | --model FILE.json)\n\
+         USAGE: mdes-serve --snapshot FILE.mdsn\n\
                 [--addr HOST:PORT] [--admin-addr HOST:PORT] [--threads N]\n\
                 [--idle-ttl-secs S] [--queue-capacity N]\n\
                 [--read-timeout-secs S] [--obs FILE.jsonl]"

@@ -4,22 +4,26 @@
 //!
 //! ```text
 //! mdes simulate-plant --out traces.json --sensors 16 --days 14
-//! mdes fit    --traces traces.json --train 0..4032 --dev 4032..6048 --out model.json
-//! mdes detect --model model.json --traces traces.json --range 6048..8064 --threshold 0.5
-//! mdes discover --model model.json --range 80..90 --dot graph.dot
-//! mdes diagnose --model model.json --traces traces.json --range 6048..8064
+//! mdes fit    --traces traces.json --train 0..4032 --dev 4032..6048 --out model.mdsn
+//! mdes detect --model model.mdsn --traces traces.json --range 6048..8064 --threshold 0.5
+//! mdes discover --model model.mdsn --range 80..90 --dot graph.dot
+//! mdes diagnose --model model.mdsn --traces traces.json --range 6048..8064
+//! mdes-serve --snapshot model.mdsn
 //! ```
 //!
 //! Traces are JSON arrays of `{ "name": ..., "events": [...] }`; a fitted
-//! model is the JSON serialization of [`mdes::core::Mdes`].
+//! model is an MDSN snapshot file
+//! ([`write_snapshot`](mdes::core::write_snapshot)), the same file
+//! `mdes-serve` serves.
 
-use mdes::core::{Mdes, MdesConfig, TranslatorConfig};
+use mdes::core::{read_snapshot, write_snapshot, Mdes, MdesConfig, TranslatorConfig};
 use mdes::graph::{to_dot, walktrap, DotOptions, ScoreRange, WalktrapConfig};
 use mdes::lang::{RawTrace, WindowConfig};
 use mdes::synth::hdd::{self, HddConfig};
 use mdes::synth::plant::{self, PlantConfig};
 use std::collections::HashSet;
 use std::ops::Range;
+use std::path::Path;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -68,12 +72,12 @@ fn print_usage() {
          commands:\n\
            simulate-plant  --out FILE [--sensors N] [--days D] [--minutes M] [--seed S]\n\
            simulate-hdd    --out FILE [--drives N] [--days D] [--seed S]\n\
-           fit             --traces FILE --train A..B --dev A..B --out FILE\n\
+           fit             --traces FILE --train A..B --dev A..B --out FILE.mdsn\n\
                            [--word-len N] [--sent-len N] [--translator ngram|nmt]\n\
                            [--valid LO..HI]\n\
-           detect          --model FILE --traces FILE --range A..B [--threshold T]\n\
-           discover        --model FILE [--range LO..HI] [--dot FILE]\n\
-           diagnose        --model FILE --traces FILE --range A..B [--window K]"
+           detect          --model FILE.mdsn --traces FILE --range A..B [--threshold T]\n\
+           discover        --model FILE.mdsn [--range LO..HI] [--dot FILE]\n\
+           diagnose        --model FILE.mdsn --traces FILE --range A..B [--window K]"
     );
 }
 
@@ -147,15 +151,6 @@ fn load_traces(path: &str) -> Result<Vec<RawTrace>, Box<dyn std::error::Error>> 
     Ok(traces)
 }
 
-fn load_model(path: &str) -> Result<Mdes, Box<dyn std::error::Error>> {
-    let data = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read model file `{path}`: {e}"))?;
-    Ok(
-        serde_json::from_str(&data)
-            .map_err(|e| format!("cannot parse model file `{path}`: {e}"))?,
-    )
-}
-
 fn simulate_plant(args: &[String]) -> CliResult {
     let out = require(args, "out")?;
     let cfg = PlantConfig {
@@ -217,17 +212,17 @@ fn fit(args: &[String]) -> CliResult {
         cfg.detection.valid_range = parse_score_range(&v)?;
     }
     let model = Mdes::fit(&traces, train, dev, cfg)?;
-    std::fs::write(&out, serde_json::to_string(&model)?)?;
+    write_snapshot(Path::new(&out), model.snapshot())?;
     println!(
         "fitted {} sensors, {} directional models; wrote {out}",
         model.language().sensor_count(),
-        model.trained().models().len()
+        model.snapshot().models().len()
     );
     Ok(())
 }
 
 fn detect(args: &[String]) -> CliResult {
-    let model = load_model(&require(args, "model")?)?;
+    let model = read_snapshot(Path::new(&require(args, "model")?))?;
     let traces = load_traces(&require(args, "traces")?)?;
     let range = parse_range(&require(args, "range")?)?;
     let threshold: f64 = parse_num(args, "threshold", 0.5)?;
@@ -256,7 +251,7 @@ fn detect(args: &[String]) -> CliResult {
 }
 
 fn discover(args: &[String]) -> CliResult {
-    let model = load_model(&require(args, "model")?)?;
+    let model = read_snapshot(Path::new(&require(args, "model")?))?;
     let range = match opt(args, "range") {
         Some(v) => parse_score_range(&v)?,
         None => ScoreRange::best_detection(),
@@ -296,7 +291,7 @@ fn discover(args: &[String]) -> CliResult {
 }
 
 fn diagnose(args: &[String]) -> CliResult {
-    let model = load_model(&require(args, "model")?)?;
+    let model = read_snapshot(Path::new(&require(args, "model")?))?;
     let traces = load_traces(&require(args, "traces")?)?;
     let range = parse_range(&require(args, "range")?)?;
     let result = model.detect_range(&traces, range)?;

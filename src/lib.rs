@@ -51,7 +51,7 @@
 //! // their models participate (the default is the paper's [80, 90)).
 //! cfg.detection.valid_range = mdes::graph::ScoreRange::closed(60.0, 100.0);
 //! let mdes = Mdes::fit(&traces, 0..300, 300..450, cfg)?;
-//! let result = mdes.detect_range(&traces, 450..600)?;
+//! let result = mdes.snapshot().detect_range(&traces, 450..600)?;
 //! assert!(result.scores.iter().all(|s| (0.0..=1.0).contains(s)));
 //! # Ok(())
 //! # }

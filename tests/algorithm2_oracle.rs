@@ -1,77 +1,33 @@
 //! Paper-literal oracle for Algorithm 2.
 //!
 //! For each test window and each valid pair model that no excluded sensor
-//! touches, the oracle translates the source sentence on its own, scores
-//! it against the target's actual sentence with plain sentence BLEU, and
-//! calls the pair broken when `f < threshold − margin`; the anomaly score is
-//! `a_t` = broken / participating. Every optimised path must reproduce it
-//! bit for bit: batched and grouped decode, shared reference n-grams, the
-//! worker pool, cross-session batching, frozen and int8 snapshots,
-//! streamed pushes (clean or degraded, batched so that one round mixes
-//! excluded sets), and the snapshot's translation memo — on hits, across
-//! table clears, and across hot-swaps, grafts and canaries, including a
-//! canary whose candidate encodes windows with another language pipeline.
+//! touches, the oracle (`common::oracle`) translates the source sentence on
+//! its own, scores it against the target's actual sentence with plain
+//! sentence BLEU, and calls the pair broken when `f < threshold − margin`;
+//! the anomaly score is `a_t` = broken / participating. Every optimised
+//! path must reproduce it bit for bit: batched and grouped decode, shared
+//! reference n-grams, the worker pool, cross-session batching, frozen and
+//! int8 snapshots, streamed pushes (clean or degraded, batched so that one
+//! round mixes excluded sets), and the snapshot's translation memo — on
+//! hits, across table clears, and across hot-swaps, grafts and canaries,
+//! including a canary whose candidate encodes windows with another language
+//! pipeline.
 
-use mdes::bleu::sentence_bleu;
+mod common;
+
+use common::{batch, oracle, Windows};
 use mdes::core::serve::MEMO_ENTRIES_PER_MODEL;
 use mdes::core::{
-    detect, detect_excluding, BrokenRule, CanaryConfig, CanaryDecision, DegradationConfig,
-    DetectionConfig, DetectionResult, FrozenPairModel, GraphSnapshot, Mdes, MdesConfig,
-    OnlineDetection, QuantMode, QuantPolicy, ScoreDist, ServingEngine, StreamSession,
-    TranslatorConfig,
+    BrokenRule, CanaryConfig, CanaryDecision, DegradationConfig, DetectionConfig, FrozenPairModel,
+    GraphSnapshot, Mdes, MdesConfig, OnlineDetection, QuantMode, QuantPolicy, ScoreDist,
+    ServingEngine, StreamSession, TranslatorConfig,
 };
 use mdes::graph::ScoreRange;
 use mdes::lang::{RawTrace, SentenceSet, Vocab, WindowConfig, MISSING_RECORD};
-use mdes::nn::{InferArena, Seq2SeqConfig};
+use mdes::nn::Seq2SeqConfig;
 use mdes::synth::plant::{generate, PlantConfig, PlantData};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
-
-/// Per window: the anomaly score's bits and the broken pairs.
-type Windows = Vec<(u64, Vec<(usize, usize)>)>;
-
-/// The oracle over `models`, each sentence decoded alone.
-fn oracle(
-    models: &[FrozenPairModel],
-    sets: &[SentenceSet],
-    cfg: &DetectionConfig,
-    excluded: &[usize],
-) -> Windows {
-    let live: Vec<&FrozenPairModel> = models
-        .iter()
-        .filter(|m| {
-            cfg.valid_range.contains(m.train_score)
-                && !excluded.contains(&m.src)
-                && !excluded.contains(&m.dst)
-        })
-        .collect();
-    let mut arena = InferArena::new();
-    (0..sets[0].len())
-        .map(|t| {
-            let mut broken = Vec::new();
-            for m in &live {
-                let reference = &sets[m.dst].sentences[t];
-                let src: &[u32] = &sets[m.src].sentences[t];
-                let hyp = m
-                    .translator()
-                    .translate_batch(&[src], reference.len(), &mut arena);
-                let threshold = match cfg.rule {
-                    BrokenRule::CorpusScore => m.train_score,
-                    BrokenRule::DevQuantileFloor => m.dev_floor,
-                };
-                if sentence_bleu(&hyp[0], reference, &cfg.bleu) < threshold - cfg.margin {
-                    broken.push((m.src, m.dst));
-                }
-            }
-            let a_t = if live.is_empty() {
-                0.0
-            } else {
-                broken.len() as f64 / live.len() as f64
-            };
-            (a_t.to_bits(), broken)
-        })
-        .collect()
-}
 
 /// The oracle for a frozen snapshot's models under `cfg`.
 fn snapshot_oracle(
@@ -81,10 +37,6 @@ fn snapshot_oracle(
     excluded: &[usize],
 ) -> Windows {
     oracle(snap.models(), sets, cfg, excluded)
-}
-
-fn batch(r: DetectionResult) -> Windows {
-    r.scores.iter().map(|s| s.to_bits()).zip(r.alerts).collect()
 }
 
 fn streamed(ds: &[OnlineDetection]) -> Windows {
@@ -131,27 +83,20 @@ fn check_against_oracle(m: &Mdes, plant: &PlantData, test: std::ops::Range<usize
                 rule,
                 margin,
                 threads,
-                ..m.config().detection.clone()
+                ..m.snapshot().detection().clone()
             };
             for excl in &exclusions {
-                let want = oracle(m.trained().models(), &sets, &cfg, excl);
+                let want = oracle(m.snapshot().models(), &sets, &cfg, excl);
                 saw_alert |= want.iter().any(|(_, a)| !a.is_empty());
-                let got =
-                    detect_excluding(m.trained(), &sets, &cfg, excl).expect("detect_excluding");
-                assert_eq!(
-                    batch(got),
-                    want,
-                    "detect_excluding {rule:?} {threads}t {excl:?}"
-                );
-                if excl.is_empty() {
-                    assert_eq!(
-                        batch(detect(m.trained(), &sets, &cfg).expect("detect")),
-                        want
-                    );
-                }
+                let got = m.snapshot().detect(&sets, &cfg, excl).expect("detect");
+                assert_eq!(batch(got), want, "detect {rule:?} {threads}t {excl:?}");
             }
-            let f32_snap =
-                GraphSnapshot::from_parts(m.language().clone(), m.trained(), cfg.clone());
+            let f32_snap = GraphSnapshot::from_frozen_parts(
+                m.graph().clone(),
+                m.language().clone(),
+                cfg.clone(),
+                m.snapshot().models().to_vec(),
+            );
             let mut snaps = vec![f32_snap.clone()];
             if int8 {
                 snaps.push(f32_snap.quantize(QuantMode::Int8, &LOOSE).expect("int8"));
@@ -159,7 +104,9 @@ fn check_against_oracle(m: &Mdes, plant: &PlantData, test: std::ops::Range<usize
             for snap in snaps {
                 for excl in &exclusions {
                     let want = snapshot_oracle(&snap, &sets, &cfg, excl);
-                    let got = snap.detect_excluding(&sets, excl).expect("snapshot detect");
+                    let got = snap
+                        .detect(&sets, snap.detection(), excl)
+                        .expect("snapshot detect");
                     assert_eq!(
                         batch(got),
                         want,
@@ -183,7 +130,8 @@ fn check_against_oracle(m: &Mdes, plant: &PlantData, test: std::ops::Range<usize
 
                 // Two sessions through `push_opt_many`, the second one
                 // sentence ahead, so each round batches different windows.
-                let stride = m.config().window.sent_stride * m.config().window.word_stride;
+                let window = m.language().config();
+                let stride = window.sent_stride * window.word_stride;
                 let mut sessions: Vec<_> = (0..2)
                     .map(|_| engine.open_session(traces.len()).expect("session"))
                     .collect();
@@ -329,15 +277,11 @@ fn nmt_memo_tables_clear_mid_stream_and_still_match_the_oracle() {
             distinct.len()
         );
     }
-    let f32_snap = GraphSnapshot::from_parts(
-        m.language().clone(),
-        m.trained(),
-        m.config().detection.clone(),
-    );
+    let f32_snap = GraphSnapshot::freeze(&m);
     let int8 = f32_snap.quantize(QuantMode::Int8, &LOOSE).expect("int8");
     for snap in [f32_snap, int8] {
         let mode = snap.quant_mode();
-        let want = snapshot_oracle(&snap, &sets, &m.config().detection, &[]);
+        let want = snapshot_oracle(&snap, &sets, m.snapshot().detection(), &[]);
         assert!(
             want.iter().any(|(_, a)| !a.is_empty()),
             "{mode:?}: no alert"
@@ -430,11 +374,7 @@ fn hot_swaps_grafts_and_canaries_never_serve_a_stale_translation() {
             config(tiny_nmt(seed, train_steps)),
         )
         .expect("fit");
-        GraphSnapshot::from_parts(
-            m.language().clone(),
-            m.trained(),
-            m.config().detection.clone(),
-        )
+        GraphSnapshot::freeze(&m)
     };
     let seed = Seq2SeqConfig::default().seed;
     let base = fit(seed, 20);
@@ -576,11 +516,7 @@ fn ngram_snapshot(plant: &PlantData, train: (usize, usize), dev: (usize, usize))
         config(TranslatorConfig::fast()),
     )
     .expect("fit");
-    GraphSnapshot::from_parts(
-        m.language().clone(),
-        m.trained(),
-        m.config().detection.clone(),
-    )
+    GraphSnapshot::freeze(&m)
 }
 
 /// Sessions in every degraded state, pushed together so that each round

@@ -243,11 +243,15 @@ fn batch_detection_survives_injected_test_data() {
         .expect("plant has a periodic sensor");
     let test = plant.days_range(TEST_FROM, TEST_TO);
 
-    let clean = m.detect_range(&plant.traces, test.clone()).expect("clean");
+    let clean = m
+        .snapshot()
+        .detect_range(&plant.traces, test.clone())
+        .expect("clean");
     let faulty_traces = FaultInjector::new(31)
         .burst_noise(target, test.start + FAULT_START, test.start + FAULT_END)
         .apply(&plant.traces);
     let faulty = m
+        .snapshot()
         .detect_range(&faulty_traces, test)
         .expect("batch detection absorbs garbled records");
 
@@ -271,8 +275,8 @@ fn degrade_policy_fit_tolerates_a_poisoned_pair_end_to_end() {
     cfg.build.chaos_fail_pairs = vec![(0, 1)];
     let (m, plant) = fit_clean_plant(cfg);
 
-    assert_eq!(m.trained().quarantined().len(), 1);
-    let q = &m.trained().quarantined()[0];
+    assert_eq!(m.quarantined().len(), 1);
+    let q = &m.quarantined()[0];
     assert_eq!((q.src, q.dst), (0, 1));
     assert!(
         m.graph().score(0, 1).is_none(),
@@ -286,6 +290,7 @@ fn degrade_policy_fit_tolerates_a_poisoned_pair_end_to_end() {
     // The degraded model still runs detection and streaming end to end.
     let test = plant.days_range(TEST_FROM, TEST_TO);
     let batch = m
+        .snapshot()
         .detect_range(&plant.traces, test.clone())
         .expect("degraded graph still detects");
     assert!(batch.valid_models > 0);

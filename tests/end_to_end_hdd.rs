@@ -2,7 +2,7 @@
 //! discretization -> pooled language pipeline -> translation graph ->
 //! per-drive detection; plus the tabular baselines.
 
-use mdes::core::{build_graph, detect, DetectionConfig, GraphBuildConfig};
+use mdes::core::{build_graph, DetectionConfig, GraphBuildConfig, Mdes, MdesConfig};
 use mdes::graph::ScoreRange;
 use mdes::lang::{LanguagePipeline, RawTrace, SentenceSet, WindowConfig};
 use mdes::ml::{Confusion, Dataset, ForestConfig, RandomForest};
@@ -97,14 +97,18 @@ fn pooled_graph_training_and_detection_work() {
     assert_eq!(trained.models().len(), n * (n - 1));
 
     // Detection runs for every drive and yields bounded scores.
-    let dcfg = DetectionConfig {
-        valid_range: ScoreRange::closed(40.0, 100.0),
-        ..DetectionConfig::default()
+    let cfg = MdesConfig {
+        window,
+        detection: DetectionConfig {
+            valid_range: ScoreRange::closed(40.0, 100.0),
+            ..DetectionConfig::default()
+        },
+        ..MdesConfig::default()
     };
+    let m = Mdes::from_parts(cfg, pipeline, trained).expect("one fit's parts");
     for (d, traces) in &per_drive {
         let (_, _, test_r) = windows(*d);
-        let sets = pipeline.encode_segment(traces, test_r).expect("test enc");
-        let res = detect(&trained, &sets, &dcfg).expect("detect");
+        let res = m.snapshot().detect_range(traces, test_r).expect("detect");
         assert!(!res.scores.is_empty());
         assert!(res.scores.iter().all(|s| (0.0..=1.0).contains(s)));
     }

@@ -54,9 +54,11 @@ fn full_pipeline_detects_injected_anomaly() {
 
     // The injected anomaly (day 11) scores above a quiet day (day 8).
     let normal = mdes
+        .snapshot()
         .detect_range(&plant.traces, plant.day_range(8))
         .expect("normal");
     let anomalous = mdes
+        .snapshot()
         .detect_range(&plant.traces, plant.day_range(11))
         .expect("anomalous");
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
@@ -71,7 +73,7 @@ fn full_pipeline_detects_injected_anomaly() {
     let worst = (0..anomalous.scores.len())
         .max_by(|&a, &b| anomalous.scores[a].total_cmp(&anomalous.scores[b]))
         .expect("non-empty");
-    let diag = mdes.diagnose_alerts(&anomalous.alerts[worst]);
+    let diag = mdes.snapshot().diagnose_alerts(&anomalous.alerts[worst]);
     let alerted: std::collections::HashSet<usize> = anomalous.alerts[worst]
         .iter()
         .flat_map(|&(s, d)| [s, d])
@@ -93,6 +95,7 @@ fn detection_scores_are_valid_probabilities() {
     )
     .expect("fit");
     let result = mdes
+        .snapshot()
         .detect_range(&plant.traces, plant.days_range(7, 12))
         .expect("detect");
     assert!(!result.scores.is_empty());
@@ -124,9 +127,11 @@ fn refitting_is_deterministic() {
     .expect("fit b");
     assert_eq!(a.graph(), b.graph());
     let ra = a
+        .snapshot()
         .detect_range(&plant.traces, plant.day_range(9))
         .expect("detect a");
     let rb = b
+        .snapshot()
         .detect_range(&plant.traces, plant.day_range(9))
         .expect("detect b");
     assert_eq!(ra, rb);
@@ -144,7 +149,7 @@ fn global_and_local_subgraphs_partition_consistently() {
     .expect("fit");
     let total: usize = ScoreRange::paper_buckets()
         .iter()
-        .map(|r| mdes.global_subgraph(r).edge_count())
+        .map(|r| mdes.snapshot().global_subgraph(r).edge_count())
         .sum();
     assert_eq!(
         total,
@@ -152,8 +157,8 @@ fn global_and_local_subgraphs_partition_consistently() {
         "buckets must partition all edges"
     );
     for r in ScoreRange::paper_buckets() {
-        let global = mdes.global_subgraph(&r);
-        let local = mdes.local_subgraph(&r, Some(3));
+        let global = mdes.snapshot().global_subgraph(&r);
+        let local = mdes.snapshot().local_subgraph(&r, Some(3));
         assert!(local.edge_count() <= global.edge_count());
     }
 }

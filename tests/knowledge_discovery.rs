@@ -65,7 +65,9 @@ fn popular_sensors_are_the_simple_languages() {
 #[test]
 fn communities_align_with_ground_truth_components() {
     let (mdes, plant) = fitted();
-    let comms = mdes.communities(&ScoreRange::closed(60.0, 100.0), None);
+    let comms = mdes
+        .snapshot()
+        .communities(&ScoreRange::closed(60.0, 100.0), None);
     assert!(!comms.groups.is_empty());
     let by_name: HashMap<&str, usize> = plant
         .sensors
@@ -99,7 +101,9 @@ fn communities_align_with_ground_truth_components() {
 #[test]
 fn dot_export_round_trips_graph_structure() {
     let (mdes, _) = fitted();
-    let sub = mdes.global_subgraph(&ScoreRange::best_detection());
+    let sub = mdes
+        .snapshot()
+        .global_subgraph(&ScoreRange::best_detection());
     let dot = to_dot(&sub, &DotOptions::default());
     assert!(dot.starts_with("digraph"));
     // Every edge must appear in the DOT output.

@@ -6,7 +6,7 @@
 //! and alerts of the held-out anomalous day. Both must hold on each of the
 //! four paths a trained pair travels:
 //!
-//! 1. the in-memory `TrainedGraph` straight out of `Mdes::fit`;
+//! 1. the in-memory snapshot straight out of `Mdes::fit`;
 //! 2. an MDCK checkpointed sharded sweep that is killed mid-way and resumed;
 //! 3. an MDSN round trip of the frozen snapshot;
 //! 4. streamed serving through a `ServingEngine`.
@@ -186,7 +186,7 @@ fn fit(plant: &PlantData) -> Mdes {
 /// The frozen tensors of an in-memory trained graph, frozen straight from
 /// its pair translators.
 fn trained_specs(m: &Mdes) -> Vec<(usize, usize, ModelSpec)> {
-    snapshot_specs(&GraphSnapshot::freeze(m))
+    snapshot_specs(m.snapshot())
         .into_iter()
         .map(|(src, dst, spec)| (src, dst, spec.clone()))
         .collect()
@@ -204,6 +204,7 @@ fn snapshot_specs(s: &GraphSnapshot) -> Vec<(usize, usize, &ModelSpec)> {
 
 fn batch_digest(m: &Mdes, plant: &PlantData) -> (usize, u64) {
     let r = m
+        .snapshot()
         .detect_range(&plant.traces, plant.day_range(7))
         .expect("detect");
     score_digest(
@@ -286,7 +287,9 @@ fn mdsn_round_trip_is_pinned() {
         .language()
         .encode_segment(&plant.traces, plant.day_range(7))
         .expect("encode");
-    let r = restored.detect_excluding(&sets, &[]).expect("detect");
+    let r = restored
+        .detect(&sets, restored.detection(), &[])
+        .expect("detect");
     assert_eq!(
         score_digest(
             r.scores

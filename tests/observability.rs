@@ -10,7 +10,7 @@
 //! [`OBS_LOCK`] and uninstalls before releasing it.
 
 use mdes::core::{
-    detect, read_checkpoint, write_checkpoint, CheckpointData, GraphSnapshot, Mdes, MdesConfig,
+    read_checkpoint, write_checkpoint, CheckpointData, GraphSnapshot, Mdes, MdesConfig,
     OnlineMonitor, TranslatorConfig,
 };
 use mdes::graph::ScoreRange;
@@ -83,8 +83,8 @@ fn counters_reconcile_with_pipeline_outputs() {
     with_recorder(|r| {
         let traces = toy_traces();
         let m = Mdes::fit(&traces, 0..300, 300..500, toy_config()).expect("fit");
-        let trained = m.trained().models().len();
-        let quarantined = m.trained().quarantined().len();
+        let trained = m.snapshot().models().len();
+        let quarantined = m.quarantined().len();
         assert_eq!(r.counter_value("algo1.pairs_trained"), trained as u64);
         assert_eq!(
             r.counter_value("algo1.pairs_quarantined"),
@@ -96,7 +96,10 @@ fn counters_reconcile_with_pipeline_outputs() {
         );
         assert_eq!(r.histogram("algo1.sweep").expect("sweep span").count, 1);
 
-        let result = m.detect_range(&traces, 500..900).expect("detect");
+        let result = m
+            .snapshot()
+            .detect_range(&traces, 500..900)
+            .expect("detect");
         let broken: usize = result.alerts.iter().map(Vec::len).sum();
         assert_eq!(r.counter_value("algo2.broken"), broken as u64);
         assert_eq!(r.counter_value("algo2.windows"), result.scores.len() as u64);
@@ -132,7 +135,9 @@ fn memo_hits_and_misses_add_up_to_evaluations_on_a_neural_snapshot() {
             .language()
             .encode_segment(&traces, 500..900)
             .expect("encode");
-        let first = snap.detect_excluding(&sets, &[]).expect("first pass");
+        let first = snap
+            .detect(&sets, snap.detection(), &[])
+            .expect("first pass");
         let evaluations = (first.valid_models * first.scores.len()) as u64;
         assert_eq!(r.counter_value("algo2.evaluations"), evaluations);
         let hits = r.counter_value("algo2.memo_hits");
@@ -142,7 +147,8 @@ fn memo_hits_and_misses_add_up_to_evaluations_on_a_neural_snapshot() {
         assert!(snap.memo_bytes() > 0);
 
         assert_eq!(
-            snap.detect_excluding(&sets, &[]).expect("second pass"),
+            snap.detect(&sets, snap.detection(), &[])
+                .expect("second pass"),
             first
         );
         assert_eq!(r.counter_value("algo2.evaluations"), 2 * evaluations);
@@ -199,11 +205,16 @@ fn no_recorder_output_is_bit_identical() {
         // Held so no other test's recorder is installed during the bare run.
         let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let m = Mdes::fit(&traces, 0..300, 300..500, cfg.clone()).expect("fit bare");
-        detect(m.trained(), &test_sets, &cfg.detection).expect("detect bare")
+        let snap = m.snapshot();
+        snap.detect(&test_sets, snap.detection(), &[])
+            .expect("detect bare")
     };
     let (recorded, with_obs) = with_recorder(|r| {
         let m = Mdes::fit(&traces, 0..300, 300..500, cfg.clone()).expect("fit recorded");
-        let result = detect(m.trained(), &test_sets, &cfg.detection).expect("detect recorded");
+        let snap = m.snapshot();
+        let result = snap
+            .detect(&test_sets, snap.detection(), &[])
+            .expect("detect recorded");
         (result, r.counter_value("algo1.pairs_trained"))
     });
     assert!(with_obs > 0, "recorder saw the instrumented run");

@@ -12,8 +12,7 @@
 //! weight of every pair model).
 
 use mdes::core::{
-    detect, detect_excluding, snapshot_from_bytes, snapshot_to_bytes, GraphSnapshot, Mdes,
-    MdesConfig, TranslatorConfig,
+    snapshot_from_bytes, snapshot_to_bytes, GraphSnapshot, Mdes, MdesConfig, TranslatorConfig,
 };
 use mdes::graph::ScoreRange;
 use mdes::lang::WindowConfig;
@@ -67,12 +66,13 @@ fn fit_plant(threads: usize, translator: TranslatorConfig) -> FitOutput {
     FitOutput {
         graph_json: serde_json::to_string(m.graph()).expect("serialize"),
         models: m
-            .trained()
+            .snapshot()
             .models()
             .iter()
             .map(|p| (p.src, p.dst, p.train_score, p.dev_floor))
             .collect(),
         detection: m
+            .snapshot()
             .detect_range(&plant.traces, plant.day_range(7))
             .expect("detect")
             .scores,
@@ -124,10 +124,13 @@ fn ngram_snapshot_bytes_and_scores_are_pinned() {
         .language()
         .encode_segment(&plant.traces, plant.day_range(7))
         .expect("encode");
-    let result = restored.detect_excluding(&sets, &[]).expect("detect");
+    let result = restored
+        .detect(&sets, restored.detection(), &[])
+        .expect("detect");
     assert_eq!(
         result,
-        m.detect_range(&plant.traces, plant.day_range(7))
+        m.snapshot()
+            .detect_range(&plant.traces, plant.day_range(7))
             .expect("detect")
     );
     // v3 pin.
@@ -142,7 +145,9 @@ fn ngram_snapshot_bytes_and_scores_are_pinned() {
     );
     let legacy = snapshot_from_bytes(NGRAM_PLANT_V2).expect("v2 decode");
     assert_eq!(snapshot_to_bytes(&legacy).expect("encode"), bytes);
-    let legacy_result = legacy.detect_excluding(&sets, &[]).expect("detect");
+    let legacy_result = legacy
+        .detect(&sets, legacy.detection(), &[])
+        .expect("detect");
     assert_eq!(score_digest(&legacy_result), (47, 0x9531_6a39_5802_9dda));
 }
 
@@ -201,29 +206,25 @@ fn detection_identical_across_thread_counts() {
         .encode_segment(&plant.traces, plant.day_range(7))
         .expect("encode");
 
-    let mut dcfg = m.config().detection.clone();
-    dcfg.threads = 1;
-    let serial_full = serde_json::to_string(&detect(m.trained(), &sets, &dcfg).expect("serial"))
-        .expect("serialize");
-    let serial_excl = serde_json::to_string(
-        &detect_excluding(m.trained(), &sets, &dcfg, &[1]).expect("serial excluding"),
-    )
-    .expect("serialize");
+    // Each run decodes on a fresh copy of the snapshot, whose translation
+    // memo is empty, so every thread count decodes every window.
+    let run = |threads: usize, excluded: &[usize]| {
+        let snap = GraphSnapshot::freeze(&m);
+        let dcfg = snap.detection().clone().with_threads(threads);
+        let result = snap.detect(&sets, &dcfg, excluded).expect("detect");
+        serde_json::to_string(&result).expect("serialize")
+    };
+    let (serial_full, serial_excl) = (run(1, &[]), run(1, &[1]));
     for threads in [2, 4] {
-        dcfg.threads = threads;
-        let full = serde_json::to_string(&detect(m.trained(), &sets, &dcfg).expect("parallel"))
-            .expect("serialize");
         assert_eq!(
-            serial_full, full,
-            "detect differs between 1 and {threads} threads"
+            serial_full,
+            run(threads, &[]),
+            "detection differs between 1 and {threads} threads"
         );
-        let excl = serde_json::to_string(
-            &detect_excluding(m.trained(), &sets, &dcfg, &[1]).expect("parallel excluding"),
-        )
-        .expect("serialize");
         assert_eq!(
-            serial_excl, excl,
-            "detect_excluding differs between 1 and {threads} threads"
+            serial_excl,
+            run(threads, &[1]),
+            "detection excluding sensor 1 differs between 1 and {threads} threads"
         );
     }
 }

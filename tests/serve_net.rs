@@ -14,8 +14,9 @@
 //! - a snapshot uploaded through the admin plane hot-swaps mid-stream
 //!   with the same windows-before/windows-after split as an in-process
 //!   `publish`, bit-exactly;
-//! - a snapshot that fails validation is rejected and the live model
-//!   keeps serving the original scores;
+//! - a snapshot that fails validation (other windowing, garbage, a pair
+//!   model past the graph) is rejected and the live model keeps serving
+//!   the original scores;
 //! - with a publish landing while pushes are queued, every `Score` names
 //!   the snapshot version that scored it, equals in-process scoring under
 //!   that snapshot, and versions never decrease within a session;
@@ -28,7 +29,7 @@
 //!   session, each bit-identical to in-process serving.
 
 use mdes::core::serve::{GraphSnapshot, ServingEngine, StreamSession};
-use mdes::core::{snapshot_to_bytes, Mdes, MdesConfig, OnlineDetection};
+use mdes::core::{snapshot_to_bytes, FrozenPairModel, Mdes, MdesConfig, OnlineDetection};
 use mdes::graph::ScoreRange;
 use mdes::lang::{RawTrace, WindowConfig};
 use mdes::net::{
@@ -596,7 +597,27 @@ fn rejected_publish_never_goes_live() {
     let (_, status) = admin.publish(b"not a snapshot").expect("publish cmd");
     assert!(status.starts_with("err publish rejected"), "got {status:?}");
 
-    // ...and neither may disturb the live model or bump the version.
+    // ...and a valid model whose target lies past the graph, which would
+    // index Algorithm 2's reference sentences out of bounds on the pump...
+    let mut models = reference_engine.snapshot().models().to_vec();
+    let &k = reference_engine
+        .snapshot()
+        .valid_models()
+        .first()
+        .expect("a valid model");
+    let m = &models[k];
+    models[k] = FrozenPairModel::new(m.src, 7, m.train_score, m.dev_floor, m.translator().clone());
+    let past = GraphSnapshot::from_frozen_parts(
+        reference_engine.snapshot().graph().clone(),
+        reference_engine.snapshot().language().clone(),
+        reference_engine.snapshot().detection().clone(),
+        models,
+    );
+    let bytes = snapshot_to_bytes(&past).expect("serialize");
+    let (_, status) = admin.publish(&bytes).expect("publish cmd");
+    assert!(status.starts_with("err publish rejected"), "got {status:?}");
+
+    // ...and none may disturb the live model or bump the version.
     let (data, status) = admin.cmd("stats").expect("stats");
     assert_eq!(status, "ok");
     assert!(

@@ -2,20 +2,22 @@
 //!
 //! Covers the acceptance criteria of the training/serving refactor:
 //!
-//! - a [`GraphSnapshot`] frozen from a fitted NMT model produces
-//!   *bit-identical* detection scores to the tape-backed `TrainedGraph`
-//!   path, streamed and batched, before and after a serde round-trip
-//!   through the on-disk snapshot format;
+//! - a fitted NMT model's [`GraphSnapshot`] scores every window
+//!   *bit-identically* to the paper-literal oracle (`common::oracle`),
+//!   streamed and batched, before and after a round-trip through the
+//!   on-disk snapshot format;
 //! - a snapshot published mid-stream yields byte-identical detections for
 //!   windows completed before the swap, applies the new graph from the
 //!   first window completed after, and never drops or reorders buffered
 //!   windows — at 1, 2 and 4 engine worker threads;
 //! - an incompatible snapshot is rejected without disturbing live serving.
 
+mod common;
+
+use common::{batch, oracle};
 use mdes::core::serve::{GraphSnapshot, ServingEngine, StreamSession};
 use mdes::core::{
-    detect, read_snapshot, write_snapshot, CoreError, Mdes, MdesConfig, OnlineDetection,
-    TranslatorConfig,
+    read_snapshot, write_snapshot, CoreError, Mdes, MdesConfig, OnlineDetection, TranslatorConfig,
 };
 use mdes::graph::ScoreRange;
 use mdes::lang::{RawTrace, WindowConfig};
@@ -116,23 +118,21 @@ fn stream_engine(
 }
 
 #[test]
-fn frozen_nmt_detection_is_bit_identical_to_tape_path() {
+fn frozen_nmt_detection_matches_the_oracle_bit_for_bit() {
     let (m, traces) = fitted_nmt();
     let snap = GraphSnapshot::freeze(&m);
 
-    // Batch: frozen snapshot vs the tape-backed TrainedGraph, same inputs.
+    // Batch: the snapshot against the oracle, same inputs.
     let sets = m
         .language()
         .encode_segment(&traces, 450..700)
         .expect("encode");
-    let tape = detect(m.trained(), &sets, &m.config().detection).expect("tape detect");
-    let frozen = snap.detect_excluding(&sets, &[]).expect("frozen detect");
-    assert_eq!(tape.scores.len(), frozen.scores.len());
-    for (a, b) in tape.scores.iter().zip(&frozen.scores) {
-        assert_eq!(a.to_bits(), b.to_bits(), "scores must be bit-identical");
-    }
-    assert_eq!(tape.alerts, frozen.alerts);
-    assert_eq!(tape.valid_models, frozen.valid_models);
+    let want = oracle(snap.models(), &sets, snap.detection(), &[]);
+    let frozen = snap
+        .detect(&sets, snap.detection(), &[])
+        .expect("frozen detect");
+    assert_eq!(frozen.valid_models, snap.valid_models().len());
+    assert_eq!(batch(frozen), want, "batch scores must be the oracle's");
 
     // Streamed through the engine: same scores again, window by window.
     let engine = ServingEngine::new(snap);
@@ -142,13 +142,10 @@ fn frozen_nmt_detection_is_bit_identical_to_tape_path() {
         let sample: Vec<Option<String>> =
             traces.iter().map(|tr| Some(tr.events[t].clone())).collect();
         if let Some(d) = engine.push_opt(&mut session, &sample).expect("push") {
-            streamed.push(d.score);
+            streamed.push((d.score.to_bits(), d.alerts));
         }
     }
-    assert_eq!(streamed.len(), tape.scores.len());
-    for (s, b) in streamed.iter().zip(&tape.scores) {
-        assert_eq!(s.to_bits(), b.to_bits(), "streamed score must match batch");
-    }
+    assert_eq!(streamed, want, "streamed scores must be the oracle's");
 }
 
 #[test]
@@ -166,8 +163,12 @@ fn snapshot_file_roundtrip_preserves_nmt_scores_exactly() {
         .language()
         .encode_segment(&traces, 450..700)
         .expect("encode");
-    let before = snap.detect_excluding(&sets, &[]).expect("detect before");
-    let after = restored.detect_excluding(&sets, &[]).expect("detect after");
+    let before = snap
+        .detect(&sets, snap.detection(), &[])
+        .expect("detect before");
+    let after = restored
+        .detect(&sets, restored.detection(), &[])
+        .expect("detect after");
     assert_eq!(before.alerts, after.alerts);
     for (a, b) in before.scores.iter().zip(&after.scores) {
         assert_eq!(
