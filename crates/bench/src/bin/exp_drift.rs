@@ -28,7 +28,7 @@
 use mdes_bench::report::{arg_flag, print_table, write_json, BenchRecord};
 use mdes_core::serve::{FrozenPairModel, GraphSnapshot, ServingEngine, StreamSession};
 use mdes_core::{
-    refit_pairs, CanaryConfig, CanaryDecision, DriftMonitor, DriftPolicy, Mdes, MdesConfig,
+    build_graph_sharded, CanaryConfig, CanaryDecision, DriftMonitor, DriftPolicy, Mdes, MdesConfig,
     OnlineDetection, ScoreDist, ShardedSweepConfig,
 };
 use mdes_graph::ScoreRange;
@@ -181,7 +181,7 @@ fn main() {
 
     // 3. Partial refit of the stale subset on post-shift data.
     let refit_started = Instant::now();
-    let refit = refit_pairs(
+    let (refit, _) = build_graph_sharded(
         mdes.language(),
         &plant.traces,
         REFIT_TRAIN,
@@ -191,8 +191,8 @@ fn main() {
     )
     .expect("refit");
     let refit_ns = refit_started.elapsed().as_nanos() as f64;
-    assert_eq!(refit.models.len(), stale.len());
-    assert!(refit.quarantined.is_empty());
+    assert_eq!(refit.models().len(), stale.len());
+    assert!(refit.quarantined().is_empty());
     eprintln!(
         "refit {} of {} pairs in {:.2}s",
         stale.len(),
@@ -204,12 +204,12 @@ fn main() {
     let graft_ns: Vec<f64> = (0..graft_iters)
         .map(|_| {
             let s = Instant::now();
-            let c = snapshot.graft(refit.models.clone()).expect("graft");
+            let c = snapshot.graft(refit.models().to_vec()).expect("graft");
             assert_eq!(c.valid_models().len(), snapshot.valid_models().len());
             s.elapsed().as_nanos() as f64
         })
         .collect();
-    let candidate = snapshot.graft(refit.models.clone()).expect("graft");
+    let candidate = snapshot.graft(refit.models().to_vec()).expect("graft");
     let candidate_bytes = candidate.approx_bytes() as u64;
 
     // 5. Serving cost while a full-fraction canary shadow-scores every

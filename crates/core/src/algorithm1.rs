@@ -26,10 +26,13 @@
 //!   [`QuarantinedPair`] on the [`TrainedGraph`] and keeps sweeping, failing
 //!   only if too many pairs die ([`CoreError::TooManyFailedPairs`]).
 //!
-//! Long sweeps can additionally persist progress via
-//! [`GraphBuildConfig::checkpoint`]; see the [`checkpoint`]
-//! module. Because each pair trains deterministically in isolation, a
-//! resumed sweep produces a graph identical to an uninterrupted one.
+//! Long sweeps persist progress through
+//! [`build_graph_sharded`](crate::sharded::build_graph_sharded), whose
+//! [`ShardedSweepConfig::checkpoint_dir`](crate::sharded::ShardedSweepConfig::checkpoint_dir)
+//! holds one MDCK file per shard (see the [`checkpoint`] module).
+//! [`build_graph`] never checkpoints. Because each pair trains
+//! deterministically in isolation, a resumed sweep produces a graph
+//! identical to an uninterrupted one.
 
 use crate::checkpoint::{self, CheckpointConfig, CheckpointWriter};
 use crate::error::CoreError;
@@ -106,10 +109,6 @@ pub struct GraphBuildConfig {
     /// a retry; structural errors (empty corpus, ragged batches) are
     /// deterministic and retrying them would waste the work.
     pub max_retries: usize,
-    /// Periodic crash-safe persistence of completed pairs; `None` (default)
-    /// disables checkpointing. With a checkpoint configured, a valid
-    /// checkpoint file already at that path resumes the sweep.
-    pub checkpoint: Option<CheckpointConfig>,
     /// Fault-injection hook for chaos tests: workers deliberately panic on
     /// these `(src, dst)` pairs. Leave empty (the default) outside tests.
     pub chaos_fail_pairs: Vec<(usize, usize)>,
@@ -134,7 +133,6 @@ impl Default for GraphBuildConfig {
             floor_quantile: 0.1,
             policy: FailurePolicy::FailFast,
             max_retries: 2,
-            checkpoint: None,
             chaos_fail_pairs: Vec::new(),
             chaos_lose_worker_pairs: Vec::new(),
         }
@@ -200,7 +198,9 @@ pub(crate) struct SweepOutput {
 }
 
 /// Runs Algorithm 1: trains two directional models per sensor pair and
-/// assembles the relationship graph.
+/// assembles the relationship graph. The sweep runs in memory and never
+/// checkpoints; [`build_graph_sharded`](crate::sharded::build_graph_sharded)
+/// is the resumable sweep over an explicit pair list.
 ///
 /// `train_sets` and `dev_sets` must come from
 /// [`LanguagePipeline::encode_segment`] on the same pipeline (one set per
@@ -214,8 +214,7 @@ pub(crate) struct SweepOutput {
 /// translator configuration is out of range; [`CoreError::PairQuarantined`] under
 /// [`FailurePolicy::FailFast`] when a pair fails training;
 /// [`CoreError::TooManyFailedPairs`] under `Degrade` when the success
-/// fraction falls below the configured minimum; [`CoreError::Checkpoint`]
-/// when a configured checkpoint cannot be resumed or finalized.
+/// fraction falls below the configured minimum.
 pub fn build_graph(
     pipeline: &LanguagePipeline,
     train_sets: &[SentenceSet],
@@ -226,69 +225,26 @@ pub fn build_graph(
     if n < 2 {
         return Err(CoreError::TooFewSensors { available: n });
     }
-    let pairs: Vec<(usize, usize)> = (0..n)
-        .flat_map(|i| (0..n).map(move |j| (i, j)))
-        .filter(|(i, j)| i != j)
-        .collect();
-    build_graph_pairs(pipeline, train_sets, dev_sets, &pairs, cfg)
-}
-
-/// Runs the Algorithm 1 sweep over an explicit ordered-pair subset with the
-/// full fault-tolerance policy, retries, and MDCK checkpointing — the
-/// in-memory counterpart of
-/// [`build_graph_sharded`](crate::sharded::build_graph_sharded), for callers
-/// (the lifecycle partial refit, targeted re-sweeps) whose corpora are
-/// already encoded and whose pair list is small enough not to need
-/// streaming.
-///
-/// `pairs` is canonicalized (sorted, duplicates removed) before the sweep,
-/// so the checkpoint fingerprint does not depend on the caller's ordering.
-/// [`build_graph`] is this over the full ordered-pair list (which is
-/// already in canonical order, so its checkpoint fingerprints are
-/// unchanged).
-///
-/// # Errors
-///
-/// As [`build_graph`], plus [`CoreError::NoValidModels`] for an empty pair
-/// list.
-///
-/// # Panics
-///
-/// Panics if a pair references an out-of-range sensor index or is a
-/// self-pair — programmer errors, not runtime conditions.
-pub fn build_graph_pairs(
-    pipeline: &LanguagePipeline,
-    train_sets: &[SentenceSet],
-    dev_sets: &[SentenceSet],
-    pairs: &[(usize, usize)],
-    cfg: &GraphBuildConfig,
-) -> Result<TrainedGraph, CoreError> {
-    let n = pipeline.sensor_count();
-    if n < 2 {
-        return Err(CoreError::TooFewSensors { available: n });
-    }
-    if pairs.is_empty() {
-        return Err(CoreError::NoValidModels);
-    }
     cfg.translator.validate()?;
     validate_alignment(train_sets, n)?;
     validate_alignment(dev_sets, n)?;
 
-    let mut pairs: Vec<(usize, usize)> = pairs.to_vec();
-    pairs.sort_unstable();
-    pairs.dedup();
+    let pairs: Vec<(usize, usize)> = (0..n)
+        .flat_map(|i| (0..n).map(move |j| (i, j)))
+        .filter(|(i, j)| i != j)
+        .collect();
     let train_refs: Vec<Option<&SentenceSet>> = train_sets.iter().map(Some).collect();
     let dev_refs: Vec<Option<&SentenceSet>> = dev_sets.iter().map(Some).collect();
-    let fingerprint = sweep_fingerprint(pipeline, cfg, &pairs);
-    let out = sweep_pairs(pipeline, &train_refs, &dev_refs, &pairs, cfg, fingerprint)?;
+    let out = sweep_pairs(pipeline, &train_refs, &dev_refs, &pairs, cfg, None)?;
     assemble_graph(pipeline, out.slots, pairs.len(), cfg.policy)
 }
 
 /// Trains the given ordered pairs on a worker pool and returns one outcome
-/// slot per pair, honoring retries, the failure policy, checkpointing and
-/// resume. The corpus slices are indexed by surviving-sensor index; entries
-/// for sensors no swept pair touches may be `None` (the sharded path
-/// provides only the shard's sensors).
+/// slot per pair, honoring retries and the failure policy. With a
+/// `checkpoint`, the MDCK file there (fingerprinted over `pairs`) is
+/// resumed from and appended to. The corpus slices are indexed by
+/// surviving-sensor index; entries for sensors no swept pair touches may be
+/// `None` (the sharded path provides only the shard's sensors).
 ///
 /// # Panics
 ///
@@ -301,7 +257,7 @@ pub(crate) fn sweep_pairs(
     dev_sets: &[Option<&SentenceSet>],
     pairs: &[(usize, usize)],
     cfg: &GraphBuildConfig,
-    fingerprint: u64,
+    checkpoint: Option<&CheckpointConfig>,
 ) -> Result<SweepOutput, CoreError> {
     let n = pipeline.sensor_count();
     for &(i, j) in pairs {
@@ -328,8 +284,9 @@ pub(crate) fn sweep_pairs(
     // Open (or create) the checkpoint before any pair trains, so a path
     // that cannot be written fails the sweep up front; an existing file is
     // resumed from and appended to.
-    let checkpoint = match &cfg.checkpoint {
+    let persist = match checkpoint {
         Some(ck) => {
+            let fingerprint = sweep_fingerprint(pipeline, cfg, pairs);
             let (writer, data) = CheckpointWriter::open(ck, fingerprint)?;
             let mut persisted = vec![false; total];
             if let Some(data) = data {
@@ -453,7 +410,7 @@ pub(crate) fn sweep_pairs(
             };
             // Each finished pair is encoded once, here, and appended; the
             // writer syncs every `every` frames, best-effort.
-            if let Some(ck) = &checkpoint {
+            if let Some(ck) = &persist {
                 let _ckpt_span = mdes_obs::span("checkpoint.write");
                 match outcome_frame(&outcome) {
                     Ok(frame) => {
@@ -513,7 +470,7 @@ pub(crate) fn sweep_pairs(
         }
     }
 
-    if let (Some(ck), Some(ck_cfg)) = (checkpoint, &cfg.checkpoint) {
+    if let (Some(ck), Some(ck_cfg)) = (persist, checkpoint) {
         // Final flush so the checkpoint holds the completed sweep: pairs
         // whose periodic append never happened (a failed encode, a lost
         // worker's quarantine) are appended now. Unlike periodic writes,
@@ -596,8 +553,8 @@ fn outcome_frame(outcome: &PairOutcome) -> Result<Vec<u8>, String> {
 
 /// Hashes the sweep inputs that determine pair models: sensor names, the
 /// model-affecting configuration, and the exact ordered list of pairs this
-/// sweep covers. Scheduling and robustness knobs (threads, policy,
-/// checkpointing, chaos hooks) are deliberately excluded — they do not
+/// sweep covers. Scheduling and robustness knobs (threads, policy, chaos
+/// hooks) and the checkpoint location and cadence are deliberately excluded — they do not
 /// change what a completed pair model contains, so a checkpoint remains
 /// resumable across them. The pair list is *included* because it is part of
 /// the sweep's identity: a checkpoint taken over a different prescreen
@@ -781,7 +738,6 @@ fn train_pair(
 mod tests {
     use super::*;
     use mdes_lang::{RawTrace, WindowConfig};
-    use std::path::PathBuf;
 
     fn toggling(name: &str, n: usize, period: usize, phase: usize) -> RawTrace {
         RawTrace::new(
@@ -1078,111 +1034,5 @@ mod tests {
                 total: 6
             })
         ));
-    }
-
-    /// Everything a sweep serializes except the runtimes — training
-    /// wall-clock is the one legitimately nondeterministic field.
-    fn canonical_json(g: &TrainedGraph) -> String {
-        serde_json::to_string(&(&g.graph, g.models(), g.quarantined())).expect("serialize")
-    }
-
-    fn ckpt_path(tag: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("mdes_sweep_test_{}_{tag}.ckpt", std::process::id()))
-    }
-
-    #[test]
-    fn interrupted_sweep_resumes_to_identical_graph() {
-        let (p, train, dev, _) = setup();
-        let path = ckpt_path("resume");
-        std::fs::remove_file(&path).ok();
-
-        let uninterrupted =
-            build_graph(&p, &train, &dev, &GraphBuildConfig::default()).expect("clean run");
-
-        // "Kill" a sweep mid-way: single worker, checkpoint after every
-        // pair, and a chaos panic at the 4th pair under FailFast. The pairs
-        // before it are persisted; the run aborts.
-        let interrupted = GraphBuildConfig {
-            threads: 1,
-            checkpoint: Some(CheckpointConfig {
-                path: path.display().to_string(),
-                every: 1,
-            }),
-            chaos_fail_pairs: vec![(1, 2)],
-            ..GraphBuildConfig::default()
-        };
-        assert!(build_graph(&p, &train, &dev, &interrupted).is_err());
-        let partial = crate::checkpoint::read_checkpoint(&path).expect("partial checkpoint");
-        assert!(!partial.models.is_empty() && partial.models.len() < 6);
-
-        // Resume without the chaos hook: only the missing pairs train.
-        let resume = GraphBuildConfig {
-            threads: 1,
-            checkpoint: Some(CheckpointConfig {
-                path: path.display().to_string(),
-                every: 1,
-            }),
-            ..GraphBuildConfig::default()
-        };
-        let resumed = build_graph(&p, &train, &dev, &resume).expect("resumed run");
-
-        let a = canonical_json(&uninterrupted);
-        let b = canonical_json(&resumed);
-        assert_eq!(a, b, "resumed sweep must be byte-identical");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn mismatched_checkpoint_is_rejected() {
-        let (p, train, dev, _) = setup();
-        let path = ckpt_path("mismatch");
-        crate::checkpoint::write_checkpoint(
-            &path,
-            &crate::checkpoint::CheckpointData {
-                fingerprint: 0x1234,
-                models: Vec::new(),
-                quarantined: Vec::new(),
-            },
-        )
-        .expect("write");
-        let cfg = GraphBuildConfig {
-            checkpoint: Some(CheckpointConfig {
-                path: path.display().to_string(),
-                every: 1,
-            }),
-            ..GraphBuildConfig::default()
-        };
-        match build_graph(&p, &train, &dev, &cfg) {
-            Err(CoreError::Checkpoint { detail, .. }) => {
-                assert!(detail.contains("fingerprint mismatch"), "{detail}");
-            }
-            other => panic!("expected Checkpoint error, got {other:?}"),
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn unwritable_checkpoint_fails_before_any_pair_trains() {
-        let (p, train, dev, _) = setup();
-        let path = std::env::temp_dir()
-            .join(format!("mdes_sweep_no_such_dir_{}", std::process::id()))
-            .join("sweep.mdck");
-        let cfg = GraphBuildConfig {
-            threads: 1,
-            checkpoint: Some(CheckpointConfig {
-                path: path.display().to_string(),
-                every: 1,
-            }),
-            // Had any worker started, this would end the sweep with
-            // `WorkerLost` instead.
-            chaos_lose_worker_pairs: vec![(0, 1)],
-            ..GraphBuildConfig::default()
-        };
-        match build_graph(&p, &train, &dev, &cfg) {
-            Err(CoreError::Checkpoint { detail, .. }) => {
-                assert!(detail.contains("create tmp failed"), "{detail}");
-            }
-            other => panic!("expected an up-front Checkpoint error, got {other:?}"),
-        }
     }
 }

@@ -5,10 +5,11 @@
 //! the paper's 128-sensor scale that is an hours-long job whose death (OOM
 //! kill, host reboot, deploy) previously lost every completed pair. This
 //! module persists completed [`FrozenPairModel`]s (and quarantined pairs) so
-//! [`build_graph`](crate::algorithm1::build_graph) can resume a sweep from
-//! where it died, producing a graph identical to an uninterrupted run —
-//! each pair is trained deterministically in isolation, so it does not
-//! matter whether its model came from the checkpoint or a fresh run.
+//! [`build_graph_sharded`](crate::sharded::build_graph_sharded) can resume a
+//! sweep from where it died, producing a graph identical to an
+//! uninterrupted run — each pair is trained deterministically in isolation,
+//! so it does not matter whether its model came from the checkpoint or a
+//! fresh run.
 //!
 //! # Frames and records (shared by MDCK v4 and MDSN v3)
 //!
@@ -49,9 +50,10 @@
 //! A sweep checkpoint is the header plus one frame per finished pair, in
 //! completion order. `CheckpointWriter` encodes each finished pair once and
 //! appends its frame; the file is written, flushed and fsynced after every
-//! [`CheckpointConfig::every`] frames and again when the sweep ends. A new
-//! file is created with its header through a tmp sibling and an atomic
-//! rename, so a checkpoint file always starts with a whole header.
+//! [`ShardedSweepConfig::checkpoint_every`](crate::sharded::ShardedSweepConfig::checkpoint_every)
+//! frames and again when the sweep ends. A new file is created with its
+//! header through a tmp sibling and an atomic rename, so a checkpoint file
+//! always starts with a whole header.
 //!
 //! [`read_checkpoint`] recovers the longest valid frame prefix: a truncated
 //! or bit-rotted trailing frame drops only the pairs at and after the
@@ -105,26 +107,17 @@ const KIND_SNAPSHOT: u8 = 2;
 /// The JSON key of a tensor reference in a record header.
 const TENSOR_REF: &str = "$tensor";
 
-/// When and where [`build_graph`](crate::algorithm1::build_graph) persists
-/// sweep progress.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct CheckpointConfig {
+/// Where one sweep (one shard of
+/// [`build_graph_sharded`](crate::sharded::build_graph_sharded)) persists
+/// its progress, and how often.
+#[derive(Debug)]
+pub(crate) struct CheckpointConfig {
     /// Checkpoint file path. An existing, valid checkpoint at this path is
     /// resumed from, and the sweep appends to it.
-    pub path: String,
+    pub(crate) path: String,
     /// Flush and fsync after every `every` appended pairs (clamped to ≥ 1).
     /// The file is always flushed when the sweep finishes.
-    pub every: usize,
-}
-
-impl CheckpointConfig {
-    /// Checkpoints to `path`, syncing every 16 completed pairs.
-    pub fn new(path: impl Into<String>) -> Self {
-        Self {
-            path: path.into(),
-            every: 16,
-        }
-    }
+    pub(crate) every: usize,
 }
 
 /// The persisted state of a partially-completed sweep.

@@ -10,6 +10,9 @@
 //!    or a fast statistical surrogate ([`TranslatorConfig::Ngram`]);
 //! 2. [`build_graph`] (Algorithm 1) — trains every ordered pair and
 //!    assembles the multivariate relationship graph;
+//!    [`build_graph_sharded`] is the same sweep over an explicit pair list
+//!    (the [`prescreen_pairs`] survivors, or a stale set), streamed and
+//!    checkpointed shard by shard;
 //! 3. [`GraphSnapshot::detect`] (Algorithm 2) — flags timestamps whose
 //!    test BLEU drops below the trained score for valid pairs, yielding the
 //!    anomaly score `a_t` and alert sets `W_t`;
@@ -22,7 +25,7 @@
 //! 6. [`ServingEngine`] — multiplexes many concurrent streams against a
 //!    snapshot, hot-swapping retrained snapshots mid-stream without
 //!    dropping buffered windows;
-//! 7. [`DriftMonitor`] / [`refit_pairs`] / [`GraphSnapshot::graft`] /
+//! 7. [`DriftMonitor`] / [`build_graph_sharded`] / [`GraphSnapshot::graft`] /
 //!    [`ModelStore::start_canary`] — the continuous-learning loop: flag
 //!    stale pairs from per-window broken rates, retrain only those pairs,
 //!    splice them into the live artifact, and canary the result against
@@ -70,22 +73,19 @@ pub mod serve;
 pub mod sharded;
 pub mod translator;
 
-pub use algorithm1::{
-    build_graph, build_graph_pairs, FailurePolicy, GraphBuildConfig, QuarantinedPair, TrainedGraph,
-};
+pub use algorithm1::{build_graph, FailurePolicy, GraphBuildConfig, QuarantinedPair, TrainedGraph};
 pub use algorithm2::{BrokenRule, DetectionConfig, DetectionResult};
 pub use checkpoint::{
     read_checkpoint, read_snapshot, snapshot_from_bytes, snapshot_to_bytes, write_checkpoint,
-    write_snapshot, CheckpointConfig, CheckpointData,
+    write_snapshot, CheckpointData,
 };
 pub use diagnosis::{diagnose, propagation_timeline, Diagnosis, PropagationStep};
 pub use error::CoreError;
 pub use lifecycle::{
-    refit_pairs, DistSummary, DriftMonitor, DriftPolicy, DriftReport, LifecycleState, PairDrift,
-    RefitOutcome, ScoreDist,
+    DistSummary, DriftMonitor, DriftPolicy, DriftReport, LifecycleState, PairDrift, ScoreDist,
 };
 pub use online::{DegradationConfig, OnlineDetection, OnlineMonitor};
-pub use pipeline::{Mdes, MdesConfig, ScalableFitConfig};
+pub use pipeline::{Mdes, MdesConfig};
 pub use prescreen::{prescreen_pairs, PrescreenConfig, PrescreenResult, PrescreenedPair};
 pub use serve::{
     CanaryConfig, CanaryDecision, CanaryStatus, FrozenNmt, FrozenPairModel, FrozenTranslator,

@@ -13,12 +13,13 @@
 //!   phase (what "healthy" looks like for this deployment) from a trailing
 //!   *recent* window, and flags exactly the pairs whose broken rate jumped —
 //!   not the pairs that were always mediocre.
-//! * [`refit_pairs`] — retrains *only* the stale pairs through the sharded
-//!   sweep machinery ([`build_graph_sharded`]), inheriting the PR 2 fault
-//!   tolerance (retries, quarantine, failure policies) and MDCK per-shard
-//!   checkpointing, and returns the retrained [`FrozenPairModel`]s, ready to be
-//!   spliced into the live snapshot via
-//!   [`GraphSnapshot::graft`](crate::serve::GraphSnapshot::graft).
+//! * Partial refit — [`DriftReport::stale_pairs`] is the pair list
+//!   [`build_graph_sharded`](crate::sharded::build_graph_sharded) takes, so
+//!   only the stale pairs retrain, with the sweep's fault tolerance
+//!   (retries, quarantine, failure policies) and per-shard MDCK
+//!   checkpointing. The trained graph's `models().to_vec()` is what
+//!   [`GraphSnapshot::graft`](crate::serve::GraphSnapshot::graft) splices
+//!   into the live snapshot.
 //! * [`ScoreDist`] / [`DistSummary`] — the one score-distribution summary
 //!   shared by the canary comparator
 //!   ([`ModelStore::start_canary`](crate::serve::ModelStore::start_canary))
@@ -32,15 +33,10 @@
 //! scores — canary sessions are *shadow*-scored (see
 //! [`CanaryConfig`](crate::serve::CanaryConfig)).
 
-use crate::error::CoreError;
 use crate::online::OnlineDetection;
 use crate::serve::GraphSnapshot;
-use crate::sharded::{build_graph_sharded, ShardedSweepConfig, ShardedSweepReport};
-use crate::translator::FrozenPairModel;
-use mdes_lang::{LanguagePipeline, RawTrace};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
-use std::ops::Range;
 
 /// Phases of the continuous-learning loop, in causal order.
 ///
@@ -161,8 +157,9 @@ pub struct DriftReport {
 }
 
 impl DriftReport {
-    /// The stale set as bare `(src, dst)` node pairs — the exact argument
-    /// shape [`refit_pairs`] and the sharded sweep take.
+    /// The stale set as bare `(src, dst)` node pairs — the pair list
+    /// [`build_graph_sharded`](crate::sharded::build_graph_sharded) takes
+    /// for a partial refit.
     pub fn stale_pairs(&self) -> Vec<(usize, usize)> {
         self.stale.iter().map(|p| (p.src, p.dst)).collect()
     }
@@ -329,63 +326,6 @@ impl DriftMonitor {
             stale,
         }
     }
-}
-
-/// Outcome of a [`refit_pairs`] run: the retrained pair models ready to be
-/// grafted, plus what failed and how the sweep went.
-#[derive(Debug)]
-pub struct RefitOutcome {
-    /// Retrained models for every pair that trained successfully, ready for
-    /// [`GraphSnapshot::graft`](crate::serve::GraphSnapshot::graft).
-    pub models: Vec<FrozenPairModel>,
-    /// Pairs quarantined by the failure policy (only possible under
-    /// [`FailurePolicy::Degrade`](crate::algorithm1::FailurePolicy)).
-    pub quarantined: Vec<(usize, usize)>,
-    /// The sharded sweep's own measurements (shards, resumed pairs, peak
-    /// shard corpus bytes).
-    pub report: ShardedSweepReport,
-}
-
-/// Retrains exactly the given stale pairs over a fresh data range, for
-/// grafting.
-///
-/// A thin lifecycle-facing wrapper over [`build_graph_sharded`]: the sweep
-/// inherits the full PR 2 fault-tolerance policy (retries, quarantine,
-/// chaos hooks) and, with [`ShardedSweepConfig::checkpoint_dir`] set, MDCK
-/// per-shard checkpointing — a refit worker killed mid-sweep resumes from
-/// the last persisted pair instead of restarting.
-///
-/// # Errors
-///
-/// As [`build_graph_sharded`] — including [`CoreError::NoValidModels`] for
-/// an empty stale set and [`CoreError::WorkerLost`] /
-/// [`CoreError::PairQuarantined`] under
-/// [`FailurePolicy::FailFast`](crate::algorithm1::FailurePolicy).
-pub fn refit_pairs(
-    pipeline: &LanguagePipeline,
-    traces: &[RawTrace],
-    train: Range<usize>,
-    dev: Range<usize>,
-    stale: &[(usize, usize)],
-    cfg: &ShardedSweepConfig,
-) -> Result<RefitOutcome, CoreError> {
-    let mut span = mdes_obs::span("lifecycle.refit");
-    span.field("pairs", stale.len());
-    let (trained, report) = build_graph_sharded(pipeline, traces, train, dev, stale, cfg)?;
-    let models = trained.models().to_vec();
-    let quarantined: Vec<(usize, usize)> = trained
-        .quarantined()
-        .iter()
-        .map(|q| (q.src, q.dst))
-        .collect();
-    span.field("refrozen", models.len());
-    span.field("quarantined", quarantined.len());
-    mdes_obs::counter("lifecycle.pairs_refit", models.len() as u64);
-    Ok(RefitOutcome {
-        models,
-        quarantined,
-        report,
-    })
 }
 
 /// A growable sample reservoir over anomaly scores (or any `f64` series)

@@ -11,9 +11,7 @@ use crate::algorithm1::{build_graph, GraphBuildConfig, QuarantinedPair, TrainedG
 use crate::algorithm2::{DetectionConfig, DetectionResult};
 use crate::diagnosis::{diagnose, Diagnosis};
 use crate::error::CoreError;
-use crate::prescreen::{prescreen_pairs, PrescreenConfig, PrescreenResult};
 use crate::serve::GraphSnapshot;
-use crate::sharded::{build_graph_sharded, ShardedSweepConfig, ShardedSweepReport};
 use mdes_graph::{walktrap, Communities, RelGraph, ScoreRange, WalktrapConfig};
 use mdes_lang::{LanguagePipeline, RawTrace, WindowConfig};
 use serde::{Deserialize, Serialize};
@@ -29,50 +27,6 @@ pub struct MdesConfig {
     pub build: GraphBuildConfig,
     /// Online detection.
     pub detection: DetectionConfig,
-}
-
-/// Scaling knobs for [`Mdes::fit_prescreened`]: the n-gram prescreen plus
-/// the sharding of the surviving sweep. The per-pair training configuration
-/// comes from [`MdesConfig::build`] as usual.
-#[derive(Clone, Debug)]
-pub struct ScalableFitConfig {
-    /// Prescreen stage. Its `range` should normally match (or contain) the
-    /// detection validity range, since pairs outside it never become valid
-    /// edges; [`ScalableFitConfig::for_detection`] sets this up.
-    pub prescreen: PrescreenConfig,
-    /// Pairs per sweep shard.
-    pub pairs_per_shard: usize,
-    /// Directory for per-shard resume checkpoints (`None` disables).
-    pub checkpoint_dir: Option<String>,
-    /// Within-shard checkpoint cadence.
-    pub checkpoint_every: usize,
-}
-
-impl Default for ScalableFitConfig {
-    fn default() -> Self {
-        let sharded = ShardedSweepConfig::default();
-        Self {
-            prescreen: PrescreenConfig::default(),
-            pairs_per_shard: sharded.pairs_per_shard,
-            checkpoint_dir: None,
-            checkpoint_every: sharded.checkpoint_every,
-        }
-    }
-}
-
-impl ScalableFitConfig {
-    /// A configuration whose prescreen band is derived from `detection`'s
-    /// validity range (widened by `margin` BLEU points on both sides).
-    pub fn for_detection(detection: &DetectionConfig, margin: f64) -> Self {
-        Self {
-            prescreen: PrescreenConfig {
-                range: detection.valid_range,
-                margin,
-                ..PrescreenConfig::default()
-            },
-            ..Self::default()
-        }
-    }
 }
 
 /// A fitted analytics framework instance: the [`GraphSnapshot`] Algorithm 2
@@ -126,50 +80,9 @@ impl Mdes {
         Self::from_parts(cfg, lang, trained)
     }
 
-    /// Scalable offline phase: prescreens all ordered pairs with the n-gram
-    /// translator, then trains only the survivors in independently
-    /// checkpointed shards with per-shard streamed corpora. The fitted
-    /// instance behaves exactly like one from [`Mdes::fit`], except pairs
-    /// the prescreen pruned have no model (and no edge) — by construction
-    /// those pairs could not have produced valid edges anyway.
-    ///
-    /// Returns the instance plus the prescreen and sweep reports, so
-    /// callers can record recall, pruning, and memory measurements.
-    ///
-    /// # Errors
-    ///
-    /// Propagates language-pipeline, prescreen, and sharded-sweep errors;
-    /// [`CoreError::NoValidModels`] when the prescreen prunes every pair.
-    pub fn fit_prescreened(
-        traces: &[RawTrace],
-        train: Range<usize>,
-        dev: Range<usize>,
-        cfg: MdesConfig,
-        scale: &ScalableFitConfig,
-    ) -> Result<(Self, PrescreenResult, ShardedSweepReport), CoreError> {
-        let lang = LanguagePipeline::fit(traces, train.clone(), cfg.window)?;
-        let screened =
-            prescreen_pairs(&lang, traces, train.clone(), dev.clone(), &scale.prescreen)?;
-        let sharded_cfg = ShardedSweepConfig {
-            build: cfg.build.clone(),
-            pairs_per_shard: scale.pairs_per_shard,
-            checkpoint_dir: scale.checkpoint_dir.clone(),
-            checkpoint_every: scale.checkpoint_every,
-        };
-        let (trained, report) = build_graph_sharded(
-            &lang,
-            traces,
-            train,
-            dev,
-            &screened.survivors(),
-            &sharded_cfg,
-        )?;
-        Ok((Self::from_parts(cfg, lang, trained)?, screened, report))
-    }
-
-    /// Assembles an instance from an externally built graph (e.g. a sharded
-    /// sweep driven through the lower-level
-    /// [`build_graph_sharded`](crate::sharded::build_graph_sharded) API).
+    /// Assembles an instance from an externally built graph — the scalable
+    /// offline phase is [`prescreen_pairs`](crate::prescreen::prescreen_pairs)
+    /// → [`build_graph_sharded`](crate::sharded::build_graph_sharded) → this.
     /// The graph and models move into the snapshot; nothing is copied. The
     /// window configuration is `lang`'s own, so `cfg.window` is not read.
     ///
@@ -335,40 +248,6 @@ mod tests {
         assert_eq!(m.graph().edge_count(), n * (n - 1));
         assert_eq!(m.runtimes().len(), m.snapshot().models().len());
         assert_eq!(m.scores().len(), m.snapshot().models().len());
-    }
-
-    #[test]
-    fn fit_prescreened_with_open_band_matches_fit() {
-        let (m, plant) = fitted();
-        let train = plant.days_range(1, 4);
-        let dev = plant.days_range(5, 6);
-        // The full BLEU band with zero margin keeps every pair, so the
-        // prescreened + sharded path must reproduce the monolithic graph.
-        let scale = ScalableFitConfig {
-            prescreen: crate::prescreen::PrescreenConfig {
-                range: ScoreRange::closed(0.0, 100.0),
-                margin: 0.0,
-                ..crate::prescreen::PrescreenConfig::default()
-            },
-            pairs_per_shard: 7,
-            checkpoint_dir: None,
-            checkpoint_every: 4,
-        };
-        let (m2, screened, report) =
-            Mdes::fit_prescreened(&plant.traces, train, dev, small_plant_cfg(), &scale)
-                .expect("prescreened fit");
-        assert_eq!(screened.pruned(), 0);
-        let n = m.language().sensor_count();
-        assert_eq!(report.pairs_total, n * (n - 1));
-        assert!(report.shards >= 2, "expected multiple shards");
-        assert_eq!(m2.graph().edge_count(), m.graph().edge_count());
-        for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    assert_eq!(m2.graph().score(i, j), m.graph().score(i, j));
-                }
-            }
-        }
     }
 
     #[test]

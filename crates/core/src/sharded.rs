@@ -26,8 +26,7 @@
 //! (modulo per-model wall-clock timings).
 
 use crate::algorithm1::{
-    assemble_graph, sweep_fingerprint, sweep_pairs, validate_alignment_sparse, GraphBuildConfig,
-    TrainedGraph,
+    assemble_graph, sweep_pairs, validate_alignment_sparse, GraphBuildConfig, TrainedGraph,
 };
 use crate::checkpoint::CheckpointConfig;
 use crate::error::CoreError;
@@ -39,8 +38,7 @@ use std::ops::Range;
 #[derive(Clone, Debug)]
 pub struct ShardedSweepConfig {
     /// Per-pair training configuration (translator, BLEU, retries, failure
-    /// policy, threads). Its `checkpoint` field is ignored — sharded sweeps
-    /// derive one checkpoint file per shard from `checkpoint_dir` instead.
+    /// policy, threads).
     pub build: GraphBuildConfig,
     /// Pairs per shard (clamped to at least 1). Smaller shards bound memory
     /// and recover more granularly; larger shards amortize encoding.
@@ -48,8 +46,9 @@ pub struct ShardedSweepConfig {
     /// Directory for per-shard MDCK checkpoint files (`shard_00000.mdck`,
     /// …), created if absent. `None` disables checkpointing.
     pub checkpoint_dir: Option<String>,
-    /// Within-shard checkpoint cadence (persist after every `n` completed
-    /// pairs), as [`CheckpointConfig::every`].
+    /// Within-shard checkpoint cadence: flush and fsync after every `n`
+    /// completed pairs (clamped to at least 1). Each shard file is also
+    /// flushed when its shard finishes.
     pub checkpoint_every: usize,
 }
 
@@ -181,22 +180,20 @@ pub fn build_graph_sharded(
         validate_alignment_sparse(&train_refs)?;
         validate_alignment_sparse(&dev_refs)?;
 
-        let mut shard_cfg = cfg.build.clone();
-        shard_cfg.checkpoint = cfg.checkpoint_dir.as_ref().map(|dir| CheckpointConfig {
+        // The shard file's fingerprint covers this shard's exact pair
+        // slice: any change to the prescreen selection or the sharding
+        // re-slices the list and invalidates the file.
+        let checkpoint = cfg.checkpoint_dir.as_ref().map(|dir| CheckpointConfig {
             path: format!("{dir}/shard_{k:05}.mdck"),
-            every: cfg.checkpoint_every.max(1),
+            every: cfg.checkpoint_every,
         });
-        // The fingerprint covers this shard's exact pair slice: any change
-        // to the prescreen selection or the sharding re-slices the list and
-        // invalidates the file.
-        let fingerprint = sweep_fingerprint(pipeline, &shard_cfg, shard);
         let out = sweep_pairs(
             pipeline,
             &train_refs,
             &dev_refs,
             shard,
-            &shard_cfg,
-            fingerprint,
+            &cfg.build,
+            checkpoint.as_ref(),
         )?;
         report.resumed += out.resumed;
         shard_span.field("resumed", out.resumed);
@@ -346,5 +343,85 @@ mod tests {
         .expect("sorted");
         assert_eq!(canonical_json(&a.0), canonical_json(&b.0));
         assert_eq!(a.1.pairs_total, 3);
+    }
+
+    fn ckpt_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("mdes_sharded_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn failfast_pair_panic_keeps_the_persisted_prefix_and_resumes_identically() {
+        let (p, traces) = setup();
+        let pairs = all_pairs(4); // 12 pairs -> shards of 5, 5, 2
+        let dir = ckpt_dir("failfast");
+        let clean = ShardedSweepConfig {
+            build: GraphBuildConfig {
+                threads: 1,
+                ..GraphBuildConfig::default()
+            },
+            pairs_per_shard: 5,
+            ..ShardedSweepConfig::default()
+        };
+        let (uninterrupted, _) =
+            build_graph_sharded(&p, &traces, 0..300, 300..450, &pairs, &clean).expect("clean");
+
+        // A pair panics inside its isolation on the 3rd pair of shard 1
+        // under FailFast, after every earlier pair was persisted.
+        let mut cfg = ShardedSweepConfig {
+            checkpoint_dir: Some(dir.to_string_lossy().into_owned()),
+            checkpoint_every: 1,
+            ..clean
+        };
+        cfg.build.chaos_fail_pairs = vec![pairs[7]];
+        match build_graph_sharded(&p, &traces, 0..300, 300..450, &pairs, &cfg) {
+            Err(CoreError::PairQuarantined { src, dst, .. }) => {
+                assert_eq!((src, dst), pairs[7]);
+            }
+            other => panic!("expected PairQuarantined, got {other:?}"),
+        }
+        let partial =
+            crate::checkpoint::read_checkpoint(&dir.join("shard_00001.mdck")).expect("prefix");
+        // The shard's two pairs before the panic.
+        assert_eq!(partial.models.len(), 2);
+
+        // Resume without the fault: shard 0 and the prefix replay, the
+        // rest train, and the graph matches the uninterrupted sweep.
+        cfg.build.chaos_fail_pairs.clear();
+        let (resumed, report) =
+            build_graph_sharded(&p, &traces, 0..300, 300..450, &pairs, &cfg).expect("resume");
+        assert_eq!(report.resumed, 7);
+        assert_eq!(canonical_json(&uninterrupted), canonical_json(&resumed));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unwritable_checkpoint_dir_fails_before_any_pair_trains() {
+        let (p, traces) = setup();
+        // The directory's parent is a regular file, so it cannot be made.
+        let file = std::env::temp_dir().join(format!("mdes_sharded_file_{}", std::process::id()));
+        std::fs::write(&file, b"not a directory").expect("write file");
+        let cfg = ShardedSweepConfig {
+            build: GraphBuildConfig {
+                threads: 1,
+                // Had any worker started, this would end the sweep with
+                // `WorkerLost` instead.
+                chaos_lose_worker_pairs: vec![(0, 1)],
+                ..GraphBuildConfig::default()
+            },
+            checkpoint_dir: Some(file.join("ckpt").to_string_lossy().into_owned()),
+            ..ShardedSweepConfig::default()
+        };
+        match build_graph_sharded(&p, &traces, 0..300, 300..450, &all_pairs(4), &cfg) {
+            Err(CoreError::Checkpoint { detail, .. }) => {
+                assert!(
+                    detail.contains("cannot create checkpoint directory"),
+                    "{detail}"
+                );
+            }
+            other => panic!("expected an up-front Checkpoint error, got {other:?}"),
+        }
+        std::fs::remove_file(&file).ok();
     }
 }

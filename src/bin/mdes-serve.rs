@@ -16,10 +16,19 @@
 
 use mdes::core::{read_snapshot, ServingEngine};
 use mdes::net::{start, ServeConfig};
+use std::io::Write;
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Prints one status line, best-effort: a closed or failing stdout never
+/// stops the daemon.
+macro_rules! status {
+    ($($arg:tt)*) => {
+        let _ = writeln!(std::io::stdout().lock(), $($arg)*);
+    };
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -66,17 +75,17 @@ fn run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         ..ServeConfig::default()
     };
     let server = start(engine, cfg)?;
-    println!(
+    status!(
         "mdes-serve: ingest on {}, admin on {}, model width {width}",
         server.addr(),
         server
             .admin_addr()
             .map_or_else(|| "-".to_owned(), |a| a.to_string()),
     );
-    println!("mdes-serve: send `shutdown` to the admin port to stop");
+    status!("mdes-serve: send `shutdown` to the admin port to stop");
     server.wait();
     server.stop();
-    println!("mdes-serve: stopped");
+    status!("mdes-serve: stopped");
     Ok(())
 }
 

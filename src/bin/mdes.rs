@@ -22,9 +22,18 @@ use mdes::lang::{RawTrace, WindowConfig};
 use mdes::synth::hdd::{self, HddConfig};
 use mdes::synth::plant::{self, PlantConfig};
 use std::collections::HashSet;
+use std::fmt;
+use std::io::{self, Write};
 use std::ops::Range;
 use std::path::Path;
 use std::process::ExitCode;
+
+/// `println!` through [`print_line`], returning its error from the command.
+macro_rules! say {
+    ($($arg:tt)*) => {
+        print_line(format_args!($($arg)*))?
+    };
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -38,6 +47,16 @@ fn main() -> ExitCode {
 }
 
 type CliResult = Result<(), Box<dyn std::error::Error>>;
+
+/// Writes one line to stdout. Once stdout's reader has gone away
+/// (`mdes detect ... | head -1`) the rest of the output is dropped and the
+/// command still finishes and exits 0; any other write failure is an error.
+fn print_line(line: fmt::Arguments) -> io::Result<()> {
+    match writeln!(io::stdout().lock(), "{line}") {
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => Ok(()),
+        written => written,
+    }
+}
 
 fn run(args: &[String]) -> CliResult {
     let Some(command) = args.first() else {
@@ -162,7 +181,7 @@ fn simulate_plant(args: &[String]) -> CliResult {
     };
     let data = plant::generate(&cfg);
     std::fs::write(&out, serde_json::to_string(&data.traces)?)?;
-    println!(
+    say!(
         "wrote {} sensors x {} samples to {out} (anomaly days: {:?})",
         data.traces.len(),
         cfg.samples(),
@@ -182,7 +201,7 @@ fn simulate_hdd(args: &[String]) -> CliResult {
     let fleet = hdd::generate(&cfg);
     std::fs::write(&out, serde_json::to_string(&fleet)?)?;
     let failed = fleet.drives.iter().filter(|d| d.failed).count();
-    println!(
+    say!(
         "wrote {} drives ({failed} failing) to {out}",
         fleet.drives.len()
     );
@@ -213,7 +232,7 @@ fn fit(args: &[String]) -> CliResult {
     }
     let model = Mdes::fit(&traces, train, dev, cfg)?;
     write_snapshot(Path::new(&out), model.snapshot())?;
-    println!(
+    say!(
         "fitted {} sensors, {} directional models; wrote {out}",
         model.language().sensor_count(),
         model.snapshot().models().len()
@@ -227,21 +246,21 @@ fn detect(args: &[String]) -> CliResult {
     let range = parse_range(&require(args, "range")?)?;
     let threshold: f64 = parse_num(args, "threshold", 0.5)?;
     let result = model.detect_range(&traces, range.clone())?;
-    println!("window | start | a_t | broken");
+    say!("window | start | a_t | broken");
     for (t, (&score, &start)) in result.scores.iter().zip(&result.starts).enumerate() {
         let mark = if score >= threshold {
             "  <-- anomaly"
         } else {
             ""
         };
-        println!(
+        say!(
             "{t:6} | {:5} | {score:.3} | {}{mark}",
             range.start + start,
             result.alerts[t].len()
         );
     }
     let hits = result.detections(threshold);
-    println!(
+    say!(
         "\n{} of {} windows over threshold {threshold} ({} valid models)",
         hits.len(),
         result.scores.len(),
@@ -259,21 +278,21 @@ fn discover(args: &[String]) -> CliResult {
     let sub = model.global_subgraph(&range);
     let thr = sub.scaled_popular_threshold();
     let popular = sub.popular(thr);
-    println!(
+    say!(
         "global subgraph {range}: {} sensors, {} relationships",
         sub.active_nodes().len(),
         sub.edge_count()
     );
-    println!("popular sensors (in-degree >= {thr}):");
+    say!("popular sensors (in-degree >= {thr}):");
     for &p in &popular {
-        println!("  {} (in-degree {})", sub.name(p), sub.in_degree(p));
+        say!("  {} (in-degree {})", sub.name(p), sub.in_degree(p));
     }
     let local = sub.without_nodes(&popular);
     let comms = walktrap(&local, &WalktrapConfig::default());
-    println!("communities (modularity {:.2}):", comms.modularity);
+    say!("communities (modularity {:.2}):", comms.modularity);
     for (i, group) in comms.groups.iter().enumerate() {
         let names: Vec<&str> = group.iter().map(|&s| local.name(s)).collect();
-        println!("  {i}: {names:?}");
+        say!("  {i}: {names:?}");
     }
     if let Some(path) = opt(args, "dot") {
         let dot = to_dot(
@@ -285,7 +304,7 @@ fn discover(args: &[String]) -> CliResult {
             },
         );
         std::fs::write(&path, dot)?;
-        println!("wrote {path}");
+        say!("wrote {path}");
     }
     Ok(())
 }
@@ -307,7 +326,7 @@ fn diagnose(args: &[String]) -> CliResult {
         return Err(format!("window {window} out of range 0..{}", result.scores.len()).into());
     }
     let diag = model.diagnose_alerts(&result.alerts[window]);
-    println!(
+    say!(
         "window {window}: a_t = {:.3}, {} broken pairs, {:.0}% of local subgraph broken{}",
         result.scores[window],
         result.alerts[window].len(),
@@ -316,11 +335,11 @@ fn diagnose(args: &[String]) -> CliResult {
     );
     for (i, cluster) in diag.faulty_clusters.iter().enumerate() {
         let names: Vec<&str> = cluster.iter().map(|&s| model.graph().name(s)).collect();
-        println!("faulty cluster {i}: {names:?}");
+        say!("faulty cluster {i}: {names:?}");
     }
-    println!("suspect sensors:");
+    say!("suspect sensors:");
     for (sensor, count) in diag.sensor_ranking.iter().take(10) {
-        println!(
+        say!(
             "  {} ({count} broken relationships)",
             model.graph().name(*sensor)
         );

@@ -146,6 +146,22 @@ fn full_cli_workflow() {
     assert!(stdout.contains("a_t"), "detect output: {stdout}");
     assert!(stdout.contains("valid models"));
 
+    // A stdout whose reader has gone away (`mdes detect ... | head -0`)
+    // drops the output quietly: exit 0 and nothing on stderr. The read end
+    // is closed before the child starts, so every write hits EPIPE.
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_mdes"))
+        .args(["detect", "--model", &model, "--traces", &traces])
+        .args(["--range", "1728..2880"])
+        .stdout(writer)
+        .output()
+        .expect("run mdes with a closed stdout");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "closed stdout: {stderr}");
+    assert!(!stderr.contains("panicked"), "closed stdout: {stderr}");
+    assert!(stderr.is_empty(), "closed stdout: {stderr}");
+
     // discover structure and export DOT.
     let out = mdes(&[
         "discover", "--model", &model, "--range", "40..100", "--dot", &dot,

@@ -10,7 +10,7 @@
 
 use mdes::core::serve::{FrozenPairModel, GraphSnapshot, ServingEngine, StreamSession};
 use mdes::core::{
-    refit_pairs, CanaryConfig, CanaryDecision, CoreError, DriftMonitor, DriftPolicy,
+    build_graph_sharded, CanaryConfig, CanaryDecision, CoreError, DriftMonitor, DriftPolicy,
     GraphBuildConfig, Mdes, MdesConfig, OnlineDetection, ScoreDist, ShardedSweepConfig,
 };
 use mdes::graph::ScoreRange;
@@ -184,7 +184,7 @@ fn regime_shift_drift_refit_canary_restores_quality() {
     // Partial refit on post-shift data, reusing the incumbent's language
     // pipeline, then splice the refrozen pairs into the live artifact.
     let refit_cfg = ShardedSweepConfig::default();
-    let refit = refit_pairs(
+    let (refit, _) = build_graph_sharded(
         mdes.language(),
         &plant.traces,
         REFIT_TRAIN,
@@ -193,9 +193,9 @@ fn regime_shift_drift_refit_canary_restores_quality() {
         &refit_cfg,
     )
     .expect("refit");
-    assert_eq!(refit.models.len(), stale.len());
-    assert!(refit.quarantined.is_empty());
-    let candidate = snapshot.graft(refit.models.clone()).expect("graft");
+    assert_eq!(refit.models().len(), stale.len());
+    assert!(refit.quarantined().is_empty());
+    let candidate = snapshot.graft(refit.models().to_vec()).expect("graft");
     assert_eq!(
         candidate.valid_models().len(),
         snapshot.valid_models().len(),
@@ -346,7 +346,7 @@ fn killed_refit_worker_resumes_from_mdck_checkpoints() {
         checkpoint_dir: None,
         ..cfg.clone()
     };
-    let baseline = refit_pairs(
+    let (baseline, _) = build_graph_sharded(
         mdes.language(),
         &plant.traces,
         REFIT_TRAIN,
@@ -359,7 +359,7 @@ fn killed_refit_worker_resumes_from_mdck_checkpoints() {
     // Kill the refit worker pool mid-sweep, after at least one shard
     // checkpointed, then resume without the fault.
     cfg.build.chaos_lose_worker_pairs = vec![stale[9]];
-    let err = refit_pairs(
+    let err = build_graph_sharded(
         mdes.language(),
         &plant.traces,
         REFIT_TRAIN,
@@ -371,7 +371,7 @@ fn killed_refit_worker_resumes_from_mdck_checkpoints() {
     assert!(matches!(err, CoreError::WorkerLost { .. }), "got {err:?}");
 
     cfg.build.chaos_lose_worker_pairs.clear();
-    let resumed = refit_pairs(
+    let (resumed, report) = build_graph_sharded(
         mdes.language(),
         &plant.traces,
         REFIT_TRAIN,
@@ -381,18 +381,18 @@ fn killed_refit_worker_resumes_from_mdck_checkpoints() {
     )
     .expect("resumed refit");
     assert!(
-        resumed.report.resumed >= 4 && resumed.report.resumed < stale.len(),
+        report.resumed >= 4 && report.resumed < stale.len(),
         "completed shards must replay from MDCK, resumed {}",
-        resumed.report.resumed
+        report.resumed
     );
     assert_eq!(
-        serde_json::to_string(&baseline.models).expect("baseline json"),
-        serde_json::to_string(&resumed.models).expect("resumed json"),
+        serde_json::to_string(baseline.models()).expect("baseline json"),
+        serde_json::to_string(resumed.models()).expect("resumed json"),
         "resumed refit must be byte-identical to the uninterrupted one"
     );
 
     // The resumed models graft cleanly into the live artifact.
-    let candidate = snapshot.graft(resumed.models).expect("graft");
+    let candidate = snapshot.graft(resumed.models().to_vec()).expect("graft");
     assert_eq!(
         candidate.valid_models().len(),
         snapshot.valid_models().len()
