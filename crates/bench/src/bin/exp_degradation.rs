@@ -1,7 +1,7 @@
 //! Experiment — graceful degradation under sensor dropout.
 //!
 //! Fits a clean plant, then replays the full test period (days 14–30)
-//! through the streaming monitor while `k` sensors are silenced for the
+//! through one serving-engine stream while `k` sensors are silenced for the
 //! whole period by the fault injector. For each `k` the experiment reports
 //! the mean detection coverage and the anomaly-day vs normal-day score
 //! peaks: coverage must fall roughly linearly with the dropped pair count
@@ -10,11 +10,12 @@
 //! must complete without a panic or hard error, whatever `k`.
 
 use mdes_bench::report::{print_table, write_csv};
-use mdes_core::{BrokenRule, Mdes, MdesConfig, OnlineDetection};
+use mdes_core::{BrokenRule, Mdes, MdesConfig, OnlineDetection, ServingEngine};
 use mdes_graph::ScoreRange;
 use mdes_lang::{WindowConfig, MISSING_RECORD};
 use mdes_synth::faults::FaultInjector;
 use mdes_synth::plant::{generate, PlantConfig};
+use std::sync::Arc;
 
 fn main() {
     let plant = generate(&PlantConfig {
@@ -44,6 +45,7 @@ fn main() {
     let test = plant.days_range(14, plant.config.days);
     let mpd = plant.config.minutes_per_day;
     let day_of = |d: &OnlineDetection| (test.start + d.sample_index) / mpd + 1;
+    let engine = ServingEngine::new(Arc::clone(m.snapshot()));
 
     let mut csv_rows = Vec::new();
     let mut rows = Vec::new();
@@ -55,10 +57,7 @@ fn main() {
         }
         let faulty = injector.apply(&plant.traces);
 
-        let mut monitor = m
-            .clone()
-            .try_into_online_monitor(faulty.len())
-            .expect("monitor width");
+        let mut session = engine.open_session(faulty.len()).expect("stream width");
         let mut detections: Vec<OnlineDetection> = Vec::new();
         for t in test.clone() {
             let sample: Vec<Option<String>> = faulty
@@ -68,8 +67,8 @@ fn main() {
                     (rec != MISSING_RECORD).then_some(rec)
                 })
                 .collect();
-            if let Some(d) = monitor
-                .push_opt(&sample)
+            if let Some(d) = engine
+                .push_opt(&mut session, &sample)
                 .expect("degraded replay must not hard-fail")
             {
                 detections.push(d);

@@ -215,6 +215,7 @@ fn main() {
     // 5. Serving cost while a full-fraction canary shadow-scores every
     //    window (budget high enough that it stays active throughout).
     engine
+        .store()
         .start_canary(
             candidate.clone(),
             CanaryConfig {
@@ -225,8 +226,11 @@ fn main() {
         )
         .expect("measurement canary");
     let (canary_ns, _) = timed_stream(&engine, &mut session, &plant, 2000..2240, None);
-    assert!(engine.canary_status().active, "budget must not resolve yet");
-    assert!(engine.cancel_canary());
+    assert!(
+        engine.store().canary_status().active,
+        "budget must not resolve yet"
+    );
+    assert!(engine.store().cancel_canary());
 
     // 6. Decision e2e: a broken candidate rolls back, the refit promotes.
     let gate = CanaryConfig {
@@ -263,20 +267,23 @@ fn main() {
         })
         .collect();
     let bad = snapshot.graft(bad_models).expect("graft bad");
-    engine.start_canary(bad, gate).expect("bad canary");
+    engine.store().start_canary(bad, gate).expect("bad canary");
     let _ = timed_stream(&engine, &mut session, &plant, 2240..2400, None);
     assert!(
         matches!(
-            engine.canary_status().last_decision,
+            engine.store().canary_status().last_decision,
             Some(CanaryDecision::RolledBack { .. })
         ),
         "broken candidate must roll back"
     );
     assert_eq!(engine.store().version(), 1);
 
-    engine.start_canary(candidate, gate).expect("good canary");
+    engine
+        .store()
+        .start_canary(candidate, gate)
+        .expect("good canary");
     let (_, mut post) = timed_stream(&engine, &mut session, &plant, 2400..2880, None);
-    match engine.canary_status().last_decision {
+    match engine.store().canary_status().last_decision {
         Some(CanaryDecision::Promoted { version, .. }) => assert_eq!(version, 2),
         other => panic!("expected promotion, got {other:?}"),
     }

@@ -1,11 +1,11 @@
-//! Experiment — online serving latency of the streaming monitor.
+//! Experiment — online serving latency of one serving-engine stream.
 //!
-//! The monitor's per-push cost is the paper's serving-path metric: every
+//! A stream's per-push cost is the paper's serving-path metric: every
 //! completed sentence window runs Algorithm 2 across all valid pair models.
 //! This experiment fits an NMT plant, then measures
 //!
-//! 1. single-window [`OnlineMonitor::push`] latency, split into window-
-//!    completing pushes (which run detection) and buffering pushes;
+//! 1. single-stream [`ServingEngine::push_opt`] latency, split into
+//!    window-completing pushes (which run detection) and buffering pushes;
 //! 2. whole-segment decode throughput via `detect_range`;
 //! 3. detection thread scaling at 1/2/4 worker threads.
 //!
@@ -21,12 +21,13 @@
 
 use mdes_bench::report::{print_table, results_dir, write_csv, ScoreDist};
 use mdes_core::{
-    DetectionConfig, GraphSnapshot, Mdes, MdesConfig, OnlineMonitor, TranslatorConfig,
+    DetectionConfig, GraphSnapshot, Mdes, MdesConfig, ServingEngine, TranslatorConfig,
 };
 use mdes_graph::ScoreRange;
 use mdes_lang::WindowConfig;
 use mdes_nn::Seq2SeqConfig;
 use mdes_synth::plant::{generate, PlantConfig};
+use std::sync::Arc;
 use std::time::Instant;
 
 fn stats(us: Vec<f64>) -> (f64, f64, f64) {
@@ -86,16 +87,20 @@ fn main() {
 
     // 1. Streaming push latency over the test days.
     let test = plant.days_range(8, 10);
-    let mut monitor: OnlineMonitor = m
-        .clone()
-        .try_into_online_monitor(plant.traces.len())
-        .expect("monitor width");
+    let engine = ServingEngine::new(Arc::clone(m.snapshot()));
+    let mut session = engine
+        .open_session(plant.traces.len())
+        .expect("stream width");
     let mut detect_us: Vec<f64> = Vec::new();
     let mut buffer_us: Vec<f64> = Vec::new();
     for t in test.clone() {
-        let sample: Vec<String> = plant.traces.iter().map(|tr| tr.events[t].clone()).collect();
+        let sample: Vec<Option<String>> = plant
+            .traces
+            .iter()
+            .map(|tr| Some(tr.events[t].clone()))
+            .collect();
         let started = Instant::now();
-        let out = monitor.push(&sample).expect("push");
+        let out = engine.push_opt(&mut session, &sample).expect("push");
         let us = started.elapsed().as_secs_f64() * 1e6;
         if out.is_some() {
             detect_us.push(us);
@@ -107,7 +112,7 @@ fn main() {
     let (det_mean, det_p50, det_p95) = stats(detect_us);
     let (buf_mean, _, _) = stats(buffer_us);
 
-    // 2. Segment decode throughput (the batch path). The monitor shares
+    // 2. Segment decode throughput (the batch path). The engine serves
     // `m`'s snapshot and filled its translation memo; a frozen copy starts
     // with an empty one, so every window decodes.
     let cold = GraphSnapshot::freeze(&m);

@@ -8,7 +8,7 @@
 //! 1. throughput: M identical-rate streams multiplexed through
 //!    [`ServingEngine::push_opt_many`] over the worker pool, in samples/s;
 //! 2. memory: accounted bytes of the shared snapshot vs the per-session
-//!    state, against the naive baseline of one monitor (snapshot included)
+//!    state, against the naive baseline of one engine (snapshot included)
 //!    per stream.
 //!
 //! The run *asserts* that every stream keeps emitting detections and that
@@ -121,7 +121,7 @@ fn main() {
             latencies,
             detections,
             session_bytes,
-            engine.snapshot().memo_bytes(),
+            engine.store().current().memo_bytes(),
         )
     };
 

@@ -1,7 +1,7 @@
 //! Experiment — end-to-end observability trace of a synthetic plant run.
 //!
 //! Installs an [`mdes_obs::Recorder`] with a JSONL sink, fits a small NMT
-//! plant, runs batch detection and a streaming monitor with an injected
+//! plant, runs batch detection and one serving-engine stream with an injected
 //! sensor dropout, then *asserts* that the recorded telemetry reconciles
 //! exactly with the values the pipeline returned:
 //!
@@ -16,7 +16,7 @@
 //! `Recorder::report()` — the run's counters and latency histograms.
 
 use mdes_bench::report::results_dir;
-use mdes_core::{Mdes, MdesConfig, OnlineMonitor, TranslatorConfig};
+use mdes_core::{Mdes, MdesConfig, ServingEngine, TranslatorConfig};
 use mdes_graph::ScoreRange;
 use mdes_lang::WindowConfig;
 use mdes_nn::Seq2SeqConfig;
@@ -112,7 +112,8 @@ fn main() {
 
     // Streaming phase with an injected outage on sensor 1.
     let width = plant.traces.len();
-    let mut monitor: OnlineMonitor = m.try_into_online_monitor(width).expect("monitor width");
+    let engine = ServingEngine::new(Arc::clone(m.snapshot()));
+    let mut session = engine.open_session(width).expect("stream width");
     let test = plant.days_range(6, 8);
     let outage = test.start + 40..test.start + 80;
     let mut emitted = 0u64;
@@ -129,7 +130,11 @@ fn main() {
                 }
             })
             .collect();
-        if monitor.push_opt(&sample).expect("push").is_some() {
+        if engine
+            .push_opt(&mut session, &sample)
+            .expect("push")
+            .is_some()
+        {
             emitted += 1;
         }
     }

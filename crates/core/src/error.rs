@@ -29,7 +29,7 @@ pub enum CoreError {
     EmptyCorpus,
     /// No trained model's score falls in the configured validity range.
     NoValidModels,
-    /// A monitor was created over fewer sensors than the model references.
+    /// A stream was opened over fewer sensors than the model references.
     WidthMismatch {
         /// Sensors per sample offered by the caller.
         width: usize,

@@ -22,9 +22,12 @@
 //!    Algorithm 1 into one [`GraphSnapshot`], the immutable artifact that
 //!    detection, knowledge discovery and serving all read, and that
 //!    [`write_snapshot`] persists as MDSN;
-//! 6. [`ServingEngine`] — multiplexes many concurrent streams against a
-//!    snapshot, hot-swapping retrained snapshots mid-stream without
-//!    dropping buffered windows;
+//! 6. [`ServingEngine`] — the one streaming API (the paper's online
+//!    testing phase): [`ServingEngine::open_session`] opens a stream and
+//!    [`ServingEngine::push_opt`] / [`ServingEngine::push_opt_many`] score
+//!    each completed window; many concurrent streams share one snapshot,
+//!    and [`ServingEngine::store`] hot-swaps retrained snapshots
+//!    mid-stream without dropping buffered windows;
 //! 7. [`DriftMonitor`] / [`build_graph_sharded`] / [`GraphSnapshot::graft`] /
 //!    [`ModelStore::start_canary`] — the continuous-learning loop: flag
 //!    stale pairs from per-window broken rates, retrain only those pairs,
@@ -84,7 +87,7 @@ pub use error::CoreError;
 pub use lifecycle::{
     DistSummary, DriftMonitor, DriftPolicy, DriftReport, LifecycleState, PairDrift, ScoreDist,
 };
-pub use online::{DegradationConfig, OnlineDetection, OnlineMonitor};
+pub use online::{DegradationConfig, OnlineDetection};
 pub use pipeline::{Mdes, MdesConfig};
 pub use prescreen::{prescreen_pairs, PrescreenConfig, PrescreenResult, PrescreenedPair};
 pub use serve::{

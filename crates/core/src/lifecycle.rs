@@ -328,7 +328,7 @@ impl DriftMonitor {
     }
 }
 
-/// A growable sample reservoir over anomaly scores (or any `f64` series)
+/// A sample reservoir over anomaly scores (or any `f64` series)
 /// with one canonical summary.
 ///
 /// This is the single distribution summary shared by the canary comparator
@@ -341,41 +341,11 @@ pub struct ScoreDist {
 }
 
 impl ScoreDist {
-    /// An empty reservoir.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// A reservoir over a copy of `samples`.
     pub fn from_samples(samples: &[f64]) -> Self {
         Self {
             samples: samples.to_vec(),
         }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, value: f64) {
-        self.samples.push(value);
-    }
-
-    /// Records many samples.
-    pub fn extend(&mut self, values: &[f64]) {
-        self.samples.extend_from_slice(values);
-    }
-
-    /// Number of recorded samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether no samples have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// The recorded samples, in insertion order.
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
     }
 
     /// Summarizes the recorded samples; all fields are `0.0` (count `0`)
@@ -560,10 +530,7 @@ mod tests {
 
     #[test]
     fn score_dist_summary_matches_nearest_rank() {
-        let mut d = ScoreDist::new();
-        d.extend(&[0.4, 0.1, 0.2, 0.3]);
-        d.record(0.5);
-        let s = d.summary();
+        let s = ScoreDist::from_samples(&[0.4, 0.1, 0.2, 0.3, 0.5]).summary();
         assert_eq!(s.count, 5);
         assert!((s.mean - 0.3).abs() < 1e-12);
         assert_eq!(s.p50, 0.3);
@@ -574,7 +541,7 @@ mod tests {
 
     #[test]
     fn empty_score_dist_summarizes_to_zeros() {
-        let s = ScoreDist::new().summary();
+        let s = ScoreDist::default().summary();
         assert_eq!(s, DistSummary::default());
         assert_eq!(s.count, 0);
     }

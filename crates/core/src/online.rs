@@ -1,52 +1,49 @@
-//! Streaming (online) detection: feed one multivariate sample per tick and
-//! receive a detection every time a sentence window completes.
+//! Streaming (online) detection: the types a stream's detections are made
+//! of.
 //!
 //! [`GraphSnapshot::detect_range`] scores a batch of historical samples;
-//! [`OnlineMonitor`] is the production-facing equivalent of the paper's
-//! *online testing phase* (Fig. 1): it buffers just enough trailing samples
-//! to form one sentence per sensor and runs Algorithm 2 on each completed
-//! window, so detections arrive with the granularity the sentence stride
-//! configures (every 20 minutes with the paper's plant settings).
+//! the paper's *online testing phase* (Fig. 1) is [`ServingEngine`]. Serve
+//! the fitted model's own snapshot with
+//! `ServingEngine::new(Arc::clone(mdes.snapshot()))` (one copy of the
+//! weights), open one [`StreamSession`] per stream with
+//! [`ServingEngine::open_session`], and
+//! feed it one multivariate sample per tick with
+//! [`ServingEngine::push_opt`] (or many streams per tick with
+//! [`ServingEngine::push_opt_many`]). The session buffers just enough
+//! trailing samples to form one sentence per sensor, and each completed
+//! window is scored by Algorithm 2, so detections arrive with the
+//! granularity the sentence stride configures (every 20 minutes with the
+//! paper's plant settings) as [`OnlineDetection`]s.
 //!
-//! Since the serving split, the monitor is a convenience wrapper over the
-//! real machinery in [`crate::serve`]: it serves the fitted model's own
-//! [`GraphSnapshot`] (the same `Arc`, so one copy of the weights) from a
-//! private [`ServingEngine`] and opens one [`StreamSession`]. Monitoring
-//! many streams — or hot-swapping a retrained model under a live stream —
-//! is what the engine API is for; use it directly.
-//!
-//! [`GraphSnapshot`]: crate::serve::GraphSnapshot
 //! [`GraphSnapshot::detect_range`]: crate::serve::GraphSnapshot::detect_range
+//! [`ServingEngine`]: crate::serve::ServingEngine
+//! [`ServingEngine::open_session`]: crate::serve::ServingEngine::open_session
+//! [`ServingEngine::push_opt`]: crate::serve::ServingEngine::push_opt
+//! [`ServingEngine::push_opt_many`]: crate::serve::ServingEngine::push_opt_many
+//! [`StreamSession`]: crate::serve::StreamSession
 //!
 //! # Degraded input
 //!
 //! Real telemetry is imperfect: records go missing, sensors die silently or
-//! freeze on one value. The monitor absorbs all of it instead of erroring:
+//! freeze on one value. A session absorbs all of it instead of erroring:
+//! `None` marks a missing record, and a sensor missing or stuck past the
+//! session's [`DegradationConfig`] (set with
+//! [`StreamSession::with_degradation`]) is dropped from detection until it
+//! recovers; each [`OnlineDetection`] reports the surviving evidence as
+//! `coverage` plus the dropped sensors. [`ServingEngine::push_opt`] states
+//! the rules.
 //!
-//! * [`OnlineMonitor::push_opt`] accepts `None` per sensor (a missing
-//!   record), substituting the [`MISSING_RECORD`](mdes_lang::MISSING_RECORD)
-//!   sentinel — which encodes to the unknown letter, like any garbled record
-//!   the alphabet has never seen;
-//! * per-sensor counters track consecutive missing (and, optionally, stuck)
-//!   samples; a sensor crossing the [`DegradationConfig`] limits is marked
-//!   *dropped*, its pairs are excluded from detection, and each emitted
-//!   [`OnlineDetection`] reports the surviving evidence as `coverage` plus
-//!   the dropped original sensor indices;
-//! * a dropped sensor that resumes delivering records is readmitted
-//!   automatically once its counters reset.
+//! [`StreamSession::with_degradation`]: crate::serve::StreamSession::with_degradation
 
-use crate::error::CoreError;
-use crate::pipeline::Mdes;
-use crate::serve::{ServingEngine, StreamSession};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// When an online sensor is considered *dropped* and excluded from
 /// detection until it recovers.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct DegradationConfig {
     /// Consecutive missing records (`None` pushed via
-    /// [`OnlineMonitor::push_opt`]) after which a sensor counts as dropped.
+    /// [`ServingEngine::push_opt`](crate::serve::ServingEngine::push_opt))
+    /// after which a sensor counts as dropped.
     pub missing_limit: usize,
     /// Consecutive *identical* records after which a sensor counts as
     /// stuck-at and dropped; `None` (the default) disables stuck detection,
@@ -67,8 +64,8 @@ impl Default for DegradationConfig {
 /// One emitted detection.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct OnlineDetection {
-    /// Index of the sample (0-based, counted from monitor creation) at which
-    /// the window completed.
+    /// Index of the sample (0-based, counted from the session's open) at
+    /// which the window completed.
     pub sample_index: usize,
     /// Anomaly score `a_t` of the completed window.
     pub score: f64,
@@ -83,121 +80,15 @@ pub struct OnlineDetection {
     pub dropped_sensors: Vec<usize>,
 }
 
-/// A stateful streaming detector wrapping a fitted [`Mdes`].
-///
-/// Samples are pushed in the *original trace order used at fit time*
-/// (including sensors that were filtered out as constant — their values are
-/// simply ignored).
-///
-/// This is single-stream sugar over [`crate::serve`]: a private engine
-/// serves the model's [`Mdes::snapshot`] itself, and every push delegates
-/// to it.
-#[derive(Clone, Debug)]
-pub struct OnlineMonitor {
-    mdes: Mdes,
-    engine: ServingEngine,
-    session: StreamSession,
-}
-
-impl OnlineMonitor {
-    /// Wraps a fitted model. `width` is the number of sensors per pushed
-    /// sample — the length of the trace array used at fit time.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::WidthMismatch`] if `width` is smaller than the
-    /// largest original sensor index the model references.
-    pub fn try_new(mdes: Mdes, width: usize) -> Result<Self, CoreError> {
-        // Pushes detect on the engine's threads; keep the model's setting.
-        let engine = ServingEngine::new(Arc::clone(mdes.snapshot()))
-            .with_threads(mdes.snapshot().detection().threads);
-        let session = engine.open_session(width)?;
-        Ok(Self {
-            mdes,
-            engine,
-            session,
-        })
-    }
-
-    /// Replaces the dropout-detection thresholds (builder style).
-    #[must_use]
-    pub fn with_degradation(mut self, degradation: DegradationConfig) -> Self {
-        self.session = self.session.with_degradation(degradation);
-        self
-    }
-
-    /// The wrapped model, whose snapshot the engine serves until a publish.
-    pub fn mdes(&self) -> &Mdes {
-        &self.mdes
-    }
-
-    /// The serving engine this monitor pushes through. Exposed so a caller
-    /// that outgrew the single-stream wrapper can publish retrained
-    /// snapshots or open further sessions without rebuilding.
-    pub fn engine(&self) -> &ServingEngine {
-        &self.engine
-    }
-
-    /// Samples needed before the first detection can be emitted.
-    pub fn warmup(&self) -> usize {
-        self.session.warmup()
-    }
-
-    /// Original indices of sensors currently considered dropped.
-    pub fn dropped_sensors(&self) -> Vec<usize> {
-        self.session.dropped_sensors()
-    }
-
-    /// Consumes one multivariate sample (one record per sensor, in the
-    /// original fit order). Returns a detection when this sample completes a
-    /// sentence window.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::MisalignedCorpora`] when the sample width is
-    /// wrong, and propagates detection errors (e.g. no valid models).
-    pub fn push(&mut self, records: &[String]) -> Result<Option<OnlineDetection>, CoreError> {
-        self.engine.push(&mut self.session, records)
-    }
-
-    /// Consumes one possibly-incomplete multivariate sample: `None` marks a
-    /// sensor that delivered no record this tick. Missing records enter the
-    /// window as the [`MISSING_RECORD`](mdes_lang::MISSING_RECORD) sentinel
-    /// (encoding to the unknown letter); sensors missing or stuck past the
-    /// [`DegradationConfig`] limits are excluded from detection until they
-    /// recover, and the emitted detection's `coverage` shrinks accordingly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::MisalignedCorpora`] when the sample width is
-    /// wrong, and propagates detection errors (e.g. no valid models).
-    pub fn push_opt(
-        &mut self,
-        records: &[Option<String>],
-    ) -> Result<Option<OnlineDetection>, CoreError> {
-        self.engine.push_opt(&mut self.session, records)
-    }
-}
-
-impl Mdes {
-    /// Converts the fitted model into a streaming monitor over samples of
-    /// `width` sensors (the original trace count used at fit time).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::WidthMismatch`] if `width` is smaller than the
-    /// model's largest original sensor index.
-    pub fn try_into_online_monitor(self, width: usize) -> Result<OnlineMonitor, CoreError> {
-        OnlineMonitor::try_new(self, width)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::MdesConfig;
+    use crate::error::CoreError;
+    use crate::pipeline::{Mdes, MdesConfig};
+    use crate::serve::{ServingEngine, StreamSession};
     use mdes_graph::ScoreRange;
     use mdes_lang::{RawTrace, WindowConfig};
+    use std::sync::Arc;
 
     fn square(name: &str, n: usize, phase: usize) -> RawTrace {
         RawTrace::new(
@@ -235,19 +126,27 @@ mod tests {
         (m, traces)
     }
 
-    fn monitor(m: Mdes, width: usize) -> OnlineMonitor {
-        m.try_into_online_monitor(width).expect("monitor")
+    /// Serves `m`'s own snapshot and opens one stream of `width` sensors.
+    fn stream(m: &Mdes, width: usize) -> (ServingEngine, StreamSession) {
+        let engine = ServingEngine::new(Arc::clone(m.snapshot()));
+        let session = engine.open_session(width).expect("session");
+        (engine, session)
+    }
+
+    /// Sample `t` of every trace, with no record missing.
+    fn sample(traces: &[RawTrace], t: usize) -> Vec<Option<String>> {
+        traces.iter().map(|tr| Some(tr.events[t].clone())).collect()
     }
 
     #[test]
     fn streaming_matches_batch_detection() {
         let (m, traces) = fitted();
         let batch = m.snapshot().detect_range(&traces, 450..700).expect("batch");
-        let mut monitor = monitor(m, 3);
+        let (engine, mut session) = stream(&m, 3);
         let mut streamed: Vec<f64> = Vec::new();
         for t in 450..700 {
-            let sample: Vec<String> = traces.iter().map(|tr| tr.events[t].clone()).collect();
-            if let Some(d) = monitor.push(&sample).expect("push") {
+            let sample = sample(&traces, t);
+            if let Some(d) = engine.push_opt(&mut session, &sample).expect("push") {
                 assert_eq!(d.coverage, 1.0);
                 assert!(d.dropped_sensors.is_empty());
                 streamed.push(d.score);
@@ -259,8 +158,8 @@ mod tests {
         }
     }
 
-    /// A neural monitor serves its model's snapshot itself: one copy of
-    /// the weights, shared by the model and the engine.
+    /// A neural stream's engine serves its model's snapshot itself: one
+    /// copy of the weights, shared by the model and the engine.
     #[test]
     fn monitor_engine_serves_the_models_own_snapshot() {
         let mut cfg = MdesConfig {
@@ -280,8 +179,8 @@ mod tests {
         });
         let traces = [square("a", 700, 0), square("b", 700, 2)];
         let nmt = Mdes::fit(&traces, 0..300, 300..450, cfg).expect("neural fit");
-        let monitor = monitor(nmt, 2);
-        let (own, served) = (monitor.mdes().snapshot(), monitor.engine().snapshot());
+        let (engine, _session) = stream(&nmt, 2);
+        let (own, served) = (nmt.snapshot(), engine.store().current());
         assert!(own.approx_bytes() > 0);
         assert!(Arc::ptr_eq(own, &served));
     }
@@ -289,10 +188,12 @@ mod tests {
     #[test]
     fn fallible_constructor_accepts_a_valid_width() {
         let (m, traces) = fitted();
-        let mut monitor = m.try_into_online_monitor(3).expect("width 3 is valid");
+        let engine = ServingEngine::new(Arc::clone(m.snapshot()));
+        let mut session = engine.open_session(3).expect("width 3 is valid");
         for t in 450..480 {
-            let sample: Vec<String> = traces.iter().map(|tr| tr.events[t].clone()).collect();
-            monitor.push(&sample).expect("push");
+            engine
+                .push_opt(&mut session, &sample(&traces, t))
+                .expect("push");
         }
     }
 
@@ -303,12 +204,16 @@ mod tests {
             let cfg = *m.language().config();
             cfg.min_samples()
         };
-        let mut monitor = monitor(m, 3);
-        assert_eq!(monitor.warmup(), warmup);
+        let (engine, mut session) = stream(&m, 3);
+        assert_eq!(session.warmup(), warmup);
         let mut emissions = Vec::new();
         for t in 0..(warmup + 11) {
-            let sample: Vec<String> = traces.iter().map(|tr| tr.events[t].clone()).collect();
-            if monitor.push(&sample).expect("push").is_some() {
+            let sample = sample(&traces, t);
+            if engine
+                .push_opt(&mut session, &sample)
+                .expect("push")
+                .is_some()
+            {
                 emissions.push(t);
             }
         }
@@ -320,8 +225,8 @@ mod tests {
     #[test]
     fn wrong_width_is_an_error() {
         let (m, _) = fitted();
-        let mut monitor = monitor(m, 3);
-        let r = monitor.push(&["on".to_owned()]);
+        let (engine, mut session) = stream(&m, 3);
+        let r = engine.push_opt(&mut session, &[Some("on".to_owned())]);
         assert!(matches!(
             r,
             Err(CoreError::MisalignedCorpora {
@@ -334,8 +239,9 @@ mod tests {
     #[test]
     fn narrow_width_is_a_typed_error_not_a_panic() {
         let (m, _) = fitted();
+        let engine = ServingEngine::new(Arc::clone(m.snapshot()));
         assert!(matches!(
-            m.try_into_online_monitor(1),
+            engine.open_session(1),
             Err(CoreError::WidthMismatch {
                 width: 1,
                 needed: 3
@@ -346,21 +252,21 @@ mod tests {
     #[test]
     fn alerts_stream_with_scores() {
         let (m, traces) = fitted();
-        let mut monitor = monitor(m, 3);
+        let (engine, mut session) = stream(&m, 3);
         for t in 450..600 {
             // Decouple sensor b mid-stream.
-            let sample: Vec<String> = traces
+            let sample: Vec<Option<String>> = traces
                 .iter()
                 .enumerate()
                 .map(|(k, tr)| {
-                    if k == 1 && t >= 520 {
+                    Some(if k == 1 && t >= 520 {
                         tr.events[t + 3].clone() // phase slip
                     } else {
                         tr.events[t].clone()
-                    }
+                    })
                 })
                 .collect();
-            if let Some(d) = monitor.push(&sample).expect("push") {
+            if let Some(d) = engine.push_opt(&mut session, &sample).expect("push") {
                 assert!((0.0..=1.0).contains(&d.score));
                 if d.sample_index > 90 && d.score > 0.5 {
                     assert!(!d.alerts.is_empty());
@@ -372,7 +278,7 @@ mod tests {
     #[test]
     fn dropout_shrinks_coverage_then_recovery_restores_it() {
         let (m, traces) = fitted();
-        let mut monitor = monitor(m, 3);
+        let (engine, mut session) = stream(&m, 3);
         let mut coverages: Vec<(usize, f64, Vec<usize>)> = Vec::new();
         for t in 450..700 {
             // Sensor 1 goes silent for samples 520..570, then recovers.
@@ -387,7 +293,10 @@ mod tests {
                     }
                 })
                 .collect();
-            if let Some(d) = monitor.push_opt(&sample).expect("never a hard error") {
+            if let Some(d) = engine
+                .push_opt(&mut session, &sample)
+                .expect("never a hard error")
+            {
                 coverages.push((t, d.coverage, d.dropped_sensors));
             }
         }
@@ -412,20 +321,22 @@ mod tests {
     #[test]
     fn garbled_records_degrade_scores_not_the_process() {
         let (m, traces) = fitted();
-        let mut monitor = monitor(m, 3);
+        let (engine, mut session) = stream(&m, 3);
         for t in 450..600 {
-            let sample: Vec<String> = traces
+            let sample: Vec<Option<String>> = traces
                 .iter()
                 .enumerate()
                 .map(|(k, tr)| {
-                    if k == 2 && t % 7 == 0 {
+                    Some(if k == 2 && t % 7 == 0 {
                         "!!corrupt!!".to_owned() // never in the alphabet
                     } else {
                         tr.events[t].clone()
-                    }
+                    })
                 })
                 .collect();
-            let d = monitor.push(&sample).expect("garbage is not an error");
+            let d = engine
+                .push_opt(&mut session, &sample)
+                .expect("garbage is not an error");
             if let Some(d) = d {
                 assert!((0.0..=1.0).contains(&d.score));
             }
@@ -435,24 +346,25 @@ mod tests {
     #[test]
     fn stuck_sensor_is_dropped_when_enabled() {
         let (m, traces) = fitted();
-        let mut monitor = monitor(m, 3).with_degradation(DegradationConfig {
+        let (engine, session) = stream(&m, 3);
+        let mut session = session.with_degradation(DegradationConfig {
             missing_limit: 3,
             stuck_limit: Some(12),
         });
         let mut saw_drop = false;
         for t in 450..600 {
-            let sample: Vec<String> = traces
+            let sample: Vec<Option<String>> = traces
                 .iter()
                 .enumerate()
                 .map(|(k, tr)| {
-                    if k == 0 && t >= 500 {
+                    Some(if k == 0 && t >= 500 {
                         "on".to_owned() // frozen output
                     } else {
                         tr.events[t].clone()
-                    }
+                    })
                 })
                 .collect();
-            if let Some(d) = monitor.push(&sample).expect("push") {
+            if let Some(d) = engine.push_opt(&mut session, &sample).expect("push") {
                 if t >= 520 {
                     assert!(d.dropped_sensors.contains(&0), "stuck sensor flagged");
                     assert!(d.coverage < 1.0);
@@ -470,7 +382,7 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(16))]
 
-            /// The monitor must absorb arbitrary record strings, missing
+            /// A session must absorb arbitrary record strings, missing
             /// records and wrong widths without panicking: every push is
             /// `Ok` or a typed `CoreError`.
             #[test]
@@ -482,7 +394,7 @@ mod tests {
                 missing_mask in proptest::collection::vec(0u8..4, 1..60),
             ) {
                 let (m, _) = fitted();
-                let mut monitor = m.try_into_online_monitor(3).expect("monitor");
+                let (engine, mut session) = stream(&m, 3);
                 for (s, mask) in samples.iter().zip(&missing_mask) {
                     let opt: Vec<Option<String>> = s
                         .iter()
@@ -491,7 +403,7 @@ mod tests {
                             if i == *mask as usize { None } else { Some(r.clone()) }
                         })
                         .collect();
-                    match monitor.push_opt(&opt) {
+                    match engine.push_opt(&mut session, &opt) {
                         Ok(_) => {}
                         Err(CoreError::MisalignedCorpora { expected, found }) => {
                             prop_assert_eq!(expected, 3);

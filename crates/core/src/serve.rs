@@ -908,8 +908,8 @@ impl ModelStore {
         *canary = Some(CanaryState {
             candidate: Arc::new(candidate),
             cfg,
-            incumbent_scores: Vec::with_capacity(cfg.sample_budget),
-            candidate_scores: Vec::with_capacity(cfg.sample_budget),
+            incumbent_scores: Vec::new(),
+            candidate_scores: Vec::new(),
         });
         drop(canary);
         mdes_obs::event(
@@ -1388,14 +1388,8 @@ pub struct ServingEngine {
 impl ServingEngine {
     /// Starts an engine serving `snapshot` (see [`ModelStore::new`]).
     pub fn new(snapshot: impl Into<Arc<GraphSnapshot>>) -> Self {
-        Self::from_store(Arc::new(ModelStore::new(snapshot)))
-    }
-
-    /// Wraps an existing store — for sharing one store across several
-    /// engines (e.g. one per ingestion shard).
-    pub fn from_store(store: Arc<ModelStore>) -> Self {
         Self {
-            store,
+            store: Arc::new(ModelStore::new(snapshot)),
             sessions: Arc::new(AtomicUsize::new(0)),
             route_keys: Arc::new(AtomicU64::new(0)),
             threads: 0,
@@ -1413,48 +1407,6 @@ impl ServingEngine {
     /// The underlying hot-swappable store.
     pub fn store(&self) -> &Arc<ModelStore> {
         &self.store
-    }
-
-    /// The snapshot currently being served.
-    pub fn snapshot(&self) -> Arc<GraphSnapshot> {
-        self.store.current()
-    }
-
-    /// Publishes a retrained snapshot to every session served by this
-    /// engine (and any other engine sharing the store); see
-    /// [`ModelStore::publish`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::IncompatibleSnapshot`] when the snapshot cannot
-    /// be served to the already-open sessions.
-    pub fn publish(&self, snapshot: GraphSnapshot) -> Result<u64, CoreError> {
-        self.store.publish(snapshot)
-    }
-
-    /// Starts a canaried rollout of `candidate`; see
-    /// [`ModelStore::start_canary`].
-    ///
-    /// # Errors
-    ///
-    /// As [`ModelStore::start_canary`].
-    pub fn start_canary(
-        &self,
-        candidate: GraphSnapshot,
-        cfg: CanaryConfig,
-    ) -> Result<(), CoreError> {
-        self.store.start_canary(candidate, cfg)
-    }
-
-    /// Aborts an active canary; see [`ModelStore::cancel_canary`].
-    pub fn cancel_canary(&self) -> bool {
-        self.store.cancel_canary()
-    }
-
-    /// The canary machinery's current state; see
-    /// [`ModelStore::canary_status`].
-    pub fn canary_status(&self) -> CanaryStatus {
-        self.store.canary_status()
     }
 
     /// Number of sessions currently alive (opened or cloned, not dropped).
@@ -1496,26 +1448,20 @@ impl ServingEngine {
         Ok(session)
     }
 
-    /// Consumes one complete multivariate sample for `session`. Returns a
-    /// detection when this sample completes a sentence window.
+    /// Consumes one possibly-incomplete multivariate sample for `session`,
+    /// one record per sensor in the original fit order (values of sensors
+    /// filtered out as constant are ignored). Returns a detection when this
+    /// sample completes a sentence window.
     ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::MisalignedCorpora`] when the sample width is
-    /// wrong, and propagates detection errors (e.g. no valid models).
-    pub fn push(
-        &self,
-        session: &mut StreamSession,
-        records: &[String],
-    ) -> Result<Option<OnlineDetection>, CoreError> {
-        let opt: Vec<Option<String>> = records.iter().cloned().map(Some).collect();
-        self.push_opt(session, &opt)
-    }
-
-    /// Consumes one possibly-incomplete multivariate sample (`None` marks a
-    /// sensor that delivered no record this tick); see
-    /// [`OnlineMonitor::push_opt`](crate::online::OnlineMonitor::push_opt)
-    /// for the degradation semantics, which are identical.
+    /// `None` marks a sensor that delivered no record this tick. It enters
+    /// the window as the [`MISSING_RECORD`] sentinel, which encodes to the
+    /// unknown letter like any garbled record the alphabet has never seen.
+    /// A sensor missing (or, if enabled, stuck) past the session's
+    /// [`DegradationConfig`] limits is dropped: its pairs are excluded
+    /// from detection, and the detection's `coverage` and
+    /// `dropped_sensors` report the surviving evidence. A dropped sensor is
+    /// readmitted once its counters reset: a delivered record ends a
+    /// missing run, a changed record ends a stuck run.
     ///
     /// A one-session [`ServingEngine::push_opt_many`] call. The completed
     /// window is scored against the snapshot served when the push starts:
@@ -2428,9 +2374,10 @@ mod tests {
             max_p95_delta: 0.05,
         };
         engine
+            .store()
             .start_canary(snap.graft(Vec::new()).expect("identical candidate"), cfg)
             .expect("start");
-        assert!(engine.canary_status().active);
+        assert!(engine.store().canary_status().active);
         for t in 450..620 {
             let sample: Vec<Option<String>> =
                 traces.iter().map(|tr| Some(tr.events[t].clone())).collect();
@@ -2438,11 +2385,11 @@ mod tests {
             for r in results {
                 r.expect("push");
             }
-            if !engine.canary_status().active {
+            if !engine.store().canary_status().active {
                 break;
             }
         }
-        let status = engine.canary_status();
+        let status = engine.store().canary_status();
         assert!(!status.active, "budget must resolve the canary");
         match status.last_decision {
             Some(CanaryDecision::Promoted {
@@ -2476,7 +2423,10 @@ mod tests {
             max_mean_delta: 0.02,
             max_p95_delta: 0.02,
         };
-        engine.start_canary(sabotaged(&snap), cfg).expect("start");
+        engine
+            .store()
+            .start_canary(sabotaged(&snap), cfg)
+            .expect("start");
         let mut resolved_at = None;
         for t in 450..620 {
             let sample: Vec<Option<String>> =
@@ -2486,11 +2436,11 @@ mod tests {
                 .push_opt(&mut control, &sample)
                 .expect("push");
             assert_eq!(got, want, "canary must never touch emitted output");
-            if resolved_at.is_none() && !engine.canary_status().active {
+            if resolved_at.is_none() && !engine.store().canary_status().active {
                 resolved_at = Some(t);
             }
         }
-        let status = engine.canary_status();
+        let status = engine.store().canary_status();
         assert!(!status.active);
         match status.last_decision {
             Some(CanaryDecision::RolledBack {
@@ -2567,6 +2517,24 @@ mod tests {
         assert!(!store.cancel_canary(), "already cancelled");
         store.publish(snap).expect("publish after cancel");
         assert_eq!(store.version(), 2);
+    }
+
+    /// The budget arrives from the admin socket as any `usize`; it bounds
+    /// the comparison, never an up-front allocation.
+    #[test]
+    fn huge_canary_budget_allocates_nothing_up_front() {
+        let (m, _) = fitted();
+        let snap = GraphSnapshot::freeze(&m);
+        let store = ModelStore::new(snap.clone());
+        let cfg = CanaryConfig {
+            sample_budget: usize::MAX,
+            ..CanaryConfig::default()
+        };
+        store.start_canary(snap, cfg).expect("huge budget");
+        let status = store.canary_status();
+        assert!(status.active);
+        assert_eq!(status.budget, usize::MAX);
+        assert!(store.cancel_canary());
     }
 
     #[test]

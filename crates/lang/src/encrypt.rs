@@ -16,7 +16,7 @@ const LETTERS: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ";
 /// Record string standing in for a sample a sensor failed to deliver (a
 /// dropped packet, a dead sensor, a gap in the log). The embedded `U+001A`
 /// (SUBSTITUTE) control characters keep it from colliding with any real
-/// categorical record. Shared by the online monitor (which substitutes it
+/// categorical record. Shared by the serving sessions (which substitute it
 /// for missing per-sensor records) and the fault-injection harness (which
 /// uses it to simulate dropout); it is never part of a training alphabet, so
 /// it always encodes to [`Alphabet::UNKNOWN`].

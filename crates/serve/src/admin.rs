@@ -155,11 +155,11 @@ fn cmd_sessions(shared: &Arc<Shared>, stream: &mut TcpStream) -> bool {
 }
 
 fn cmd_stats(shared: &Arc<Shared>, stream: &mut TcpStream) -> bool {
-    let snapshot = shared.engine.snapshot();
+    let snapshot = shared.engine.store().current();
     // A mixed-encoding snapshot cannot be published, but report it honestly
     // rather than crash the admin plane if one ever appears.
     let format = snapshot.quant_mode().map_or("mixed", |m| m.name());
-    let canary = shared.engine.canary_status();
+    let canary = shared.engine.store().canary_status();
     let line = format!(
         "snapshot_version={} snapshot_format={} snapshot_bytes={} memo_bytes={} \
          pair_models={} sessions={} engine_sessions={} conns={} canary_active={} \
@@ -236,7 +236,7 @@ fn cmd_publish(shared: &Arc<Shared>, stream: &mut TcpStream, arg: &str) -> bool 
         return false;
     }
     match mdes_core::snapshot_from_bytes(&bytes)
-        .and_then(|snapshot| shared.engine.publish(snapshot))
+        .and_then(|snapshot| shared.engine.store().publish(snapshot))
     {
         Ok(version) => {
             mdes_obs::counter("serve.net.publish_ok", 1);
@@ -265,7 +265,7 @@ fn cmd_canary(shared: &Arc<Shared>, stream: &mut TcpStream, arg: &str) -> bool {
     let rest = parts.next().unwrap_or_default().trim();
     match sub {
         "status" => {
-            let s = shared.engine.canary_status();
+            let s = shared.engine.store().canary_status();
             let mut lines = vec![format!(
                 "active={} samples={} budget={} fraction={}",
                 s.active, s.samples, s.budget, s.fraction
@@ -293,7 +293,7 @@ fn cmd_canary(shared: &Arc<Shared>, stream: &mut TcpStream, arg: &str) -> bool {
             respond(stream, &lines, "ok")
         }
         "cancel" => {
-            if shared.engine.cancel_canary() {
+            if shared.engine.store().cancel_canary() {
                 respond(stream, &[], "ok canary cancelled")
             } else {
                 respond(stream, &[], "err no canary active")
@@ -354,7 +354,7 @@ fn cmd_canary_start(shared: &Arc<Shared>, stream: &mut TcpStream, args: &str) ->
         return false;
     }
     match mdes_core::snapshot_from_bytes(&bytes)
-        .and_then(|snapshot| shared.engine.start_canary(snapshot, cfg))
+        .and_then(|snapshot| shared.engine.store().start_canary(snapshot, cfg))
     {
         Ok(()) => {
             mdes_obs::counter("serve.net.canary_started", 1);

@@ -8,7 +8,7 @@
 //! same corrupted traces, which keeps chaos tests reproducible.
 //!
 //! Dropped records are written as [`MISSING_RECORD`] — the same sentinel the
-//! online monitor substitutes for a `None` record — so injected traces can
+//! serving sessions substitute for a `None` record — so injected traces can
 //! be replayed through either the batch or the streaming path.
 
 use mdes_lang::{RawTrace, MISSING_RECORD};

@@ -379,7 +379,7 @@ impl PlantData {
     }
 
     /// The multivariate sample at time `t` — one record per sensor, in
-    /// trace order — ready to feed a streaming monitor or serving session.
+    /// trace order — ready to feed a serving session.
     ///
     /// # Panics
     ///

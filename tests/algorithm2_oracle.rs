@@ -308,7 +308,7 @@ fn stream_against_versions(
     let mut session = engine.open_session(traces.len()).expect("session");
     let mut versions = Vec::new();
     for t in test {
-        let (version, snap) = (engine.store().version(), engine.snapshot());
+        let (version, snap) = (engine.store().version(), engine.store().current());
         if let Some(d) = engine
             .push_opt(&mut session, &sample(traces, t))
             .expect("push")
@@ -397,19 +397,21 @@ fn hot_swaps_grafts_and_canaries_never_serve_a_stale_translation() {
 
     // Warm: every translation of the span lands in version 1's memo.
     assert!(run(&engine, &mut oracles).iter().all(|&v| v == 1));
-    assert!(engine.snapshot().memo_bytes() > 0);
+    assert!(engine.store().current().memo_bytes() > 0);
 
     // 1. Publish an int8 re-encoding of the warm snapshot.
-    let live = engine.snapshot();
+    let live = engine.store().current();
     assert_eq!(
-        engine.publish(live.quantize(QuantMode::Int8, &LOOSE).expect("int8")),
+        engine
+            .store()
+            .publish(live.quantize(QuantMode::Int8, &LOOSE).expect("int8")),
         Ok(2)
     );
     assert!(run(&engine, &mut oracles).iter().all(|&v| v == 2));
 
     // 2. Graft one refit pair into the warm int8 snapshot: the first one
     //    whose new translations change some reply.
-    let live = engine.snapshot();
+    let live = engine.store().current();
     let grafted = live
         .valid_models()
         .iter()
@@ -419,12 +421,12 @@ fn hot_swaps_grafts_and_canaries_never_serve_a_stale_translation() {
         })
         .find(|g| snapshot_oracle(g, &sets, g.detection(), &[]) != oracles[&2])
         .expect("a refit pair that changes a reply");
-    assert_eq!(engine.publish(grafted), Ok(3));
+    assert_eq!(engine.store().publish(grafted), Ok(3));
     assert!(run(&engine, &mut oracles).iter().all(|&v| v == 3));
 
     // 3. Canary every valid pair with barely trained weights under the
     //    pinned thresholds; it scores higher, so it rolls back.
-    let live = engine.snapshot();
+    let live = engine.store().current();
     let worse: Vec<FrozenPairModel> = live
         .valid_models()
         .iter()
@@ -447,11 +449,12 @@ fn hot_swaps_grafts_and_canaries_never_serve_a_stale_translation() {
         max_p95_delta: tolerance,
     };
     engine
+        .store()
         .start_canary(candidate.clone(), cfg(0.0))
         .expect("canary");
     assert!(run(&engine, &mut oracles).iter().all(|&v| v == 3));
     let want = expected_deltas(&candidate, 3, &oracles);
-    match engine.canary_status().last_decision {
+    match engine.store().canary_status().last_decision {
         Some(CanaryDecision::RolledBack {
             samples,
             mean_delta,
@@ -466,7 +469,7 @@ fn hot_swaps_grafts_and_canaries_never_serve_a_stale_translation() {
 
     // 4. Canary a second refit pair; any delta passes, so it promotes
     //    after `budget` shadowed windows and serves the rest of the span.
-    let live = engine.snapshot();
+    let live = engine.store().current();
     let candidate = live
         .valid_models()
         .iter()
@@ -477,13 +480,14 @@ fn hot_swaps_grafts_and_canaries_never_serve_a_stale_translation() {
         .find(|g| snapshot_oracle(g, &sets, g.detection(), &[])[budget..] != oracles[&3][budget..])
         .expect("a refit pair that changes a reply after the promotion");
     engine
+        .store()
         .start_canary(candidate.clone(), cfg(1.0))
         .expect("canary");
     let versions = run(&engine, &mut oracles);
     assert!(versions[..budget].iter().all(|&v| v == 3));
     assert!(versions[budget..].iter().all(|&v| v == 4));
     let want = expected_deltas(&candidate, 3, &oracles);
-    match engine.canary_status().last_decision {
+    match engine.store().canary_status().last_decision {
         Some(CanaryDecision::Promoted {
             version,
             mean_delta,
@@ -687,9 +691,9 @@ fn canary_candidate_with_another_pipeline_scores_its_own_encoding() {
         max_mean_delta: 1.0,
         max_p95_delta: 1.0,
     };
-    engine.start_canary(candidate, cfg).expect("canary");
+    engine.store().start_canary(candidate, cfg).expect("canary");
     let served = serve(&engine);
-    match engine.canary_status().last_decision {
+    match engine.store().canary_status().last_decision {
         Some(CanaryDecision::Promoted {
             samples,
             mean_delta,

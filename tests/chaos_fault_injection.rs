@@ -2,7 +2,7 @@
 //! input channels fail.
 //!
 //! A clean model is fitted once; held-out samples are then replayed through
-//! the streaming monitor under every [`FaultKind`] the injector supports.
+//! one serving-engine stream under every [`FaultKind`] the injector supports.
 //! Garbling modes (stuck-at, corruption, burst noise) must raise the anomaly
 //! score on the injected windows relative to the clean replay of the same
 //! windows; dropout must shrink coverage and name the dropped sensor while
@@ -17,12 +17,13 @@
 //! the harsher robustness environment (many pairs calibrate to a zero
 //! floor and contribute no evidence either way).
 
-use mdes::core::{BrokenRule, FailurePolicy, Mdes, MdesConfig, OnlineDetection};
+use mdes::core::{BrokenRule, FailurePolicy, Mdes, MdesConfig, OnlineDetection, ServingEngine};
 use mdes::graph::ScoreRange;
 use mdes::lang::{RawTrace, WindowConfig, MISSING_RECORD};
 use mdes::synth::faults::FaultInjector;
 use mdes::synth::plant::{generate, PlantConfig, PlantData};
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Test segment: days 6..=7 of the simulated plant.
 const TEST_FROM: usize = 6;
@@ -111,17 +112,15 @@ fn fit_clean_squares() -> (Mdes, Vec<RawTrace>) {
     (m, traces)
 }
 
-/// Streams `range` of `traces` through a fresh monitor, translating the
+/// Streams `range` of `traces` through a fresh session, translating the
 /// injector's [`MISSING_RECORD`] sentinel into a `None` record (exactly what
 /// a collector that noticed the gap would push). Every push must succeed;
 /// the emitted detections come back indexed relative to the start of the
 /// stream.
 fn stream(m: &Mdes, traces: &[RawTrace], range: Range<usize>) -> Vec<OnlineDetection> {
     let width = traces.len();
-    let mut monitor = m
-        .clone()
-        .try_into_online_monitor(width)
-        .expect("width covers the model");
+    let engine = ServingEngine::new(Arc::clone(m.snapshot()));
+    let mut session = engine.open_session(width).expect("width covers the model");
     let mut out = Vec::new();
     for t in range {
         let sample: Vec<Option<String>> = traces
@@ -131,7 +130,10 @@ fn stream(m: &Mdes, traces: &[RawTrace], range: Range<usize>) -> Vec<OnlineDetec
                 (rec != MISSING_RECORD).then_some(rec)
             })
             .collect();
-        if let Some(d) = monitor.push_opt(&sample).expect("chaos must not hard-fail") {
+        if let Some(d) = engine
+            .push_opt(&mut session, &sample)
+            .expect("chaos must not hard-fail")
+        {
             assert!(d.score.is_finite(), "score must stay finite");
             assert!(
                 (0.0..=1.0).contains(&d.score),

@@ -258,6 +258,7 @@ fn regime_shift_drift_refit_canary_restores_quality() {
         max_p95_delta: 0.3,
     };
     engine
+        .store()
         .start_canary(bad_candidate, canary_cfg)
         .expect("bad canary");
     let under_bad = stream(&engine, &mut session, &plant, 2000..2160, None);
@@ -273,7 +274,7 @@ fn regime_shift_drift_refit_canary_restores_quality() {
         assert_eq!(got.score.to_bits(), want.score.to_bits(), "shadow leak");
         assert_eq!(got.alerts, want.alerts);
     }
-    let status = engine.canary_status();
+    let status = engine.store().canary_status();
     assert!(!status.active, "budget of 12 must have resolved");
     assert!(
         matches!(
@@ -288,10 +289,11 @@ fn regime_shift_drift_refit_canary_restores_quality() {
     // Now the real refit: promoted, version bumps, and detection returns
     // to the pre-shift band even though the plant never shifted back.
     engine
+        .store()
         .start_canary(candidate, canary_cfg)
         .expect("good canary");
     let mut post = stream(&engine, &mut session, &plant, 2160..2880, None);
-    let status = engine.canary_status();
+    let status = engine.store().canary_status();
     match status.last_decision {
         Some(CanaryDecision::Promoted {
             version,

@@ -308,7 +308,7 @@ fn streamed_serving_is_pinned() {
     let bytes = snapshot_to_bytes(&GraphSnapshot::freeze(&m)).expect("encode");
     let engine = ServingEngine::new(snapshot_from_bytes(&bytes).expect("decode"));
     assert_eq!(
-        tensor_digest(snapshot_specs(&engine.snapshot())),
+        tensor_digest(snapshot_specs(&engine.store().current())),
         TENSOR_DIGEST
     );
     let mut session = engine.open_session(plant.traces.len()).expect("session");

@@ -11,7 +11,7 @@
 
 use mdes::core::{
     read_checkpoint, write_checkpoint, CheckpointData, GraphSnapshot, Mdes, MdesConfig,
-    OnlineMonitor, TranslatorConfig,
+    ServingEngine, TranslatorConfig,
 };
 use mdes::graph::ScoreRange;
 use mdes::lang::{LanguagePipeline, RawTrace, WindowConfig};
@@ -162,9 +162,8 @@ fn online_monitor_reports_windows_and_dropout_transitions() {
     with_recorder(|r| {
         let traces = toy_traces();
         let m = Mdes::fit(&traces, 0..300, 300..500, toy_config()).expect("fit");
-        let mut monitor: OnlineMonitor = m
-            .try_into_online_monitor(traces.len())
-            .expect("monitor width");
+        let engine = ServingEngine::new(Arc::clone(m.snapshot()));
+        let mut session = engine.open_session(traces.len()).expect("stream width");
         let mut emitted = 0u64;
         for t in 500..800 {
             // Sensor 1 goes silent for samples 600..650.
@@ -179,7 +178,11 @@ fn online_monitor_reports_windows_and_dropout_transitions() {
                     }
                 })
                 .collect();
-            if monitor.push_opt(&sample).expect("push").is_some() {
+            if engine
+                .push_opt(&mut session, &sample)
+                .expect("push")
+                .is_some()
+            {
                 emitted += 1;
             }
         }
@@ -304,6 +307,7 @@ fn serve_lifecycle_events_report_through_obs() {
     other_cfg.window.sent_stride = 6;
     let other = Mdes::fit(&traces, 0..300, 300..500, other_cfg).expect("fit other");
     engine
+        .store()
         .publish(GraphSnapshot::freeze(&other))
         .expect_err("incompatible publish must be refused");
     assert_eq!(r.counter_value("serve.publish_rejected"), 1);
@@ -333,16 +337,19 @@ fn serve_lifecycle_events_report_through_obs() {
         max_mean_delta: 0.0,
         max_p95_delta: 0.0,
     };
-    engine.start_canary(bad, gate).expect("bad canary");
+    engine.store().start_canary(bad, gate).expect("bad canary");
     assert_eq!(r.counter_value("serve.canary_start"), 1);
     engine
+        .store()
         .publish(snapshot.clone())
         .expect_err("publish during an active canary must be refused");
     assert_eq!(r.counter_value("serve.publish_rejected"), 2);
-    push_until(&engine, &mut session, &|| !engine.canary_status().active);
+    push_until(&engine, &mut session, &|| {
+        !engine.store().canary_status().active
+    });
     assert!(
         matches!(
-            engine.canary_status().last_decision,
+            engine.store().canary_status().last_decision,
             Some(CanaryDecision::RolledBack { .. })
         ),
         "sabotaged candidate must roll back"
@@ -352,14 +359,16 @@ fn serve_lifecycle_events_report_through_obs() {
 
     // An aborted canary reports the cancellation, not a verdict.
     engine
+        .store()
         .start_canary(snapshot.clone(), CanaryConfig::default())
         .expect("cancellable canary");
-    assert!(engine.cancel_canary());
+    assert!(engine.store().cancel_canary());
     assert_eq!(r.counter_value("serve.canary_cancelled"), 1);
 
     // An identical candidate sails through the default gate: promotion and
     // the swap both report, and the sample counter covers both verdicts.
     engine
+        .store()
         .start_canary(
             snapshot.clone(),
             CanaryConfig {
@@ -369,9 +378,11 @@ fn serve_lifecycle_events_report_through_obs() {
             },
         )
         .expect("good canary");
-    push_until(&engine, &mut session, &|| !engine.canary_status().active);
+    push_until(&engine, &mut session, &|| {
+        !engine.store().canary_status().active
+    });
     assert!(matches!(
-        engine.canary_status().last_decision,
+        engine.store().canary_status().last_decision,
         Some(CanaryDecision::Promoted { version: 2, .. })
     ));
     assert_eq!(r.counter_value("serve.canary_promoted"), 1);

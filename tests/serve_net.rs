@@ -428,7 +428,7 @@ fn admin_publish_hot_swaps_mid_stream_bit_exactly() {
     let mirror = ServingEngine::new(snap_a.clone());
     let mut mirror_session = mirror.open_session(3).expect("session");
     let mut reference = stream_in_process(&mirror, &mut mirror_session, &traces, 450..swap_at);
-    mirror.publish(snap_b.clone()).expect("publish");
+    mirror.store().publish(snap_b.clone()).expect("publish");
     reference.extend(stream_in_process(
         &mirror,
         &mut mirror_session,
@@ -599,18 +599,19 @@ fn rejected_publish_never_goes_live() {
 
     // ...and a valid model whose target lies past the graph, which would
     // index Algorithm 2's reference sentences out of bounds on the pump...
-    let mut models = reference_engine.snapshot().models().to_vec();
+    let mut models = reference_engine.store().current().models().to_vec();
     let &k = reference_engine
-        .snapshot()
+        .store()
+        .current()
         .valid_models()
         .first()
         .expect("a valid model");
     let m = &models[k];
     models[k] = FrozenPairModel::new(m.src, 7, m.train_score, m.dev_floor, m.translator().clone());
     let past = GraphSnapshot::from_frozen_parts(
-        reference_engine.snapshot().graph().clone(),
-        reference_engine.snapshot().language().clone(),
-        reference_engine.snapshot().detection().clone(),
+        reference_engine.store().current().graph().clone(),
+        reference_engine.store().current().language().clone(),
+        reference_engine.store().current().detection().clone(),
         models,
     );
     let bytes = snapshot_to_bytes(&past).expect("serialize");
@@ -729,7 +730,10 @@ fn quantized_snapshot_round_trips_through_network_publish() {
     let swap_engine = ServingEngine::new(snap.clone());
     let mut swap_session = swap_engine.open_session(2).expect("session");
     let mut reference = stream_in_process(&swap_engine, &mut swap_session, &traces, 450..570);
-    swap_engine.publish(q.clone()).expect("in-process publish");
+    swap_engine
+        .store()
+        .publish(q.clone())
+        .expect("in-process publish");
     reference.extend(stream_in_process(
         &swap_engine,
         &mut swap_session,

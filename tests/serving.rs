@@ -220,7 +220,7 @@ fn hot_swap_applies_from_next_window_without_dropping_any() {
     let mut swapped = Vec::new();
     for t in 450..700 {
         if t == swap_at {
-            engine.publish(snap_b.clone()).expect("publish");
+            engine.store().publish(snap_b.clone()).expect("publish");
         }
         if let Some(d) = engine
             .push_opt(&mut session, &slipped_sample(&traces, t))
@@ -261,7 +261,7 @@ fn hot_swap_is_deterministic_across_worker_thread_counts() {
         let mut per_stream: Vec<Vec<OnlineDetection>> = vec![Vec::new(); streams];
         for t in 450..700 {
             if t == swap_at {
-                engine.publish(snap_b.clone()).expect("publish");
+                engine.store().publish(snap_b.clone()).expect("publish");
             }
             let sample = slipped_sample(&traces, t);
             let results = engine.push_opt_many(&mut sessions, &vec![sample; streams]);
@@ -304,7 +304,7 @@ fn rejected_publish_leaves_live_serving_untouched() {
     let mut cfg = base_config();
     cfg.window.sent_len = 6;
     let other = Mdes::fit(&traces, 0..300, 300..450, cfg).expect("fit other");
-    let err = engine.publish(GraphSnapshot::freeze(&other));
+    let err = engine.store().publish(GraphSnapshot::freeze(&other));
     assert!(matches!(err, Err(CoreError::IncompatibleSnapshot { .. })));
     assert_eq!(engine.store().version(), 1, "version must not advance");
 
