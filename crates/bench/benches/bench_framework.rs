@@ -1,8 +1,9 @@
 //! Framework-level benchmarks: n-gram pair training (the Algorithm 1 inner
 //! loop), the full pairwise sweep on a small plant, Algorithm 2 detection
-//! throughput, and one serving engine round.
+//! throughput, one serving engine round, and the frame checksum.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use mdes_core::checksum::crc32c_parts;
 use mdes_core::{
     build_graph, DetectionConfig, GraphBuildConfig, GraphSnapshot, Mdes, MdesConfig, NgramConfig,
     NgramTranslator, ServingEngine, StreamSession, TranslatorConfig,
@@ -239,12 +240,47 @@ fn bench_serve_round(c: &mut Criterion) {
     }
 }
 
+/// The 64-bit FNV-1a that MDSN v1–v3, MDCK v1–v4 and MDSV v2 frames
+/// carried, as the baseline for CRC-32C.
+fn legacy_fnv1a(parts: &[&[u8]]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for part in parts {
+        for &b in *part {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+    h
+}
+
+/// The frame checksum over a snapshot-sized record (4 MiB, about
+/// `stream_nmt`'s artifact) and over an 84-byte reply frame (kind, u32
+/// length and a 79-byte payload), CRC-32C against the FNV-1a it replaced.
+fn bench_checksum(c: &mut Criterion) {
+    let big: Vec<u8> = (0..4usize << 20).map(|i| (i * 131 + i / 7) as u8).collect();
+    let reply: Vec<u8> = big[..79].to_vec();
+    let len = (reply.len() as u32).to_le_bytes();
+    let frame: [&[u8]; 3] = [&[18], &len, &reply];
+    c.bench_function("checksum/crc32c_4mib", |b| {
+        b.iter(|| black_box(crc32c_parts(&[black_box(&big)])))
+    });
+    c.bench_function("checksum/fnv1a_4mib", |b| {
+        b.iter(|| black_box(legacy_fnv1a(&[black_box(&big)])))
+    });
+    c.bench_function("checksum/crc32c_reply84", |b| {
+        b.iter(|| black_box(crc32c_parts(black_box(&frame))))
+    });
+    c.bench_function("checksum/fnv1a_reply84", |b| {
+        b.iter(|| black_box(legacy_fnv1a(black_box(&frame))))
+    });
+}
+
 criterion_group!(
     benches,
     bench_ngram_fit,
     bench_build_graph,
     bench_detection,
     bench_nmt_dev_decode,
-    bench_serve_round
+    bench_serve_round,
+    bench_checksum
 );
 criterion_main!(benches);

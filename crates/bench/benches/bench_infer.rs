@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the tape-free inference engine, the crate's only
-//! decoder: greedy single-sentence decoding, batched decoding and beam
-//! search of a frozen paper-scale model through an `InferArena`, then the
-//! quantized encodings, the serving shapes and the gate activations.
+//! decoder: greedy single-sentence and batched decoding of a frozen
+//! paper-scale model through an `InferArena`, then the quantized encodings,
+//! the serving shapes and the gate activations.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mdes_nn::{InferArena, Seq2Seq, Seq2SeqConfig};
@@ -48,23 +48,6 @@ fn bench_batched(c: &mut Criterion) {
     black_box(arena.translate_batch(&spec, &srcs, 10));
     c.bench_function("infer/batch16_len10", |bench| {
         bench.iter(|| black_box(arena.translate_batch(&spec, black_box(&srcs), 10)))
-    });
-}
-
-fn bench_beam(c: &mut Criterion) {
-    let vocab = 24;
-    let spec = paper_scale_model(vocab).freeze();
-    let src = random_sentences(1, 10, vocab, 9).remove(0);
-    let mut arena = InferArena::new();
-    black_box(arena.translate_beam(&spec, &src, 10, 3).expect("warm"));
-    c.bench_function("infer/beam3_len10", |bench| {
-        bench.iter(|| {
-            black_box(
-                arena
-                    .translate_beam(&spec, black_box(&src), 10, 3)
-                    .expect("beam"),
-            )
-        })
     });
 }
 
@@ -192,7 +175,6 @@ criterion_group!(
     bench_activations,
     bench_greedy,
     bench_batched,
-    bench_beam,
     bench_quantized,
     bench_quantized_sweep
 );

@@ -26,10 +26,10 @@
 //! for the reduced CI variant (fewer sensors, same physics).
 
 use mdes_bench::report::{arg_flag, print_table, write_json, BenchRecord};
-use mdes_core::serve::{FrozenPairModel, GraphSnapshot, ServingEngine, StreamSession};
+use mdes_core::serve::{GraphSnapshot, ServingEngine, StreamSession};
 use mdes_core::{
-    build_graph_sharded, CanaryConfig, CanaryDecision, DriftMonitor, DriftPolicy, Mdes, MdesConfig,
-    OnlineDetection, ScoreDist, ShardedSweepConfig,
+    build_graph_sharded, CanaryConfig, CanaryDecision, DriftMonitor, DriftPolicy, FrozenPairModel,
+    Mdes, MdesConfig, OnlineDetection, ScoreDist, ShardedSweepConfig,
 };
 use mdes_graph::ScoreRange;
 use mdes_lang::WindowConfig;

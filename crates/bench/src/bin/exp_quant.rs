@@ -26,8 +26,8 @@
 
 use mdes_bench::report::{arg_flag, print_table, write_csv, write_json, BenchRecord};
 use mdes_core::checkpoint::{snapshot_from_bytes, snapshot_to_bytes};
-use mdes_core::serve::{FrozenNmt, FrozenPairModel, FrozenTranslator, GraphSnapshot, QuantPolicy};
-use mdes_core::{DetectionConfig, QuantMode};
+use mdes_core::serve::{GraphSnapshot, QuantPolicy};
+use mdes_core::{DetectionConfig, FrozenNmt, FrozenPairModel, FrozenTranslator, QuantMode};
 use mdes_graph::{RelGraph, ScoreRange};
 use mdes_lang::{LanguagePipeline, Vocab, WindowConfig};
 use mdes_nn::{InferArena, Seq2Seq, Seq2SeqConfig};

@@ -581,7 +581,7 @@ pub(crate) fn sweep_fingerprint(
         bytes.extend_from_slice(&(i as u64).to_le_bytes());
         bytes.extend_from_slice(&(j as u64).to_le_bytes());
     }
-    crate::checkpoint::fnv1a(&bytes)
+    crate::checksum::fnv1a_parts(&[&bytes])
 }
 
 /// Checks that `sets` holds `n` non-empty corpora of equal length.

@@ -11,20 +11,20 @@
 //! so it does not matter whether its model came from the checkpoint or a
 //! fresh run.
 //!
-//! # Frames and records (shared by MDCK v4 and MDSN v3)
+//! # Frames and records (shared by MDCK v5 and MDSN v4)
 //!
 //! Both file types are a 16-byte header followed by checksummed frames:
 //!
 //! ```text
 //! header:
 //!   magic        4 bytes   b"MDCK" (sweep checkpoint) or b"MDSN" (snapshot)
-//!   version      4 bytes   u32 LE: MDCK 4, MDSN 3
+//!   version      4 bytes   u32 LE: MDCK 5, MDSN 4
 //!   word         8 bytes   u64 LE: MDCK sweep fingerprint, MDSN zero
 //! frame (repeated):
 //!   kind         1 byte    0 = [FrozenPairModel, runtime_secs],
 //!                          1 = QuarantinedPair, 2 = snapshot
 //!   length       8 bytes   u64 LE, payload byte count
-//!   checksum     8 bytes   u64 LE, FNV-1a over kind ‖ length ‖ payload
+//!   checksum     4 bytes   u32 LE, CRC-32C over kind ‖ length ‖ payload
 //!   payload      N bytes   one record
 //! record (the payload):
 //!   json_len     8 bytes   u64 LE
@@ -42,8 +42,9 @@
 //! arithmetic, against the section end and the previous reference) before
 //! it slices; the model types then check dtype and shape against their own
 //! declared dimensions, and reject non-finite f16 weights and int8 scales.
-//! The checksum covers the kind and length bytes too, so a flip anywhere in
-//! a frame is damage, not a different frame.
+//! The checksum ([`crc32c_parts`]) covers the kind and length bytes too, so
+//! a flip anywhere in a frame is damage, not a different frame; every error
+//! burst of up to 32 bits inside kind ‖ length ‖ payload is caught.
 //!
 //! # MDCK: append-only, prefix-recovering
 //!
@@ -65,7 +66,8 @@
 //! record — a codec bug, not damage — aborts the resume; a fingerprint
 //! mismatch is rejected when the writer opens. Checkpoints are transient
 //! sweep state, so files of older versions are refused, not converted: v1
-//! and v2 had other framings, and v3 model frames another model record.
+//! and v2 had other framings, v3 model frames held another model record,
+//! and v4 frames carried an 8-byte FNV-1a checksum.
 //!
 //! # MDSN: all-or-nothing
 //!
@@ -74,11 +76,14 @@
 //! exactly one kind-2 frame holding the [`GraphSnapshot`] record, and
 //! nothing after it. It is deployed whole or not at all: any damage,
 //! including trailing bytes, is a typed [`CoreError::Checkpoint`] error.
-//! Versions 1 and 2 (one JSON payload whose checksum covers the payload
-//! only; v2 adds the optional quantization record) are still read, by a
-//! version-gated legacy path.
+//! Versions 1–3 are still read, by a version-gated legacy path. Their frame
+//! header ends in an 8-byte FNV-1a checksum (17 bytes, not 13). Versions 1
+//! and 2 hold one JSON payload whose checksum covers the payload only (v2
+//! adds the optional quantization record); v3 holds the record above, with
+//! the checksum over kind ‖ length ‖ payload.
 
 use crate::algorithm1::QuarantinedPair;
+use crate::checksum::{crc32c_parts, fnv1a_parts};
 use crate::error::CoreError;
 use crate::serve::GraphSnapshot;
 use crate::translator::FrozenPairModel;
@@ -88,20 +93,24 @@ use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 4] = b"MDCK";
-const VERSION: u32 = 4;
+const VERSION: u32 = 5;
 const HEADER_LEN: usize = 4 + 4 + 8;
-/// kind + length + checksum.
-const FRAME_HEADER_LEN: usize = 1 + 8 + 8;
+/// kind + length + CRC-32C.
+const FRAME_HEADER_LEN: usize = 1 + 8 + 4;
+/// kind + length + FNV-1a, as MDSN v1–v3 wrote it.
+const LEGACY_FRAME_HEADER_LEN: usize = 1 + 8 + 8;
 
 const KIND_MODEL: u8 = 0;
 const KIND_QUARANTINED: u8 = 1;
 
 const SNAP_MAGIC: &[u8; 4] = b"MDSN";
 /// Current snapshot layout: one sectioned record (see the module docs).
-const SNAP_VERSION: u32 = 3;
+const SNAP_VERSION: u32 = 4;
 /// Oldest snapshot layout still read: versions 1 and 2 are one JSON
 /// payload; v2 may carry a `quant` calibration record, v1 never does.
 const SNAP_MIN_VERSION: u32 = 1;
+/// Oldest snapshot layout whose payload is a sectioned record.
+const SNAP_RECORD_VERSION: u32 = 3;
 const KIND_SNAPSHOT: u8 = 2;
 
 /// The JSON key of a tensor reference in a record header.
@@ -132,23 +141,6 @@ pub struct CheckpointData {
     pub models: Vec<(FrozenPairModel, f64)>,
     /// Pairs quarantined so far (under a `Degrade` policy).
     pub quarantined: Vec<QuarantinedPair>,
-}
-
-/// FNV-1a 64-bit hash — the one checksum of every framed format in the
-/// workspace (MDCK, MDSN and the `mdes-serve` MDSV frames).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_parts(&[bytes])
-}
-
-/// FNV-1a 64-bit over the concatenation of `parts`, without building it.
-pub fn fnv1a_parts(parts: &[&[u8]]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for part in parts {
-        for &b in *part {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    h
 }
 
 fn ckpt_err(path: &Path, detail: impl Into<String>) -> CoreError {
@@ -330,16 +322,16 @@ fn push_frame(
 ) -> Result<(), String> {
     let start = out.len();
     out.push(kind);
-    out.extend_from_slice(&[0; 16]);
+    out.extend_from_slice(&[0; FRAME_HEADER_LEN - 1]);
     payload(out)?;
     let len = (out.len() - start - FRAME_HEADER_LEN) as u64;
     out[start + 1..start + 9].copy_from_slice(&len.to_le_bytes());
-    let sum = fnv1a_parts(&[
+    let sum = crc32c_parts(&[
         &[kind],
         &len.to_le_bytes(),
         &out[start + FRAME_HEADER_LEN..],
     ]);
-    out[start + 9..start + 17].copy_from_slice(&sum.to_le_bytes());
+    out[start + 9..start + FRAME_HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
     Ok(())
 }
 
@@ -351,14 +343,14 @@ fn read_frame(bytes: &[u8], offset: usize) -> Result<(u8, &[u8], usize), &'stati
         .ok_or("truncated frame header")?;
     let kind = header[0];
     let len_bytes = &header[1..9];
-    let checksum = u64_at(header, 9);
+    let checksum = u32::from_le_bytes(header[9..].try_into().expect("4 bytes"));
     let start = offset + FRAME_HEADER_LEN;
     let payload = usize::try_from(u64_at(header, 1))
         .ok()
         .and_then(|len| start.checked_add(len))
         .and_then(|end| bytes.get(start..end))
         .ok_or("truncated frame payload")?;
-    if fnv1a_parts(&[&[kind], len_bytes, payload]) != checksum {
+    if crc32c_parts(&[&[kind], len_bytes, payload]) != checksum {
         return Err("frame checksum mismatch");
     }
     Ok((kind, payload, start + payload.len()))
@@ -406,7 +398,7 @@ fn write_atomically(path: &Path, bytes: &[u8]) -> Result<(), CoreError> {
         .map_err(|e| ckpt_err(path, format!("directory sync failed: {e}")))
 }
 
-/// Atomically writes `data` to `path` as a whole MDCK v4 file (tmp file +
+/// Atomically writes `data` to `path` as a whole MDCK v5 file (tmp file +
 /// rename): the header, then the models, then the quarantined pairs, one
 /// frame each. Sweeps append instead (see `CheckpointWriter`); this is
 /// for tools and tests that hold a whole checkpoint in memory.
@@ -442,7 +434,7 @@ pub fn write_checkpoint(path: &Path, data: &CheckpointData) -> Result<(), CoreEr
 ///
 /// Returns [`CoreError::Checkpoint`] only if the file cannot be read, the
 /// 16-byte header is malformed (bad magic, short file, a version other than
-/// 4), or a checksum-valid record fails to decode — the latter is a codec
+/// 5), or a checksum-valid record fails to decode — the latter is a codec
 /// bug, not file damage, so recovery would hide it.
 pub fn read_checkpoint(path: &Path) -> Result<CheckpointData, CoreError> {
     let bytes = fs::read(path).map_err(|e| ckpt_err(path, format!("read failed: {e}")))?;
@@ -516,7 +508,7 @@ fn scan_checkpoint(bytes: &[u8]) -> Result<(CheckpointData, usize), CoreError> {
     Ok((data, offset))
 }
 
-/// An open MDCK v4 checkpoint that a sweep appends finished pairs to.
+/// An open MDCK v5 checkpoint that a sweep appends finished pairs to.
 ///
 /// Frames are queued in memory and written, flushed and fsynced every
 /// `every` frames (`CheckpointWriter::append`) and at the end
@@ -547,7 +539,7 @@ impl CheckpointWriter {
     /// # Errors
     ///
     /// Returns [`CoreError::Checkpoint`] if the file cannot be read, created
-    /// or opened for writing, is not a v4 checkpoint, or belongs to a
+    /// or opened for writing, is not a v5 checkpoint, or belongs to a
     /// different sweep (fingerprint mismatch).
     pub(crate) fn open(
         cfg: &CheckpointConfig,
@@ -653,7 +645,7 @@ impl CheckpointWriter {
 // --- MDSN ------------------------------------------------------------------
 
 /// Atomically writes a frozen serving artifact to `path` (tmp file +
-/// rename) in the MDSN v3 layout of [`snapshot_to_bytes`].
+/// rename) in the MDSN v4 layout of [`snapshot_to_bytes`].
 ///
 /// Unlike sweep checkpoints, a serving artifact is all-or-nothing — there
 /// is no meaningful prefix to recover — so [`read_snapshot`] rejects any
@@ -669,7 +661,7 @@ pub fn write_snapshot(path: &Path, snapshot: &GraphSnapshot) -> Result<(), CoreE
     write_atomically(path, &bytes)
 }
 
-/// Reads a serving artifact written by [`write_snapshot`] (MDSN v1–v3).
+/// Reads a serving artifact written by [`write_snapshot`] (MDSN v1–v4).
 ///
 /// # Errors
 ///
@@ -686,7 +678,7 @@ pub fn read_snapshot(path: &Path) -> Result<GraphSnapshot, CoreError> {
     snapshot_from_bytes(&bytes).map_err(at_path(path))
 }
 
-/// Encodes a frozen serving artifact into the MDSN v3 byte layout used by
+/// Encodes a frozen serving artifact into the MDSN v4 byte layout used by
 /// [`write_snapshot`] — for transports other than the filesystem (e.g. a
 /// snapshot uploaded over a daemon's admin plane).
 ///
@@ -702,14 +694,14 @@ pub fn snapshot_to_bytes(snapshot: &GraphSnapshot) -> Result<Vec<u8>, CoreError>
     Ok(bytes)
 }
 
-/// Decodes a serving artifact from the MDSN byte layout (v3, or the legacy
-/// v1/v2 JSON payload); the in-memory counterpart of [`read_snapshot`],
-/// with the same all-or-nothing damage policy.
+/// Decodes a serving artifact from the MDSN byte layout (v4, or a legacy
+/// v1–v3 frame); the in-memory counterpart of [`read_snapshot`], with the
+/// same all-or-nothing damage policy.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::Checkpoint`] (with an empty path) on any damage:
-/// bad magic, unknown version, a non-zero reserved word (v3), truncation,
+/// bad magic, unknown version, a non-zero reserved word (v3 and v4), truncation,
 /// checksum mismatch, bytes after the frame, a malformed tensor reference,
 /// or a record the snapshot types reject; and
 /// [`CoreError::IncompatibleSnapshot`] for an intact record whose pair
@@ -729,13 +721,13 @@ fn decode_snapshot(bytes: &[u8]) -> Result<GraphSnapshot, CoreError> {
     if !(SNAP_MIN_VERSION..=SNAP_VERSION).contains(&version) {
         return Err(err(format!("unsupported snapshot version {version}")));
     }
-    if version < 3 {
-        return legacy_snapshot(bytes).map_err(err);
-    }
-    if word != 0 {
+    if version >= SNAP_RECORD_VERSION && word != 0 {
         return Err(err(format!(
             "snapshot reserved word is {word:#x}, not zero"
         )));
+    }
+    if version < SNAP_VERSION {
+        return legacy_snapshot(bytes, version).map_err(err);
     }
     let (kind, payload, end) =
         read_frame(bytes, HEADER_LEN).map_err(|reason| err(format!("snapshot {reason}")))?;
@@ -751,22 +743,29 @@ fn decode_snapshot(bytes: &[u8]) -> Result<GraphSnapshot, CoreError> {
     read_record(payload).map_err(|e| err(format!("snapshot parse failed: {e}")))
 }
 
-/// The MDSN v1/v2 reader: one frame whose checksum covers only its JSON
-/// payload. The reserved header word is ignored, as those writers left it.
-fn legacy_snapshot(bytes: &[u8]) -> Result<GraphSnapshot, String> {
+/// The MDSN v1–v3 reader: one frame with an 8-byte FNV-1a checksum. In v1
+/// and v2 it covers only the JSON payload, and the reserved header word is
+/// ignored, as those writers left it; in v3 it covers kind ‖ length ‖
+/// payload, and the payload is a sectioned record.
+fn legacy_snapshot(bytes: &[u8], version: u32) -> Result<GraphSnapshot, String> {
     let frame = bytes
-        .get(HEADER_LEN..HEADER_LEN + FRAME_HEADER_LEN)
+        .get(HEADER_LEN..HEADER_LEN + LEGACY_FRAME_HEADER_LEN)
         .ok_or("truncated snapshot frame header")?;
     if frame[0] != KIND_SNAPSHOT {
         return Err(format!("unknown frame kind {}", frame[0]));
     }
-    let start = HEADER_LEN + FRAME_HEADER_LEN;
+    let start = HEADER_LEN + LEGACY_FRAME_HEADER_LEN;
     let payload = usize::try_from(u64_at(frame, 1))
         .ok()
         .and_then(|len| start.checked_add(len))
         .and_then(|end| bytes.get(start..end))
         .ok_or("truncated snapshot payload")?;
-    if fnv1a(payload) != u64_at(frame, 9) {
+    let covered: &[u8] = if version < SNAP_RECORD_VERSION {
+        &[]
+    } else {
+        &frame[..9]
+    };
+    if fnv1a_parts(&[covered, payload]) != u64_at(frame, 9) {
         return Err("snapshot checksum mismatch".into());
     }
     if start + payload.len() != bytes.len() {
@@ -774,6 +773,9 @@ fn legacy_snapshot(bytes: &[u8]) -> Result<GraphSnapshot, String> {
             "{} trailing bytes after the snapshot frame",
             bytes.len() - start - payload.len()
         ));
+    }
+    if version >= SNAP_RECORD_VERSION {
+        return read_record(payload).map_err(|e| format!("snapshot parse failed: {e}"));
     }
     let text = std::str::from_utf8(payload).map_err(|_| "snapshot payload is not valid UTF-8")?;
     serde_json::from_str(text).map_err(|e| format!("snapshot parse failed: {e}"))
@@ -916,20 +918,33 @@ mod tests {
         neural_snapshot(QuantMode::Int8)
     }
 
-    /// The MDSN v1/v2 writer, kept here to produce legacy artifacts: one
-    /// JSON payload, checksummed on its own.
+    /// The MDSN v1–v3 writer, kept here to produce legacy artifacts: an
+    /// 8-byte FNV-1a checksum over one JSON payload (v1, v2), or over
+    /// kind ‖ length ‖ a sectioned record (v3).
     fn legacy_bytes(snap: &GraphSnapshot, version: u32) -> Vec<u8> {
-        let payload = serde_json::to_string(snap).expect("json");
+        let mut payload = Vec::new();
+        if version < SNAP_RECORD_VERSION {
+            payload = serde_json::to_string(snap).expect("json").into_bytes();
+        } else {
+            push_record(&mut payload, snap).expect("record");
+        }
+        let mut frame = vec![KIND_SNAPSHOT];
+        frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        let covered: &[u8] = if version < SNAP_RECORD_VERSION {
+            &[]
+        } else {
+            &frame
+        };
+        let sum = fnv1a_parts(&[covered, &payload]);
         let mut out = Vec::new();
         push_header(&mut out, SNAP_MAGIC, version, 0);
-        out.push(KIND_SNAPSHOT);
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv1a(payload.as_bytes()).to_le_bytes());
-        out.extend_from_slice(payload.as_bytes());
+        out.extend_from_slice(&frame);
+        out.extend_from_slice(&sum.to_le_bytes());
+        out.extend_from_slice(&payload);
         out
     }
 
-    /// Splits MDSN v3 bytes into the record's parsed JSON header and its
+    /// Splits MDSN v4 bytes into the record's parsed JSON header and its
     /// tensor section.
     fn split_record(bytes: &[u8]) -> (Content, Vec<u8>) {
         let (_, payload, _) = read_frame(bytes, HEADER_LEN).expect("frame");
@@ -942,7 +957,7 @@ mod tests {
     }
 
     /// Seals a (possibly crafted) record — raw JSON bytes and section — as
-    /// MDSN v3 bytes with a valid checksum, so the decoder itself, not the
+    /// MDSN v4 bytes with a valid checksum, so the decoder itself, not the
     /// checksum, must catch the damage.
     fn seal_raw(json: &[u8], section: &[u8]) -> Vec<u8> {
         let mut out = Vec::new();
@@ -1113,13 +1128,13 @@ mod tests {
         let path = tmp_path("magic");
         std::fs::write(&path, b"definitely not a checkpoint").expect("write");
         assert!(is_ckpt_err(&read_checkpoint(&path)));
-        // Version 1 (one payload), version 2 (JSON frames) and version 3
-        // (the old model record) files must be refused with a typed error,
-        // not misparsed as v4 frames.
-        for version in [1u32, 2, 3] {
+        // Version 1 (one payload), version 2 (JSON frames), version 3
+        // (the old model record) and version 4 (FNV-1a frames) files must
+        // be refused with a typed error, not misparsed as v5 frames.
+        for version in [1u32, 2, 3, 4] {
             let mut old = Vec::new();
             push_header(&mut old, MAGIC, version, 7);
-            old.extend_from_slice(&[0u8; 16]);
+            old.extend_from_slice(&[0u8; LEGACY_FRAME_HEADER_LEN]);
             std::fs::write(&path, &old).expect("write");
             match read_checkpoint(&path) {
                 Err(CoreError::Checkpoint { detail, .. }) => {
@@ -1295,7 +1310,7 @@ mod tests {
             let factor = if mode == QuantMode::F32 { 3 } else { 2 };
             assert!(
                 bytes.len() * factor < legacy.len(),
-                "{mode:?}: v3 {} bytes vs v2 {}",
+                "{mode:?}: v4 {} bytes vs v2 {}",
                 bytes.len(),
                 legacy.len()
             );
@@ -1330,7 +1345,8 @@ mod tests {
         for (tag, bytes) in [
             ("v1", legacy_bytes(&snap, 1)),
             ("v2", legacy_bytes(&snap, 2)),
-            ("v3", snapshot_to_bytes(&snap).expect("encode")),
+            ("v3", legacy_bytes(&snap, 3)),
+            ("v4", snapshot_to_bytes(&snap).expect("encode")),
         ] {
             snapshot_from_bytes(&bytes).unwrap_or_else(|e| panic!("{tag}: {e}"));
             let mut junk = bytes.clone();
@@ -1345,7 +1361,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_versions_1_and_2_still_read_and_future_versions_are_rejected() {
+    fn legacy_snapshot_versions_still_read_and_future_versions_are_rejected() {
         let snap = frozen_snapshot();
         let quant = quantized_snapshot();
         let v1 = snapshot_from_bytes(&legacy_bytes(&snap, 1)).expect("v1 read");
@@ -1358,6 +1374,17 @@ mod tests {
             snapshot_to_bytes(&quant).expect("encode"),
             "a legacy int8 artifact decodes to the same weights"
         );
+        // v3 holds the v4 record under an FNV-1a frame: it decodes to the
+        // same artifact, and v4 carries its payload byte for byte.
+        let v3_bytes = legacy_bytes(&quant, 3);
+        let v4_bytes = snapshot_to_bytes(&quant).expect("encode");
+        let v3 = snapshot_from_bytes(&v3_bytes).expect("v3 read");
+        assert_eq!(snapshot_to_bytes(&v3).expect("encode"), v4_bytes);
+        assert_eq!(
+            v3_bytes[HEADER_LEN + LEGACY_FRAME_HEADER_LEN..],
+            v4_bytes[HEADER_LEN + FRAME_HEADER_LEN..]
+        );
+        assert_eq!(v3_bytes.len(), v4_bytes.len() + 4);
         let mut bytes = snapshot_to_bytes(&snap).expect("encode");
         bytes[4..8].copy_from_slice(&(SNAP_VERSION + 1).to_le_bytes());
         assert!(is_ckpt_err(&snapshot_from_bytes(&bytes)));
@@ -1397,8 +1424,12 @@ mod tests {
 
     #[test]
     fn snapshot_reader_rejects_every_truncation_and_byte_flip() {
-        for (tag, snap) in [("f32", frozen_snapshot()), ("int8", quantized_snapshot())] {
-            let bytes = snapshot_to_bytes(&snap).expect("encode");
+        let (f32_snap, int8_snap) = (frozen_snapshot(), quantized_snapshot());
+        for (tag, bytes) in [
+            ("f32", snapshot_to_bytes(&f32_snap).expect("encode")),
+            ("int8", snapshot_to_bytes(&int8_snap).expect("encode")),
+            ("v3 f32", legacy_bytes(&f32_snap, 3)),
+        ] {
             // Every possible truncation: length checks catch all of them
             // before any payload work, so the full sweep is cheap.
             for cut in 0..bytes.len() {
@@ -1410,8 +1441,8 @@ mod tests {
             // Single-byte corruptions: the whole file header, frame header
             // and JSON length, plus a stride through the JSON header and
             // the tensor section (flipping every byte would be quadratic in
-            // checksum work). FNV-1a's per-byte state change is never
-            // cancelled by the following bijective multiplies, so any single
+            // checksum work). CRC-32C catches every burst of up to 32 bits
+            // and v3's FNV-1a every change inside one byte, so any single
             // flip past the file header must fail the checksum; in the file
             // header, magic, version and the zero reserved word are checked.
             let mut targets: Vec<usize> = (0..bytes.len().min(48)).collect();

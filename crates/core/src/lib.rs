@@ -64,6 +64,7 @@
 pub mod algorithm1;
 pub mod algorithm2;
 pub mod checkpoint;
+pub mod checksum;
 pub mod diagnosis;
 mod error;
 pub mod lifecycle;
@@ -84,17 +85,18 @@ pub use checkpoint::{
 };
 pub use diagnosis::{diagnose, propagation_timeline, Diagnosis, PropagationStep};
 pub use error::CoreError;
-pub use lifecycle::{
-    DistSummary, DriftMonitor, DriftPolicy, DriftReport, LifecycleState, PairDrift, ScoreDist,
-};
+pub use lifecycle::{DistSummary, DriftMonitor, DriftPolicy, DriftReport, PairDrift, ScoreDist};
 pub use online::{DegradationConfig, OnlineDetection};
 pub use pipeline::{Mdes, MdesConfig};
 pub use prescreen::{prescreen_pairs, PrescreenConfig, PrescreenResult, PrescreenedPair};
 pub use serve::{
-    CanaryConfig, CanaryDecision, CanaryStatus, FrozenNmt, FrozenPairModel, FrozenTranslator,
-    GraphSnapshot, ModelStore, QuantCalibration, QuantPolicy, ServingEngine, StreamSession,
+    CanaryConfig, CanaryDecision, CanaryStatus, GraphSnapshot, ModelStore, QuantCalibration,
+    QuantPolicy, ServingEngine, StreamSession,
 };
 pub use sharded::{build_graph_sharded, ShardedSweepConfig, ShardedSweepReport};
 
 pub use mdes_nn::QuantMode;
-pub use translator::{train_translator, NgramConfig, NgramTranslator, TranslatorConfig};
+pub use translator::{
+    train_translator, FrozenNmt, FrozenPairModel, FrozenTranslator, NgramConfig, NgramTranslator,
+    TranslatorConfig,
+};

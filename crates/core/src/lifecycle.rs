@@ -26,9 +26,11 @@
 //!   and the bench reporters, so "compare anomaly-score distributions" means
 //!   the same arithmetic at decision time and in the experiment tables.
 //!
-//! The full lifecycle is a state machine ([`LifecycleState`]):
-//! healthy → drifting → refitting → canary → promoted / rolled-back, with
-//! both terminal states folding back to healthy. Serving never blocks on
+//! The full lifecycle runs healthy → drifting → refitting → canary →
+//! promoted / rolled-back, with both terminal states folding back to
+//! healthy (and a cancelled canary or a rolled-back candidate straight back
+//! to drifting). No type enforces the order: each component validates its
+//! own inputs, and nothing outside them has to. Serving never blocks on
 //! any transition, and a rejected candidate never influences emitted
 //! scores — canary sessions are *shadow*-scored (see
 //! [`CanaryConfig`](crate::serve::CanaryConfig)).
@@ -37,62 +39,6 @@ use crate::online::OnlineDetection;
 use crate::serve::GraphSnapshot;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
-
-/// Phases of the continuous-learning loop, in causal order.
-///
-/// Used by control-plane drivers (and the docs) to name where a deployment
-/// sits; the states are advisory — each component validates its own inputs
-/// and none of them requires an external driver to enforce ordering.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum LifecycleState {
-    /// Detection quality is inside the baseline band; nothing to do.
-    Healthy,
-    /// The drift monitor has flagged a non-empty stale-pair set.
-    Drifting,
-    /// A partial refit of the stale pairs is in flight.
-    Refitting,
-    /// A grafted candidate is being shadow-scored against the incumbent.
-    Canary,
-    /// The candidate won and is now the served snapshot.
-    Promoted,
-    /// The candidate lost; the incumbent never stopped serving.
-    RolledBack,
-}
-
-impl LifecycleState {
-    /// Whether the loop may move from `self` to `to` (terminal states fold
-    /// back to [`LifecycleState::Healthy`]; a canary may also be cut short
-    /// straight back to drifting when it is cancelled).
-    pub fn can_transition(self, to: LifecycleState) -> bool {
-        use LifecycleState::*;
-        matches!(
-            (self, to),
-            (Healthy, Drifting)
-                | (Drifting, Refitting)
-                | (Refitting, Canary)
-                | (Canary, Promoted)
-                | (Canary, RolledBack)
-                | (Canary, Drifting)
-                | (Promoted, Healthy)
-                | (RolledBack, Healthy)
-                | (RolledBack, Drifting)
-        )
-    }
-}
-
-impl std::fmt::Display for LifecycleState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            LifecycleState::Healthy => "healthy",
-            LifecycleState::Drifting => "drifting",
-            LifecycleState::Refitting => "refitting",
-            LifecycleState::Canary => "canary",
-            LifecycleState::Promoted => "promoted",
-            LifecycleState::RolledBack => "rolled_back",
-        };
-        f.write_str(s)
-    }
-}
 
 /// Thresholds under which [`DriftMonitor`] decides a pair model went stale.
 ///
@@ -511,21 +457,6 @@ mod tests {
             m.observe(&detection(&[(7, 9)], 1.0));
         }
         assert!(m.scan().stale.is_empty());
-    }
-
-    #[test]
-    fn lifecycle_transitions() {
-        use LifecycleState::*;
-        assert!(Healthy.can_transition(Drifting));
-        assert!(Drifting.can_transition(Refitting));
-        assert!(Refitting.can_transition(Canary));
-        assert!(Canary.can_transition(Promoted));
-        assert!(Canary.can_transition(RolledBack));
-        assert!(Promoted.can_transition(Healthy));
-        assert!(RolledBack.can_transition(Healthy));
-        assert!(!Healthy.can_transition(Canary));
-        assert!(!Promoted.can_transition(RolledBack));
-        assert_eq!(RolledBack.to_string(), "rolled_back");
     }
 
     #[test]

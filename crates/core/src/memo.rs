@@ -4,7 +4,7 @@
 //! A frozen decode is a pure function of the packed weights, the source
 //! sentence and the output length, and every row of a batched decode
 //! equals that sentence decoded alone (batch invariance, with
-//! [`FrozenNmt`](crate::serve::FrozenNmt)'s per-sentence fallback for
+//! [`FrozenNmt`](crate::FrozenNmt)'s per-sentence fallback for
 //! malformed batches). So a repeated sentence can take its translation
 //! from a table instead of the decoder, and every score keeps its bits.
 //! The paper's sensor languages are regular, so repeats are the common

@@ -2,11 +2,11 @@
 //! sessions.
 //!
 //! Algorithm 1 already produces frozen pair models ([`FrozenPairModel`],
-//! defined in [`crate::translator`] and re-exported here), and a fitted
-//! [`Mdes`] moves them into the one artifact the online phase reads, a
-//! shared [`GraphSnapshot`]; the fit keeps only its bookkeeping (per-pair
-//! runtimes, quarantined pairs) beside it. This module holds that artifact
-//! and the serving side:
+//! defined in [`crate::translator`] and re-exported at the crate root), and
+//! a fitted [`Mdes`] moves them into the one artifact the online phase
+//! reads, a shared [`GraphSnapshot`]; the fit keeps only its bookkeeping
+//! (per-pair runtimes, quarantined pairs) beside it. This module holds that
+//! artifact and the serving side:
 //!
 //! * [`GraphSnapshot`] — an immutable serving artifact, written to disk as
 //!   MDSN ([`write_snapshot`](crate::checkpoint::write_snapshot)): packed
@@ -30,7 +30,8 @@
 //!   is a one-session call into it).
 //!
 //! A snapshot holds the trained graph's own pair models, so dev scoring,
-//! offline detection and serving decode the same [`FrozenNmt`] weights
+//! offline detection and serving decode the same
+//! [`FrozenNmt`](crate::translator::FrozenNmt) weights
 //! through the same kernels in the same order (each pinned to the
 //! paper-literal oracle by `tests/algorithm2_oracle.rs`).
 
@@ -42,7 +43,7 @@ pub use crate::memo::MEMO_ENTRIES_PER_MODEL;
 use crate::online::{DegradationConfig, OnlineDetection};
 use crate::pipeline::Mdes;
 use crate::pool::lock;
-pub use crate::translator::{FrozenNmt, FrozenPairModel, FrozenTranslator};
+use crate::translator::{FrozenPairModel, FrozenTranslator};
 use mdes_graph::RelGraph;
 use mdes_lang::{LanguagePipeline, SentenceSet, MISSING_RECORD};
 use mdes_nn::QuantMode;
@@ -1656,6 +1657,7 @@ impl ServingEngine {
 mod tests {
     use super::*;
     use crate::pipeline::MdesConfig;
+    use crate::translator::FrozenNmt;
     use mdes_graph::ScoreRange;
     use mdes_lang::{RawTrace, WindowConfig};
     use mdes_nn::{InferArena, ModelSpec};

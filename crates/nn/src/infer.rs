@@ -23,7 +23,7 @@
 //! (scores, softmax, context) are the very kernels the tape's fused cell and
 //! attention ops call (the crate's `kernels` module). The tape forward pass
 //! is kept only as a test-build parity oracle in `seq2seq`'s unit tests,
-//! which assert bit-identical greedy, batched and beam output under both
+//! which assert bit-identical greedy and batched output under both
 //! kernel families.
 
 use crate::kernels::{self, GRU_GATES, LSTM_GATES};
@@ -430,8 +430,7 @@ impl ModelSpec {
 /// Recurrent state carried across decode steps: per-layer hidden (and, for
 /// LSTM, cell) matrices plus the fed-back attentional hidden state.
 ///
-/// Cloneable so beam search can branch hypotheses; all matrices are
-/// `B x H`.
+/// All matrices are `B x H`.
 #[derive(Clone, Debug, Default)]
 pub struct InferState {
     h: Vec<Matrix>,
@@ -626,83 +625,6 @@ impl InferArena {
         self.prev = prev;
         out
     }
-
-    /// Beam-search translation of a single source sentence with `spec`'s
-    /// weights: keeps the `beam_width` highest-log-probability hypotheses at
-    /// each step and returns the best complete one. `beam_width = 1` is
-    /// equivalent to greedy decoding.
-    ///
-    /// # Errors
-    ///
-    /// [`NnError::EmptySequence`] when `beam_width` is zero; otherwise any
-    /// error [`ModelSpec::check_src`] reports for `src`.
-    pub fn translate_beam(
-        &mut self,
-        spec: &ModelSpec,
-        src: &[usize],
-        out_len: usize,
-        beam_width: usize,
-    ) -> Result<Vec<usize>, NnError> {
-        if beam_width == 0 {
-            return Err(NnError::EmptySequence);
-        }
-        spec.check_src(&[src], out_len)?;
-        self.encode(spec, &[src]);
-        struct Hyp {
-            tokens: Vec<usize>,
-            logp: f64,
-            state: InferState,
-        }
-        let mut start = InferState::default();
-        self.start_state(&mut start);
-        let mut beam = vec![Hyp {
-            tokens: Vec::new(),
-            logp: 0.0,
-            state: start,
-        }];
-        for _ in 0..out_len {
-            let mut candidates: Vec<Hyp> = Vec::with_capacity(beam.len() * beam_width);
-            for hyp in &beam {
-                let prev = *hyp.tokens.last().unwrap_or(&spec.bos);
-                let mut state = hyp.state.clone();
-                self.decode_step(spec, &[prev], &mut state);
-                let log_probs = row_log_softmax(self.logits().row(0));
-                for &(tok, lp) in top_k(&log_probs, beam_width).iter() {
-                    let mut tokens = hyp.tokens.clone();
-                    tokens.push(tok);
-                    candidates.push(Hyp {
-                        tokens,
-                        logp: hyp.logp + lp,
-                        state: state.clone(),
-                    });
-                }
-            }
-            candidates.sort_by(|a, b| b.logp.total_cmp(&a.logp));
-            candidates.truncate(beam_width);
-            beam = candidates;
-        }
-        Ok(beam.into_iter().next().expect("beam is never empty").tokens)
-    }
-}
-
-/// Row log-softmax in f64 for numerically stable beam scoring.
-pub(crate) fn row_log_softmax(row: &[f32]) -> Vec<f64> {
-    let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max) as f64;
-    let log_z: f64 = row
-        .iter()
-        .map(|&v| ((v as f64) - max).exp())
-        .sum::<f64>()
-        .ln()
-        + max;
-    row.iter().map(|&v| v as f64 - log_z).collect()
-}
-
-/// Indices and values of the `k` largest entries, descending.
-pub(crate) fn top_k(values: &[f64], k: usize) -> Vec<(usize, f64)> {
-    let mut idx: Vec<(usize, f64)> = values.iter().copied().enumerate().collect();
-    idx.sort_by(|a, b| b.1.total_cmp(&a.1));
-    idx.truncate(k.max(1));
-    idx
 }
 
 /// A token id the engine decodes: an index into an embedding table. The
@@ -1061,36 +983,5 @@ mod tests {
             spec.check_src(&[&[3u32, 7][..]], 2),
             Err(NnError::TokenOutOfRange { token: 7, vocab: 7 })
         );
-    }
-
-    #[test]
-    fn beam_zero_rejected() {
-        let spec = frozen(crate::CellKind::Lstm, crate::AttentionKind::Dot, false);
-        let mut arena = InferArena::new();
-        assert_eq!(
-            arena.translate_beam(&spec, &[1, 2], 2, 0),
-            Err(NnError::EmptySequence)
-        );
-        assert_eq!(
-            arena.translate_beam(&spec, &[1, 9], 2, 1),
-            Err(NnError::TokenOutOfRange { token: 9, vocab: 7 })
-        );
-    }
-
-    #[test]
-    fn log_softmax_normalizes() {
-        let row = vec![1.0f32, 2.0, 3.0];
-        let lp = row_log_softmax(&row);
-        let sum: f64 = lp.iter().map(|v| v.exp()).sum();
-        assert!((sum - 1.0).abs() < 1e-9);
-        assert!(lp[2] > lp[1] && lp[1] > lp[0]);
-    }
-
-    #[test]
-    fn top_k_returns_descending() {
-        let v = vec![0.1, 0.9, 0.5, 0.7];
-        let t = top_k(&v, 2);
-        assert_eq!(t[0].0, 1);
-        assert_eq!(t[1].0, 3);
     }
 }

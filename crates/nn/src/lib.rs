@@ -10,8 +10,8 @@
 //! * [`Adam`] / [`Sgd`] — optimizers,
 //! * [`Seq2Seq`] — encoder–decoder LSTM with Luong global attention,
 //!   trained with teacher forcing,
-//! * [`InferArena`] — the tape-free decoder: greedy or beam translation of a
-//!   frozen [`ModelSpec`].
+//! * [`InferArena`] — the tape-free decoder: greedy translation of a frozen
+//!   [`ModelSpec`], one sentence or a batch.
 //!
 //! # Example
 //!

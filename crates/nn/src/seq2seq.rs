@@ -6,7 +6,7 @@
 //! encoder's final state, attends over those states and produces one target
 //! token per step. Training uses teacher forcing and Adam. A trained model
 //! is its weights: [`Seq2Seq::freeze`] packs them into a [`ModelSpec`], and
-//! [`crate::InferArena`] decodes that spec, greedily or by beam search.
+//! [`crate::InferArena`] decodes that spec greedily.
 //!
 //! Configurable axes (all from Luong et al.):
 //!
@@ -631,58 +631,6 @@ impl Seq2Seq {
             .pop()
             .expect("one output per input")
     }
-
-    /// Beam-search translation on the tape: the oracle for
-    /// [`crate::InferArena::translate_beam`].
-    fn translate_beam_tape(&self, src: &[usize], out_len: usize, beam_width: usize) -> Vec<usize> {
-        assert!(beam_width > 0, "beam width must be positive");
-        let mut tape = Tape::new();
-        let bound = self.bind(&mut tape);
-        let (enc_hs, final_state) = self.encode(&mut tape, &bound, &[src], None);
-
-        struct Hyp {
-            tokens: Vec<usize>,
-            logp: f64,
-            state: RecState,
-            att: Option<TensorId>,
-        }
-        let mut beam = vec![Hyp {
-            tokens: Vec::new(),
-            logp: 0.0,
-            state: final_state,
-            att: None,
-        }];
-        for _ in 0..out_len {
-            let mut candidates: Vec<Hyp> = Vec::with_capacity(beam.len() * beam_width);
-            for hyp in &beam {
-                let prev = *hyp.tokens.last().unwrap_or(&self.bos);
-                let (logits, new_state, new_att) = self.decode_step(
-                    &mut tape,
-                    &bound,
-                    &[prev],
-                    &hyp.state,
-                    hyp.att,
-                    &enc_hs,
-                    None,
-                );
-                let log_probs = crate::infer::row_log_softmax(tape.value(logits).row(0));
-                for &(tok, lp) in crate::infer::top_k(&log_probs, beam_width).iter() {
-                    let mut tokens = hyp.tokens.clone();
-                    tokens.push(tok);
-                    candidates.push(Hyp {
-                        tokens,
-                        logp: hyp.logp + lp,
-                        state: new_state.clone(),
-                        att: Some(new_att),
-                    });
-                }
-            }
-            candidates.sort_by(|a, b| b.logp.total_cmp(&a.logp));
-            candidates.truncate(beam_width);
-            beam = candidates;
-        }
-        beam.into_iter().next().expect("beam is never empty").tokens
-    }
 }
 
 #[cfg(test)]
@@ -830,39 +778,6 @@ mod tests {
         model.fit(&corpus).expect("fit");
         let acc = accuracy(&model, &corpus);
         assert!(acc > 0.55, "two-layer accuracy too low: {acc}");
-    }
-
-    #[test]
-    fn beam_width_one_matches_greedy() {
-        let corpus = shifted_corpus(20, 4, 6);
-        let mut cfg = tiny_config();
-        cfg.train_steps = 40;
-        let mut model = Seq2Seq::new(6, 6, 1, cfg);
-        model.fit(&corpus).expect("fit");
-        let spec = model.freeze();
-        let mut arena = InferArena::new();
-        for (src, _) in corpus.iter().take(5) {
-            let greedy = decode(&spec, &mut arena, src, 4);
-            let beam = arena.translate_beam(&spec, src, 4, 1).expect("beam");
-            assert_eq!(greedy, beam);
-        }
-    }
-
-    #[test]
-    fn wider_beam_never_scores_worse_in_log_prob() {
-        // Beam search maximizes sequence log-probability; with a wider beam
-        // the produced sequence exists within the candidate pool of the
-        // narrow beam's search, so both must at least produce valid output.
-        let corpus = shifted_corpus(20, 4, 6);
-        let mut cfg = tiny_config();
-        cfg.train_steps = 40;
-        let mut model = Seq2Seq::new(6, 6, 1, cfg);
-        model.fit(&corpus).expect("fit");
-        let out = InferArena::new()
-            .translate_beam(&model.freeze(), &corpus[0].0, 4, 4)
-            .expect("beam");
-        assert_eq!(out.len(), 4);
-        assert!(out.iter().all(|&t| t < 6));
     }
 
     #[test]
@@ -1034,7 +949,7 @@ mod tests {
     // Tape-oracle parity: the arena must decode a frozen spec bit for bit as
     // the tape forward pass does — not approximately — on any configuration:
     // both cell families, both attention kinds, input feeding on/off,
-    // stacked layers, greedy single, greedy batched, and beam decoding. Unit
+    // stacked layers, greedy single and greedy batched decoding. Unit
     // tests also run under `--features reference-kernels`, so both kernel
     // families are checked against the oracle.
 
@@ -1139,27 +1054,6 @@ mod tests {
             }
         }
 
-        /// Beam decoding: arena bit-identical to the tape at widths 1–3.
-        #[test]
-        fn beam_matches_tape_exactly(
-            gru in 0u8..=1,
-            general in 0u8..=1,
-            feeding in 0u8..=1,
-            layers in 1usize..=2,
-            src_len in 1usize..=5,
-            out_len in 1usize..=5,
-            beam_width in 1usize..=3,
-            vocab in 3usize..=9,
-            seed in 0u64..1 << 32,
-        ) {
-            let model = build_model(vocab, cell_from(gru), attention_from(general), feeding != 0, layers, seed);
-            let mut rng = StdRng::seed_from_u64(seed ^ 0x5678);
-            let src = random_sentence(src_len, vocab, &mut rng);
-            let engine = InferArena::new()
-                .translate_beam(&model.freeze(), &src, out_len, beam_width)
-                .expect("engine");
-            prop_assert_eq!(engine, model.translate_beam_tape(&src, out_len, beam_width));
-        }
     }
 
     /// Training changes the weights, so a spec frozen before a refit is

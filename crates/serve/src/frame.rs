@@ -5,16 +5,17 @@
 //!
 //! ```text
 //! magic     4 bytes   b"MDSV"
-//! version   2 bytes   u16 LE, currently 2
+//! version   2 bytes   u16 LE, currently 3
 //! kind      1 byte    see [`FrameKind`]
 //! length    4 bytes   u32 LE, payload byte count
-//! checksum  8 bytes   u64 LE, FNV-1a of kind + length + payload
+//! checksum  4 bytes   u32 LE, CRC-32C of kind + length + payload
 //! payload   N bytes   one wire message (see [`crate::wire`]): binary for
 //!                     `PushBatch` and `PushReply`, JSON for the control
 //!                     kinds, empty for `Ping` and `Pong`
 //! ```
 //!
-//! Version 1 carried every payload as JSON; a v1 frame is refused with
+//! Version 1 carried every payload as JSON, and version 2 an 8-byte FNV-1a
+//! checksum; a v1 or v2 frame is refused with
 //! [`ProtoError::UnsupportedVersion`] (`bad_version`).
 //!
 //! The decoder is written for hostile input: random bytes, truncated
@@ -31,27 +32,28 @@
 //! elapses without the frame completing).
 
 use crate::wire::WireMsg;
-use mdes_core::checkpoint::fnv1a_parts;
+use mdes_core::checksum::crc32c_parts;
 use std::io::{ErrorKind, Read, Write};
 use std::time::{Duration, Instant};
 
 /// Frame magic: "MDSV" (mdes serve).
 pub const MAGIC: [u8; 4] = *b"MDSV";
 /// Protocol version carried in every frame header.
-pub const VERSION: u16 = 2;
+pub const VERSION: u16 = 3;
 /// Header bytes before the payload: magic + version + kind + len + checksum.
-pub const HEADER_LEN: usize = 4 + 2 + 1 + 4 + 8;
+pub const HEADER_LEN: usize = 4 + 2 + 1 + 4 + 4;
 /// Default cap on the declared payload length (1 MiB). A frame declaring
 /// more is rejected with [`ProtoError::Oversized`] before any allocation.
 pub const DEFAULT_MAX_PAYLOAD: usize = 1 << 20;
 
-/// The frame checksum: FNV-1a over kind byte + length LE bytes + payload,
-/// so a single corrupted bit anywhere past the version field is caught
-/// (magic and version are validated by their own typed checks). A checksum
-/// over the payload alone would let a bit flip turn one valid kind byte
-/// into another undetected.
-fn frame_checksum(kind: u8, payload: &[u8]) -> u64 {
-    fnv1a_parts(&[&[kind], &(payload.len() as u32).to_le_bytes(), payload])
+/// The frame checksum: CRC-32C over kind byte + length LE bytes + payload,
+/// so any burst of up to 32 corrupted bits inside those bytes, or inside
+/// the checksum field, is caught (magic and version are validated by their
+/// own typed checks).
+/// A checksum over the payload alone would let a bit flip turn one valid
+/// kind byte into another undetected.
+fn frame_checksum(kind: u8, payload: &[u8]) -> u32 {
+    crc32c_parts(&[&[kind], &(payload.len() as u32).to_le_bytes(), payload])
 }
 
 /// Frame kinds. Values below 16 are client → server, 16 and up are
@@ -145,9 +147,9 @@ pub enum ProtoError {
     /// Received bytes do not hash to the declared checksum.
     ChecksumMismatch {
         /// Checksum the header declared.
-        expected: u64,
-        /// FNV-1a of the kind + length + payload actually received.
-        found: u64,
+        expected: u32,
+        /// CRC-32C of the kind + length + payload actually received.
+        found: u32,
     },
     /// The stream ended mid-frame.
     Truncated {
@@ -246,7 +248,7 @@ fn append_with(out: &mut Vec<u8>, kind: FrameKind, payload: impl FnOnce(&mut Vec
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
     out.push(kind as u8);
-    out.extend_from_slice(&[0; 12]);
+    out.extend_from_slice(&[0; 8]);
     payload(out);
     let (header, body) = out[start..].split_at_mut(HEADER_LEN);
     header[7..11].copy_from_slice(&(body.len() as u32).to_le_bytes());
@@ -389,7 +391,7 @@ pub fn read_frame(
             max: max_payload,
         });
     }
-    let checksum = u64::from_le_bytes(header[11..19].try_into().expect("8 bytes"));
+    let checksum = u32::from_le_bytes(header[11..15].try_into().expect("4 bytes"));
     let mut payload = vec![0u8; len];
     if len > 0 {
         match read_full(
@@ -457,12 +459,12 @@ mod tests {
 
     #[test]
     fn checksum_bytes_are_pinned() {
-        // FNV-1a over kind ‖ u32 LE length ‖ payload, as MDSV has always
-        // written it: the trailing 8 header bytes of a PushBatch "abc" frame.
+        // CRC-32C over kind ‖ u32 LE length ‖ payload, as MDSV v3 writes
+        // it: the trailing 4 header bytes of a PushBatch "abc" frame.
         let bytes = encode_frame(FrameKind::PushBatch, b"abc");
         assert_eq!(
-            bytes[HEADER_LEN - 8..HEADER_LEN],
-            0x0e90_13b1_78f6_b0dfu64.to_le_bytes()
+            bytes[HEADER_LEN - 4..HEADER_LEN],
+            0xB946_DC76u32.to_le_bytes()
         );
     }
 

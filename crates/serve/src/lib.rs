@@ -12,10 +12,10 @@
 //! Two planes:
 //!
 //! * **Ingest** ([`frame`], [`wire`]) — a length-prefixed binary protocol
-//!   (magic/version/kind/len/FNV-1a checksum, mirroring the MDCK/MDSN
+//!   (magic/version/kind/len/CRC-32C checksum, mirroring the MDCK/MDSN
 //!   checkpoint framing) carrying session open/close (JSON payloads),
 //!   batched pushes with explicit `Busy` backpressure, and bit-exact score
-//!   replies (fixed-width binary payloads, MDSV v2).
+//!   replies (fixed-width binary payloads, MDSV v3).
 //! * **Admin** (the `admin` module) — a line-based text plane: session listing,
 //!   stats, the mdes-obs report, forced eviction, validated snapshot
 //!   upload (`publish`) that hot-swaps the model without dropping

@@ -1,7 +1,8 @@
 //! Wire messages carried by the framed ingest plane, and their payload
 //! codecs ([`WireMsg`]).
 //!
-//! MDSV v2 has two payload encodings:
+//! MDSV has two payload encodings (since v2; v3 changed only the frame
+//! checksum):
 //!
 //! * the hot path, [`PushBatchReq`] and [`PushReply`], is fixed-width
 //!   little-endian binary, hand-coded in this module (layout below);

@@ -215,10 +215,12 @@ proptest! {
         }
     }
 
-    /// Flipping any single byte of a valid frame can never yield the
-    /// original frame back; it is either caught as a typed error or — only
-    /// when the flip stays inside the payload AND defeats the checksum
-    /// (impossible for FNV-1a over a single byte flip) — a different frame.
+    /// Flipping any single byte of a valid frame gives a typed error:
+    /// magic, version and kind have their own checks, a longer declared
+    /// length is a truncation, and every other flip that keeps the frame's
+    /// extent is an error burst of at most 8 bits, which CRC-32C always
+    /// catches (a shorter declared length changes the checksummed bytes
+    /// and slips past only with probability 2^-32).
     #[test]
     fn single_byte_corruption_is_caught(
         kind_sel in 0u8..=255,
@@ -259,7 +261,7 @@ proptest! {
         bytes.extend_from_slice(&mdes_serve::VERSION.to_le_bytes());
         bytes.push(any_kind(kind_sel) as u8);
         bytes.extend_from_slice(&declared.to_le_bytes());
-        bytes.extend_from_slice(&0u64.to_le_bytes());
+        bytes.extend_from_slice(&0u32.to_le_bytes());
         bytes.extend_from_slice(&tail);
         match decode(&bytes) {
             Err(ProtoError::Oversized { declared: d, max }) => {
@@ -267,6 +269,38 @@ proptest! {
                 prop_assert_eq!(max, MAX_PAYLOAD);
             }
             other => prop_assert!(false, "oversized declaration gave {:?}", other),
+        }
+    }
+
+    /// CRC-32C's burst guarantee, end to end: flipping any run of 1–32
+    /// consecutive bits (bit `i` of the frame is bit `i % 8` of byte
+    /// `i / 8`) anywhere after the version field always gives a typed
+    /// error. A run inside kind ‖ length ‖ payload or inside the checksum
+    /// field is a burst the CRC detects by construction; a run across the
+    /// checksum's edge changes both and is caught unless the two changes
+    /// cancel, which happens with probability 2^-32.
+    #[test]
+    fn burst_corruption_after_the_version_is_caught(
+        kind_sel in 0u8..=255,
+        payload in proptest::collection::vec(0u8..=255, 0..=256),
+        start_frac in 0.0f64..1.0,
+        burst in 1usize..=32,
+    ) {
+        let clean = encode_frame(any_kind(kind_sel), &payload);
+        let first = 6 * 8;
+        let starts = clean.len() * 8 - first - burst + 1;
+        let start = first + ((starts as f64) * start_frac) as usize % starts;
+        let mut dirty = clean.clone();
+        for bit in start..start + burst {
+            dirty[bit / 8] ^= 1 << (bit % 8);
+        }
+        match decode(&dirty) {
+            Err(_) => {} // typed rejection
+            other => prop_assert!(
+                false,
+                "{}-bit burst at bit {} of a {}-byte frame gave {:?}",
+                burst, start, clean.len(), other
+            ),
         }
     }
 
@@ -449,14 +483,17 @@ fn trailing_bytes_bad_utf8_and_unknown_tags_are_refused() {
     }
 }
 
-/// A protocol-v1 frame, which carried JSON push payloads, is refused with
-/// the version echoed back (plain test: exact value, no randomness needed).
+/// Protocol-v1 frames (JSON push payloads) and v2 frames (an 8-byte FNV-1a
+/// checksum) are refused with the version echoed back (plain test: exact
+/// values, no randomness needed).
 #[test]
 fn wrong_version_is_refused_with_the_version_echoed() {
-    let mut bytes = encode_msg(FrameKind::OpenSession, &OpenSessionReq { width: 1 });
-    bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
-    match decode(&bytes) {
-        Err(ProtoError::UnsupportedVersion(v)) => assert_eq!(v, 1),
-        other => panic!("got {other:?}"),
+    for version in [1u16, 2] {
+        let mut bytes = encode_msg(FrameKind::OpenSession, &OpenSessionReq { width: 1 });
+        bytes[4..6].copy_from_slice(&version.to_le_bytes());
+        match decode(&bytes) {
+            Err(ProtoError::UnsupportedVersion(v)) => assert_eq!(v, version),
+            other => panic!("v{version}: got {other:?}"),
+        }
     }
 }

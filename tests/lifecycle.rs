@@ -8,10 +8,11 @@
 //! refit worker pool mid-sweep and resumes it from per-shard MDCK
 //! checkpoints.
 
-use mdes::core::serve::{FrozenPairModel, GraphSnapshot, ServingEngine, StreamSession};
+use mdes::core::serve::{GraphSnapshot, ServingEngine, StreamSession};
 use mdes::core::{
     build_graph_sharded, CanaryConfig, CanaryDecision, CoreError, DriftMonitor, DriftPolicy,
-    GraphBuildConfig, Mdes, MdesConfig, OnlineDetection, ScoreDist, ShardedSweepConfig,
+    FrozenPairModel, GraphBuildConfig, Mdes, MdesConfig, OnlineDetection, ScoreDist,
+    ShardedSweepConfig,
 };
 use mdes::graph::ScoreRange;
 use mdes::lang::WindowConfig;

@@ -261,8 +261,8 @@ fn checkpoint_truncation_recovery_reports_through_obs() {
 
 #[test]
 fn serve_lifecycle_events_report_through_obs() {
-    use mdes::core::serve::{FrozenPairModel, GraphSnapshot, ServingEngine};
-    use mdes::core::{CanaryConfig, CanaryDecision};
+    use mdes::core::serve::{GraphSnapshot, ServingEngine};
+    use mdes::core::{CanaryConfig, CanaryDecision, FrozenPairModel};
 
     let dir = std::env::temp_dir().join(format!("mdes_obs_serve_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("tmp dir");

@@ -90,6 +90,15 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// payload. Kept as a read-compatibility fixture for the legacy reader.
 const NGRAM_PLANT_V2: &[u8] = include_bytes!("fixtures/ngram_plant_v2.mdsn");
 
+/// The same plant's artifact as the MDSN v3 writer produced it: the v4
+/// record under a 17-byte frame header with an FNV-1a checksum.
+const NGRAM_PLANT_V3: &[u8] = include_bytes!("fixtures/ngram_plant_v3.mdsn");
+
+/// File header bytes, then the v3 (FNV-1a) and v4 (CRC-32C) frame headers.
+const FILE_HEADER: usize = 16;
+const V3_FRAME_HEADER: usize = 17;
+const V4_FRAME_HEADER: usize = 13;
+
 /// Digest over every window's score bits and alerts.
 fn score_digest(result: &mdes::core::DetectionResult) -> (usize, u64) {
     let mut score_bytes = Vec::new();
@@ -111,9 +120,10 @@ fn score_digest(result: &mdes::core::DetectionResult) -> (usize, u64) {
 /// must never reach the artifact. The score digest pins Algorithm 2's
 /// decode and sentence BLEU, through the restored snapshot.
 ///
-/// Two byte pins: the v3 layout this build writes, and the v2 bytes the
-/// previous layout wrote for the same fit — committed as a fixture, which
-/// must still decode to the same artifact and the same scores.
+/// Three byte pins: the v4 layout this build writes, and the v3 and v2
+/// bytes earlier layouts wrote for the same fit — committed as fixtures,
+/// which must still decode to the same artifact and the same scores. v4
+/// changed only the frame checksum, so its record is v3's byte for byte.
 #[test]
 fn ngram_snapshot_bytes_and_scores_are_pinned() {
     let (m, plant) = fit_mdes(1, TranslatorConfig::fast());
@@ -133,22 +143,37 @@ fn ngram_snapshot_bytes_and_scores_are_pinned() {
             .detect_range(&plant.traces, plant.day_range(7))
             .expect("detect")
     );
-    // v3 pin.
-    assert_eq!((bytes.len(), fnv1a(&bytes)), (62142, 0xe0d5_fdcb_48ed_e9f8));
+    // v4 pin.
+    assert_eq!((bytes.len(), fnv1a(&bytes)), (62138, 0x09e4_8833_67c4_57bc));
     assert_eq!(score_digest(&result), (47, 0x9531_6a39_5802_9dda));
 
-    // v2 pin: the fixture is the parent layout's bytes, and it decodes to
-    // the artifact v3 encodes and to the same scores.
+    // v3 and v2 pins: the fixtures are earlier layouts' bytes, and each
+    // decodes to the artifact v4 encodes and to the same scores.
+    assert_eq!(
+        (NGRAM_PLANT_V3.len(), fnv1a(NGRAM_PLANT_V3)),
+        (62142, 0xe0d5_fdcb_48ed_e9f8)
+    );
+    assert_eq!(
+        bytes[FILE_HEADER + V4_FRAME_HEADER..],
+        NGRAM_PLANT_V3[FILE_HEADER + V3_FRAME_HEADER..],
+        "v4 carries the v3 record byte for byte"
+    );
     assert_eq!(
         (NGRAM_PLANT_V2.len(), fnv1a(NGRAM_PLANT_V2)),
         (62134, 0xce00_4e10_a181_86b0)
     );
-    let legacy = snapshot_from_bytes(NGRAM_PLANT_V2).expect("v2 decode");
-    assert_eq!(snapshot_to_bytes(&legacy).expect("encode"), bytes);
-    let legacy_result = legacy
-        .detect(&sets, legacy.detection(), &[])
-        .expect("detect");
-    assert_eq!(score_digest(&legacy_result), (47, 0x9531_6a39_5802_9dda));
+    for (tag, fixture) in [("v3", NGRAM_PLANT_V3), ("v2", NGRAM_PLANT_V2)] {
+        let legacy = snapshot_from_bytes(fixture).unwrap_or_else(|e| panic!("{tag}: {e}"));
+        assert_eq!(snapshot_to_bytes(&legacy).expect("encode"), bytes, "{tag}");
+        let legacy_result = legacy
+            .detect(&sets, legacy.detection(), &[])
+            .expect("detect");
+        assert_eq!(
+            score_digest(&legacy_result),
+            (47, 0x9531_6a39_5802_9dda),
+            "{tag}"
+        );
+    }
 }
 
 #[test]

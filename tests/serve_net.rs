@@ -11,6 +11,8 @@
 //!   `ServingEngine` scores (`f64::to_bits`, not approximate equality);
 //! - a session idle past the TTL is evicted and later pushes answer
 //!   `Gone`;
+//! - a daemon left idle counts its pump's empty rounds
+//!   (`serve.net.idle_rounds`);
 //! - a snapshot uploaded through the admin plane hot-swaps mid-stream
 //!   with the same windows-before/windows-after split as an in-process
 //!   `publish`, bit-exactly;
@@ -36,6 +38,7 @@ use mdes::net::{
     start, IngestClient, PushEntry, PushOutcome, ServeConfig, ServerHandle, WireDetection,
 };
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Duration;
 
 fn square(name: &str, n: usize, phase: usize) -> RawTrace {
@@ -346,6 +349,21 @@ fn zero_outbound_capacity_is_refused_at_start() {
 fn zero_pump_batch_is_refused_at_start() {
     // The pump would never claim a sample.
     assert_refused_at_start(|c| c.pump_batch = 0);
+}
+
+/// Every pump round that finds nothing to score is counted, so the cost of
+/// the pump's timed wait shows through `obs`. Other tests of this binary
+/// may record into the same recorder meanwhile; the counter only grows.
+#[test]
+fn an_idle_daemon_counts_its_pump_idle_rounds() {
+    let recorder = Arc::new(mdes::obs::Recorder::new());
+    mdes::obs::install(Arc::clone(&recorder));
+    let (server, _traces) = serve_fitted(test_config());
+    std::thread::sleep(Duration::from_millis(100));
+    let idle = recorder.counter_value("serve.net.idle_rounds");
+    server.stop();
+    mdes::obs::uninstall();
+    assert!(idle >= 1, "an idle daemon recorded {idle} idle pump rounds");
 }
 
 #[test]
