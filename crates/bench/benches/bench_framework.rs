@@ -1,16 +1,18 @@
 //! Framework-level benchmarks: n-gram pair training (the Algorithm 1 inner
 //! loop), the full pairwise sweep on a small plant, Algorithm 2 detection
-//! throughput, one serving engine round, and the frame checksum.
+//! throughput, one serving engine round, MDSN encode and decode of an
+//! n-gram snapshot, and the frame checksum.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mdes_core::checksum::crc32c_parts;
 use mdes_core::{
-    build_graph, DetectionConfig, GraphBuildConfig, GraphSnapshot, Mdes, MdesConfig, NgramConfig,
-    NgramTranslator, ServingEngine, StreamSession, TranslatorConfig,
+    build_graph, snapshot_from_bytes, snapshot_to_bytes, DetectionConfig, GraphBuildConfig,
+    GraphSnapshot, Mdes, MdesConfig, NgramConfig, NgramTranslator, ServingEngine, StreamSession,
+    TranslatorConfig,
 };
 use mdes_graph::ScoreRange;
 use mdes_lang::{LanguagePipeline, RawTrace, WindowConfig};
-use mdes_synth::plant::{generate, PlantConfig};
+use mdes_synth::plant::{generate, PlantConfig, PlantData};
 use std::hint::black_box;
 
 fn toggling(name: &str, n: usize, period: usize, phase: usize) -> RawTrace {
@@ -157,18 +159,9 @@ fn bench_nmt_dev_decode(c: &mut Criterion) {
     });
 }
 
-/// One `push_opt_many` round of the mdesbench `stream_ngram` engine: the
-/// 8-sensor plant, its window config and an n-gram snapshot (days 1–4
-/// train, 5–6 dev), and 256 sessions each streaming days 7–8 from its own
-/// offset. A round pushes the next sample of 83 of them (three groups of 83
-/// take turns) on one worker. Sessions are staggered by their warm-up, so
-/// 13 or 14 of a round's 83 complete a window. The `_distinct` variant
-/// suffixes every record with its stream position, so no record repeats
-/// within a window: the input without the repeats the session tables rely
-/// on.
-fn bench_serve_round(c: &mut Criterion) {
-    const SESSIONS: usize = 256;
-    const ROUND: usize = 83;
+/// The mdesbench `stream_ngram` plant (8 sensors) and its n-gram snapshot:
+/// its window config, days 1–4 train, 5–6 dev, every model valid.
+fn stream_ngram_snapshot() -> (PlantData, GraphSnapshot) {
     let plant = generate(&PlantConfig {
         n_sensors: 8,
         days: 8,
@@ -198,6 +191,21 @@ fn bench_serve_round(c: &mut Criterion) {
     )
     .expect("fit");
     let snapshot = GraphSnapshot::freeze(&m);
+    (plant, snapshot)
+}
+
+/// One `push_opt_many` round of the mdesbench `stream_ngram` engine: the
+/// [`stream_ngram_snapshot`], and 256 sessions each streaming days 7–8
+/// from its own offset. A round pushes the next sample of 83 of them (three
+/// groups of 83 take turns) on one worker. Sessions are staggered by their
+/// warm-up, so 13 or 14 of a round's 83 complete a window. The `_distinct`
+/// variant suffixes every record with its stream position, so no record
+/// repeats within a window: the input without the repeats the session
+/// tables rely on.
+fn bench_serve_round(c: &mut Criterion) {
+    const SESSIONS: usize = 256;
+    const ROUND: usize = 83;
+    let (plant, snapshot) = stream_ngram_snapshot();
     let width = plant.traces.len();
     for (name, distinct) in [
         ("framework/serve_round_ngram", false),
@@ -238,6 +246,20 @@ fn bench_serve_round(c: &mut Criterion) {
             })
         });
     }
+}
+
+/// MDSN encode and decode of the [`stream_ngram_snapshot`] (56 pair
+/// models): the artifact a daemon start, `publish`, canary or hot-swap
+/// loads.
+fn bench_snapshot(c: &mut Criterion) {
+    let (_, snapshot) = stream_ngram_snapshot();
+    let bytes = snapshot_to_bytes(&snapshot).expect("encode");
+    c.bench_function("snapshot/encode_ngram", |b| {
+        b.iter(|| black_box(snapshot_to_bytes(black_box(&snapshot)).expect("encode")))
+    });
+    c.bench_function("snapshot/decode_ngram", |b| {
+        b.iter(|| black_box(snapshot_from_bytes(black_box(&bytes)).expect("decode")))
+    });
 }
 
 /// The 64-bit FNV-1a that MDSN v1–v3, MDCK v1–v4 and MDSV v2 frames
@@ -281,6 +303,7 @@ criterion_group!(
     bench_detection,
     bench_nmt_dev_decode,
     bench_serve_round,
+    bench_snapshot,
     bench_checksum
 );
 criterion_main!(benches);

@@ -11,14 +11,14 @@
 //! so it does not matter whether its model came from the checkpoint or a
 //! fresh run.
 //!
-//! # Frames and records (shared by MDCK v5 and MDSN v4)
+//! # Frames and records (shared by MDCK v6 and MDSN v5)
 //!
 //! Both file types are a 16-byte header followed by checksummed frames:
 //!
 //! ```text
 //! header:
 //!   magic        4 bytes   b"MDCK" (sweep checkpoint) or b"MDSN" (snapshot)
-//!   version      4 bytes   u32 LE: MDCK 5, MDSN 4
+//!   version      4 bytes   u32 LE: MDCK 6, MDSN 5
 //!   word         8 bytes   u64 LE: MDCK sweep fingerprint, MDSN zero
 //! frame (repeated):
 //!   kind         1 byte    0 = [FrozenPairModel, runtime_secs],
@@ -32,16 +32,19 @@
 //!   section      rest      raw little-endian tensor bytes
 //! ```
 //!
-//! Weight tensors never pass through JSON text. Every packed tensor node
+//! No bulk numeric array passes through JSON text. Every packed tensor node
 //! ([`serde::Content::Tensor`]: `Matrix` data, f16/int8 weights, int8
-//! scales) is lifted into the section, and the JSON header holds a reference
-//! in its place: `{"$tensor":{"offset":…,"dtype":"f32","shape":[…]}}`.
+//! scales, an n-gram pair model's `u32` count tables) is lifted into the
+//! section, and the JSON header holds a reference in its place:
+//! `{"$tensor":{"offset":…,"dtype":"f32","shape":[…]}}`.
 //! References appear in the order their bytes are laid out, back to back,
 //! and together cover the section exactly. The reader bounds-checks every
 //! reference (`offset + dtype size × shape` with overflow-checked
 //! arithmetic, against the section end and the previous reference) before
 //! it slices; the model types then check dtype and shape against their own
-//! declared dimensions, and reject non-finite f16 weights and int8 scales.
+//! declared dimensions, and reject non-finite f16 weights and int8 scales
+//! and malformed count tables (row ends out of order or past the arrays,
+//! keys or words out of order or repeated, zero counts).
 //! The checksum ([`crc32c_parts`]) covers the kind and length bytes too, so
 //! a flip anywhere in a frame is damage, not a different frame; every error
 //! burst of up to 32 bits inside kind ‖ length ‖ payload is caught.
@@ -67,7 +70,8 @@
 //! mismatch is rejected when the writer opens. Checkpoints are transient
 //! sweep state, so files of older versions are refused, not converted: v1
 //! and v2 had other framings, v3 model frames held another model record,
-//! and v4 frames carried an 8-byte FNV-1a checksum.
+//! v4 frames carried an 8-byte FNV-1a checksum, and v5 n-gram model records
+//! held their counts as JSON maps.
 //!
 //! # MDSN: all-or-nothing
 //!
@@ -76,11 +80,14 @@
 //! exactly one kind-2 frame holding the [`GraphSnapshot`] record, and
 //! nothing after it. It is deployed whole or not at all: any damage,
 //! including trailing bytes, is a typed [`CoreError::Checkpoint`] error.
-//! Versions 1–3 are still read, by a version-gated legacy path. Their frame
-//! header ends in an 8-byte FNV-1a checksum (17 bytes, not 13). Versions 1
-//! and 2 hold one JSON payload whose checksum covers the payload only (v2
-//! adds the optional quantization record); v3 holds the record above, with
-//! the checksum over kind ‖ length ‖ payload.
+//! Versions 1–4 are still read. Versions 1–3 go through a version-gated
+//! legacy path: their frame header ends in an 8-byte FNV-1a checksum (17
+//! bytes, not 13). Versions 1 and 2 hold one JSON payload whose checksum
+//! covers the payload only (v2 adds the optional quantization record); v3
+//! holds the record above, with the checksum over kind ‖ length ‖ payload.
+//! v4 is framed as v5 is. In v1–v4 an n-gram pair model holds its counts as
+//! nested JSON maps; the n-gram reader converts them once into the packed
+//! tables, so a legacy artifact decodes to the model a v5 one does.
 
 use crate::algorithm1::QuarantinedPair;
 use crate::checksum::{crc32c_parts, fnv1a_parts};
@@ -93,7 +100,7 @@ use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 4] = b"MDCK";
-const VERSION: u32 = 5;
+const VERSION: u32 = 6;
 const HEADER_LEN: usize = 4 + 4 + 8;
 /// kind + length + CRC-32C.
 const FRAME_HEADER_LEN: usize = 1 + 8 + 4;
@@ -105,7 +112,9 @@ const KIND_QUARANTINED: u8 = 1;
 
 const SNAP_MAGIC: &[u8; 4] = b"MDSN";
 /// Current snapshot layout: one sectioned record (see the module docs).
-const SNAP_VERSION: u32 = 4;
+const SNAP_VERSION: u32 = 5;
+/// Oldest snapshot layout framed with CRC-32C, as the current one is.
+const SNAP_CRC_VERSION: u32 = 4;
 /// Oldest snapshot layout still read: versions 1 and 2 are one JSON
 /// payload; v2 may carry a `quant` calibration record, v1 never does.
 const SNAP_MIN_VERSION: u32 = 1;
@@ -398,7 +407,7 @@ fn write_atomically(path: &Path, bytes: &[u8]) -> Result<(), CoreError> {
         .map_err(|e| ckpt_err(path, format!("directory sync failed: {e}")))
 }
 
-/// Atomically writes `data` to `path` as a whole MDCK v5 file (tmp file +
+/// Atomically writes `data` to `path` as a whole MDCK v6 file (tmp file +
 /// rename): the header, then the models, then the quarantined pairs, one
 /// frame each. Sweeps append instead (see `CheckpointWriter`); this is
 /// for tools and tests that hold a whole checkpoint in memory.
@@ -434,7 +443,7 @@ pub fn write_checkpoint(path: &Path, data: &CheckpointData) -> Result<(), CoreEr
 ///
 /// Returns [`CoreError::Checkpoint`] only if the file cannot be read, the
 /// 16-byte header is malformed (bad magic, short file, a version other than
-/// 5), or a checksum-valid record fails to decode — the latter is a codec
+/// 6), or a checksum-valid record fails to decode — the latter is a codec
 /// bug, not file damage, so recovery would hide it.
 pub fn read_checkpoint(path: &Path) -> Result<CheckpointData, CoreError> {
     let bytes = fs::read(path).map_err(|e| ckpt_err(path, format!("read failed: {e}")))?;
@@ -508,7 +517,7 @@ fn scan_checkpoint(bytes: &[u8]) -> Result<(CheckpointData, usize), CoreError> {
     Ok((data, offset))
 }
 
-/// An open MDCK v5 checkpoint that a sweep appends finished pairs to.
+/// An open MDCK v6 checkpoint that a sweep appends finished pairs to.
 ///
 /// Frames are queued in memory and written, flushed and fsynced every
 /// `every` frames (`CheckpointWriter::append`) and at the end
@@ -539,7 +548,7 @@ impl CheckpointWriter {
     /// # Errors
     ///
     /// Returns [`CoreError::Checkpoint`] if the file cannot be read, created
-    /// or opened for writing, is not a v5 checkpoint, or belongs to a
+    /// or opened for writing, is not a v6 checkpoint, or belongs to a
     /// different sweep (fingerprint mismatch).
     pub(crate) fn open(
         cfg: &CheckpointConfig,
@@ -645,7 +654,7 @@ impl CheckpointWriter {
 // --- MDSN ------------------------------------------------------------------
 
 /// Atomically writes a frozen serving artifact to `path` (tmp file +
-/// rename) in the MDSN v4 layout of [`snapshot_to_bytes`].
+/// rename) in the MDSN v5 layout of [`snapshot_to_bytes`].
 ///
 /// Unlike sweep checkpoints, a serving artifact is all-or-nothing — there
 /// is no meaningful prefix to recover — so [`read_snapshot`] rejects any
@@ -661,7 +670,7 @@ pub fn write_snapshot(path: &Path, snapshot: &GraphSnapshot) -> Result<(), CoreE
     write_atomically(path, &bytes)
 }
 
-/// Reads a serving artifact written by [`write_snapshot`] (MDSN v1–v4).
+/// Reads a serving artifact written by [`write_snapshot`] (MDSN v1–v5).
 ///
 /// # Errors
 ///
@@ -678,7 +687,7 @@ pub fn read_snapshot(path: &Path) -> Result<GraphSnapshot, CoreError> {
     snapshot_from_bytes(&bytes).map_err(at_path(path))
 }
 
-/// Encodes a frozen serving artifact into the MDSN v4 byte layout used by
+/// Encodes a frozen serving artifact into the MDSN v5 byte layout used by
 /// [`write_snapshot`] — for transports other than the filesystem (e.g. a
 /// snapshot uploaded over a daemon's admin plane).
 ///
@@ -694,14 +703,14 @@ pub fn snapshot_to_bytes(snapshot: &GraphSnapshot) -> Result<Vec<u8>, CoreError>
     Ok(bytes)
 }
 
-/// Decodes a serving artifact from the MDSN byte layout (v4, or a legacy
-/// v1–v3 frame); the in-memory counterpart of [`read_snapshot`], with the
+/// Decodes a serving artifact from the MDSN byte layout (v5, v4, or a
+/// legacy v1–v3 frame); the in-memory counterpart of [`read_snapshot`], with the
 /// same all-or-nothing damage policy.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::Checkpoint`] (with an empty path) on any damage:
-/// bad magic, unknown version, a non-zero reserved word (v3 and v4), truncation,
+/// bad magic, unknown version, a non-zero reserved word (v3 and later), truncation,
 /// checksum mismatch, bytes after the frame, a malformed tensor reference,
 /// or a record the snapshot types reject; and
 /// [`CoreError::IncompatibleSnapshot`] for an intact record whose pair
@@ -726,7 +735,7 @@ fn decode_snapshot(bytes: &[u8]) -> Result<GraphSnapshot, CoreError> {
             "snapshot reserved word is {word:#x}, not zero"
         )));
     }
-    if version < SNAP_VERSION {
+    if version < SNAP_CRC_VERSION {
         return legacy_snapshot(bytes, version).map_err(err);
     }
     let (kind, payload, end) =
@@ -944,7 +953,7 @@ mod tests {
         out
     }
 
-    /// Splits MDSN v4 bytes into the record's parsed JSON header and its
+    /// Splits MDSN v5 bytes into the record's parsed JSON header and its
     /// tensor section.
     fn split_record(bytes: &[u8]) -> (Content, Vec<u8>) {
         let (_, payload, _) = read_frame(bytes, HEADER_LEN).expect("frame");
@@ -956,8 +965,16 @@ mod tests {
         )
     }
 
+    /// `bytes` with the file header's version set to `version`: the frame
+    /// checksum does not cover the file header, so v5 bytes relabelled 4
+    /// are a valid v4 file.
+    fn with_version(mut bytes: Vec<u8>, version: u32) -> Vec<u8> {
+        bytes[4..8].copy_from_slice(&version.to_le_bytes());
+        bytes
+    }
+
     /// Seals a (possibly crafted) record — raw JSON bytes and section — as
-    /// MDSN v4 bytes with a valid checksum, so the decoder itself, not the
+    /// MDSN v5 bytes with a valid checksum, so the decoder itself, not the
     /// checksum, must catch the damage.
     fn seal_raw(json: &[u8], section: &[u8]) -> Vec<u8> {
         let mut out = Vec::new();
@@ -1129,9 +1146,10 @@ mod tests {
         std::fs::write(&path, b"definitely not a checkpoint").expect("write");
         assert!(is_ckpt_err(&read_checkpoint(&path)));
         // Version 1 (one payload), version 2 (JSON frames), version 3
-        // (the old model record) and version 4 (FNV-1a frames) files must
-        // be refused with a typed error, not misparsed as v5 frames.
-        for version in [1u32, 2, 3, 4] {
+        // (the old model record), version 4 (FNV-1a frames) and version 5
+        // (n-gram counts as JSON maps) files must be refused with a typed
+        // error, not misparsed as v6 frames.
+        for version in [1u32, 2, 3, 4, 5] {
             let mut old = Vec::new();
             push_header(&mut old, MAGIC, version, 7);
             old.extend_from_slice(&[0u8; LEGACY_FRAME_HEADER_LEN]);
@@ -1346,7 +1364,11 @@ mod tests {
             ("v1", legacy_bytes(&snap, 1)),
             ("v2", legacy_bytes(&snap, 2)),
             ("v3", legacy_bytes(&snap, 3)),
-            ("v4", snapshot_to_bytes(&snap).expect("encode")),
+            (
+                "v4",
+                with_version(snapshot_to_bytes(&snap).expect("encode"), 4),
+            ),
+            ("v5", snapshot_to_bytes(&snap).expect("encode")),
         ] {
             snapshot_from_bytes(&bytes).unwrap_or_else(|e| panic!("{tag}: {e}"));
             let mut junk = bytes.clone();
@@ -1374,17 +1396,18 @@ mod tests {
             snapshot_to_bytes(&quant).expect("encode"),
             "a legacy int8 artifact decodes to the same weights"
         );
-        // v3 holds the v4 record under an FNV-1a frame: it decodes to the
-        // same artifact, and v4 carries its payload byte for byte.
+        // v3 holds the v5 record of a neural artifact under an FNV-1a frame:
+        // it decodes to the same artifact, and v5 carries its payload byte
+        // for byte.
         let v3_bytes = legacy_bytes(&quant, 3);
-        let v4_bytes = snapshot_to_bytes(&quant).expect("encode");
+        let v5_bytes = snapshot_to_bytes(&quant).expect("encode");
         let v3 = snapshot_from_bytes(&v3_bytes).expect("v3 read");
-        assert_eq!(snapshot_to_bytes(&v3).expect("encode"), v4_bytes);
+        assert_eq!(snapshot_to_bytes(&v3).expect("encode"), v5_bytes);
         assert_eq!(
             v3_bytes[HEADER_LEN + LEGACY_FRAME_HEADER_LEN..],
-            v4_bytes[HEADER_LEN + FRAME_HEADER_LEN..]
+            v5_bytes[HEADER_LEN + FRAME_HEADER_LEN..]
         );
-        assert_eq!(v3_bytes.len(), v4_bytes.len() + 4);
+        assert_eq!(v3_bytes.len(), v5_bytes.len() + 4);
         let mut bytes = snapshot_to_bytes(&snap).expect("encode");
         bytes[4..8].copy_from_slice(&(SNAP_VERSION + 1).to_le_bytes());
         assert!(is_ckpt_err(&snapshot_from_bytes(&bytes)));
@@ -1424,11 +1447,11 @@ mod tests {
 
     #[test]
     fn snapshot_reader_rejects_every_truncation_and_byte_flip() {
-        let (f32_snap, int8_snap) = (frozen_snapshot(), quantized_snapshot());
+        let (ngram_snap, int8_snap) = (frozen_snapshot(), quantized_snapshot());
         for (tag, bytes) in [
-            ("f32", snapshot_to_bytes(&f32_snap).expect("encode")),
+            ("ngram", snapshot_to_bytes(&ngram_snap).expect("encode")),
             ("int8", snapshot_to_bytes(&int8_snap).expect("encode")),
-            ("v3 f32", legacy_bytes(&f32_snap, 3)),
+            ("v3 ngram", legacy_bytes(&ngram_snap, 3)),
         ] {
             // Every possible truncation: length checks catch all of them
             // before any payload work, so the full sweep is cheap.
@@ -1654,6 +1677,122 @@ mod tests {
         for (name, bytes, edit) in &cases {
             let r = craft(bytes, edit.as_ref());
             assert!(is_ckpt_err(&r), "{name}: {:?}", r.map(|_| ()));
+        }
+    }
+
+    /// Crafted, checksum-valid n-gram count tables: each must end in a typed
+    /// error naming the table or the tensor, never a panic or an
+    /// out-of-bounds slice in decode.
+    #[test]
+    fn crafted_ngram_count_tables_are_rejected() {
+        type RefEdit = dyn Fn(&mut Vec<(String, Content)>, &mut Vec<u8>);
+        let bytes = snapshot_to_bytes(&frozen_snapshot()).expect("encode");
+        let craft = |edit: &RefEdit| {
+            let (mut header, mut section) = split_record(&bytes);
+            // One `counts` tensor per pair model; edit the first.
+            let first = tensor_refs(&mut header)
+                .into_iter()
+                .next()
+                .expect("a tensor");
+            edit(first, &mut section);
+            snapshot_from_bytes(&seal(&header, &section))
+        };
+        // Edits the first model's packed words. They start with the
+        // preamble (channel rows and entries, then the marginal's and the
+        // bigram's); `f` gets them and the word indices of the channel's
+        // row ends and counts.
+        fn words(f: impl Fn(&mut [u32], usize, usize) + 'static) -> Box<RefEdit> {
+            Box::new(move |r, s| {
+                let at: usize = get(r, "offset");
+                let n = get::<Vec<usize>>(r, "shape")[0];
+                let bytes = &mut s[at..at + 4 * n];
+                let mut w: Vec<u32> = bytes
+                    .chunks_exact(4)
+                    .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
+                    .collect();
+                let (rows, entries) = (w[0] as usize, w[1] as usize);
+                let ends = 6 + 2 * rows;
+                f(&mut w, ends, ends + rows + entries);
+                for (c, v) in bytes.chunks_exact_mut(4).zip(&w) {
+                    c.copy_from_slice(&v.to_le_bytes());
+                }
+            })
+        }
+        assert!(craft(&|_, _| {}).is_ok(), "an unedited re-seal decodes");
+        let cases: Vec<(&str, &str, Box<RefEdit>)> = vec![
+            (
+                "decreasing row end",
+                "`channel` row ends decrease at row 1",
+                words(|w, ends, _| w[ends + 1] = w[ends] - 1),
+            ),
+            (
+                "row end past the array",
+                "`channel` row 0 ends at",
+                words(|w, ends, _| w[ends] = w[1] + 1),
+            ),
+            (
+                "unsorted key",
+                "`channel` keys do not strictly increase at row 1",
+                words(|w, _, _| {
+                    w.swap(6, 8);
+                    w.swap(7, 9);
+                }),
+            ),
+            (
+                "duplicate key",
+                "`channel` keys do not strictly increase at row 1",
+                words(|w, _, _| {
+                    w[8] = w[6];
+                    w[9] = w[7];
+                }),
+            ),
+            (
+                "zero count",
+                "`channel` entry 0 has a zero count",
+                words(|w, _, counts| w[counts] = 0),
+            ),
+            (
+                "preamble disagrees with the tensor length",
+                "lays out",
+                words(|w, _, _| w[1] += 1),
+            ),
+            (
+                "f32 dtype where u32 belongs",
+                "`counts` tensor has element type f32",
+                Box::new(|r, _| set(r, "dtype", "f32".to_content())),
+            ),
+            (
+                "shape mismatch",
+                "`counts` tensor has shape",
+                Box::new(|r, _| {
+                    let shape: Vec<usize> = get(r, "shape");
+                    assert!(shape[0].is_multiple_of(2), "an even word count");
+                    set(r, "shape", vec![shape[0] / 2, 2].to_content());
+                }),
+            ),
+        ];
+        for (name, want, edit) in &cases {
+            match craft(edit.as_ref()) {
+                Err(CoreError::Checkpoint { detail, .. }) => {
+                    assert!(detail.contains(want), "{name}: {detail}");
+                }
+                other => panic!("{name}: {:?}", other.map(|_| ())),
+            }
+        }
+    }
+
+    /// Reporting a decoded snapshot's footprint (the admin `stats` verb)
+    /// must not build the decode tables of models serving never decodes.
+    #[test]
+    fn approx_bytes_of_a_decoded_snapshot_builds_no_decode_tables() {
+        let bytes = snapshot_to_bytes(&frozen_snapshot()).expect("encode");
+        let snap = snapshot_from_bytes(&bytes).expect("decode");
+        assert!(snap.approx_bytes() > 0);
+        for m in snap.models() {
+            let FrozenTranslator::Ngram(t) = m.translator() else {
+                panic!("an n-gram snapshot");
+            };
+            assert!(!t.decode_tables_built(), "({}, {})", m.src, m.dst);
         }
     }
 

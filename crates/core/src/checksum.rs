@@ -1,7 +1,7 @@
 //! Frame checksums.
 //!
 //! [`crc32c_parts`] is the one checksum of every framed format in the
-//! workspace: MDCK v5 and MDSN v4 frames (`crate::checkpoint`) and the
+//! workspace: MDCK v6 and MDSN v4–v5 frames (`crate::checkpoint`) and the
 //! `mdes-serve` MDSV v3 frames. It is CRC-32C (Castagnoli: reflected
 //! polynomial `0x82F63B78`, initial value and final XOR `0xFFFFFFFF`), the
 //! record checksum of iSCSI (RFC 3720) and of LevelDB/RocksDB logs.

@@ -16,7 +16,7 @@
 
 use crate::error::CoreError;
 use mdes_nn::{InferArena, ModelSpec, QuantMode, QuantReport, Seq2Seq, Seq2SeqConfig};
-use serde::{Deserialize, Serialize};
+use serde::{Content, DeError, Deserialize, Serialize, Tensor};
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
@@ -129,31 +129,302 @@ impl Default for NgramConfig {
 /// (channel) and `P(tgt | prev_tgt)` (language model), both with additive
 /// smoothing; decoding is greedy left-to-right.
 ///
-/// The serialized form is the count tables alone. Decoding runs on
-/// lookup tables derived from them on first use, so the artifact bytes
-/// do not depend on them and loading an artifact does not pay for them.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// The model is its three count tables, each held as flat sorted `u32`
+/// arrays; they serialize as one packed `u32` tensor (`counts`)
+/// next to `cfg` and `tgt_len`, so an MDSN record carries them in its raw
+/// section. Decoding runs on lookup tables derived from the counts on
+/// first use, so the artifact bytes do not depend on them and loading an
+/// artifact does not pay for them.
+#[derive(Clone, Debug)]
 pub struct NgramTranslator {
     cfg: NgramConfig,
-    /// channel[p][src] -> target counts at position p.
-    channel: Vec<HashMap<u32, HashMap<u32, u32>>>,
-    /// Position marginals of target words.
-    marginal: Vec<HashMap<u32, u32>>,
-    /// Top fallback candidates per position (most frequent first, then by
-    /// id), capped at `cfg.fallback_beam`.
-    marginal_top: Vec<Vec<u32>>,
-    /// Top channel candidates per (position, source word), capped at
-    /// `cfg.fallback_beam` (decode-time beam).
-    channel_top: Vec<HashMap<u32, Vec<u32>>>,
-    /// Target bigram counts.
-    bigram: HashMap<u32, HashMap<u32, u32>>,
+    /// Target counts per (position, source word at the aligned position).
+    channel: CountTable<2>,
+    /// Target counts per position: one row for each of `0..tgt_len`.
+    marginal: CountTable<1>,
+    /// Target counts per previous target word.
+    bigram: CountTable<1>,
     tgt_len: usize,
-    #[serde(skip)]
     tables: OnceLock<DecodeTables>,
 }
 
-/// A run of `(word, log-score)` entries in one of [`DecodeTables`]' flat
-/// arrays.
+/// A sorted count table: rows keyed by `W` words, each holding
+/// `(word, count)` entries.
+///
+/// Keys strictly increase, words strictly increase within a row, and every
+/// count is non-zero. Row `r` holds entries `ends[r - 1]..ends[r]` (from 0
+/// for the first row) of `words` and `counts`.
+#[derive(Clone, Debug, Default)]
+struct CountTable<const W: usize> {
+    keys: Vec<[u32; W]>,
+    ends: Vec<u32>,
+    words: Vec<u32>,
+    counts: Vec<u32>,
+}
+
+impl<const W: usize> CountTable<W> {
+    /// The table of `(key, word, count)` observations sorted by key, then
+    /// word, summing the counts of repeated `(key, word)` pairs.
+    fn from_sorted(seen: impl IntoIterator<Item = ([u32; W], u32, u32)>) -> Self {
+        let mut t = Self::default();
+        for (key, word, count) in seen {
+            if t.keys.last() != Some(&key) {
+                t.keys.push(key);
+                t.ends.push(t.words.len() as u32);
+            } else if t.words.last() == Some(&word) {
+                *t.counts.last_mut().expect("a counted entry") += count;
+                continue;
+            }
+            t.words.push(word);
+            t.counts.push(count);
+            *t.ends.last_mut().expect("a row") += 1;
+        }
+        t
+    }
+
+    /// The table of single `(key, word)` observations, each packed into one
+    /// integer: the key's words, most significant first, above the word.
+    /// Integers sort several times faster than tuples, and the sort is most
+    /// of [`NgramTranslator::fit`].
+    fn from_packed<T: Copy + Ord + Into<u128>>(mut seen: Vec<T>) -> Self {
+        seen.sort_unstable();
+        Self::from_sorted(seen.into_iter().map(|v| {
+            let v: u128 = v.into();
+            let key = std::array::from_fn(|i| (v >> (32 * (W - i))) as u32);
+            (key, v as u32, 1)
+        }))
+    }
+
+    /// The row keyed `key`.
+    fn row(&self, key: [u32; W]) -> Option<usize> {
+        self.keys.binary_search(&key).ok()
+    }
+
+    /// The entry indices of row `r`.
+    fn span(&self, r: usize) -> std::ops::Range<usize> {
+        let start = r.checked_sub(1).map_or(0, |p| self.ends[p] as usize);
+        start..self.ends[r] as usize
+    }
+
+    /// The words and counts of row `r`.
+    fn entries(&self, r: usize) -> (&[u32], &[u32]) {
+        let span = self.span(r);
+        (&self.words[span.clone()], &self.counts[span])
+    }
+
+    /// Row and entry counts: the table's two words in the packed preamble.
+    fn sizes(&self) -> [u32; 2] {
+        [self.keys.len() as u32, self.words.len() as u32]
+    }
+
+    /// `keys ‖ ends ‖ words ‖ counts`, appended to `out`.
+    fn pack_into(&self, out: &mut Vec<u32>) {
+        out.extend(self.keys.iter().flatten());
+        out.extend_from_slice(&self.ends);
+        out.extend_from_slice(&self.words);
+        out.extend_from_slice(&self.counts);
+    }
+
+    /// Takes a table of `rows` rows and `entries` entries off the front of
+    /// `packed` (the caller has checked that it is long enough).
+    fn unpack(packed: &mut &[u32], [rows, entries]: [usize; 2]) -> Self {
+        let mut take = |n: usize| {
+            let (head, rest) = packed.split_at(n);
+            *packed = rest;
+            head
+        };
+        let keys = take(rows * W)
+            .chunks_exact(W)
+            .map(|k| k.try_into().expect("W words"))
+            .collect();
+        Self {
+            keys,
+            ends: take(rows).to_vec(),
+            words: take(entries).to_vec(),
+            counts: take(entries).to_vec(),
+        }
+    }
+
+    /// Checks the table's invariants; the error names the table `name`.
+    fn check(&self, name: &str) -> Result<(), String> {
+        if let Some(r) = (1..self.keys.len()).find(|&r| self.keys[r - 1] >= self.keys[r]) {
+            return Err(format!(
+                "n-gram `{name}` keys do not strictly increase at row {r}"
+            ));
+        }
+        let mut start = 0;
+        for (r, &end) in self.ends.iter().enumerate() {
+            let end = end as usize;
+            if end < start {
+                return Err(format!("n-gram `{name}` row ends decrease at row {r}"));
+            }
+            if end > self.words.len() {
+                return Err(format!(
+                    "n-gram `{name}` row {r} ends at {end}, past its {} entries",
+                    self.words.len()
+                ));
+            }
+            if let Some(i) = (start + 1..end).find(|&i| self.words[i - 1] >= self.words[i]) {
+                return Err(format!(
+                    "n-gram `{name}` words do not strictly increase in row {r} at entry {i}"
+                ));
+            }
+            start = end;
+        }
+        if start != self.words.len() {
+            return Err(format!(
+                "n-gram `{name}` rows cover {start} of its {} entries",
+                self.words.len()
+            ));
+        }
+        if let Some(i) = self.counts.iter().position(|&c| c == 0) {
+            return Err(format!("n-gram `{name}` entry {i} has a zero count"));
+        }
+        Ok(())
+    }
+
+    /// Words the table packs into.
+    fn packed_len(&self) -> usize {
+        self.keys.len() * W + self.ends.len() + self.words.len() + self.counts.len()
+    }
+}
+
+/// Sum of a row's counts. Integer sums below 2^53 are exact in `f64`, so
+/// this is the value any summation order of the counts as `f64` gives.
+fn total(counts: &[u32]) -> f64 {
+    counts.iter().map(|&c| u64::from(c)).sum::<u64>() as f64
+}
+
+/// Words of the packed `counts` tensor ahead of the tables: the row and
+/// entry counts of `channel`, `marginal` and `bigram`.
+const PREAMBLE: usize = 6;
+
+/// The n-gram record as MDSN v1–v4 wrote it: nested count maps (object
+/// keys are words in decimal), plus candidate beams that are now derived
+/// on load and not read here.
+#[derive(Deserialize)]
+struct LegacyCounts {
+    channel: Vec<HashMap<u32, HashMap<u32, u32>>>,
+    marginal: Vec<HashMap<u32, u32>>,
+    bigram: HashMap<u32, HashMap<u32, u32>>,
+}
+
+impl Serialize for NgramTranslator {
+    /// `{cfg, tgt_len, counts}`, with `counts` one packed `u32` tensor:
+    /// the preamble, then each table's keys, row ends, words and counts.
+    fn to_content(&self) -> Content {
+        let (c, m, b) = (&self.channel, &self.marginal, &self.bigram);
+        let len = PREAMBLE + c.packed_len() + m.packed_len() + b.packed_len();
+        let mut packed = Vec::with_capacity(len);
+        packed.extend(c.sizes().into_iter().chain(m.sizes()).chain(b.sizes()));
+        c.pack_into(&mut packed);
+        m.pack_into(&mut packed);
+        b.pack_into(&mut packed);
+        Content::Map(vec![
+            ("cfg".to_owned(), self.cfg.to_content()),
+            ("tgt_len".to_owned(), self.tgt_len.to_content()),
+            (
+                "counts".to_owned(),
+                Tensor::from_u32(vec![packed.len()], &packed).into(),
+            ),
+        ])
+    }
+}
+
+impl Deserialize for NgramTranslator {
+    /// Reads the packed `counts` tensor, or converts a legacy record's
+    /// count maps; either way every table invariant is checked here, so
+    /// decoding never meets a malformed table.
+    fn from_content(content: &Content) -> Result<Self, DeError> {
+        let cfg = serde::__field(content, "cfg")?;
+        let tgt_len = serde::__field(content, "tgt_len")?;
+        let Content::Map(fields) = content else {
+            return Err(DeError::mismatch("object", content));
+        };
+        let (channel, marginal, bigram) = match fields.iter().find(|(k, _)| k == "counts") {
+            Some((_, counts)) => {
+                let len = match counts {
+                    Content::Tensor(t) => t.shape().iter().product(),
+                    Content::Seq(items) => items.len(),
+                    _ => 0,
+                };
+                let packed = serde::tensor_field(content, "counts", &[len], Tensor::to_u32)?;
+                unpack_counts(&packed).map_err(DeError::custom)?
+            }
+            None if fields.iter().any(|(k, _)| k == "channel") => {
+                LegacyCounts::from_content(content)?.into_tables()
+            }
+            None => return Err(DeError::missing_field("counts")),
+        };
+        let t = Self {
+            cfg,
+            channel,
+            marginal,
+            bigram,
+            tgt_len,
+            tables: OnceLock::new(),
+        };
+        t.check().map_err(DeError::custom)?;
+        Ok(t)
+    }
+}
+
+impl LegacyCounts {
+    /// The same counts as sorted tables (not yet checked: a legacy count
+    /// may be zero).
+    fn into_tables(self) -> (CountTable<2>, CountTable<1>, CountTable<1>) {
+        fn table<const W: usize>(
+            seen: impl Iterator<Item = ([u32; W], u32, u32)>,
+        ) -> CountTable<W> {
+            let mut seen: Vec<_> = seen.collect();
+            seen.sort_unstable();
+            CountTable::from_sorted(seen)
+        }
+        let channel = self.channel.iter().enumerate().flat_map(|(p, at)| {
+            at.iter()
+                .flat_map(move |(&src, m)| m.iter().map(move |(&w, &c)| ([p as u32, src], w, c)))
+        });
+        let marginal = (self.marginal.iter().enumerate())
+            .flat_map(|(p, m)| m.iter().map(move |(&w, &c)| ([p as u32], w, c)));
+        let bigram = (self.bigram.iter())
+            .flat_map(|(&prev, m)| m.iter().map(move |(&w, &c)| ([prev], w, c)));
+        (table(channel), table(marginal), table(bigram))
+    }
+}
+
+/// Splits the packed `counts` tensor into its three tables, checking the
+/// preamble against the tensor's length first.
+fn unpack_counts(packed: &[u32]) -> Result<(CountTable<2>, CountTable<1>, CountTable<1>), String> {
+    let Some((preamble, mut rest)) = packed.split_first_chunk::<PREAMBLE>() else {
+        return Err(format!(
+            "n-gram `counts` holds {} words, shorter than its preamble",
+            packed.len()
+        ));
+    };
+    let sizes = preamble.map(|n| n as usize);
+    // Keys and ends per row (a channel key is two words), words and counts
+    // per entry.
+    let need = [3, 2, 2, 2, 2, 2]
+        .iter()
+        .zip(sizes)
+        .try_fold(PREAMBLE, |acc, (&words, n)| {
+            n.checked_mul(words)?.checked_add(acc)
+        });
+    if need != Some(packed.len()) {
+        return Err(format!(
+            "n-gram `counts` holds {} words, but its preamble {sizes:?} lays out {}",
+            packed.len(),
+            need.map_or_else(|| "more than fit in memory".to_owned(), |n| n.to_string())
+        ));
+    }
+    Ok((
+        CountTable::unpack(&mut rest, [sizes[0], sizes[1]]),
+        CountTable::unpack(&mut rest, [sizes[2], sizes[3]]),
+        CountTable::unpack(&mut rest, [sizes[4], sizes[5]]),
+    ))
+}
+
+/// A run of entries in one of [`DecodeTables`]' flat arrays.
 #[derive(Clone, Copy, Debug)]
 struct Span {
     start: u32,
@@ -161,49 +432,31 @@ struct Span {
 }
 
 impl Span {
-    fn of<'a>(&self, entries: &'a [(u32, f64)]) -> &'a [(u32, f64)] {
+    fn of<'a, T>(&self, entries: &'a [T]) -> &'a [T] {
         &entries[self.start as usize..self.end as usize]
     }
 }
 
-/// The channel counts of one source word at one position: its candidate
-/// beam and the counts' total.
-#[derive(Clone, Copy, Debug)]
-struct ChanRow {
-    src: u32,
-    beam: Span,
-    /// Sum of the counts (for `log_likelihood`).
-    total: f64,
-}
-
-/// The bigram counts following one previous word: every following word
-/// with its log-score, and the log-score of a word the counts lack.
-#[derive(Clone, Copy, Debug)]
-struct LmRow {
-    prev: u32,
-    next: Span,
-    miss: f64,
-}
-
 /// Lookup tables derived from an [`NgramTranslator`]'s counts, with every
-/// log-score greedy decoding needs computed once. Rows are sorted by key
-/// and entries within an LM row by word, so decoding binary-searches
-/// instead of hashing.
+/// log-score greedy decoding needs computed once. Decoding binary-searches
+/// the count tables' row keys; these hold what the counts do not (candidate
+/// beams and log-scores), indexed like the count tables' rows and entries.
 #[derive(Clone, Debug)]
 struct DecodeTables {
-    /// Per channel position, one row per source word seen there; its beam
-    /// is in `channel_top` order, with channel scores.
-    chan: Vec<Vec<ChanRow>>,
+    /// Per target position, its run of channel rows.
+    chan_at: Vec<Span>,
+    /// Per channel row, its candidate beam (the `fallback_beam` most
+    /// frequent words, count descending, then id) in `beams`.
+    chan_beam: Vec<Span>,
     /// Per target position, the positional-marginal fallback beam.
     fallback: Vec<Span>,
-    /// Totals of the positional marginals (for `log_likelihood`).
-    marginal_total: Vec<f64>,
     /// Beam entries: `(candidate, channel log-score)`.
     beams: Vec<(u32, f64)>,
-    /// One row per previous target word.
-    lm: Vec<LmRow>,
-    /// LM entries: `(word, bigram log-score)`.
-    lm_entries: Vec<(u32, f64)>,
+    /// Per bigram row, the log-score of a word the row lacks.
+    lm_miss: Vec<f64>,
+    /// Per bigram entry, its word and log-score (the word is the count
+    /// table's, next to its score so a lookup touches one array).
+    lm: Vec<(u32, f64)>,
     /// Log-score of any word when no count table applies.
     unseen: f64,
 }
@@ -211,102 +464,76 @@ struct DecodeTables {
 impl DecodeTables {
     fn build(t: &NgramTranslator) -> Self {
         let alpha = t.cfg.alpha;
-        let total = |m: &HashMap<u32, u32>| m.values().map(|&c| c as f64).sum::<f64>();
-        // Score of a word counted `c` times in table `m` of total `n`.
-        let score = |m: &HashMap<u32, u32>, n: f64, c: u32| {
-            log_score(f64::from(c), n, m.len().max(1) as f64, alpha)
+        let beam = t.cfg.fallback_beam.max(1);
+        // Log-score of a count in a row of `counts`.
+        let scorer = |counts: &[u32]| {
+            let (n, v) = (total(counts), counts.len().max(1) as f64);
+            move |c: u32| log_score(f64::from(c), n, v, alpha)
         };
         let unseen = log_score(0.0, 0.0, 1.0, alpha);
         let mut beams = Vec::new();
-        let mut push_beam = |words: &[u32], entry: &dyn Fn(u32) -> f64| {
+        // A row's entries ranked count descending, then word: one integer
+        // per entry, the complemented count above the word.
+        let mut ranked: Vec<u64> = Vec::new();
+        let mut push_beam = |(words, counts): (&[u32], &[u32]), entry: &dyn Fn(u32) -> f64| {
+            ranked.clear();
+            ranked.extend(
+                (words.iter().zip(counts)).map(|(&w, &c)| u64::from(!c) << 32 | u64::from(w)),
+            );
+            ranked.sort_unstable();
             let start = beams.len() as u32;
-            beams.extend(words.iter().map(|&w| (w, entry(w))));
+            beams.extend(
+                ranked
+                    .iter()
+                    .take(beam)
+                    .map(|&k| (k as u32, entry(!((k >> 32) as u32)))),
+            );
             Span {
                 start,
                 end: beams.len() as u32,
             }
         };
-        let chan = t
-            .channel
-            .iter()
-            .zip(&t.channel_top)
-            .map(|(counts, tops)| {
-                let mut rows: Vec<ChanRow> = counts
-                    .iter()
-                    .map(|(&src, m)| {
-                        let n = total(m);
-                        let beam = tops.get(&src).map_or(&[][..], Vec::as_slice);
-                        ChanRow {
-                            src,
-                            beam: push_beam(beam, &|w| {
-                                score(m, n, m.get(&w).copied().unwrap_or(0))
-                            }),
-                            total: n,
-                        }
-                    })
-                    .collect();
-                rows.sort_unstable_by_key(|r| r.src);
-                rows
+        let chan_beam = (0..t.channel.keys.len())
+            .map(|r| {
+                let row = t.channel.entries(r);
+                push_beam(row, &scorer(row.1))
             })
             .collect();
-        let fallback = t
-            .marginal_top
-            .iter()
-            .map(|words| push_beam(words, &|_| unseen))
+        let fallback = (0..t.marginal.keys.len())
+            .map(|r| push_beam(t.marginal.entries(r), &|_| unseen))
             .collect();
-        let mut lm_entries = Vec::new();
-        let mut lm: Vec<LmRow> = t
-            .bigram
-            .iter()
-            .map(|(&prev, m)| {
-                let n = total(m);
-                let start = lm_entries.len() as u32;
-                lm_entries.extend(m.iter().map(|(&w, &c)| (w, score(m, n, c))));
-                lm_entries[start as usize..].sort_unstable_by_key(|e| e.0);
-                LmRow {
-                    prev,
-                    next: Span {
-                        start,
-                        end: lm_entries.len() as u32,
-                    },
-                    miss: score(m, n, 0),
-                }
+        let keys = &t.channel.keys;
+        let chan_at = (0..t.tgt_len as u32)
+            .map(|p| Span {
+                start: keys.partition_point(|k| k[0] < p) as u32,
+                end: keys.partition_point(|k| k[0] <= p) as u32,
             })
             .collect();
-        lm.sort_unstable_by_key(|r| r.prev);
+        let mut lm_miss = Vec::with_capacity(t.bigram.keys.len());
+        let mut lm = Vec::with_capacity(t.bigram.words.len());
+        for r in 0..t.bigram.keys.len() {
+            let (words, counts) = t.bigram.entries(r);
+            let score = scorer(counts);
+            lm_miss.push(score(0));
+            lm.extend(words.iter().zip(counts).map(|(&w, &c)| (w, score(c))));
+        }
         Self {
-            chan,
+            chan_at,
+            chan_beam,
             fallback,
-            marginal_total: t.marginal.iter().map(total).collect(),
             beams,
+            lm_miss,
             lm,
-            lm_entries,
             unseen,
         }
     }
 
-    /// The channel row of source word `src` at channel position `q`.
-    fn chan_row(&self, q: usize, src: u32) -> Option<&ChanRow> {
-        let rows = self.chan.get(q)?;
-        rows.binary_search_by_key(&src, |r| r.src)
-            .ok()
-            .map(|i| &rows[i])
-    }
-
-    /// The bigram row following previous word `prev`.
-    fn lm_row(&self, prev: u32) -> Option<&LmRow> {
-        self.lm
-            .binary_search_by_key(&prev, |r| r.prev)
-            .ok()
-            .map(|i| &self.lm[i])
-    }
-
     fn approx_bytes(&self) -> usize {
-        self.chan.iter().map(Vec::len).sum::<usize>() * std::mem::size_of::<ChanRow>()
-            + self.lm.len() * std::mem::size_of::<LmRow>()
-            + (self.beams.len() + self.lm_entries.len()) * std::mem::size_of::<(u32, f64)>()
-            + self.fallback.len() * std::mem::size_of::<Span>()
-            + self.marginal_total.len() * std::mem::size_of::<f64>()
+        (self.chan_at.len() + self.chan_beam.len() + self.fallback.len())
+            * std::mem::size_of::<Span>()
+            + self.beams.len() * std::mem::size_of::<(u32, f64)>()
+            + self.lm.len() * std::mem::size_of::<(u32, f64)>()
+            + self.lm_miss.len() * std::mem::size_of::<f64>()
     }
 }
 
@@ -333,9 +560,11 @@ impl NgramTranslator {
         );
         let tgt_len = pairs.iter().map(|(_, t)| t.len()).max().unwrap_or(0);
         let (src_len, first_tgt_len) = (pairs[0].0.len(), pairs[0].1.len());
-        let mut channel: Vec<HashMap<u32, HashMap<u32, u32>>> = vec![HashMap::new(); tgt_len];
-        let mut marginal: Vec<HashMap<u32, u32>> = vec![HashMap::new(); tgt_len];
-        let mut bigram: HashMap<u32, HashMap<u32, u32>> = HashMap::new();
+        let words: usize = pairs.iter().map(|(_, t)| t.len()).sum();
+        // Observations packed as `CountTable::from_packed` reads them.
+        let mut channel: Vec<u128> = Vec::with_capacity(words);
+        let mut marginal: Vec<u64> = Vec::with_capacity(words);
+        let mut bigram: Vec<u64> = Vec::with_capacity(words);
         for (src, tgt) in pairs {
             let mut prev: Option<u32> = None;
             for (p, &t) in tgt.iter().enumerate() {
@@ -345,38 +574,54 @@ impl NgramTranslator {
                 } else {
                     p * src_len / first_tgt_len.max(1)
                 };
+                let pos = p as u32;
                 if let Some(&s) = src.get(sp) {
-                    *channel[p].entry(s).or_default().entry(t).or_insert(0) += 1;
+                    channel.push(u128::from(pos) << 64 | u128::from(s) << 32 | u128::from(t));
                 }
-                *marginal[p].entry(t).or_insert(0) += 1;
+                marginal.push(u64::from(pos) << 32 | u64::from(t));
                 if let Some(pr) = prev {
-                    *bigram.entry(pr).or_default().entry(t).or_insert(0) += 1;
+                    bigram.push(u64::from(pr) << 32 | u64::from(t));
                 }
                 prev = Some(t);
             }
         }
-        let beam = cfg.fallback_beam.max(1);
-        let top_k = |m: &HashMap<u32, u32>| -> Vec<u32> {
-            let mut words: Vec<(u32, u32)> = m.iter().map(|(&w, &c)| (w, c)).collect();
-            words.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-            words.truncate(beam);
-            words.into_iter().map(|(w, _)| w).collect()
-        };
-        let marginal_top = marginal.iter().map(&top_k).collect();
-        let channel_top = channel
-            .iter()
-            .map(|pos| pos.iter().map(|(&src, m)| (src, top_k(m))).collect())
-            .collect();
         Self {
             cfg: *cfg,
-            channel,
-            marginal,
-            marginal_top,
-            channel_top,
-            bigram,
+            channel: CountTable::from_packed(channel),
+            marginal: CountTable::from_packed(marginal),
+            bigram: CountTable::from_packed(bigram),
             tgt_len,
             tables: OnceLock::new(),
         }
+    }
+
+    /// Checks every table's invariants, and the position keys against
+    /// `tgt_len`: one marginal row per position `0..tgt_len`, and no
+    /// channel row past them.
+    fn check(&self) -> Result<(), String> {
+        self.channel.check("channel")?;
+        self.marginal.check("marginal")?;
+        self.bigram.check("bigram")?;
+        let dense = (self.marginal.keys.iter().enumerate()).all(|(p, k)| k[0] as usize == p);
+        if !dense || self.marginal.keys.len() != self.tgt_len {
+            return Err(format!(
+                "n-gram `marginal` rows are not keyed 0..{} (tgt_len)",
+                self.tgt_len
+            ));
+        }
+        match self.channel.keys.last() {
+            Some(k) if k[0] as usize >= self.tgt_len => Err(format!(
+                "n-gram `channel` position {} is past tgt_len {}",
+                k[0], self.tgt_len
+            )),
+            _ => Ok(()),
+        }
+    }
+
+    /// Whether a decode has built the decode tables yet.
+    #[cfg(test)]
+    pub(crate) fn decode_tables_built(&self) -> bool {
+        self.tables.get().is_some()
     }
 
     /// The decode tables, derived from the counts on first use.
@@ -398,11 +643,6 @@ impl NgramTranslator {
         }
     }
 
-    /// Channel position of target position `mp` (`None` without channels).
-    fn channel_position(&self, mp: usize) -> Option<usize> {
-        Some(mp.min(self.channel.len().checked_sub(1)?))
-    }
-
     /// Mean per-word natural-log likelihood of `tgt` given `src` under the
     /// position-aligned channel model with additive smoothing over a
     /// `tgt_vocab`-sized vocabulary (positional-marginal backoff when the
@@ -422,28 +662,26 @@ impl NgramTranslator {
             return 0.0;
         }
         let v = tgt_vocab as f64;
-        let mut total = 0.0;
+        let mut total_ll = 0.0;
         for (p, &t) in tgt.iter().enumerate() {
-            let mp = self.position(p);
+            let mp = self.position(p) as u32;
             let sp = Self::source_position(src.len(), p, tgt.len());
-            let chan = src.get(sp).and_then(|&sw| {
-                let q = self.channel_position(mp)?;
-                let counts = self.channel[q].get(&sw).filter(|m| !m.is_empty())?;
-                Some((counts, self.tables().chan_row(q, sw)?.total))
-            });
-            let counts = chan.or_else(|| {
-                Some((
-                    self.marginal.get(mp)?,
-                    *self.tables().marginal_total.get(mp)?,
-                ))
-            });
-            let (c, n) = match counts {
-                Some((m, n)) => (*m.get(&t).unwrap_or(&0) as f64, n),
+            let chan = src
+                .get(sp)
+                .and_then(|&sw| self.channel.row([mp, sw]))
+                .map(|r| self.channel.entries(r))
+                .filter(|(words, _)| !words.is_empty());
+            let row = chan.or_else(|| Some(self.marginal.entries(self.marginal.row([mp])?)));
+            let (c, n) = match row {
+                Some((words, counts)) => (
+                    words.binary_search(&t).map_or(0, |i| counts[i]) as f64,
+                    total(counts),
+                ),
                 None => (0.0, 0.0),
             };
-            total += log_score(c, n, v, self.cfg.alpha);
+            total_ll += log_score(c, n, v, self.cfg.alpha);
         }
-        total / tgt.len() as f64
+        total_ll / tgt.len() as f64
     }
 
     /// Likelihood score on a 0–100 scale comparable to BLEU: `100` times the
@@ -464,28 +702,14 @@ impl NgramTranslator {
         100.0 * mean_ll.exp()
     }
 
-    /// Approximate heap footprint of the count and decode tables in bytes
-    /// (entry counts times entry sizes; map overhead ignored). Used by the
-    /// serving layer to report shared-snapshot memory.
+    /// Approximate heap footprint of the count tables, and of the decode
+    /// tables once a decode has built them, in bytes. Used by the serving
+    /// layer to report shared-snapshot memory; it builds nothing.
     pub fn approx_bytes(&self) -> usize {
-        let pair = std::mem::size_of::<(u32, u32)>();
-        let chan: usize = self
-            .channel
-            .iter()
-            .flat_map(|pos| pos.values())
-            .map(|m| m.len() * pair)
-            .sum();
-        let marg: usize = self.marginal.iter().map(|m| m.len() * pair).sum();
-        let tops: usize = (self.marginal_top.iter().map(Vec::len).sum::<usize>()
-            + self
-                .channel_top
-                .iter()
-                .flat_map(|pos| pos.values())
-                .map(Vec::len)
-                .sum::<usize>())
-            * std::mem::size_of::<u32>();
-        let bigr: usize = self.bigram.values().map(|m| m.len() * pair).sum();
-        chan + marg + tops + bigr + self.tables().approx_bytes()
+        let counts =
+            self.channel.packed_len() + self.marginal.packed_len() + self.bigram.packed_len();
+        counts * std::mem::size_of::<u32>()
+            + self.tables.get().map_or(0, DecodeTables::approx_bytes)
     }
 
     /// Translates a source sentence into `out_len` target word ids.
@@ -505,15 +729,17 @@ impl NgramTranslator {
             let mp = self.position(p);
             // Candidates: the channel beam if the source word was seen at
             // this position, else the positional-marginal beam. The beams
-            // have a deterministic order (count-desc, then id), so
-            // tie-breaking does not depend on hash iteration order.
+            // have a deterministic order (count-desc, then id).
             let chan = src
                 .get(Self::source_position(src.len(), p, out_len))
-                .and_then(|&s| tables.chan_row(self.channel_position(mp)?, s));
-            let candidates = match (
-                chan.map(|r| r.beam.of(&tables.beams)),
-                tables.fallback.get(mp),
-            ) {
+                .and_then(|&s| {
+                    let rows = tables.chan_at.get(mp)?;
+                    let i = (rows.of(&self.channel.keys))
+                        .binary_search_by_key(&s, |k| k[1])
+                        .ok()?;
+                    Some(tables.chan_beam[rows.start as usize + i].of(&tables.beams))
+                });
+            let candidates = match (chan, tables.fallback.get(mp)) {
                 (Some(beam), _) if !beam.is_empty() => beam,
                 (_, Some(span)) => span.of(&tables.beams),
                 _ => &[],
@@ -523,8 +749,8 @@ impl NgramTranslator {
                 prev = Some(0);
                 continue;
             };
-            let (lm_next, lm_miss) = match prev.and_then(|pr| tables.lm_row(pr)) {
-                Some(row) => (row.next.of(&tables.lm_entries), row.miss),
+            let (lm_next, lm_miss) = match prev.and_then(|pr| self.bigram.row([pr])) {
+                Some(r) => (&tables.lm[self.bigram.span(r)], tables.lm_miss[r]),
                 None => (&[][..], tables.unseen),
             };
             let mut best = (first.0, f64::NEG_INFINITY);
@@ -906,10 +1132,102 @@ mod tests {
         assert_eq!(out, vec![7, 8, 7, 8, 7, 8]);
     }
 
+    /// An n-gram model's counts as nested maps — the shape the model held
+    /// before its tables were packed, and the shape MDSN v1–v4 stored.
+    #[derive(Debug, Default, PartialEq)]
+    struct CountMaps {
+        channel: Vec<HashMap<u32, HashMap<u32, u32>>>,
+        marginal: Vec<HashMap<u32, u32>>,
+        bigram: HashMap<u32, HashMap<u32, u32>>,
+    }
+
+    impl CountMaps {
+        /// Counts `pairs` with hash maps, as the map-based `fit` did.
+        fn count(pairs: &[(Vec<u32>, Vec<u32>)]) -> Self {
+            let tgt_len = pairs.iter().map(|(_, t)| t.len()).max().unwrap_or(0);
+            let (src_len, first_tgt_len) = (pairs[0].0.len(), pairs[0].1.len());
+            let mut m = CountMaps {
+                channel: vec![HashMap::new(); tgt_len],
+                marginal: vec![HashMap::new(); tgt_len],
+                bigram: HashMap::new(),
+            };
+            for (src, tgt) in pairs {
+                let mut prev: Option<u32> = None;
+                for (p, &t) in tgt.iter().enumerate() {
+                    let sp = if first_tgt_len == src_len {
+                        p
+                    } else {
+                        p * src_len / first_tgt_len.max(1)
+                    };
+                    if let Some(&s) = src.get(sp) {
+                        *m.channel[p].entry(s).or_default().entry(t).or_insert(0) += 1;
+                    }
+                    *m.marginal[p].entry(t).or_insert(0) += 1;
+                    if let Some(pr) = prev {
+                        *m.bigram.entry(pr).or_default().entry(t).or_insert(0) += 1;
+                    }
+                    prev = Some(t);
+                }
+            }
+            m
+        }
+
+        /// Reads a model's packed tables back into maps.
+        fn of(t: &NgramTranslator) -> Self {
+            let row = |table: &CountTable<1>, r: usize| -> HashMap<u32, u32> {
+                let (words, counts) = table.entries(r);
+                words.iter().copied().zip(counts.iter().copied()).collect()
+            };
+            let mut m = CountMaps {
+                channel: vec![HashMap::new(); t.tgt_len],
+                marginal: (0..t.marginal.keys.len())
+                    .map(|r| row(&t.marginal, r))
+                    .collect(),
+                bigram: (0..t.bigram.keys.len())
+                    .map(|r| (t.bigram.keys[r][0], row(&t.bigram, r)))
+                    .collect(),
+            };
+            for (r, &[p, src]) in t.channel.keys.iter().enumerate() {
+                let (words, counts) = t.channel.entries(r);
+                m.channel[p as usize].insert(
+                    src,
+                    words.iter().copied().zip(counts.iter().copied()).collect(),
+                );
+            }
+            m
+        }
+
+        /// The record MDSN v1–v4 wrote for a model with these counts,
+        /// candidate beams included.
+        fn legacy_content(&self, t: &NgramTranslator) -> Content {
+            let beam = t.cfg.fallback_beam.max(1);
+            let top_k = |m: &HashMap<u32, u32>| -> Vec<u32> {
+                let mut words: Vec<(u32, u32)> = m.iter().map(|(&w, &c)| (w, c)).collect();
+                words.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+                words.truncate(beam);
+                words.into_iter().map(|(w, _)| w).collect()
+            };
+            let channel_top: Vec<HashMap<u32, Vec<u32>>> = (self.channel.iter())
+                .map(|pos| pos.iter().map(|(&src, m)| (src, top_k(m))).collect())
+                .collect();
+            let marginal_top: Vec<Vec<u32>> = self.marginal.iter().map(top_k).collect();
+            Content::Map(vec![
+                ("cfg".to_owned(), t.cfg.to_content()),
+                ("channel".to_owned(), self.channel.to_content()),
+                ("marginal".to_owned(), self.marginal.to_content()),
+                ("marginal_top".to_owned(), marginal_top.to_content()),
+                ("channel_top".to_owned(), channel_top.to_content()),
+                ("bigram".to_owned(), self.bigram.to_content()),
+                ("tgt_len".to_owned(), t.tgt_len.to_content()),
+            ])
+        }
+    }
+
     /// Greedy decoding straight from the count maps, re-summing every
-    /// table per candidate: the paper-literal scoring loop the decode
-    /// tables must reproduce word for word.
+    /// table per candidate and re-ranking every beam: the paper-literal
+    /// scoring loop the decode tables must reproduce word for word.
     fn translate_oracle(t: &NgramTranslator, src: &[u32], out_len: usize) -> Vec<u32> {
+        let maps = CountMaps::of(t);
         let score = |counts: Option<&HashMap<u32, u32>>, word: u32| -> f64 {
             let (c, n, v) = match counts {
                 Some(m) => (
@@ -921,6 +1239,12 @@ mod tests {
             };
             ((c + t.cfg.alpha) / (n + t.cfg.alpha * v)).ln()
         };
+        let top_k = |m: &HashMap<u32, u32>| -> Vec<u32> {
+            let mut words: Vec<(u32, u32)> = m.iter().map(|(&w, &c)| (w, c)).collect();
+            words.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+            words.truncate(t.cfg.fallback_beam.max(1));
+            words.into_iter().map(|(w, _)| w).collect()
+        };
         let mut out = Vec::with_capacity(out_len);
         let mut prev: Option<u32> = None;
         for p in 0..out_len {
@@ -931,27 +1255,22 @@ mod tests {
                 (p * src.len() / out_len.max(1)).min(src.len() - 1)
             };
             let chan = src.get(sp).and_then(|s| {
-                t.channel
-                    .get(mp.min(t.channel.len().checked_sub(1)?))?
+                maps.channel
+                    .get(mp.min(maps.channel.len().checked_sub(1)?))?
                     .get(s)
             });
-            let chan_candidates = src.get(sp).and_then(|s| {
-                t.channel_top
-                    .get(mp.min(t.channel_top.len().checked_sub(1)?))?
-                    .get(s)
-            });
-            let candidates: &[u32] = match chan_candidates {
+            let candidates = match chan.map(top_k) {
                 Some(c) if !c.is_empty() => c,
-                _ => t.marginal_top.get(mp).map(Vec::as_slice).unwrap_or(&[]),
+                _ => maps.marginal.get(mp).map(top_k).unwrap_or_default(),
             };
             if candidates.is_empty() {
                 out.push(0);
                 prev = Some(0);
                 continue;
             }
-            let lm_counts = prev.and_then(|pr| t.bigram.get(&pr));
+            let lm_counts = prev.and_then(|pr| maps.bigram.get(&pr));
             let mut best = (candidates[0], f64::NEG_INFINITY);
-            for &cand in candidates {
+            for &cand in &candidates {
                 let s = score(chan, cand) + t.cfg.lm_weight * score(lm_counts, cand);
                 if s > best.1 {
                     best = (cand, s);
@@ -1035,9 +1354,138 @@ mod tests {
         );
     }
 
+    #[test]
+    fn legacy_count_maps_convert_to_the_packed_tables() {
+        let words: Vec<u32> = (0..61u32).map(|i| (i * 5 + i / 4) % 11).collect();
+        let pairs = corpus(&words, 30, 5, 7);
+        let t = NgramTranslator::fit(&pairs, &NgramConfig::default());
+        let legacy = CountMaps::count(&pairs).legacy_content(&t);
+        let back = NgramTranslator::from_content(&legacy).expect("legacy record");
+        assert_eq!(
+            serde_json::to_string(&back).expect("json"),
+            serde_json::to_string(&t).expect("json")
+        );
+        for (src, _) in &pairs {
+            assert_eq!(back.translate(src, 7), t.translate(src, 7));
+        }
+        // A zero count in a legacy map is refused like a packed one.
+        let mut maps = CountMaps::count(&pairs);
+        *maps
+            .bigram
+            .values_mut()
+            .next()
+            .expect("a bigram row")
+            .values_mut()
+            .next()
+            .expect("an entry") = 0;
+        let err = NgramTranslator::from_content(&maps.legacy_content(&t)).unwrap_err();
+        assert!(err.to_string().contains("`bigram`"), "{err}");
+    }
+
+    #[test]
+    fn approx_bytes_counts_decode_tables_only_once_built() {
+        let t = NgramTranslator::fit(&mapped_pairs(30, 6), &NgramConfig::default());
+        let counts_only = t.approx_bytes();
+        assert!(counts_only > 0);
+        assert!(
+            !t.decode_tables_built(),
+            "approx_bytes built the decode tables"
+        );
+        t.translate(&[2, 3, 4, 5, 6, 2], 6);
+        assert!(t.approx_bytes() > counts_only);
+    }
+
+    /// Crafted packed tables: each is refused with an error naming the
+    /// table or the tensor, never a panic.
+    #[test]
+    fn malformed_packed_counts_are_refused_by_name() {
+        let t = NgramTranslator::fit(&mapped_pairs(20, 4), &NgramConfig::default());
+        let Content::Map(fields) = t.to_content() else {
+            panic!("an object");
+        };
+        let packed = match &fields[2] {
+            (k, Content::Tensor(tensor)) if k == "counts" => tensor.to_u32().expect("u32"),
+            other => panic!("unexpected field {other:?}"),
+        };
+        let with_counts = |counts: Content| {
+            let mut f = fields.clone();
+            f[2].1 = counts;
+            NgramTranslator::from_content(&Content::Map(f))
+        };
+        let edit = |at: usize, value: u32| {
+            let mut p = packed.clone();
+            p[at] = value;
+            with_counts(Tensor::from_u32(vec![p.len()], &p).into())
+        };
+        assert!(edit(0, packed[0]).is_ok(), "an unedited copy decodes");
+        let [c_rows, c_entries] = t.channel.sizes().map(|n| n as usize);
+        let keys = PREAMBLE;
+        let ends = keys + 2 * c_rows;
+        let words = ends + c_rows;
+        let counts = words + c_entries;
+        // Marginal rows hold several words each; channel rows here one.
+        let m_words = counts + c_entries + 2 * t.marginal.keys.len();
+        let cases = [
+            ("preamble", edit(0, packed[0] + 1), "`counts`"),
+            ("keys", edit(keys + 1, packed[keys + 3]), "`channel` keys"),
+            (
+                "ends",
+                edit(ends, packed[ends + 1] + 1),
+                "`channel` row ends",
+            ),
+            (
+                "end past",
+                edit(ends + c_rows - 1, u32::MAX),
+                "`channel` row",
+            ),
+            (
+                "words",
+                edit(m_words + 1, packed[m_words]),
+                "`marginal` words",
+            ),
+            ("count", edit(counts, 0), "`channel` entry 0"),
+            (
+                "dtype",
+                with_counts(Tensor::from_f32(vec![1], &[1.0]).into()),
+                "`counts`",
+            ),
+            ("string", with_counts("x".to_content()), "expected array"),
+        ];
+        for (name, r, want) in cases {
+            let err = r.err().unwrap_or_else(|| panic!("{name}: accepted"));
+            assert!(err.to_string().contains(want), "{name}: {err}");
+        }
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
+
+        /// `log_likelihood` straight from the count maps.
+        fn log_likelihood_oracle(t: &NgramTranslator, src: &[u32], tgt: &[u32], v: usize) -> f64 {
+            let maps = CountMaps::of(t);
+            let mut total = 0.0;
+            for (p, &w) in tgt.iter().enumerate() {
+                let mp = p.min(t.tgt_len.saturating_sub(1));
+                let sp = NgramTranslator::source_position(src.len(), p, tgt.len());
+                let row = src
+                    .get(sp)
+                    .and_then(|s| maps.channel.get(mp)?.get(s))
+                    .or_else(|| maps.marginal.get(mp));
+                let (c, n) = row.map_or((0.0, 0.0), |m| {
+                    (
+                        f64::from(m.get(&w).copied().unwrap_or(0)),
+                        m.values().map(|&c| f64::from(c)).sum(),
+                    )
+                });
+                total += log_score(c, n, v as f64, t.cfg.alpha);
+            }
+            if tgt.is_empty() {
+                0.0
+            } else {
+                total / tgt.len() as f64
+            }
+        }
 
         proptest! {
             #[test]
@@ -1052,9 +1500,16 @@ mod tests {
                 out_len in 0usize..12,
             ) {
                 let cfg = NgramConfig { alpha: 0.1, lm_weight, fallback_beam: beam };
-                let t = NgramTranslator::fit(&corpus(&words, n, src_len, tgt_len), &cfg);
+                let pairs = corpus(&words, n, src_len, tgt_len);
+                let t = NgramTranslator::fit(&pairs, &cfg);
+                prop_assert_eq!(CountMaps::of(&t), CountMaps::count(&pairs));
                 // Words 7..10 never occur in the corpus: unseen sources.
                 prop_assert_eq!(t.translate(&query, out_len), translate_oracle(&t, &query, out_len));
+                let tgt: Vec<u32> = query.iter().map(|w| w + 100).collect();
+                prop_assert_eq!(
+                    t.log_likelihood(&query, &tgt, 120).to_bits(),
+                    log_likelihood_oracle(&t, &query, &tgt, 120).to_bits()
+                );
             }
 
             #[test]
@@ -1072,7 +1527,10 @@ mod tests {
                     })
                     .collect();
                 let t = NgramTranslator::fit(&pairs, &NgramConfig::default());
+                prop_assert_eq!(CountMaps::of(&t), CountMaps::count(&pairs));
                 prop_assert_eq!(t.translate(&query, out_len), translate_oracle(&t, &query, out_len));
+                let back = NgramTranslator::from_content(&CountMaps::count(&pairs).legacy_content(&t));
+                prop_assert_eq!(back.map(|b| b.translate(&query, out_len)).ok(), Some(t.translate(&query, out_len)));
             }
         }
     }

@@ -6,7 +6,7 @@
 //! row-major order.
 
 use rand::Rng;
-use serde::{Content, DeError, Deserialize, Serialize, Tensor};
+use serde::{tensor_field, Content, DeError, Deserialize, Serialize, Tensor};
 
 /// A dense row-major matrix of `f32` values.
 ///
@@ -51,60 +51,6 @@ impl Deserialize for Matrix {
         let data = tensor_field(content, "data", &[rows, cols], Tensor::to_f32)?;
         Ok(Matrix { rows, cols, data })
     }
-}
-
-/// Reads the numeric array under `key`, expected to hold a tensor of
-/// `shape`: either a packed [`Content::Tensor`] (decoded with `unpack`,
-/// which answers `None` for the wrong element type) or — from JSON and from
-/// artifacts that predate packed tensors — a plain array with exactly as
-/// many elements.
-pub(crate) fn tensor_field<T: Deserialize>(
-    content: &Content,
-    key: &str,
-    shape: &[usize],
-    unpack: impl Fn(&Tensor) -> Option<Vec<T>>,
-) -> Result<Vec<T>, DeError> {
-    let Content::Map(entries) = content else {
-        return Err(DeError::mismatch("object", content));
-    };
-    let value = entries
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| DeError::missing_field(key))?;
-    let dims = shape
-        .iter()
-        .map(ToString::to_string)
-        .collect::<Vec<_>>()
-        .join("x");
-    let elems = shape
-        .iter()
-        .try_fold(1usize, |acc, &d| acc.checked_mul(d))
-        .ok_or_else(|| DeError::custom(format!("`{key}` shape {dims} overflows")))?;
-    let values = match value {
-        Content::Tensor(t) => {
-            if t.shape() != shape {
-                return Err(DeError::custom(format!(
-                    "`{key}` tensor has shape {:?}, expected {dims}",
-                    t.shape()
-                )));
-            }
-            unpack(t).ok_or_else(|| {
-                DeError::custom(format!(
-                    "`{key}` tensor has element type {}",
-                    t.dtype().name()
-                ))
-            })?
-        }
-        other => Vec::<T>::from_content(other)?,
-    };
-    if values.len() != elems {
-        return Err(DeError::custom(format!(
-            "`{key}` of shape {dims} carries {} values",
-            values.len()
-        )));
-    }
-    Ok(values)
 }
 
 impl Matrix {

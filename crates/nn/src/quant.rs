@@ -35,9 +35,9 @@
 //! windows are batched. Cross-session batching in `push_opt_many` relies on
 //! this.
 
-use crate::matrix::{tensor_field, Matrix};
+use crate::matrix::Matrix;
 use crate::NnError;
-use serde::{Content, DeError, Deserialize, Serialize, Tensor};
+use serde::{tensor_field, Content, DeError, Deserialize, Serialize, Tensor};
 
 /// Weight encoding of a frozen artifact.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]

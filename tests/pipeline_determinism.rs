@@ -90,14 +90,14 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// payload. Kept as a read-compatibility fixture for the legacy reader.
 const NGRAM_PLANT_V2: &[u8] = include_bytes!("fixtures/ngram_plant_v2.mdsn");
 
-/// The same plant's artifact as the MDSN v3 writer produced it: the v4
-/// record under a 17-byte frame header with an FNV-1a checksum.
+/// The same plant's artifact as the MDSN v3 writer produced it: the
+/// sectioned record under a 17-byte frame header with an FNV-1a checksum.
 const NGRAM_PLANT_V3: &[u8] = include_bytes!("fixtures/ngram_plant_v3.mdsn");
 
-/// File header bytes, then the v3 (FNV-1a) and v4 (CRC-32C) frame headers.
-const FILE_HEADER: usize = 16;
-const V3_FRAME_HEADER: usize = 17;
-const V4_FRAME_HEADER: usize = 13;
+/// The same plant's artifact as the MDSN v4 writer produced it: the v5
+/// framing, with each n-gram pair model's counts as nested JSON maps in the
+/// record header.
+const NGRAM_PLANT_V4: &[u8] = include_bytes!("fixtures/ngram_plant_v4.mdsn");
 
 /// Digest over every window's score bits and alerts.
 fn score_digest(result: &mdes::core::DetectionResult) -> (usize, u64) {
@@ -120,10 +120,10 @@ fn score_digest(result: &mdes::core::DetectionResult) -> (usize, u64) {
 /// must never reach the artifact. The score digest pins Algorithm 2's
 /// decode and sentence BLEU, through the restored snapshot.
 ///
-/// Three byte pins: the v4 layout this build writes, and the v3 and v2
-/// bytes earlier layouts wrote for the same fit — committed as fixtures,
-/// which must still decode to the same artifact and the same scores. v4
-/// changed only the frame checksum, so its record is v3's byte for byte.
+/// Four byte pins: the v5 layout this build writes (packed count tables),
+/// and the v4, v3 and v2 bytes earlier layouts wrote for the same fit —
+/// committed as fixtures, whose count maps must convert to the same
+/// artifact and the same scores.
 #[test]
 fn ngram_snapshot_bytes_and_scores_are_pinned() {
     let (m, plant) = fit_mdes(1, TranslatorConfig::fast());
@@ -143,26 +143,29 @@ fn ngram_snapshot_bytes_and_scores_are_pinned() {
             .detect_range(&plant.traces, plant.day_range(7))
             .expect("detect")
     );
-    // v4 pin.
-    assert_eq!((bytes.len(), fnv1a(&bytes)), (62138, 0x09e4_8833_67c4_57bc));
+    // v5 pin.
+    assert_eq!((bytes.len(), fnv1a(&bytes)), (59689, 0x27a3_7c54_baeb_61a0));
     assert_eq!(score_digest(&result), (47, 0x9531_6a39_5802_9dda));
 
-    // v3 and v2 pins: the fixtures are earlier layouts' bytes, and each
-    // decodes to the artifact v4 encodes and to the same scores.
+    // v4, v3 and v2 pins: the fixtures are earlier layouts' bytes, and each
+    // decodes to the artifact v5 encodes and to the same scores.
+    assert_eq!(
+        (NGRAM_PLANT_V4.len(), fnv1a(NGRAM_PLANT_V4)),
+        (62138, 0x09e4_8833_67c4_57bc)
+    );
     assert_eq!(
         (NGRAM_PLANT_V3.len(), fnv1a(NGRAM_PLANT_V3)),
         (62142, 0xe0d5_fdcb_48ed_e9f8)
     );
     assert_eq!(
-        bytes[FILE_HEADER + V4_FRAME_HEADER..],
-        NGRAM_PLANT_V3[FILE_HEADER + V3_FRAME_HEADER..],
-        "v4 carries the v3 record byte for byte"
-    );
-    assert_eq!(
         (NGRAM_PLANT_V2.len(), fnv1a(NGRAM_PLANT_V2)),
         (62134, 0xce00_4e10_a181_86b0)
     );
-    for (tag, fixture) in [("v3", NGRAM_PLANT_V3), ("v2", NGRAM_PLANT_V2)] {
+    for (tag, fixture) in [
+        ("v4", NGRAM_PLANT_V4),
+        ("v3", NGRAM_PLANT_V3),
+        ("v2", NGRAM_PLANT_V2),
+    ] {
         let legacy = snapshot_from_bytes(fixture).unwrap_or_else(|e| panic!("{tag}: {e}"));
         assert_eq!(snapshot_to_bytes(&legacy).expect("encode"), bytes, "{tag}");
         let legacy_result = legacy
